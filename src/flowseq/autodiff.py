@@ -12,7 +12,7 @@ Adam is included here because every trainer shares it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -178,38 +178,16 @@ def vsum(x: Var) -> Var:
                   lambda g, sh=x.value.shape: np.broadcast_to(g, sh).copy())
 
 
-def cumsum(x: Var) -> Var:
-    if x.value.ndim != 1:
-        raise UnsupportedPrimitive("cumsum expects a 1-d variable")
-    return _unary(x, np.cumsum(x.value), "cumsum",
-                  lambda g: np.cumsum(g[::-1])[::-1])
-
-
-def concat(parts: Sequence[Var]) -> Var:
-    parts = list(parts)
-    if not parts or any(p.value.ndim != 1 for p in parts):
-        raise UnsupportedPrimitive("concat expects a non-empty list of 1-d variables")
-    tape = parts[0].tape
-    sizes = [p.value.size for p in parts]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    links = []
-    for i, p in enumerate(parts):
-        if p.track:
-            links.append((p, lambda g, a=int(offsets[i]), b=int(offsets[i + 1]): g[a:b]))
-    value = np.concatenate([p.value for p in parts])
-    return Var(tape, value, "concat", any(p.track for p in parts), tuple(links))
-
-
 def take(x: Var, idx: np.ndarray) -> Var:
     """Gather from the flattened variable; output has the index array's shape."""
     idx = np.asarray(idx, dtype=np.int64)
     flat = x.value.reshape(-1)
     value = flat[idx]
 
-    def dx(g, n=flat.size, ix=idx, sh=x.value.shape):
-        acc = np.zeros(n, dtype=np.float64)
-        np.add.at(acc, ix.reshape(-1), np.asarray(g).reshape(-1))
-        return acc.reshape(sh)
+    def dx(g, n=flat.size, ix=idx.reshape(-1), sh=x.value.shape):
+        # accumulates repeated indices in input order, as np.add.at does
+        weights = np.asarray(g, dtype=np.float64).reshape(-1)
+        return np.bincount(ix, weights=weights, minlength=n).reshape(sh)
 
     return _unary(x, value, "take", dx)
 

@@ -30,6 +30,8 @@ from .policy import (
     batched_generation_log_vars,
     context_matrix,
     generation_log_probs,
+    pad_rows,
+    sequence_log_prob_vars,
     trajectory_body,
 )
 
@@ -162,44 +164,39 @@ def rft_train(
 
 
 def _pair_logprob(policy: Policy, traj: Trajectory) -> float:
-    prompt = traj.tokens[: traj.prompt_len]
     body = trajectory_body(traj)
-    lp_tok, lp_stop = generation_log_probs(policy, prompt, body)
-    total = float(lp_tok.sum())
-    if traj.terminated:
-        total += float(lp_stop[len(body)])
-    return total
+    lp_tok, lp_stop = generation_log_probs(policy, traj.tokens[: traj.prompt_len], body)
+    return float(lp_tok.sum()) + (float(lp_stop[len(body)]) if traj.terminated else 0.0)
 
 
-def _pair_logprob_var(policy: Policy, theta: Var, traj: Trajectory) -> Var:
-    prompt = traj.tokens[: traj.prompt_len]
-    body = trajectory_body(traj)
-    pairs = batched_generation_log_vars(policy, theta, [(prompt, body)])
-    lp_tok, lp_stop = pairs[0]
-    total = ad.vsum(lp_tok)
-    if traj.terminated:
-        total = total + ad.vsum(ad.take(lp_stop, np.asarray([len(body)])))
-    return total
+def dpo_mean_loss_var(
+    policy: Policy, theta: Var, ref_policy: Policy, pairs: list[PreferencePair], beta: float = 0.01
+) -> Var:
+    """Mean DPO loss over pairs; one forward pass scores every chosen and rejected body."""
+    trajs = [p.chosen for p in pairs] + [p.rejected for p in pairs]
+    items = [(t.tokens[: t.prompt_len], trajectory_body(t)) for t in trajs]
+    lp = batched_generation_log_vars(policy, theta, items)
+    seq = sequence_log_prob_vars(*lp, np.asarray([t.terminated for t in trajs]))
+    n = len(pairs)
+    margin_ref = np.asarray([[_pair_logprob(ref_policy, p.chosen) - _pair_logprob(ref_policy, p.rejected)]
+                             for p in pairs])
+    # chosen minus rejected sequence log-probability, one row per pair
+    margin = theta.tape.const(np.hstack([np.eye(n), -np.eye(n)])) @ seq - margin_ref
+    return ad.vsum(ad.softplus(-(margin * beta))) / float(n)
 
 
 def dpo_loss_var(
     policy: Policy, theta: Var, ref_policy: Policy, pair: PreferencePair, beta: float = 0.01
 ) -> Var:
     """-log sigmoid(beta * margin) with the margin taken against the frozen reference."""
-    margin_ref = _pair_logprob(ref_policy, pair.chosen) - _pair_logprob(ref_policy, pair.rejected)
-    lp_chosen = _pair_logprob_var(policy, theta, pair.chosen)
-    lp_rejected = _pair_logprob_var(policy, theta, pair.rejected)
-    margin = (lp_chosen - lp_rejected) - margin_ref
-    return ad.softplus(-(margin * beta))
+    return dpo_mean_loss_var(policy, theta, ref_policy, [pair], beta)
 
 
 def dpo_loss(policy: Policy, ref_policy: Policy, pair: PreferencePair, beta: float = 0.01) -> float:
     if policy.kind is PolicyKind.TABULAR:
         for traj in (pair.chosen, pair.rejected):
             policy.register_prefixes(traj.tokens[: traj.prompt_len], trajectory_body(traj))
-    tape = GradTape()
-    theta = tape.input(policy.params)
-    return float(dpo_loss_var(policy, theta, ref_policy, pair, beta).value)
+    return ad.loss_value(lambda th: dpo_loss_var(policy, th, ref_policy, pair, beta), policy.params)
 
 
 @dataclass(frozen=True)
@@ -271,11 +268,7 @@ def dpo_train(
                 adam = adam.resized(policy.params.size)
             tape = GradTape()
             theta = tape.input(policy.params)
-            total = None
-            for pair in batch:
-                term = dpo_loss_var(policy, theta, ref_policy, pair, cfg.beta)
-                total = term if total is None else total + term
-            loss = total / float(len(batch))
+            loss = dpo_mean_loss_var(policy, theta, ref_policy, batch, cfg.beta)
             g = ad.backward(loss, theta)
             policy.params, adam = adam_step(adam, policy.params, g)
             step += 1
@@ -344,24 +337,20 @@ class PpoItem:
 
 def ppo_surrogate_var(policy: Policy, theta: Var, items: list[PpoItem], clip: float) -> Var:
     """Negative mean clipped surrogate over all generated tokens of the batch."""
-    pairs = batched_generation_log_vars(policy, theta, [(it.prompt_tokens, it.body) for it in items])
-    total = None
-    count = 0
-    for it, (lp_tok, lp_stop) in zip(items, pairs):
-        n = len(it.body)
-        if it.terminated:
-            lp = ad.concat([lp_tok, ad.take(lp_stop, np.asarray([n]))])
-        else:
-            lp = lp_tok
-        tape = theta.tape
-        ratio = ad.exp(lp - tape.const(it.old_logprobs))
-        adv = tape.const(it.advantages)
-        unclipped = ratio * adv
-        clipped = ad.clamp(ratio, 1.0 - clip, 1.0 + clip) * adv
-        contrib = ad.vsum(ad.minimum(unclipped, clipped))
-        total = contrib if total is None else total + contrib
-        count += it.old_logprobs.size
-    return -(total / float(max(count, 1)))
+    lp_tok, lp_stop, lengths = batched_generation_log_vars(
+        policy, theta, [(it.prompt_tokens, it.body) for it in items])
+    width = lp_stop.value.shape[1]
+    # one row per item: its body tokens, then the stop symbol where it terminated
+    stops = np.zeros((len(items), width))
+    stops[np.arange(len(items)), lengths] = [it.terminated for it in items]
+    lp = lp_tok @ np.eye(width - 1, width) + lp_stop * stops
+    adv = pad_rows([it.advantages for it in items], width)
+    # padded slots have ratio exp(0) = 1 and advantage 0, so they add nothing
+    ratio = ad.exp(lp - pad_rows([it.old_logprobs for it in items], width))
+    unclipped = ratio * adv
+    clipped = ad.clamp(ratio, 1.0 - clip, 1.0 + clip) * adv
+    count = sum(it.old_logprobs.size for it in items)
+    return -(ad.vsum(ad.minimum(unclipped, clipped)) / float(max(count, 1)))
 
 
 def ppo_train(

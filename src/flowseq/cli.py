@@ -206,7 +206,7 @@ def _cmd_enumerate(cfg: RunConfig, workers: int) -> int:
                 writer.writerow([pid, decode(body, vocab),
                                  repr(dist.probs.get(body, 0.0)), repr(r / z)])
             gaps[str(pid)] = {
-                "l1": terminal_l1_gap(policy, problem, task, vocab),
+                "l1": terminal_l1_gap(policy, problem, task, vocab, terminals=terminals, dist=dist),
                 "overflow": dist.overflow,
             }
     with open(out / "enumeration.json", "w", encoding="utf-8", newline="") as fh:

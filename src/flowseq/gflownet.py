@@ -8,8 +8,12 @@ pair 0 <= i < j <= n (index 0 is the prompt boundary), the squared log-ratio
 
 optionally weighted by lambda^(j-i). Writing S_t for the cumulative token
 log-probability and D_t = log R_t - S_t - log pi(sT|s_{1:t}), each term is
-(D_i - D_j)^2, which is how it is computed here. At the optimum the terminal
-distribution is proportional to the reward, which exact enumeration verifies.
+(D_i - D_j)^2. A whole batch is computed at once on the padded layout of
+policy.batched_generation_log_vars: S is a matmul with a constant triangular
+matrix, every D_i - D_j a matmul with a constant +-1 pair matrix, and one
+weight matrix holds lambda^(j-i) and masks pairs past each body's end. At the
+optimum the terminal distribution is proportional to the reward, which exact
+enumeration verifies.
 
 Training follows the sample / score / replay / update loop: draw solutions for
 a problem (closing horizon-capped draws with a forced stop), push them into a
@@ -23,6 +27,7 @@ from __future__ import annotations
 import csv
 from collections import deque
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Callable
 
@@ -36,9 +41,11 @@ from .policy import (
     DecodeCfg,
     Policy,
     PolicyKind,
+    TerminalDistribution,
     _sample_with_rng,
     batched_generation_log_vars,
-    generation_log_vars,
+    pad_rows,
+    sequence_log_prob_vars,
     terminal_distribution,
     trajectory_body,
 )
@@ -129,21 +136,34 @@ def buffer_sample(buf: ReplayBuffer, batch: int, rng: np.random.Generator) -> li
     return [buf.entries[int(i)] for i in idx]
 
 
-def _subtb_from_vars(lp_tok: Var, lp_stop: Var, log_r: np.ndarray, lam: float, placement: str) -> Var:
-    """Subtrajectory balance over one trajectory, given its log-prob variables."""
-    n = log_r.size - 1
-    tape = lp_stop.tape
-    if n == 0:
-        return tape.const(0.0)
-    s_full = ad.concat([tape.const(np.zeros(1)), ad.cumsum(lp_tok)])
-    if placement == "printed":
-        d = tape.const(log_r) - s_full - lp_stop
-    else:
-        d = tape.const(log_r) - s_full + lp_stop
-    ii, jj = np.triu_indices(n + 1, k=1)
-    diff = ad.take(d, ii) - ad.take(d, jj)
-    weights = lam ** (jj - ii).astype(np.float64)
-    return ad.vsum(tape.const(weights) * ad.square(diff))
+@lru_cache(maxsize=64)
+def _subtb_consts(width: int, lam: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(prefix, pairs, weights) for bodies of up to L = width-1 tokens.
+
+    lp_tok @ prefix (L, L+1) gives every S_t; D @ pairs (L+1, P) gives
+    D_i - D_j for every pair i < j; row n of weights (L+1, P) is
+    lambda^(j-i) on the pairs inside a body of n tokens and 0 elsewhere.
+    """
+    ii, jj = np.triu_indices(width, k=1)
+    prefix = np.triu(np.ones((width - 1, width)), k=1)
+    pairs = np.zeros((width, ii.size))
+    pairs[ii, np.arange(ii.size)] = 1.0
+    pairs[jj, np.arange(ii.size)] = -1.0
+    inside = jj[None, :] <= np.arange(width)[:, None]
+    weights = np.where(inside, lam ** (jj - ii).astype(np.float64), 0.0)
+    for shared in (prefix, pairs, weights):  # every caller gets these same arrays
+        shared.flags.writeable = False
+    return prefix, pairs, weights
+
+
+def subtb_sum_var(lp_tok: Var, lp_stop: Var, lengths: np.ndarray, log_rewards: list[np.ndarray],
+                  lam: float, stop_placement: str) -> Var:
+    """Subtrajectory balance summed over padded rows; log_rewards[b] is log R of prefixes 0..lengths[b]."""
+    width = lp_stop.value.shape[1]
+    prefix, pairs, weights = _subtb_consts(width, float(lam))
+    d = lp_tok.tape.const(pad_rows(log_rewards, width)) - lp_tok @ prefix
+    d = d - lp_stop if stop_placement == "printed" else d + lp_stop
+    return ad.vsum(ad.square(d @ pairs) * weights[lengths])
 
 
 def subtb_loss_var(
@@ -164,8 +184,8 @@ def subtb_loss_var(
     body = trajectory_body(traj)
     if log_rewards is None:
         log_rewards = prefix_log_rewards(reward_fn, prompt, body)
-    lp_tok, lp_stop = generation_log_vars(policy, theta, prompt, body)
-    return _subtb_from_vars(lp_tok, lp_stop, log_rewards, lam, stop_placement)
+    lp = batched_generation_log_vars(policy, theta, [(prompt, body)])
+    return subtb_sum_var(*lp, [log_rewards], lam, stop_placement)
 
 
 def subtb_loss(
@@ -178,9 +198,8 @@ def subtb_loss(
     """Subtrajectory balance loss value under the current parameters."""
     if policy.kind is PolicyKind.TABULAR:
         policy.register_prefixes(traj.tokens[: traj.prompt_len], trajectory_body(traj))
-    tape = GradTape()
-    theta = tape.input(policy.params)
-    return float(subtb_loss_var(policy, theta, reward_fn, traj, lam, stop_placement).value)
+    return ad.loss_value(lambda th: subtb_loss_var(policy, th, reward_fn, traj, lam, stop_placement),
+                         policy.params)
 
 
 def tb_loss_var(
@@ -198,31 +217,25 @@ def tb_loss_var(
     r = reward_fn(prompt + body)
     if not r > 0.0:
         raise NonPositiveReward(f"reward {r} on the full sequence")
-    lp_tok, lp_stop = generation_log_vars(policy, theta, prompt, body)
-    seq_lp = ad.vsum(lp_tok) + ad.vsum(ad.take(lp_stop, np.asarray([len(body)])))
-    resid = log_z + seq_lp - float(np.log(r))
-    return ad.square(resid)
+    seq_lp = ad.vsum(sequence_log_prob_vars(*batched_generation_log_vars(policy, theta, [(prompt, body)])))
+    return ad.square(log_z + seq_lp - float(np.log(r)))
 
 
 def tb_loss(policy: Policy, reward_fn: RewardFn, traj: Trajectory, log_z: float) -> float:
     if policy.kind is PolicyKind.TABULAR:
         policy.register_prefixes(traj.tokens[: traj.prompt_len], trajectory_body(traj))
-    tape = GradTape()
-    theta = tape.input(policy.params)
-    return float(tb_loss_var(policy, theta, reward_fn, traj, float(log_z)).value)
+    return ad.loss_value(lambda th: tb_loss_var(policy, th, reward_fn, traj, float(log_z)), policy.params)
+
+
+def sft_from_vars(lp_tok: Var, lp_stop: Var, lengths: np.ndarray) -> Var:
+    """Mean per-token negative log-likelihood of the rows of a padded batch, stop symbols included."""
+    seq = ad.vsum(sequence_log_prob_vars(lp_tok, lp_stop, lengths))
+    return -(seq / float(lengths.sum() + lengths.size))
 
 
 def sft_loss_var(policy: Policy, theta: Var, refs: list[Reference]) -> Var:
     """Mean per-token negative log-likelihood of reference bodies, stop symbol included."""
-    pairs = batched_generation_log_vars(policy, theta, [(r.prompt_tokens, r.body) for r in refs])
-    total = None
-    count = 0
-    for ref, (lp_tok, lp_stop) in zip(refs, pairs):
-        n = len(ref.body)
-        seq = ad.vsum(lp_tok) + ad.vsum(ad.take(lp_stop, np.asarray([n])))
-        total = seq if total is None else total + seq
-        count += n + 1
-    return -(total / float(count))
+    return sft_from_vars(*batched_generation_log_vars(policy, theta, [(r.prompt_tokens, r.body) for r in refs]))
 
 
 def sft_loss(policy: Policy, refs: list[Reference]) -> float:
@@ -231,9 +244,7 @@ def sft_loss(policy: Policy, refs: list[Reference]) -> float:
     if policy.kind is PolicyKind.TABULAR:
         for r in refs:
             policy.register_prefixes(r.prompt_tokens, r.body)
-    tape = GradTape()
-    theta = tape.input(policy.params)
-    return float(sft_loss_var(policy, theta, refs).value)
+    return ad.loss_value(lambda th: sft_loss_var(policy, th, refs), policy.params)
 
 
 @dataclass(frozen=True)
@@ -319,11 +330,15 @@ def _cell(value) -> str:
     return str(value)
 
 
-def terminal_l1_gap(policy: Policy, problem: Problem, cfg: TaskConfig, vocab: Vocab) -> float:
-    """L1 distance between the policy's terminal distribution and R/Z, plus overflow mass."""
-    terminals = enumerate_terminals(problem, cfg, vocab)
+def terminal_l1_gap(policy: Policy, problem: Problem, cfg: TaskConfig, vocab: Vocab,
+                    terminals: list | None = None, dist: TerminalDistribution | None = None) -> float:
+    """L1 distance between the policy's terminal distribution and R/Z, plus overflow mass.
+
+    Callers that already hold the enumerated terminals or the terminal law pass them in.
+    """
+    terminals = enumerate_terminals(problem, cfg, vocab) if terminals is None else terminals
+    dist = terminal_distribution(policy, problem, problem.max_solution_len) if dist is None else dist
     z = sum(r for _, r in terminals)
-    dist = terminal_distribution(policy, problem, problem.max_solution_len)
     gap = dist.overflow
     for body, r in terminals:
         gap += abs(dist.probs.get(body, 0.0) - r / z)
@@ -353,6 +368,40 @@ class TrainSet:
         for p, bodies in zip(self.problems, self.references):
             out.extend(Reference(p.prompt_tokens, b) for b in bodies)
         return out
+
+
+def replay_loss_var(
+    policy: Policy, theta: Var, batch: list[BufferEntry], refs: list[Reference], cfg: GfnConfig
+) -> tuple[Var, Var, Var | None]:
+    """(total, mean subtb, sft term or None) of one replayed batch, from one forward pass.
+
+    total = mean subtb + horizon_coeff * mean stop NLL of the at-horizon
+    bodies + sft_coeff * reference NLL.
+    """
+    items = [(e.prompt_tokens, e.body) for e in batch] + [(r.prompt_tokens, r.body) for r in refs]
+    lp_tok, lp_stop, lengths = batched_generation_log_vars(policy, theta, items)
+    nb = len(batch)
+    if refs:
+        # the reference rows follow the replayed ones; take splits them off
+        tok_ix, stop_ix = (np.arange(x.value.size).reshape(x.value.shape) for x in (lp_tok, lp_stop))
+        ref_rows = (ad.take(lp_tok, tok_ix[nb:]), ad.take(lp_stop, stop_ix[nb:]), lengths[nb:])
+        lp_tok, lp_stop, lengths = ad.take(lp_tok, tok_ix[:nb]), ad.take(lp_stop, stop_ix[:nb]), lengths[:nb]
+    subtb = subtb_sum_var(lp_tok, lp_stop, lengths, [e.log_rewards for e in batch],
+                          cfg.subtb_lambda, cfg.stop_placement)
+    mean_subtb = subtb / float(nb)
+    total = mean_subtb
+    at_horizon = np.flatnonzero([e.at_horizon for e in batch])
+    if at_horizon.size and cfg.horizon_coeff > 0.0:
+        # stopping is forced at maximal length; balance alone leaves that
+        # stop probability (and with it the total terminal mass) free
+        final_stops = at_horizon * lp_stop.value.shape[1] + lengths[at_horizon]
+        horizon_nll = -ad.vsum(ad.take(lp_stop, final_stops))
+        total = total + cfg.horizon_coeff * (horizon_nll / float(at_horizon.size))
+    sft_term = None
+    if refs:
+        sft_term = sft_from_vars(*ref_rows)
+        total = total + cfg.sft_coeff * sft_term
+    return total, mean_subtb, sft_term
 
 
 def _force_stop(policy: Policy, traj: Trajectory) -> Trajectory:
@@ -436,39 +485,7 @@ def train_gflownet(
 
         tape = GradTape()
         theta = tape.input(policy.params)
-        items = [(e.prompt_tokens, e.body) for e in batch] + [
-            (r.prompt_tokens, r.body) for r in ref_batch
-        ]
-        pairs = batched_generation_log_vars(policy, theta, items)
-        subtb_total = None
-        horizon_nll = None
-        n_horizon = 0
-        for e, (lp_tok, lp_stop) in zip(batch, pairs[: len(batch)]):
-            term = _subtb_from_vars(lp_tok, lp_stop, e.log_rewards, cfg.subtb_lambda, cfg.stop_placement)
-            subtb_total = term if subtb_total is None else subtb_total + term
-            if e.at_horizon and cfg.horizon_coeff > 0.0:
-                # stopping is forced at maximal length; balance alone leaves
-                # that stop probability (and with it the total terminal mass)
-                # a free parameter
-                fin = -ad.vsum(ad.take(lp_stop, np.asarray([len(e.body)])))
-                horizon_nll = fin if horizon_nll is None else horizon_nll + fin
-                n_horizon += 1
-        mean_subtb = subtb_total / float(len(batch))
-        total = mean_subtb
-        if horizon_nll is not None:
-            total = total + cfg.horizon_coeff * (horizon_nll / float(n_horizon))
-        sft_value = None
-        if ref_batch:
-            nll_sum = None
-            count = 0
-            for r, (lp_tok, lp_stop) in zip(ref_batch, pairs[len(batch):]):
-                seq = ad.vsum(lp_tok) + ad.vsum(ad.take(lp_stop, np.asarray([len(r.body)])))
-                nll_sum = seq if nll_sum is None else nll_sum + seq
-                count += len(r.body) + 1
-            sft_term = -(nll_sum / float(count))
-            sft_value = float(sft_term.value)
-            total = total + cfg.sft_coeff * sft_term
-
+        total, mean_subtb, sft_term = replay_loss_var(policy, theta, batch, ref_batch, cfg)
         g = ad.backward(total, theta)
         policy.params, adam = adam_step(adam, policy.params, g)
 
@@ -478,5 +495,6 @@ def train_gflownet(
         ):
             l1 = terminal_l1_gap(policy, diag_problem, dataset.task, dataset.vocab)
         mean_reward = float(np.mean(rewards_step)) if rewards_step else 0.0
+        sft_value = None if sft_term is None else float(sft_term.value)
         report.add(step, float(mean_subtb.value), sft_value, mean_reward, len(buf), l1)
     return report

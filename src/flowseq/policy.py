@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GradTape, Var
+from .autodiff import Var
 from .core import Problem, Trajectory, Vocab
 from .env import SpaceTooLarge, ENUMERATION_CAP
 
@@ -253,35 +253,46 @@ def generation_log_probs(
     return lp_tok, lp_stop
 
 
-def generation_log_vars(
-    policy: Policy, theta: Var, prompt_tokens: tuple[int, ...], gen_body: tuple[int, ...]
-) -> tuple[Var, Var]:
-    """Differentiable (lp_tok, lp_stop) for one trajectory body."""
-    ctx = context_matrix(policy, prompt_tokens, gen_body)
-    rows = policy.rows_var(theta, ctx)
-    v = policy.vocab.size
-    n = len(gen_body)
-    lp_stop = ad.take(rows, np.arange(n + 1) * v + policy.vocab.stop_id)
-    lp_tok = ad.take(rows, np.arange(n) * v + np.asarray(gen_body, dtype=np.int64))
-    return lp_tok, lp_stop
-
-
 def batched_generation_log_vars(
     policy: Policy, theta: Var, items: list[tuple[tuple[int, ...], tuple[int, ...]]]
-) -> list[tuple[Var, Var]]:
-    """One shared forward pass for many (prompt_tokens, gen_body) pairs."""
-    mats = [context_matrix(policy, prompt, body) for prompt, body in items]
-    offsets = np.concatenate([[0], np.cumsum([m.shape[0] for m in mats])])
-    rows = policy.rows_var(theta, np.concatenate(mats, axis=0))
-    v = policy.vocab.size
-    out = []
-    for i, (_, body) in enumerate(items):
-        base = int(offsets[i])
-        n = len(body)
-        lp_stop = ad.take(rows, (base + np.arange(n + 1)) * v + policy.vocab.stop_id)
-        lp_tok = ad.take(rows, (base + np.arange(n)) * v + np.asarray(body, dtype=np.int64))
-        out.append((lp_tok, lp_stop))
+) -> tuple[Var, Var, np.ndarray]:
+    """The differentiable forward pass: one rows_var over every (prompt_tokens, gen_body) item.
+
+    Returns (lp_tok, lp_stop, lengths) for B items whose longest body has L
+    tokens: lp_tok[b, t] (B, L) scores token t of body b, lp_stop[b, t]
+    (B, L+1) the stop symbol after its first t tokens, lengths (B,) the body
+    lengths. Entries past a body's length are exactly zero, without gradient.
+    """
+    lengths = np.asarray([len(body) for _, body in items], dtype=np.int64)
+    width = int(lengths.max()) + 1
+    rows = policy.rows_var(theta, np.concatenate([context_matrix(policy, *it) for it in items], axis=0))
+    t = np.arange(width)
+    # padded slots read the item's own last row, then a mask zeroes them
+    last = np.cumsum(lengths + 1)[:, None] - 1
+    row = (last + np.minimum(t - lengths[:, None], 0)) * policy.vocab.size
+    tokens = pad_rows([body for _, body in items], width - 1).astype(np.int64)
+    lp_tok, lp_stop = ad.take(rows, row[:, :-1] + tokens), ad.take(rows, row + policy.vocab.stop_id)
+    if lengths.min() < width - 1:
+        valid = t <= lengths[:, None]
+        lp_tok, lp_stop = lp_tok * valid[:, 1:], lp_stop * valid
+    return lp_tok, lp_stop, lengths
+
+
+def pad_rows(rows: list, width: int) -> np.ndarray:
+    """Rows of at most `width` numbers as one zero-padded (len(rows), width) float array."""
+    out = np.zeros((len(rows), width))
+    for b, r in enumerate(rows):
+        out[b, : len(r)] = r
     return out
+
+
+def sequence_log_prob_vars(lp_tok: Var, lp_stop: Var, lengths: np.ndarray,
+                           stopped: np.ndarray | None = None) -> Var:
+    """(B, 1) log-probability of each padded body, plus its stop symbol where stopped."""
+    stops = ad.take(lp_stop, (np.arange(lengths.size) * lp_stop.value.shape[1] + lengths)[:, None])
+    if stopped is not None and not stopped.all():
+        stops = stops * stopped[:, None]
+    return lp_tok @ np.ones((lp_tok.value.shape[1], 1)) + stops
 
 
 def trajectory_body(traj: Trajectory) -> tuple[int, ...]:
@@ -468,10 +479,7 @@ class ValueNet:
     def for_policy(cls, policy: Policy, seed: int = 0) -> "ValueNet":
         return cls(policy.kind, policy.vocab, policy.window, policy.embed_dim, policy.hidden_dim, seed)
 
-    @property
-    def pad_id(self) -> int:
-        return self.vocab.size
-
+    pad_id = Policy.pad_id
     context_of = Policy.context_of
 
     def register_context(self, ctx: tuple[int, ...]) -> int:
@@ -484,9 +492,7 @@ class ValueNet:
             self.params = np.concatenate([self.params, np.zeros(1)])
         return row
 
-    def register_prefixes(self, prompt_tokens: tuple[int, ...], gen_body: tuple[int, ...]) -> None:
-        for t in range(len(gen_body) + 1):
-            self.register_context(self.context_of(prompt_tokens + gen_body[:t]))
+    register_prefixes = Policy.register_prefixes
 
     def values(self, ctx_mat: np.ndarray) -> np.ndarray:
         if self.kind is PolicyKind.TABULAR:

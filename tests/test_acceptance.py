@@ -278,14 +278,13 @@ def method_suite():
     problems = [make_problem(task, seed=1000 + i) for i in range(200)]
     ds = TrainSet.build(problems, task, vocab, max_refs=1)
 
-    def warm() -> Policy:
-        pol = Policy.neural(vocab, window=10, embed_dim=16, hidden_dim=64, seed=0)
-        sft_train(pol, ds, epochs=10,
-                  cfg=SftConfig(epochs=10, lr=0.01, batch_size=32, seed=0))
-        return pol
+    # the warm start is deterministic, so it is trained once and cloned per run
+    warm = Policy.neural(vocab, window=10, embed_dim=16, hidden_dim=64, seed=0)
+    sft_train(warm, ds, epochs=10,
+              cfg=SftConfig(epochs=10, lr=0.01, batch_size=32, seed=0))
 
     def run(method: str, seed: int):
-        pol = warm()
+        pol = warm.clone()
         if method == "rft":
             # repeated rounds resample from the improved policy each time
             for r in range(10):

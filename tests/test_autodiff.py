@@ -62,15 +62,15 @@ def test_softplus_tanh_values_and_grads():
     assert np.allclose(g2, 1.0 - np.tanh(theta) ** 2)
 
 
-def test_cumsum_concat_take_reshape_matmul():
+def test_take_reshape_matmul():
     theta = np.arange(1.0, 7.0)
 
     def f(t):
-        a = ad.cumsum(ad.take(t, np.array([0, 1, 2])))
+        # a prefix sum as a constant triangular matmul, as the padded losses use it
+        a = ad.reshape(ad.take(t, np.array([0, 1, 2])), (1, 3)) @ np.triu(np.ones((3, 3)))
         b = ad.take(t, np.array([3, 4, 5]))
-        m = ad.reshape(ad.concat([a, b]), (2, 3))
-        prod = m @ ad.reshape(b, (3, 1))
-        return ad.vsum(prod)
+        m = ad.reshape(a, (3, 1)) @ ad.reshape(b, (1, 3))
+        return ad.vsum(m @ ad.reshape(b, (3, 1)))
 
     rel = finite_diff_check(f, theta)
     assert rel < 1e-6
@@ -80,6 +80,21 @@ def test_take_repeated_indices_scatter_adds():
     theta = np.array([2.0, 5.0])
     g = grad(lambda t: ad.vsum(ad.take(t, np.array([0, 0, 1]))), theta)
     assert np.allclose(g, [2.0, 1.0])
+
+
+def test_take_backward_is_bitwise_add_at():
+    # the scatter of repeated indices must sum in the same order as np.add.at
+    rng = np.random.default_rng(0)
+    for case in range(200):
+        n = int(rng.integers(1, 12))
+        idx = rng.integers(0, n, size=(int(rng.integers(0, 5)), int(rng.integers(1, 9))))
+        up = rng.normal(size=idx.shape) * 10.0 ** rng.integers(-8, 9, size=idx.shape)
+        tape = GradTape()
+        x = tape.input(rng.normal(size=(n,)))
+        got = ad.backward(ad.vsum(ad.take(x, idx) * up), x)
+        want = np.zeros(n)
+        np.add.at(want, idx.reshape(-1), up.reshape(-1))
+        assert got.tobytes() == want.tobytes(), case
 
 
 def test_log_softmax_rows_sum_to_one():
@@ -121,7 +136,8 @@ def test_finite_diff_on_composite_losses():
         def f(t):
             q = ad.log_softmax(ad.reshape(t, (2, 5)))
             picked = ad.take(ad.reshape(q, (10,)), np.array([2, 7]))
-            return ad.vsum(ad.square(ad.cumsum(picked))) + ad.vsum(ad.exp(picked))
+            prefix = ad.reshape(picked, (1, 2)) @ np.triu(np.ones((2, 2)))
+            return ad.vsum(ad.square(prefix)) + ad.vsum(ad.exp(picked))
 
         assert finite_diff_check(f, theta) < 1e-6
 
