@@ -66,7 +66,6 @@ from .gflownet import (
 )
 from .policy import (
     DecodeCfg,
-    DecodeMode,
     Policy,
     PolicyKind,
     ValueNet,

@@ -7,8 +7,7 @@ distribution instead of its argmax.
 Loss forms follow the standard published definitions; the defaults (DPO beta
 0.01, PPO clip 0.2, KL beta 0.1, gamma 1.0, GAE lambda 0.95, RFT k=4) mirror
 the fine-tuning setup this toolkit reproduces at toy scale. Full-scale runs
-would use learning rates near 3e-6 (actor) and 5e-6 (critic); the toy
-defaults are recorded alongside those values in run metadata.
+would use learning rates near 3e-6 (actor) and 5e-6 (critic).
 """
 
 from __future__ import annotations
@@ -20,11 +19,10 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, GradTape, Var, adam_step
 from .core import Trajectory
-from .gflownet import Reference, TrainReport, TrainSet, make_reward_fn, sft_loss_var
+from .gflownet import Reference, TrainReport, TrainSet, items_of, make_reward_fn, sft_loss_var
 from .policy import (
     DecodeCfg,
     Policy,
-    PolicyKind,
     ValueNet,
     _sample_with_rng,
     batched_generation_log_vars,
@@ -33,10 +31,8 @@ from .policy import (
     pad_rows,
     sequence_log_prob_vars,
     trajectory_body,
+    trajectory_item,
 )
-
-FULL_SCALE_ACTOR_LR = 3e-6
-FULL_SCALE_CRITIC_LR = 5e-6
 
 
 class LengthMismatch(ValueError):
@@ -89,10 +85,8 @@ def _fit_references(
                 for a in range(0, len(order), cfg.batch_size)
             ]
         for batch in batches:
-            if policy.kind is PolicyKind.TABULAR:
-                for r in batch:
-                    policy.register_prefixes(r.prompt_tokens, r.body)
-                adam = adam.resized(policy.params.size)
+            policy.register(items_of(batch))
+            adam = adam.resized(policy.params.size)
             tape = GradTape()
             theta = tape.input(policy.params)
             loss = sft_loss_var(policy, theta, batch)
@@ -174,8 +168,7 @@ def dpo_mean_loss_var(
 ) -> Var:
     """Mean DPO loss over pairs; one forward pass scores every chosen and rejected body."""
     trajs = [p.chosen for p in pairs] + [p.rejected for p in pairs]
-    items = [(t.tokens[: t.prompt_len], trajectory_body(t)) for t in trajs]
-    lp = batched_generation_log_vars(policy, theta, items)
+    lp = batched_generation_log_vars(policy, theta, [trajectory_item(t) for t in trajs])
     seq = sequence_log_prob_vars(*lp, np.asarray([t.terminated for t in trajs]))
     n = len(pairs)
     margin_ref = np.asarray([[_pair_logprob(ref_policy, p.chosen) - _pair_logprob(ref_policy, p.rejected)]
@@ -193,9 +186,7 @@ def dpo_loss_var(
 
 
 def dpo_loss(policy: Policy, ref_policy: Policy, pair: PreferencePair, beta: float = 0.01) -> float:
-    if policy.kind is PolicyKind.TABULAR:
-        for traj in (pair.chosen, pair.rejected):
-            policy.register_prefixes(traj.tokens[: traj.prompt_len], trajectory_body(traj))
+    policy.register([trajectory_item(pair.chosen), trajectory_item(pair.rejected)])
     return ad.loss_value(lambda th: dpo_loss_var(policy, th, ref_policy, pair, beta), policy.params)
 
 
@@ -261,11 +252,9 @@ def dpo_train(
         order = rng.permutation(len(pairs))
         for a in range(0, len(order), cfg.batch_size):
             batch = [pairs[int(i)] for i in order[a : a + cfg.batch_size]]
-            if policy.kind is PolicyKind.TABULAR:
-                for pair in batch:
-                    for traj in (pair.chosen, pair.rejected):
-                        policy.register_prefixes(traj.tokens[: traj.prompt_len], trajectory_body(traj))
-                adam = adam.resized(policy.params.size)
+            # chosen then rejected, pair by pair
+            policy.register([trajectory_item(t) for p in batch for t in (p.chosen, p.rejected)])
+            adam = adam.resized(policy.params.size)
             tape = GradTape()
             theta = tape.input(policy.params)
             loss = dpo_mean_loss_var(policy, theta, ref_policy, batch, cfg.beta)
@@ -401,8 +390,7 @@ def ppo_train(
             env_rewards.append(env_r)
 
             ctx = context_matrix(policy, prompt, body)
-            if critic.kind is PolicyKind.TABULAR:
-                critic.register_prefixes(prompt, body)
+            critic.register([(prompt, body)])
             states = critic.values(ctx)
             # truncated rollouts bootstrap from the critic, finished ones see zero beyond stop
             values = np.concatenate([states, [0.0]]) if traj.terminated else states
@@ -411,12 +399,9 @@ def ppo_train(
             value_rows.append(ctx if traj.terminated else ctx[: old_lp.size])
             value_targets.append(adv + values[:-1])
 
-        if policy.kind is PolicyKind.TABULAR:
-            for it in items:
-                policy.register_prefixes(it.prompt_tokens, it.body)
-            adam_actor = adam_actor.resized(policy.params.size)
-        if critic.kind is PolicyKind.TABULAR:
-            adam_critic = adam_critic.resized(critic.params.size)
+        policy.register(items_of(items))
+        adam_actor = adam_actor.resized(policy.params.size)
+        adam_critic = adam_critic.resized(critic.params.size)
 
         tape = GradTape()
         theta = tape.input(policy.params)

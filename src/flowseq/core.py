@@ -190,17 +190,6 @@ def format_rational(value: Fraction | None) -> str | None:
     return f"{value.numerator}/{value.denominator}"
 
 
-def solution_record(problem_id: int, solution: Solution, logprob_sum: float) -> dict:
-    """JSON-ready record for one scored solution."""
-    return {
-        "problem_id": problem_id,
-        "text": solution.text,
-        "final_answer": format_rational(solution.final_answer),
-        "correct": solution.correct,
-        "logprob_sum": logprob_sum,
-    }
-
-
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:

@@ -40,7 +40,6 @@ from .env import TaskConfig, enumerate_solutions, enumerate_terminals, reward
 from .policy import (
     DecodeCfg,
     Policy,
-    PolicyKind,
     TerminalDistribution,
     _sample_with_rng,
     batched_generation_log_vars,
@@ -48,6 +47,7 @@ from .policy import (
     sequence_log_prob_vars,
     terminal_distribution,
     trajectory_body,
+    trajectory_item,
 )
 
 RewardFn = Callable[[tuple[int, ...]], float]
@@ -196,8 +196,7 @@ def subtb_loss(
     stop_placement: str = "printed",
 ) -> float:
     """Subtrajectory balance loss value under the current parameters."""
-    if policy.kind is PolicyKind.TABULAR:
-        policy.register_prefixes(traj.tokens[: traj.prompt_len], trajectory_body(traj))
+    policy.register([trajectory_item(traj)])
     return ad.loss_value(lambda th: subtb_loss_var(policy, th, reward_fn, traj, lam, stop_placement),
                          policy.params)
 
@@ -222,9 +221,13 @@ def tb_loss_var(
 
 
 def tb_loss(policy: Policy, reward_fn: RewardFn, traj: Trajectory, log_z: float) -> float:
-    if policy.kind is PolicyKind.TABULAR:
-        policy.register_prefixes(traj.tokens[: traj.prompt_len], trajectory_body(traj))
+    policy.register([trajectory_item(traj)])
     return ad.loss_value(lambda th: tb_loss_var(policy, th, reward_fn, traj, float(log_z)), policy.params)
+
+
+def items_of(entries: list) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(prompt_tokens, body) of each entry (a Reference, BufferEntry or PpoItem), in order."""
+    return [(e.prompt_tokens, e.body) for e in entries]
 
 
 def sft_from_vars(lp_tok: Var, lp_stop: Var, lengths: np.ndarray) -> Var:
@@ -235,15 +238,13 @@ def sft_from_vars(lp_tok: Var, lp_stop: Var, lengths: np.ndarray) -> Var:
 
 def sft_loss_var(policy: Policy, theta: Var, refs: list[Reference]) -> Var:
     """Mean per-token negative log-likelihood of reference bodies, stop symbol included."""
-    return sft_from_vars(*batched_generation_log_vars(policy, theta, [(r.prompt_tokens, r.body) for r in refs]))
+    return sft_from_vars(*batched_generation_log_vars(policy, theta, items_of(refs)))
 
 
 def sft_loss(policy: Policy, refs: list[Reference]) -> float:
     if not refs:
         raise ValueError("reference set is empty")
-    if policy.kind is PolicyKind.TABULAR:
-        for r in refs:
-            policy.register_prefixes(r.prompt_tokens, r.body)
+    policy.register(items_of(refs))
     return ad.loss_value(lambda th: sft_loss_var(policy, th, refs), policy.params)
 
 
@@ -378,8 +379,7 @@ def replay_loss_var(
     total = mean subtb + horizon_coeff * mean stop NLL of the at-horizon
     bodies + sft_coeff * reference NLL.
     """
-    items = [(e.prompt_tokens, e.body) for e in batch] + [(r.prompt_tokens, r.body) for r in refs]
-    lp_tok, lp_stop, lengths = batched_generation_log_vars(policy, theta, items)
+    lp_tok, lp_stop, lengths = batched_generation_log_vars(policy, theta, items_of(batch + refs))
     nb = len(batch)
     if refs:
         # the reference rows follow the replayed ones; take splits them off
@@ -476,12 +476,8 @@ def train_gflownet(
             ridx = rng.integers(0, len(refs_all), size=cfg.batch_size)
             ref_batch = [refs_all[int(i)] for i in ridx]
 
-        if policy.kind is PolicyKind.TABULAR:
-            for e in batch:
-                policy.register_prefixes(e.prompt_tokens, e.body)
-            for r in ref_batch:
-                policy.register_prefixes(r.prompt_tokens, r.body)
-            adam = adam.resized(policy.params.size)
+        policy.register(items_of(batch + ref_batch))
+        adam = adam.resized(policy.params.size)
 
         tape = GradTape()
         theta = tape.input(policy.params)

@@ -4,7 +4,8 @@ Both kinds condition on the last `window` tokens of the running sequence,
 left-padded with a reserved PAD id (= vocab.size). The tabular kind keeps one
 logit row per observed context and can represent any conditional distribution
 over short horizons exactly; the neural kind is a one-hidden-layer MLP over
-concatenated token embeddings.
+concatenated token embeddings. The PPO critic (ValueNet) is the same
+parameterisation with one output per context instead of one per token.
 
 Log-probabilities always come from a fused log-softmax, and sampling records
 the unmodified policy log-probabilities rather than the truncated proposal, so
@@ -13,9 +14,12 @@ losses evaluated on replayed trajectories see the true policy.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -40,11 +44,6 @@ class PolicyKind(str, Enum):
     NEURAL = "NEURAL"
 
 
-class DecodeMode(str, Enum):
-    GREEDY = "GREEDY"
-    SAMPLE = "SAMPLE"
-
-
 @dataclass(frozen=True)
 class DecodeCfg:
     """Decoding settings: temperature scaling then nucleus truncation.
@@ -54,15 +53,14 @@ class DecodeCfg:
     exact-enumeration support.
     """
 
-    mode: DecodeMode = DecodeMode.SAMPLE
     temperature: float = 0.6
     top_p: float = 0.9
     max_new_tokens: int | None = None
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.temperature <= 0.0:
-            raise ValueError("temperature must be positive")
+        if not 0.0 < self.temperature < np.inf:
+            raise ValueError("temperature must be positive and finite")
         if not 0.0 < self.top_p <= 1.0:
             raise ValueError("top_p must lie in (0, 1]")
         if self.max_new_tokens is not None and self.max_new_tokens < 1:
@@ -108,6 +106,11 @@ class Policy:
     def pad_id(self) -> int:
         return self.vocab.size
 
+    @property
+    def width(self) -> int:
+        """Outputs per context: one logit per vocabulary token."""
+        return self.vocab.size
+
     @classmethod
     def tabular(cls, vocab: Vocab, window: int = 3) -> "Policy":
         """Fresh tabular policy; rows appear lazily and start uniform."""
@@ -117,17 +120,26 @@ class Policy:
     def neural(
         cls, vocab: Vocab, window: int = 3, embed_dim: int = 16, hidden_dim: int = 64, seed: int = 0
     ) -> "Policy":
-        rng = np.random.default_rng(seed)
-        n = cls._neural_param_count(vocab.size, window, embed_dim, hidden_dim)
-        params = rng.normal(0.0, 0.02, size=n)
-        return cls(PolicyKind.NEURAL, vocab, window, params, embed_dim, hidden_dim)
+        policy = cls(PolicyKind.NEURAL, vocab, window, np.zeros(0), embed_dim, hidden_dim)
+        policy.params = np.random.default_rng(seed).normal(0.0, 0.02, size=policy._param_count())
+        return policy
 
-    @staticmethod
-    def _neural_param_count(v: int, w: int, e: int, h: int) -> int:
-        return (v + 1) * e + w * e * h + h + h * v + v
+    @cached_property
+    def _neural_blocks(self) -> list[tuple[int, int, tuple[int, ...]]]:
+        """(start, end, shape) of the embedding, w1, b1, w2 and b2 blocks in params; fixed at construction."""
+        v, w, e, h, o = self.vocab.size, self.window, self.embed_dim, self.hidden_dim, self.width
+        shapes = [(v + 1, e), (w * e, h), (h,), (h, o), (o,)]
+        offsets = list(accumulate(map(math.prod, shapes), initial=0))
+        return list(zip(offsets, offsets[1:], shapes))
+
+    def _param_count(self, n_rows: int = 0) -> int:
+        """Length of params: n_rows table rows when tabular, the MLP blocks when neural."""
+        if self.kind is PolicyKind.TABULAR:
+            return n_rows * self.width
+        return self._neural_blocks[-1][1]
 
     def clone(self) -> "Policy":
-        return Policy(
+        return type(self)(
             self.kind,
             self.vocab,
             self.window,
@@ -152,13 +164,19 @@ class Policy:
         if row is None:
             row = len(self.contexts)
             self.contexts[ctx] = row
-            self.params = np.concatenate([self.params, np.zeros(self.vocab.size)])
+            self.params = np.concatenate([self.params, np.zeros(self.width)])
         return row
 
     def register_prefixes(self, prompt_tokens: tuple[int, ...], gen_body: tuple[int, ...]) -> None:
         """Pre-register every context a trajectory's loss will touch."""
         for t in range(len(gen_body) + 1):
             self.register_context(self.context_of(prompt_tokens + gen_body[:t]))
+
+    def register(self, items: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
+        """Register the contexts of every (prompt_tokens, body) item in item order; a no-op when neural."""
+        if self.kind is PolicyKind.TABULAR:
+            for prompt_tokens, body in items:
+                self.register_prefixes(prompt_tokens, body)
 
     # numpy fast paths
 
@@ -172,10 +190,11 @@ class Policy:
         return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
 
     def _logits(self, ctx_mat: np.ndarray) -> np.ndarray:
+        """Pre-softmax outputs, one row of `width` per context; unregistered tabular contexts read zeros."""
         if self.kind is PolicyKind.TABULAR:
-            v = self.vocab.size
-            table = self.params.reshape(-1, v) if self.params.size else np.zeros((0, v))
-            rows = np.zeros((ctx_mat.shape[0], v))
+            o = self.width
+            table = self.params.reshape(-1, o) if self.params.size else np.zeros((0, o))
+            rows = np.zeros((ctx_mat.shape[0], o))
             for i, ctx in enumerate(map(tuple, ctx_mat)):
                 idx = self.contexts.get(ctx)
                 if idx is not None:
@@ -186,50 +205,37 @@ class Policy:
         hidden = np.tanh(x @ w1 + b1)
         return hidden @ w2 + b2
 
-    def _neural_views(self, theta: np.ndarray):
-        v, w, e, h = self.vocab.size, self.window, self.embed_dim, self.hidden_dim
-        sizes = [(v + 1) * e, w * e * h, h, h * v, v]
-        shapes = [(v + 1, e), (w * e, h), (h,), (h, v), (v,)]
-        out = []
-        off = 0
-        for size, shape in zip(sizes, shapes):
-            out.append(theta[off : off + size].reshape(shape))
-            off += size
-        return out
+    def _neural_views(self, theta: np.ndarray) -> list[np.ndarray]:
+        return [theta[start:end].reshape(shape) for start, end, shape in self._neural_blocks]
 
     # tape paths
 
     def rows_var(self, theta: Var, ctx_mat: np.ndarray) -> Var:
-        """Log-softmax rows (one per context) as a differentiable variable.
+        """Log-softmax rows (one per context) as a differentiable variable."""
+        return ad.log_softmax(self._outputs_var(theta, ctx_mat))
+
+    def _outputs_var(self, theta: Var, ctx_mat: np.ndarray) -> Var:
+        """Pre-softmax outputs (one row of `width` per context) as a differentiable variable.
 
         Tabular contexts must be registered before the tape is built so the
         parameter vector does not grow mid-evaluation.
         """
         if self.kind is PolicyKind.TABULAR:
-            v = self.vocab.size
+            o = self.width
             row_idx = np.empty(ctx_mat.shape[0], dtype=np.int64)
             for i, ctx in enumerate(map(tuple, ctx_mat)):
                 try:
                     row_idx[i] = self.contexts[ctx]
                 except KeyError:
                     raise KeyError(f"unregistered tabular context {ctx}") from None
-            flat = row_idx[:, None] * v + np.arange(v)[None, :]
-            logits = ad.take(theta, flat)
-        else:
-            v, w, e, h = self.vocab.size, self.window, self.embed_dim, self.hidden_dim
-            emb_idx = ctx_mat[:, :, None] * e + np.arange(e)[None, None, :]
-            x = ad.reshape(ad.take(theta, emb_idx), (ctx_mat.shape[0], w * e))
-            off = (v + 1) * e
-            w1 = ad.reshape(ad.take(theta, off + np.arange(w * e * h)), (w * e, h))
-            off += w * e * h
-            b1 = ad.take(theta, off + np.arange(h))
-            off += h
-            w2 = ad.reshape(ad.take(theta, off + np.arange(h * v)), (h, v))
-            off += h * v
-            b2 = ad.take(theta, off + np.arange(v))
-            hidden = ad.tanh(ad.matmul(x, w1) + b1)
-            logits = ad.matmul(hidden, w2) + b2
-        return ad.log_softmax(logits)
+            return ad.take(theta, row_idx[:, None] * o + np.arange(o)[None, :])
+        e = self.embed_dim
+        emb_idx = ctx_mat[:, :, None] * e + np.arange(e)[None, None, :]
+        x = ad.reshape(ad.take(theta, emb_idx), (ctx_mat.shape[0], self.window * e))
+        w1, b1, w2, b2 = (ad.take(theta, np.arange(start, end).reshape(shape))
+                          for start, end, shape in self._neural_blocks[1:])
+        hidden = ad.tanh(ad.matmul(x, w1) + b1)
+        return ad.matmul(hidden, w2) + b2
 
 
 def context_matrix(policy: Policy, prompt_tokens: tuple[int, ...], gen_body: tuple[int, ...]) -> np.ndarray:
@@ -303,6 +309,11 @@ def trajectory_body(traj: Trajectory) -> tuple[int, ...]:
     return gen
 
 
+def trajectory_item(traj: Trajectory) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(prompt_tokens, body) of a trajectory: one item for Policy.register and the batched forward."""
+    return traj.tokens[: traj.prompt_len], trajectory_body(traj)
+
+
 def logprob(policy: Policy, problem: Problem, traj: Trajectory) -> np.ndarray:
     """Per-token log-probabilities of a trajectory under the current policy.
 
@@ -365,7 +376,10 @@ def _sample_with_rng(
 
 def _draw(lp: np.ndarray, cfg: DecodeCfg, rng: np.random.Generator) -> int:
     scaled = lp / cfg.temperature
-    scaled = scaled - scaled.max()
+    top = scaled.max()
+    if not np.isfinite(top):
+        raise ValueError(f"temperature {cfg.temperature} leaves no finite scaled logit")
+    scaled = scaled - top
     probs = np.exp(scaled)
     probs = probs / probs.sum()
     order = np.argsort(-probs, kind="stable")
@@ -399,12 +413,6 @@ def greedy_decode(policy: Policy, problem: Problem, max_new_tokens: int | None =
         logprobs=tuple(logprobs),
         terminated=terminated,
     )
-
-
-def decode_trajectory(policy: Policy, problem: Problem, cfg: DecodeCfg) -> Trajectory:
-    if cfg.mode is DecodeMode.GREEDY:
-        return greedy_decode(policy, problem, cfg.max_new_tokens)
-    return sample(policy, problem, cfg)
 
 
 @dataclass(frozen=True)
@@ -452,89 +460,26 @@ def terminal_distribution(policy: Policy, problem: Problem, max_len: int | None 
     return TerminalDistribution(probs=probs, overflow=overflow)
 
 
-class ValueNet:
-    """Scalar state-value head sharing the policy's context machinery.
+class ValueNet(Policy):
+    """Scalar state-value critic: a Policy with one output per context.
 
-    Parameters are fully disjoint from any policy. The tabular kind keeps one
-    value per observed context; the neural kind reuses the MLP trunk with a
-    scalar output.
+    Parameters are fully disjoint from any policy: the tabular kind keeps one
+    value per observed context, the neural kind its own MLP with a scalar output.
     """
 
-    def __init__(self, kind: PolicyKind, vocab: Vocab, window: int,
-                 embed_dim: int = 0, hidden_dim: int = 0, seed: int = 0) -> None:
-        self.kind = kind
-        self.vocab = vocab
-        self.window = window
-        self.embed_dim = embed_dim
-        self.hidden_dim = hidden_dim
-        self.contexts: dict[tuple[int, ...], int] = {}
-        if kind is PolicyKind.TABULAR:
-            self.params = np.zeros(0)
-        else:
-            rng = np.random.default_rng(seed)
-            v, e, h = vocab.size, embed_dim, hidden_dim
-            self.params = rng.normal(0.0, 0.02, size=(v + 1) * e + window * e * h + h + h + 1)
+    width = 1
 
     @classmethod
     def for_policy(cls, policy: Policy, seed: int = 0) -> "ValueNet":
-        return cls(policy.kind, policy.vocab, policy.window, policy.embed_dim, policy.hidden_dim, seed)
-
-    pad_id = Policy.pad_id
-    context_of = Policy.context_of
-
-    def register_context(self, ctx: tuple[int, ...]) -> int:
-        if self.kind is not PolicyKind.TABULAR:
-            raise ValueError("only tabular critics register contexts")
-        row = self.contexts.get(ctx)
-        if row is None:
-            row = len(self.contexts)
-            self.contexts[ctx] = row
-            self.params = np.concatenate([self.params, np.zeros(1)])
-        return row
-
-    register_prefixes = Policy.register_prefixes
+        if policy.kind is PolicyKind.TABULAR:
+            return cls.tabular(policy.vocab, policy.window)
+        return cls.neural(policy.vocab, policy.window, policy.embed_dim, policy.hidden_dim, seed)
 
     def values(self, ctx_mat: np.ndarray) -> np.ndarray:
-        if self.kind is PolicyKind.TABULAR:
-            out = np.zeros(ctx_mat.shape[0])
-            for i, ctx in enumerate(map(tuple, ctx_mat)):
-                idx = self.contexts.get(ctx)
-                if idx is not None:
-                    out[i] = self.params[idx]
-            return out
-        emb, w1, b1, w2, b2 = self._views(self.params)
-        x = emb[ctx_mat].reshape(ctx_mat.shape[0], -1)
-        hidden = np.tanh(x @ w1 + b1)
-        return hidden @ w2 + b2
-
-    def _views(self, theta: np.ndarray):
-        v, w, e, h = self.vocab.size, self.window, self.embed_dim, self.hidden_dim
-        sizes = [(v + 1) * e, w * e * h, h, h, 1]
-        shapes = [(v + 1, e), (w * e, h), (h,), (h,), (1,)]
-        out = []
-        off = 0
-        for size, shape in zip(sizes, shapes):
-            out.append(theta[off : off + size].reshape(shape))
-            off += size
-        return out
+        return self._logits(ctx_mat)[:, 0]
 
     def values_var(self, theta: Var, ctx_mat: np.ndarray) -> Var:
-        if self.kind is PolicyKind.TABULAR:
-            row_idx = np.asarray([self.contexts[tuple(ctx)] for ctx in ctx_mat], dtype=np.int64)
-            return ad.take(theta, row_idx)
-        v, w, e, h = self.vocab.size, self.window, self.embed_dim, self.hidden_dim
-        emb_idx = ctx_mat[:, :, None] * e + np.arange(e)[None, None, :]
-        x = ad.reshape(ad.take(theta, emb_idx), (ctx_mat.shape[0], w * e))
-        off = (v + 1) * e
-        w1 = ad.reshape(ad.take(theta, off + np.arange(w * e * h)), (w * e, h))
-        off += w * e * h
-        b1 = ad.take(theta, off + np.arange(h))
-        off += h
-        w2 = ad.reshape(ad.take(theta, off + np.arange(h)), (h, 1))
-        off += h
-        b2 = ad.take(theta, off + np.arange(1))
-        hidden = ad.tanh(ad.matmul(x, w1) + b1)
-        return ad.reshape(ad.matmul(hidden, w2), (ctx_mat.shape[0],)) + b2
+        return ad.reshape(self._outputs_var(theta, ctx_mat), (ctx_mat.shape[0],))
 
 
 def save_policy(path: str, policy: Policy) -> None:
@@ -562,23 +507,29 @@ def save_policy(path: str, policy: Policy) -> None:
 
 
 def load_policy(path: str, vocab: Vocab) -> Policy:
+    """Read a save_policy checkpoint; any corrupt or foreign file raises CheckpointMismatch."""
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[: len(MAGIC)] != MAGIC:
-        raise CheckpointMismatch("not a policy checkpoint")
-    off = len(MAGIC)
-    kind_code, window, embed_dim, hidden_dim, n_rows, n_params = struct.unpack_from("<BIIIIQ", blob, off)
-    off += struct.calcsize("<BIIIIQ")
-    digest = blob[off : off + 32]
-    off += 32
-    if digest != bytes.fromhex(vocab.content_hash()):
+    head = len(MAGIC) + struct.calcsize("<BIIIIQ")
+    if blob[: len(MAGIC)] != MAGIC or len(blob) < head + 32:
+        raise CheckpointMismatch("not a policy checkpoint, or truncated in its header")
+    kind_code, window, embed_dim, hidden_dim, n_rows, n_params = struct.unpack_from("<BIIIIQ", blob, len(MAGIC))
+    if kind_code not in (0, 1) or window < 1:
+        raise CheckpointMismatch(f"bad header: kind code {kind_code}, window {window}")
+    if blob[head : head + 32] != bytes.fromhex(vocab.content_hash()):
         raise CheckpointMismatch("checkpoint was built for a different vocabulary")
-    contexts: dict[tuple[int, ...], int] = {}
-    if kind_code == 0:
-        table = np.frombuffer(blob, dtype="<i4", count=n_rows * window, offset=off)
-        off += table.nbytes
-        for row, ctx in enumerate(table.reshape(n_rows, window)):
-            contexts[tuple(int(t) for t in ctx)] = row
-    params = np.frombuffer(blob, dtype="<f8", count=n_params, offset=off).copy()
     kind = PolicyKind.TABULAR if kind_code == 0 else PolicyKind.NEURAL
-    return Policy(kind, vocab, window, params, embed_dim, hidden_dim, contexts)
+    policy = Policy(kind, vocab, window, np.zeros(0), embed_dim, hidden_dim)
+    if n_params != policy._param_count(n_rows):
+        raise CheckpointMismatch(f"{n_params} parameters do not fit the header's architecture")
+    off = head + 32
+    table_bytes = 4 * n_rows * window if kind is PolicyKind.TABULAR else 0
+    size = off + table_bytes + 8 * n_params
+    if len(blob) != size:
+        raise CheckpointMismatch(f"checkpoint has {len(blob)} bytes where its header implies {size}")
+    table = np.frombuffer(blob, dtype="<i4", count=table_bytes // 4, offset=off).reshape(-1, window)
+    policy.contexts = {tuple(int(t) for t in ctx): row for row, ctx in enumerate(table)}
+    if len(policy.contexts) != n_rows:
+        raise CheckpointMismatch(f"{len(policy.contexts)} distinct contexts where the header says {n_rows} rows")
+    policy.params = np.frombuffer(blob, dtype="<f8", count=n_params, offset=off + table_bytes).copy()
+    return policy

@@ -1,22 +1,28 @@
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
+from flowseq import autodiff as ad
+from flowseq.autodiff import GradTape, finite_diff_check
 from flowseq.core import Problem, TaskKind, Vocab, encode, make_vocab
 from flowseq.env import TaskConfig, RewardMode, build_vocab, make_problem
 from flowseq.policy import (
+    MAGIC,
     CheckpointMismatch,
     DecodeCfg,
-    DecodeMode,
     InconsistentTrajectory,
     Policy,
     PolicyKind,
     ValueNet,
     _sample_with_rng,
+    context_matrix,
     generation_log_probs,
     greedy_decode,
     load_policy,
@@ -290,3 +296,141 @@ def test_value_net_shapes_and_registration():
     netn = ValueNet.for_policy(Policy.neural(vocab, window=3, embed_dim=4, hidden_dim=6))
     vals2 = netn.values(ctx[:, -3:])
     assert vals2.shape == (3,)
+
+
+def _corrupt_checkpoint(tmp_path, edit) -> str:
+    """A neural checkpoint rewritten by edit(bytearray)."""
+    path = tmp_path / "net.bin"
+    save_policy(str(path), Policy.neural(tiny_vocab(), window=2, embed_dim=4, hidden_dim=8, seed=5))
+    blob = bytearray(path.read_bytes())
+    edit(blob)
+    path.write_bytes(bytes(blob))
+    return str(path)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path = _corrupt_checkpoint(tmp_path, lambda b: b.extend(b"\0" * 8))
+    with pytest.raises(CheckpointMismatch):
+        load_policy(path, tiny_vocab())
+
+
+def test_checkpoint_rejects_unknown_kind_code(tmp_path):
+    def kind_seven(blob):
+        blob[len(MAGIC)] = 7
+
+    with pytest.raises(CheckpointMismatch):
+        load_policy(_corrupt_checkpoint(tmp_path, kind_seven), tiny_vocab())
+
+
+def test_checkpoint_rejects_hidden_dim_that_disagrees_with_param_count(tmp_path):
+    def hidden_nine(blob):
+        struct.pack_into("<I", blob, len(MAGIC) + 9, 9)  # after kind, window and embed_dim
+
+    with pytest.raises(CheckpointMismatch):
+        load_policy(_corrupt_checkpoint(tmp_path, hidden_nine), tiny_vocab())
+
+
+def test_checkpoint_rejects_truncated_file(tmp_path):
+    path = _corrupt_checkpoint(tmp_path, lambda b: b.__delitem__(slice(-8, None)))
+    with pytest.raises(CheckpointMismatch):
+        load_policy(path, tiny_vocab())
+
+
+def test_checkpoint_rejects_repeated_tabular_context(tmp_path):
+    vocab = tiny_vocab()
+    pol = seeded_tabular(vocab)
+    path = tmp_path / "pol.bin"
+    save_policy(str(path), pol)
+    blob = bytearray(path.read_bytes())
+    table = len(MAGIC) + struct.calcsize("<BIIIIQ") + 32
+    row = 4 * pol.window
+    blob[table + row : table + 2 * row] = blob[table : table + row]
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointMismatch):
+        load_policy(str(path), vocab)
+
+
+@settings(max_examples=60, deadline=None)
+@given(neural=st.booleans(), cut=st.integers(min_value=1, max_value=2000),
+       extra=st.binary(min_size=1, max_size=64))
+def test_checkpoint_fuzz_truncation_and_appended_bytes(tmp_path_factory, neural, cut, extra):
+    vocab = tiny_vocab()
+    pol = Policy.neural(vocab, window=2, embed_dim=4, hidden_dim=8) if neural else seeded_tabular(vocab)
+    path = tmp_path_factory.mktemp("ckpt") / "pol.bin"
+    save_policy(str(path), pol)
+    blob = path.read_bytes()
+    for bad in (blob[: max(len(blob) - cut, 0)], blob + extra):
+        path.write_bytes(bad)
+        with pytest.raises(CheckpointMismatch):
+            load_policy(str(path), vocab)
+
+
+@pytest.mark.parametrize("temperature", [float("nan"), float("inf"), -1.0, 0.0])
+def test_decode_cfg_rejects_degenerate_temperature(temperature):
+    with pytest.raises(ValueError, match="temperature"):
+        DecodeCfg(temperature=temperature)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_subnormal_temperature_raises_instead_of_sampling_garbage():
+    vocab = tiny_vocab()
+    pol = seeded_tabular(vocab, seed=1)
+    with pytest.raises(ValueError, match="1e-310"):
+        sample(pol, tiny_problem(vocab), DecodeCfg(temperature=1e-310, top_p=1.0))
+
+
+def _critics(vocab: Vocab):
+    tab = ValueNet.for_policy(Policy.tabular(vocab, window=2))
+    tab.register([((0,), (1, 2)), ((0,), (2,))])
+    tab.params = np.random.default_rng(3).normal(size=tab.params.size)
+    neural = ValueNet.for_policy(Policy.neural(vocab, window=2, embed_dim=3, hidden_dim=5), seed=4)
+    # at the 0.02 init scale the smallest gradients sit at the central-difference noise floor
+    neural.params = np.random.default_rng(4).normal(0.0, 0.5, size=neural.params.size)
+    return tab, neural
+
+
+def test_critic_values_match_tape_values_bitwise():
+    vocab = tiny_vocab()
+    ctx = np.concatenate([context_matrix(Policy.tabular(vocab, window=2), (0,), (1, 2)),
+                          context_matrix(Policy.tabular(vocab, window=2), (0,), (2,))])
+    for critic in _critics(vocab):
+        tape = GradTape()
+        got = critic.values_var(tape.input(critic.params), ctx).value
+        assert got.shape == (ctx.shape[0],)
+        assert np.array_equal(critic.values(ctx), got)
+
+
+def test_critic_squared_error_gradient_matches_finite_differences():
+    vocab = tiny_vocab()
+    ctx = context_matrix(Policy.tabular(vocab, window=2), (0,), (1, 2))
+    targets = np.array([0.3, -1.2, 2.0])
+    for critic in _critics(vocab):
+        def loss(theta, critic=critic):
+            resid = critic.values_var(theta, ctx) - theta.tape.const(targets)
+            return ad.vsum(ad.square(resid)) / float(targets.size)
+
+        assert finite_diff_check(loss, critic.params) < 1e-6
+
+
+def test_register_assigns_rows_in_item_order():
+    vocab = tiny_vocab()
+    pol = Policy.tabular(vocab, window=2)
+    pol.register([((0,), (1,)), ((0,), (2, 1))])
+    # the first item's prefixes, then the second's new ones
+    order = [(pol.pad_id, 0), (0, 1), (0, 2), (2, 1)]
+    assert list(pol.contexts) == order
+    assert list(pol.contexts.values()) == [0, 1, 2, 3]
+    assert pol.params.size == len(order) * vocab.size
+    neural = Policy.neural(vocab, window=2, embed_dim=3, hidden_dim=5)
+    before = neural.params.copy()
+    neural.register([((0,), (1,)), ((0,), (2, 1))])
+    assert np.array_equal(neural.params, before) and not neural.contexts
+
+
+def test_value_net_clone_stays_a_value_net():
+    vocab = tiny_vocab()
+    for pol in (Policy.tabular(vocab, window=2), Policy.neural(vocab, window=2, embed_dim=3, hidden_dim=5)):
+        critic = ValueNet.for_policy(pol)
+        copy = critic.clone()
+        assert isinstance(copy, ValueNet) and copy.width == 1
+        assert np.array_equal(copy.params, critic.params)
