@@ -72,7 +72,6 @@ from .policy import (
     greedy_decode,
     load_policy,
     logprob,
-    sample,
     save_policy,
     terminal_distribution,
 )

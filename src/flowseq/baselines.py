@@ -12,7 +12,7 @@ would use learning rates near 3e-6 (actor) and 5e-6 (critic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .policy import (
     batched_generation_log_vars,
     context_matrix,
     generation_log_probs,
+    logprob,
     pad_rows,
     sequence_log_prob_vars,
     trajectory_body,
@@ -100,17 +101,20 @@ def _fit_references(
 def sft_train(
     policy: Policy,
     dataset: TrainSet,
-    epochs: int = 1,
+    epochs: int | None = None,
     cfg: SftConfig | None = None,
     report: TrainReport | None = None,
 ) -> Policy:
-    """Supervised fine-tuning on the dataset's reference solutions, in place."""
+    """Supervised fine-tuning on the dataset's reference solutions, in place.
+
+    epochs, when given, overrides cfg.epochs.
+    """
     refs = dataset.all_references()
     if not refs:
         raise EmptyDataset("no reference solutions to fit")
-    cfg = cfg or SftConfig(epochs=epochs)
-    if cfg.epochs != epochs:
-        cfg = SftConfig(epochs=epochs, lr=cfg.lr, batch_size=cfg.batch_size, seed=cfg.seed)
+    cfg = cfg or SftConfig()
+    if epochs is not None:
+        cfg = replace(cfg, epochs=epochs)
     if report is None:
         report = TrainReport(loss_column="mean_sft_loss")
     return _fit_references(policy, refs, cfg, report)
@@ -326,8 +330,7 @@ class PpoItem:
 
 def ppo_surrogate_var(policy: Policy, theta: Var, items: list[PpoItem], clip: float) -> Var:
     """Negative mean clipped surrogate over all generated tokens of the batch."""
-    lp_tok, lp_stop, lengths = batched_generation_log_vars(
-        policy, theta, [(it.prompt_tokens, it.body) for it in items])
+    lp_tok, lp_stop, lengths = batched_generation_log_vars(policy, theta, items_of(items))
     width = lp_stop.value.shape[1]
     # one row per item: its body tokens, then the stop symbol where it terminated
     stops = np.zeros((len(items), width))
@@ -381,9 +384,7 @@ def ppo_train(
             prompt = traj.tokens[: traj.prompt_len]
             body = trajectory_body(traj)
             old_lp = np.asarray(traj.logprobs)
-            ref_tok, ref_stop = generation_log_probs(ref_policy, prompt, body)
-            ref_lp = np.concatenate([ref_tok, [ref_stop[len(body)]]]) if traj.terminated else ref_tok
-            token_rewards = -cfg.kl_beta * (old_lp - ref_lp)
+            token_rewards = -cfg.kl_beta * (old_lp - logprob(ref_policy, problem, traj))
             env_r = reward_fn(prompt + body)
             if traj.terminated:
                 token_rewards[-1] += env_r

@@ -123,7 +123,6 @@ class RunConfig:
             temperature=self.train_temperature,
             top_p=self.train_top_p,
             max_new_tokens=self.max_new_tokens or None,
-            seed=self.seed,
         )
 
     def decode_eval(self) -> DecodeCfg:
@@ -131,7 +130,6 @@ class RunConfig:
             temperature=self.eval_temperature,
             top_p=self.eval_top_p,
             max_new_tokens=self.max_new_tokens or None,
-            seed=self.seed,
         )
 
     def resolve_path(self, name: str) -> Path:

@@ -57,6 +57,11 @@ class Vocab:
     def size(self) -> int:
         return len(self.tokens)
 
+    @property
+    def body_ids(self) -> list[int]:
+        """Every token id but the stop symbol's, ascending."""
+        return [i for i in range(self.size) if i != self.stop_id]
+
     def token_id(self, token: str) -> int:
         try:
             return self._index[token]

@@ -19,6 +19,7 @@ arithmetically valid derivation lines.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -395,17 +396,15 @@ def reward(problem: Problem, prefix: tuple[int, ...] | list[int], cfg: TaskConfi
     return eps + (1.0 - eps) * frac * float(correct)
 
 
-def enumerate_terminals(
-    problem: Problem, cfg: TaskConfig, vocab: Vocab
-) -> list[tuple[tuple[int, ...], float]]:
-    """Every terminated sequence up to max_solution_len with its reward.
+def terminal_levels(problem: Problem, vocab: Vocab) -> Iterator[Iterator[tuple[int, ...]]]:
+    """The bodies of every terminated sequence, one level per length 0..max_solution_len.
 
-    Returns (generated tokens, reward) pairs, the stop symbol left implicit,
-    ordered by length then token ids. The reward sum over the list is the
-    partition function Z. Raises SpaceTooLarge above the enumeration budget.
+    Each level yields its bodies (generated tokens, the stop symbol left
+    implicit) ordered by token ids, i.e. itertools.product order over
+    vocab.body_ids. Raises SpaceTooLarge above the enumeration budget before
+    yielding anything.
     """
-    body_ids = [i for i in range(vocab.size) if i != vocab.stop_id]
-    n_body = len(body_ids)
+    n_body = len(vocab.body_ids)
     count = 0
     term = 1
     for _ in range(problem.max_solution_len + 1):
@@ -416,12 +415,22 @@ def enumerate_terminals(
                 f"terminal space exceeds {ENUMERATION_CAP} sequences for "
                 f"max_solution_len={problem.max_solution_len}, vocab={vocab.size}"
             )
-    out: list[tuple[tuple[int, ...], float]] = []
-    prompt = problem.prompt_tokens
     for length in range(problem.max_solution_len + 1):
-        for combo in itertools.product(body_ids, repeat=length):
-            out.append((combo, reward(problem, prompt + combo, cfg, vocab)))
-    return out
+        yield itertools.product(vocab.body_ids, repeat=length)
+
+
+def enumerate_terminals(
+    problem: Problem, cfg: TaskConfig, vocab: Vocab
+) -> list[tuple[tuple[int, ...], float]]:
+    """Every terminated sequence up to max_solution_len with its reward.
+
+    Returns (generated tokens, reward) pairs in terminal_levels order: by
+    length, then token ids. The reward sum over the list is the partition
+    function Z. Raises SpaceTooLarge above the enumeration budget.
+    """
+    prompt = problem.prompt_tokens
+    return [(body, reward(problem, prompt + body, cfg, vocab))
+            for level in terminal_levels(problem, vocab) for body in level]
 
 
 def partition_function(terminals: list[tuple[tuple[int, ...], float]]) -> float:

@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, GradTape, Var, adam_step
 from .core import Problem, Trajectory, Vocab
-from .env import TaskConfig, enumerate_solutions, enumerate_terminals, reward
+from .env import TaskConfig, enumerate_solutions, enumerate_terminals, partition_function, reward
 from .policy import (
     DecodeCfg,
     Policy,
@@ -338,8 +338,8 @@ def terminal_l1_gap(policy: Policy, problem: Problem, cfg: TaskConfig, vocab: Vo
     Callers that already hold the enumerated terminals or the terminal law pass them in.
     """
     terminals = enumerate_terminals(problem, cfg, vocab) if terminals is None else terminals
-    dist = terminal_distribution(policy, problem, problem.max_solution_len) if dist is None else dist
-    z = sum(r for _, r in terminals)
+    dist = terminal_distribution(policy, problem) if dist is None else dist
+    z = partition_function(terminals)
     gap = dist.overflow
     for body, r in terminals:
         gap += abs(dist.probs.get(body, 0.0) - r / z)
@@ -466,9 +466,6 @@ def train_gflownet(
             at_horizon = len(trajectory_body(traj)) == problem.max_solution_len
             buffer_push(buf, traj, reward_fn, at_horizon)
             rewards_step.append(float(np.exp(buf.entries[-1].log_rewards[-1])))
-        if not buf.entries:
-            report.add(step, 0.0, None, 0.0, 0, None)
-            continue
 
         batch = buffer_sample(buf, cfg.batch_size, rng)
         ref_batch: list[Reference] = []
@@ -490,7 +487,6 @@ def train_gflownet(
             step == cfg.steps or (cfg.diag_every and step % cfg.diag_every == 0)
         ):
             l1 = terminal_l1_gap(policy, diag_problem, dataset.task, dataset.vocab)
-        mean_reward = float(np.mean(rewards_step)) if rewards_step else 0.0
         sft_value = None if sft_term is None else float(sft_term.value)
-        report.add(step, float(mean_subtb.value), sft_value, mean_reward, len(buf), l1)
+        report.add(step, float(mean_subtb.value), sft_value, float(np.mean(rewards_step)), len(buf), l1)
     return report

@@ -19,16 +19,19 @@ import struct
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, islice
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
 from .core import Problem, Trajectory, Vocab
-from .env import SpaceTooLarge, ENUMERATION_CAP
+from .env import terminal_levels
 
 MAGIC = b"FSEQPOL1"
+# contexts per batch_log_probs call in terminal_distribution, which bounds its temporaries
+SCORE_ROWS = 4096
 
 
 class InconsistentTrajectory(ValueError):
@@ -56,7 +59,6 @@ class DecodeCfg:
     temperature: float = 0.6
     top_p: float = 0.9
     max_new_tokens: int | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.temperature < np.inf:
@@ -65,11 +67,6 @@ class DecodeCfg:
             raise ValueError("top_p must lie in (0, 1]")
         if self.max_new_tokens is not None and self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be positive")
-
-    def budget(self, problem: Problem) -> int:
-        if self.max_new_tokens is not None:
-            return self.max_new_tokens
-        return problem.max_solution_len + 1
 
 
 class Policy:
@@ -342,25 +339,36 @@ def _check_consistent(policy: Policy, problem: Problem, traj: Trajectory) -> Non
         raise InconsistentTrajectory("unterminated trajectory cannot contain the stop symbol")
 
 
-def sample(policy: Policy, problem: Problem, cfg: DecodeCfg) -> Trajectory:
-    """Autoregressive draw: temperature scaling, then nucleus truncation.
+def _sample_with_rng(
+    policy: Policy, problem: Problem, cfg: DecodeCfg, rng: np.random.Generator
+) -> Trajectory:
+    """Autoregressive draw: temperature scaling, then nucleus truncation, one rng.random() per token.
 
     Recorded log-probabilities are the unmodified policy values, not the
     truncated proposal's.
     """
-    rng = np.random.default_rng(cfg.seed)
-    return _sample_with_rng(policy, problem, cfg, rng)
+    return _decode(policy, problem, cfg.max_new_tokens, lambda lp: _draw(lp, cfg, rng))
 
 
-def _sample_with_rng(
-    policy: Policy, problem: Problem, cfg: DecodeCfg, rng: np.random.Generator
+def greedy_decode(policy: Policy, problem: Problem, max_new_tokens: int | None = None) -> Trajectory:
+    """Argmax decoding; ties break toward the lowest token id."""
+    return _decode(policy, problem, max_new_tokens, lambda lp: int(np.argmax(lp)))
+
+
+def _decode(
+    policy: Policy, problem: Problem, max_new_tokens: int | None, pick: Callable[[np.ndarray], int]
 ) -> Trajectory:
+    """The decode loop: `pick` chooses each token from the next log-probabilities.
+
+    Stops after the stop symbol or after max_new_tokens draws (None: DecodeCfg's default budget).
+    """
+    budget = problem.max_solution_len + 1 if max_new_tokens is None else max_new_tokens
     tokens = list(problem.prompt_tokens)
     logprobs: list[float] = []
     terminated = False
-    for _ in range(cfg.budget(problem)):
+    for _ in range(budget):
         lp = policy.next_log_probs(tokens)
-        tok = _draw(lp, cfg, rng)
+        tok = pick(lp)
         tokens.append(tok)
         logprobs.append(float(lp[tok]))
         if tok == policy.vocab.stop_id:
@@ -393,28 +401,6 @@ def _draw(lp: np.ndarray, cfg: DecodeCfg, rng: np.random.Generator) -> int:
     return int(kept[min(pick, len(kept) - 1)])
 
 
-def greedy_decode(policy: Policy, problem: Problem, max_new_tokens: int | None = None) -> Trajectory:
-    """Argmax decoding; ties break toward the lowest token id."""
-    budget = max_new_tokens if max_new_tokens is not None else problem.max_solution_len + 1
-    tokens = list(problem.prompt_tokens)
-    logprobs: list[float] = []
-    terminated = False
-    for _ in range(budget):
-        lp = policy.next_log_probs(tokens)
-        tok = int(np.argmax(lp))
-        tokens.append(tok)
-        logprobs.append(float(lp[tok]))
-        if tok == policy.vocab.stop_id:
-            terminated = True
-            break
-    return Trajectory(
-        prompt_len=problem.prompt_len,
-        tokens=tuple(tokens),
-        logprobs=tuple(logprobs),
-        terminated=terminated,
-    )
-
-
 @dataclass(frozen=True)
 class TerminalDistribution:
     """Exact policy mass per terminated sequence plus the over-length remainder."""
@@ -427,36 +413,31 @@ class TerminalDistribution:
         return float(sum(self.probs.values()) + self.overflow)
 
 
-def terminal_distribution(policy: Policy, problem: Problem, max_len: int | None = None) -> TerminalDistribution:
-    """Probability of every terminated sequence up to max_len generated tokens.
+def terminal_distribution(policy: Policy, problem: Problem) -> TerminalDistribution:
+    """Probability of every terminated sequence up to max_solution_len generated tokens.
 
-    Sequences that would exceed max_len contribute to a single overflow mass,
-    so the returned masses always sum to one.
+    Walks env.terminal_levels level by level, so the keys come in
+    enumerate_terminals' order. Sequences that would exceed max_solution_len
+    contribute to a single overflow mass, so the returned masses sum to one.
     """
-    max_len = problem.max_solution_len if max_len is None else max_len
-    body_ids = [i for i in range(policy.vocab.size) if i != policy.vocab.stop_id]
-    count = 0
-    term = 1
-    for _ in range(max_len + 1):
-        count += term
-        term *= len(body_ids)
-        if count > ENUMERATION_CAP:
-            raise SpaceTooLarge(f"terminal space exceeds {ENUMERATION_CAP} sequences")
-
+    stop, body_ids = policy.vocab.stop_id, policy.vocab.body_ids
+    prompt_pad = np.asarray((policy.pad_id,) * policy.window + problem.prompt_tokens, dtype=np.int64)
     probs: dict[tuple[int, ...], float] = {}
-    overflow = 0.0
-    stop = policy.vocab.stop_id
-    stack: list[tuple[tuple[int, ...], float]] = [((), 1.0)]
-    while stack:
-        body, mass = stack.pop()
-        lp = policy.next_log_probs(problem.prompt_tokens + body)
-        p = np.exp(lp)
-        probs[body] = mass * float(p[stop])
-        if len(body) == max_len:
-            overflow += mass * float(1.0 - p[stop])
-            continue
-        for tok in body_ids:
-            stack.append((body + (tok,), mass * float(p[tok])))
+    mass = np.ones(1)
+    for length, level in enumerate(terminal_levels(problem, policy.vocab)):
+        last = length == problem.max_solution_len
+        children = []
+        for start in range(0, mass.size, SCORE_ROWS):
+            bodies = list(islice(level, SCORE_ROWS))
+            seqs = np.concatenate([np.broadcast_to(prompt_pad, (len(bodies), prompt_pad.size)),
+                                   np.asarray(bodies, dtype=np.int64).reshape(len(bodies), length)], axis=1)
+            p = np.exp(policy.batch_log_probs(seqs[:, -policy.window:]))
+            m = mass[start : start + len(bodies)]
+            probs.update(zip(bodies, (m * p[:, stop]).tolist()))
+            children.append(m * (1.0 - p[:, stop]) if last else (m[:, None] * p[:, body_ids]).reshape(-1))
+        mass = np.concatenate(children) if children else mass
+    # mass now holds the last level's over-length masses: sum them in a depth-first walk's (reverse) order
+    overflow = float(np.cumsum(np.r_[0.0, mass[::-1]])[-1])
     return TerminalDistribution(probs=probs, overflow=overflow)
 
 

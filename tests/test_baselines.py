@@ -48,7 +48,7 @@ def tiny_setup():
 
 def solution_mass(pol, problem, cfg, vocab) -> float:
     sols = [b for b, r in enumerate_terminals(problem, cfg, vocab) if r > 0.5]
-    dist = terminal_distribution(pol, problem, problem.max_solution_len)
+    dist = terminal_distribution(pol, problem)
     return sum(dist.probs.get(b, 0.0) for b in sols)
 
 
@@ -112,6 +112,15 @@ def test_sft_requires_references():
     empty = TrainSet(problems=[problem], references=[[]], task=cfg, vocab=vocab)
     with pytest.raises(EmptyDataset):
         sft_train(Policy.tabular(vocab, window=5), empty)
+
+
+def test_sft_cfg_alone_sets_the_epochs():
+    cfg, vocab, problem = tiny_setup()
+    ds = TrainSet.build([problem], cfg, vocab)
+    report = TrainReport(loss_column="mean_sft_loss")
+    sft_train(Policy.tabular(vocab, window=5), ds, cfg=SftConfig(epochs=3, batch_size=None), report=report)
+    # one full-batch step per epoch
+    assert len(report.rows) == 3
 
 
 def test_dpo_zero_margin_is_log_two():

@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from flowseq import autodiff as ad
+from flowseq import policy as policy_module
 from flowseq.autodiff import GradTape, finite_diff_check
 from flowseq.core import Problem, TaskKind, Vocab, encode, make_vocab
-from flowseq.env import TaskConfig, RewardMode, build_vocab, make_problem
+from flowseq.env import SpaceTooLarge, TaskConfig, RewardMode, build_vocab, enumerate_terminals, make_problem
 from flowseq.policy import (
     MAGIC,
     CheckpointMismatch,
@@ -27,7 +28,6 @@ from flowseq.policy import (
     greedy_decode,
     load_policy,
     logprob,
-    sample,
     save_policy,
     terminal_distribution,
     trajectory_body,
@@ -228,6 +228,43 @@ def test_terminal_distribution_matches_monte_carlo():
         assert abs(freq - p) < 4 * sigma, (body, freq, p)
 
 
+@pytest.mark.parametrize("score_rows", [None, 4])
+@pytest.mark.parametrize("kind", ["tabular", "neural"])
+def test_terminal_distribution_matches_per_step_products(kind, score_rows, monkeypatch):
+    # brute force: each terminal's probability is the product of its per-step next_log_probs
+    if score_rows is not None:
+        # levels of 9 and 27 bodies then span several slices, the last one partial
+        monkeypatch.setattr(policy_module, "SCORE_ROWS", score_rows)
+    vocab = tiny_vocab()
+    if kind == "tabular":
+        pol = seeded_tabular(vocab, scale=1.5, seed=4)
+    else:
+        pol = Policy.neural(vocab, window=2, embed_dim=4, hidden_dim=8, seed=4)
+        pol.params = np.random.default_rng(4).normal(0.0, 1.0, size=pol.params.size)
+    problem = tiny_problem(vocab, max_len=3)
+    dist = terminal_distribution(pol, problem)
+    bodies = [b for b, _ in enumerate_terminals(problem, TaskConfig(task_kind=TaskKind.SUMPATH), vocab)]
+    assert list(dist.probs) == bodies
+    overflow = 0.0
+    for body in bodies:
+        mass = 1.0
+        for t, tok in enumerate(body):
+            mass *= np.exp(pol.next_log_probs(problem.prompt_tokens + body[:t])[tok])
+        p_stop = np.exp(pol.next_log_probs(problem.prompt_tokens + body)[vocab.stop_id])
+        assert dist.probs[body] == pytest.approx(mass * p_stop, rel=1e-12, abs=0.0), body
+        if len(body) == problem.max_solution_len:
+            overflow += mass * (1.0 - p_stop)
+    assert dist.overflow == pytest.approx(overflow, rel=1e-12, abs=0.0)
+    assert dist.total_mass == pytest.approx(1.0, abs=1e-12)
+
+
+def test_terminal_distribution_refuses_an_over_cap_space():
+    cfg = TaskConfig(task_kind=TaskKind.ARITH, value_range=(2, 30))
+    vocab = build_vocab(cfg)
+    with pytest.raises(SpaceTooLarge):
+        terminal_distribution(Policy.tabular(vocab), make_problem(cfg, seed=3))
+
+
 def test_generation_log_probs_match_sequential_queries():
     vocab = tiny_vocab()
     pol = seeded_tabular(vocab, seed=8)
@@ -376,7 +413,8 @@ def test_subnormal_temperature_raises_instead_of_sampling_garbage():
     vocab = tiny_vocab()
     pol = seeded_tabular(vocab, seed=1)
     with pytest.raises(ValueError, match="1e-310"):
-        sample(pol, tiny_problem(vocab), DecodeCfg(temperature=1e-310, top_p=1.0))
+        _sample_with_rng(pol, tiny_problem(vocab), DecodeCfg(temperature=1e-310, top_p=1.0),
+                         np.random.default_rng(0))
 
 
 def _critics(vocab: Vocab):
