@@ -22,6 +22,7 @@ from .core import Trajectory
 from .gflownet import Reference, TrainReport, TrainSet, items_of, make_reward_fn, sft_loss_var
 from .policy import (
     DecodeCfg,
+    Memo,
     Policy,
     ValueNet,
     _sample_with_rng,
@@ -153,7 +154,8 @@ def rft_train(
     kept: list[Reference] = []
     for problem in dataset.problems:
         reward_fn = make_reward_fn(problem, dataset.task, dataset.vocab)
-        samples = [_sample_with_rng(policy, problem, cfg.decode, rng) for _ in range(cfg.k)]
+        memo: Memo = {}
+        samples = [_sample_with_rng(policy, problem, cfg.decode, rng, memo) for _ in range(cfg.k)]
         rewards = [reward_fn(s.tokens[: s.prompt_len] + trajectory_body(s)) for s in samples]
         best = rft_select(samples, rewards)
         kept.append(Reference(problem.prompt_tokens, trajectory_body(best)))
@@ -212,10 +214,9 @@ def build_preference_pairs(
     pairs: list[PreferencePair] = []
     for pid, problem in enumerate(dataset.problems):
         reward_fn = make_reward_fn(problem, dataset.task, dataset.vocab)
-        samples = [
-            _sample_with_rng(ref_policy, problem, cfg.decode, rng)
-            for _ in range(cfg.samples_per_problem)
-        ]
+        memo: Memo = {}
+        samples = [_sample_with_rng(ref_policy, problem, cfg.decode, rng, memo)
+                   for _ in range(cfg.samples_per_problem)]
         rewards = [reward_fn(s.tokens[: s.prompt_len] + trajectory_body(s)) for s in samples]
         hi = int(np.argmax(rewards))
         lo = int(np.argmin(rewards))
@@ -372,9 +373,8 @@ def ppo_train(
         p_idx = int(rng.integers(0, len(dataset.problems)))
         problem = dataset.problems[p_idx]
         reward_fn = make_reward_fn(problem, dataset.task, dataset.vocab)
-        trajs = [
-            _sample_with_rng(policy, problem, cfg.decode, rng) for _ in range(cfg.trajs_per_step)
-        ]
+        memo: Memo = {}
+        trajs = [_sample_with_rng(policy, problem, cfg.decode, rng, memo) for _ in range(cfg.trajs_per_step)]
 
         items: list[PpoItem] = []
         value_rows: list[np.ndarray] = []

@@ -19,12 +19,12 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 from . import baselines as bl
 from .config import ConfigError, Method, RunConfig, load_config
-from .core import decode
 from .env import build_vocab, enumerate_terminals, make_problem, partition_function, read_problems, write_problems
 from .evaluation import evaluate
 from .gflownet import GfnConfig, TrainReport, TrainSet, terminal_l1_gap, train_gflownet
@@ -187,6 +187,17 @@ def _cmd_eval(cfg: RunConfig, workers: int) -> int:
     return 0
 
 
+def _terminal_texts(problem, vocab) -> Iterator[str]:
+    """core.decode of each body of enumerate_terminals, in its order; a level extends the one before."""
+    words = [vocab.tokens[t] for t in vocab.body_ids]
+    level = [""]
+    yield from level
+    for _ in range(problem.max_solution_len):
+        # terminal_levels' product order: the parent's bodies in order, the last token fastest
+        level = [f"{text} {w}" if text else w for text in level for w in words]
+        yield from level
+
+
 def _cmd_enumerate(cfg: RunConfig, workers: int) -> int:
     task = cfg.task_config()
     vocab = build_vocab(task)
@@ -202,9 +213,8 @@ def _cmd_enumerate(cfg: RunConfig, workers: int) -> int:
             terminals = enumerate_terminals(problem, task, vocab)
             z = partition_function(terminals)
             dist = terminal_distribution(policy, problem)
-            for body, r in terminals:
-                writer.writerow([pid, decode(body, vocab),
-                                 repr(dist.probs.get(body, 0.0)), repr(r / z)])
+            for (body, r), text in zip(terminals, _terminal_texts(problem, vocab), strict=True):
+                writer.writerow([pid, text, repr(dist.probs.get(body, 0.0)), repr(r / z)])
             gaps[str(pid)] = {
                 "l1": terminal_l1_gap(policy, problem, task, vocab, terminals=terminals, dist=dist),
                 "overflow": dist.overflow,

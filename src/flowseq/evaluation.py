@@ -19,7 +19,9 @@ import numpy as np
 
 from .core import Problem, Solution, TaskKind, Vocab, decode
 from .env import extract_answer
-from .policy import DecodeCfg, Policy, _sample_with_rng, greedy_decode, trajectory_body
+from .policy import DecodeCfg, DecodeRow, Policy, _decode, trajectory_body
+# not called here: perfbench/layers.py wraps these names where evaluation binds them
+from .policy import _sample_with_rng, greedy_decode  # noqa: F401
 
 DISTINCT_THRESHOLD = 0.7
 ANSWER_ROUNDING = 6
@@ -174,31 +176,40 @@ class EvalReport:
                                  r.distinct_correct, bits])
 
 
-def _eval_one(
+def _eval_problems(
     policy: Policy,
-    problem: Problem,
+    problems: list[Problem],
     vocab: Vocab,
     k: int,
     decode_cfg: DecodeCfg,
     seed: int,
-    index: int,
+    start: int,
     prepend_greedy: bool,
-) -> ProblemEval:
-    rng = np.random.default_rng([seed, index])
-    greedy = greedy_decode(policy, problem, decode_cfg.max_new_tokens)
-    greedy_sol = solution_from_body(problem, trajectory_body(greedy), vocab)
-    n_draws = k - 1 if prepend_greedy else k
-    sampled = [
-        solution_from_body(problem, trajectory_body(_sample_with_rng(policy, problem, decode_cfg, rng)), vocab)
-        for _ in range(n_draws)
-    ]
-    solutions = [greedy_sol] + sampled if prepend_greedy else sampled
-    return ProblemEval(
-        problem_id=index,
-        greedy_correct=greedy_sol.correct,
-        sample_correctness=[s.correct for s in solutions],
-        distinct_correct=distinct_correct_count(solutions),
-    )
+) -> list[ProblemEval]:
+    """Rows for problems start, start+1, ...: one lockstep greedy decode, then one per draw index.
+
+    Problem start+i draws from its own generator seeded by (seed, start+i),
+    in the order a problem-at-a-time loop would, so the rows do not depend on
+    how the problems are split.
+    """
+    budget = decode_cfg.max_new_tokens
+    rngs = [np.random.default_rng([seed, start + i]) for i in range(len(problems))]
+    greedy = _decode(policy, [DecodeRow(p, budget) for p in problems])
+    solutions = [[solution_from_body(p, trajectory_body(t), vocab)] for p, t in zip(problems, greedy)]
+    for _ in range(k - 1 if prepend_greedy else k):
+        drawn = _decode(policy, [DecodeRow(p, budget, rng) for p, rng in zip(problems, rngs)], decode_cfg)
+        for sols, p, t in zip(solutions, problems, drawn):
+            sols.append(solution_from_body(p, trajectory_body(t), vocab))
+    rows = []
+    for i, (greedy_sol, *sampled) in enumerate(solutions):
+        scored = [greedy_sol] + sampled if prepend_greedy else sampled
+        rows.append(ProblemEval(
+            problem_id=start + i,
+            greedy_correct=greedy_sol.correct,
+            sample_correctness=[s.correct for s in scored],
+            distinct_correct=distinct_correct_count(scored),
+        ))
+    return rows
 
 
 def evaluate(
@@ -213,25 +224,23 @@ def evaluate(
 ) -> EvalReport:
     """Greedy decode plus k stochastic samples per problem.
 
-    Each problem draws from its own generator seeded by (seed, index), so the
-    report is identical for any worker count. With prepend_greedy the greedy
-    solution stands in as sample 0, which makes greedy accuracy a lower bound
-    on every pass@k.
+    Problems decode in lockstep, and each draws from its own generator seeded
+    by (seed, index), so the report is identical for any worker count: with
+    workers > 1 each worker evaluates one contiguous chunk of the problems.
+    With prepend_greedy the greedy solution stands in as sample 0, which
+    makes greedy accuracy a lower bound on every pass@k.
     """
     if not problems:
         raise ValueError("no problems to evaluate")
     decode_cfg = decode_cfg or DecodeCfg()
-    args = [(policy, p, vocab, k, decode_cfg, seed, i, prepend_greedy)
-            for i, p in enumerate(problems)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_eval_one_star, args))
+    bounds = np.linspace(0, len(problems), min(max(workers, 1), len(problems)) + 1).astype(int).tolist()
+    chunks = [(policy, problems[a:b], vocab, k, decode_cfg, seed, a, prepend_greedy)
+              for a, b in zip(bounds, bounds[1:])]
+    if len(chunks) == 1:
+        parts = [_eval_problems(*chunks[0])]
     else:
-        rows = [_eval_one(*a) for a in args]
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+            parts = [f.result() for f in [pool.submit(_eval_problems, *c) for c in chunks]]
     report = EvalReport(k=k)
-    report.rows.extend(rows)
+    report.rows.extend(row for part in parts for row in part)
     return report
-
-
-def _eval_one_star(packed) -> ProblemEval:
-    return _eval_one(*packed)

@@ -17,9 +17,9 @@ enumeration verifies.
 
 Training follows the sample / score / replay / update loop: draw solutions for
 a problem (closing horizon-capped draws with a forced stop), push them into a
-FIFO buffer with their prefix rewards cached, then minimize mean subtb over a
-replayed batch plus a weighted reference log-likelihood term that anchors the
-policy to readable solutions.
+FIFO buffer with their prefix rewards cached (scored once per distinct body),
+then minimize mean subtb over a replayed batch plus a weighted reference
+log-likelihood term that anchors the policy to readable solutions.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from .core import Problem, Trajectory, Vocab
 from .env import TaskConfig, enumerate_solutions, enumerate_terminals, partition_function, reward
 from .policy import (
     DecodeCfg,
+    Memo,
     Policy,
     TerminalDistribution,
     _sample_with_rng,
@@ -116,14 +117,24 @@ def prefix_log_rewards(reward_fn: RewardFn, prompt_tokens: tuple[int, ...], body
 
 
 def buffer_push(
-    buf: ReplayBuffer, traj: Trajectory, reward_fn: RewardFn, at_horizon: bool = False
+    buf: ReplayBuffer, traj: Trajectory, reward_fn: RewardFn, at_horizon: bool = False,
+    cache: dict[tuple[int, ...], np.ndarray] | None = None,
 ) -> None:
-    """Append a terminated trajectory, evicting the oldest entry beyond capacity."""
+    """Append a terminated trajectory, evicting the oldest entry beyond capacity.
+
+    cache maps a body of the trajectory's problem to its prefix log-rewards;
+    a body it holds is not scored again.
+    """
     if not traj.terminated:
         raise ValueError("only terminated trajectories enter the replay buffer")
     prompt = traj.tokens[: traj.prompt_len]
     body = trajectory_body(traj)
-    entry = BufferEntry(prompt, body, prefix_log_rewards(reward_fn, prompt, body), at_horizon)
+    log_rewards = None if cache is None else cache.get(body)
+    if log_rewards is None:
+        log_rewards = prefix_log_rewards(reward_fn, prompt, body)
+        if cache is not None:
+            cache[body] = log_rewards
+    entry = BufferEntry(prompt, body, log_rewards, at_horizon)
     buf.entries.append(entry)
     buf.pushed += 1
 
@@ -452,6 +463,7 @@ def train_gflownet(
     refs_all = dataset.all_references()
     use_sft = cfg.sft_coeff > 0.0 and refs_all
     reward_fns = [make_reward_fn(p, dataset.task, dataset.vocab) for p in dataset.problems]
+    log_reward_caches: list[dict] = [{} for _ in dataset.problems]
 
     for step in range(1, cfg.steps + 1):
         p_idx = int(rng.integers(0, len(dataset.problems)))
@@ -459,12 +471,13 @@ def train_gflownet(
         reward_fn = reward_fns[p_idx]
         decode = _horizon_decode(cfg.decode, problem)
         rewards_step: list[float] = []
+        memo: Memo = {}
         for _ in range(cfg.samples_per_problem):
-            traj = _sample_with_rng(policy, problem, decode, rng)
+            traj = _sample_with_rng(policy, problem, decode, rng, memo)
             if not traj.terminated:
                 traj = _force_stop(policy, traj)
             at_horizon = len(trajectory_body(traj)) == problem.max_solution_len
-            buffer_push(buf, traj, reward_fn, at_horizon)
+            buffer_push(buf, traj, reward_fn, at_horizon, log_reward_caches[p_idx])
             rewards_step.append(float(np.exp(buf.entries[-1].log_rewards[-1])))
 
         batch = buffer_sample(buf, cfg.batch_size, rng)

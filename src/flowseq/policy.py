@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, islice
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -339,66 +340,133 @@ def _check_consistent(policy: Policy, problem: Problem, traj: Trajectory) -> Non
         raise InconsistentTrajectory("unterminated trajectory cannot contain the stop symbol")
 
 
+@dataclass(frozen=True)
+class DecodeRow:
+    """One trajectory of a lockstep decode.
+
+    max_new_tokens counts every draw including the stop symbol (None:
+    DecodeCfg's default budget); rng None means argmax, otherwise the row
+    draws one rng.random() per token from its own generator.
+    """
+
+    problem: Problem
+    max_new_tokens: int | None = None
+    rng: np.random.Generator | None = None
+
+
+class Proposal(NamedTuple):
+    """What decoding needs from one context: its log-probabilities and the proposal drawn from.
+
+    kept lists the nucleus tokens, most probable first, and cum their
+    renormalised cumulative probabilities; both are None for an argmax-only decode.
+    """
+
+    logprobs: list[float]
+    argmax: int
+    kept: list[int] | None
+    cum: list[float] | None
+
+
+# context -> Proposal under one parameter state and one DecodeCfg
+Memo = dict[tuple[int, ...], Proposal]
+
+
 def _sample_with_rng(
-    policy: Policy, problem: Problem, cfg: DecodeCfg, rng: np.random.Generator
+    policy: Policy, problem: Problem, cfg: DecodeCfg, rng: np.random.Generator, memo: Memo | None = None
 ) -> Trajectory:
     """Autoregressive draw: temperature scaling, then nucleus truncation, one rng.random() per token.
 
     Recorded log-probabilities are the unmodified policy values, not the
-    truncated proposal's.
+    truncated proposal's. Draws that share `memo` (same parameters, same cfg)
+    score each context once.
     """
-    return _decode(policy, problem, cfg.max_new_tokens, lambda lp: _draw(lp, cfg, rng))
+    return _decode(policy, [DecodeRow(problem, cfg.max_new_tokens, rng)], cfg, memo)[0]
 
 
 def greedy_decode(policy: Policy, problem: Problem, max_new_tokens: int | None = None) -> Trajectory:
     """Argmax decoding; ties break toward the lowest token id."""
-    return _decode(policy, problem, max_new_tokens, lambda lp: int(np.argmax(lp)))
+    return _decode(policy, [DecodeRow(problem, max_new_tokens)])[0]
 
 
 def _decode(
-    policy: Policy, problem: Problem, max_new_tokens: int | None, pick: Callable[[np.ndarray], int]
-) -> Trajectory:
-    """The decode loop: `pick` chooses each token from the next log-probabilities.
+    policy: Policy, rows: list[DecodeRow], cfg: DecodeCfg | None = None, memo: Memo | None = None
+) -> list[Trajectory]:
+    """The decode loop, in lockstep over rows: one batch_log_probs per position on the new contexts.
 
-    Stops after the stop symbol or after max_new_tokens draws (None: DecodeCfg's default budget).
+    A row stops after the stop symbol or after its budget. Contexts already in
+    `memo` are not scored again; a call without one keeps its own. Each row's
+    tokens and log-probabilities equal those of decoding it alone, because
+    every operation on a context's scores runs along its own row.
     """
-    budget = problem.max_solution_len + 1 if max_new_tokens is None else max_new_tokens
-    tokens = list(problem.prompt_tokens)
-    logprobs: list[float] = []
-    terminated = False
-    for _ in range(budget):
-        lp = policy.next_log_probs(tokens)
-        tok = pick(lp)
-        tokens.append(tok)
-        logprobs.append(float(lp[tok]))
-        if tok == policy.vocab.stop_id:
-            terminated = True
-            break
-    return Trajectory(
-        prompt_len=problem.prompt_len,
-        tokens=tuple(tokens),
-        logprobs=tuple(logprobs),
-        terminated=terminated,
-    )
+    if cfg is None and any(row.rng is not None for row in rows):
+        raise ValueError("sampled rows need a DecodeCfg")
+    memo = {} if memo is None else memo
+    stop = policy.vocab.stop_id
+    tokens = [list(row.problem.prompt_tokens) for row in rows]
+    logprobs: list[list[float]] = [[] for _ in rows]
+    contexts = [policy.context_of(row.problem.prompt_tokens) for row in rows]
+    left = [row.problem.max_solution_len + 1 if row.max_new_tokens is None else row.max_new_tokens
+            for row in rows]
+    live = [i for i in range(len(rows)) if left[i] > 0]
+    while live:
+        new = list(dict.fromkeys(contexts[i] for i in live if contexts[i] not in memo))
+        if new:
+            memo.update(zip(new, _proposals(policy.batch_log_probs(np.asarray(new, dtype=np.int64)), cfg)))
+        still = []
+        for i in live:
+            prop = memo[contexts[i]]
+            rng = rows[i].rng
+            if rng is None:
+                tok = prop.argmax
+            else:
+                tok = prop.kept[min(bisect_right(prop.cum, rng.random()), len(prop.kept) - 1)]
+            tokens[i].append(tok)
+            logprobs[i].append(prop.logprobs[tok])
+            contexts[i] = contexts[i][1:] + (tok,)
+            left[i] -= 1
+            if tok != stop and left[i]:
+                still.append(i)
+        live = still
+    return [Trajectory(prompt_len=row.problem.prompt_len, tokens=tuple(toks), logprobs=tuple(lps),
+                       terminated=bool(lps) and toks[-1] == stop)
+            for row, toks, lps in zip(rows, tokens, logprobs)]
 
 
-def _draw(lp: np.ndarray, cfg: DecodeCfg, rng: np.random.Generator) -> int:
+def _proposals(lp: np.ndarray, cfg: DecodeCfg | None) -> list[Proposal]:
+    """The Proposal of each row of lp: argmax, and with cfg the temperature-scaled top-p nucleus.
+
+    The arithmetic is that of truncating one row at a time: every reduction
+    runs along a row, and each nucleus is renormalised by the sum of its own
+    kept slice, grouped by kept count. (A sum over a zero-masked full row
+    would not do: from 8 entries on, numpy sums pairwise, in another order.)
+    """
+    rows, argmax = lp.tolist(), lp.argmax(axis=1).tolist()
+    if cfg is None:
+        return [Proposal(r, a, None, None) for r, a in zip(rows, argmax)]
+    m, v = lp.shape
+    add = np.add  # add.reduce / add.accumulate: ndarray.sum / cumsum without their Python wrappers
     scaled = lp / cfg.temperature
-    top = scaled.max()
-    if not np.isfinite(top):
+    top = np.maximum.reduce(scaled, axis=1, keepdims=True)
+    if not np.isfinite(top).all():
         raise ValueError(f"temperature {cfg.temperature} leaves no finite scaled logit")
-    scaled = scaled - top
-    probs = np.exp(scaled)
-    probs = probs / probs.sum()
-    order = np.argsort(-probs, kind="stable")
-    sorted_probs = probs[order]
-    cut = int(np.searchsorted(np.cumsum(sorted_probs), cfg.top_p, side="left"))
-    kept = order[: cut + 1]
-    kept_probs = sorted_probs[: cut + 1]
-    kept_probs = kept_probs / kept_probs.sum()
-    r = rng.random()
-    pick = int(np.searchsorted(np.cumsum(kept_probs), r, side="right"))
-    return int(kept[min(pick, len(kept) - 1)])
+    probs = np.exp(scaled - top)
+    probs /= add.reduce(probs, axis=1, keepdims=True)
+    order = np.argsort(-probs, axis=1, kind="stable")
+    sorted_probs = probs[np.arange(m)[:, None], order]
+    # the nucleus ends at the first cumulative probability >= top_p
+    below = add.reduce(add.accumulate(sorted_probs, axis=1) < cfg.top_p, axis=1).tolist()
+    groups: dict[int, list[int]] = {}
+    for i, n in enumerate(below):
+        groups.setdefault(min(n + 1, v), []).append(i)
+    kept: list = [None] * m
+    cum: list = [None] * m
+    for n, sel in groups.items():
+        which = slice(None) if len(sel) == m else sel  # a view when every row keeps n
+        part = sorted_probs[which, :n]
+        renormed = part / add.reduce(part, axis=1, keepdims=True)
+        for i, k, c in zip(sel, order[which, :n].tolist(), add.accumulate(renormed, axis=1).tolist()):
+            kept[i], cum[i] = k, c
+    return [Proposal(*p) for p in zip(rows, argmax, kept, cum)]
 
 
 @dataclass(frozen=True)

@@ -203,3 +203,16 @@ def test_compare_sorts_labels_and_blanks_missing_k(tmp_path, capsys):
 
 def test_compare_rejects_malformed_spec(tmp_path):
     assert run_cli(["compare", "--out", str(tmp_path / "o"), "nolabel", "x=y"]) == 2
+
+
+def test_enumeration_texts_are_the_decoded_terminals_in_order():
+    from flowseq.cli import _terminal_texts
+    from flowseq.core import TaskKind, decode
+    from flowseq.env import TaskConfig, build_vocab, enumerate_terminals, make_problem
+
+    task = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 4), max_parts=4, max_part=2)
+    vocab = build_vocab(task)
+    for seed in range(3):
+        problem = make_problem(task, seed=seed)
+        want = [decode(body, vocab) for body, _ in enumerate_terminals(problem, task, vocab)]
+        assert list(_terminal_texts(problem, vocab)) == want

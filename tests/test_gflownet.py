@@ -210,6 +210,31 @@ def test_replay_buffer_fifo_oracle():
     assert len(buf) == 5
 
 
+def test_buffer_push_cache_scores_each_body_once():
+    cfg, vocab, problem = sumpath_setup(RewardMode.SHAPED)
+    pol = Policy.tabular(vocab, window=4)
+    reward_fn = make_reward_fn(problem, cfg, vocab)
+    calls = []
+
+    def counted(prefix):
+        calls.append(prefix)
+        return reward_fn(prefix)
+
+    trajs = [random_terminated_trajectory(pol, problem, seed) for seed in range(12)]
+    plain, cached, cache = ReplayBuffer(50), ReplayBuffer(50), {}
+    for t in trajs + trajs:
+        buffer_push(plain, t, reward_fn)
+        buffer_push(cached, t, counted, cache=cache)
+    assert [(e.body, e.log_rewards.tolist()) for e in cached.entries] == \
+        [(e.body, e.log_rewards.tolist()) for e in plain.entries]
+    bodies = {trajectory_body(t) for t in trajs}
+    assert set(cache) == bodies
+    assert len(calls) == sum(len(b) + 1 for b in bodies)
+    # a body met for the first time is still checked
+    with pytest.raises(NonPositiveReward):
+        buffer_push(ReplayBuffer(3), trajs[0], lambda prefix: 0.0, cache={})
+
+
 def test_replay_buffer_rejects_unterminated():
     cfg, vocab, problem = sumpath_setup()
     reward_fn = make_reward_fn(problem, cfg, vocab)
