@@ -6,7 +6,7 @@ primitive set is deliberately small: exactly what the training losses need,
 with a fused row-wise log-softmax so log-probabilities never pass through an
 explicit exponential.
 
-Adam is included here because every trainer shares it.
+Adam lives here too; every trainer reaches it through one update step, gflownet.Fitter.
 """
 
 from __future__ import annotations

@@ -12,14 +12,17 @@ would use learning rates near 3e-6 (actor) and 5e-6 (critic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AdamState, GradTape, Var, adam_step
-from .core import Trajectory
-from .gflownet import Reference, TrainReport, TrainSet, items_of, make_reward_fn, sft_loss_var
+from .autodiff import Var
+# not called here (Fitter calls gflownet's): perfbench/layers.py wraps the name where baselines binds it
+from .autodiff import adam_step  # noqa: F401
+from .core import Problem, Trajectory
+from .gflownet import Fitter, Reference, TrainReport, TrainSet, items_of, make_reward_fn, sft_loss_var
 from .policy import (
     DecodeCfg,
     Memo,
@@ -43,6 +46,10 @@ class LengthMismatch(ValueError):
 
 class EmptyDataset(ValueError):
     """A trainer was given nothing to train on."""
+
+
+class EmptyBatch(ValueError):
+    """A minibatch or a per-problem draw was asked to hold nothing."""
 
 
 @dataclass(frozen=True)
@@ -70,33 +77,39 @@ class SftConfig:
     seed: int = 0
 
 
-def _fit_references(
-    policy: Policy, refs: list[Reference], cfg: SftConfig, report: TrainReport
-) -> Policy:
-    """Adam on the mean per-token reference NLL; full batch when batch_size is None."""
-    rng = np.random.default_rng(cfg.seed)
-    adam = AdamState.init(policy.params.size, cfg.lr)
+def _fit(policy: Policy, data: list, items: Callable[[list], list], loss_var: Callable[[Policy, Var, list], Var],
+         epochs: int, lr: float, batch_size: int | None, rng: np.random.Generator, report: TrainReport) -> Policy:
+    """Adam on loss_var(policy, theta, batch) over shuffled minibatches; full batch when batch_size is None.
+
+    items(batch) lists the (prompt_tokens, body) items whose contexts the batch's loss reads.
+    """
+    if batch_size is not None and batch_size < 1:
+        raise EmptyBatch(f"batch_size must be at least 1, got {batch_size}")
+    fit = Fitter(policy, lr)
     step = 0
-    for _ in range(cfg.epochs):
-        if cfg.batch_size is None:
-            batches = [refs]
+    for _ in range(epochs):
+        if batch_size is None:
+            batches = [data]
         else:
-            order = rng.permutation(len(refs))
-            batches = [
-                [refs[int(i)] for i in order[a : a + cfg.batch_size]]
-                for a in range(0, len(order), cfg.batch_size)
-            ]
+            order = rng.permutation(len(data))
+            batches = [[data[int(i)] for i in order[a : a + batch_size]] for a in range(0, len(order), batch_size)]
         for batch in batches:
-            policy.register(items_of(batch))
-            adam = adam.resized(policy.params.size)
-            tape = GradTape()
-            theta = tape.input(policy.params)
-            loss = sft_loss_var(policy, theta, batch)
-            g = ad.backward(loss, theta)
-            policy.params, adam = adam_step(adam, policy.params, g)
+            theta = fit.theta(items(batch))
             step += 1
-            report.add(step, float(loss.value), None, None, None, None)
+            report.add(step, fit.step(loss_var(policy, theta, batch), theta))
     return policy
+
+
+def _draw_scored(
+    policy: Policy, dataset: TrainSet, problem: Problem, decode: DecodeCfg, k: int, rng: np.random.Generator
+) -> tuple[list[Trajectory], list[float]]:
+    """k draws for one problem sharing one context memo, and the reward of each."""
+    if k < 1:
+        raise EmptyBatch(f"draws per problem must be at least 1, got {k}")
+    reward_fn = make_reward_fn(problem, dataset.task, dataset.vocab)
+    memo: Memo = {}
+    samples = [_sample_with_rng(policy, problem, decode, rng, memo) for _ in range(k)]
+    return samples, [reward_fn(s.tokens[: s.prompt_len] + trajectory_body(s)) for s in samples]
 
 
 def sft_train(
@@ -114,11 +127,9 @@ def sft_train(
     if not refs:
         raise EmptyDataset("no reference solutions to fit")
     cfg = cfg or SftConfig()
-    if epochs is not None:
-        cfg = replace(cfg, epochs=epochs)
-    if report is None:
-        report = TrainReport(loss_column="mean_sft_loss")
-    return _fit_references(policy, refs, cfg, report)
+    report = report or TrainReport(loss_column="mean_sft_loss")
+    return _fit(policy, refs, items_of, sft_loss_var, cfg.epochs if epochs is None else epochs, cfg.lr,
+                cfg.batch_size, np.random.default_rng(cfg.seed), report)
 
 
 def rft_select(samples: list[Trajectory], rewards: list[float]) -> Trajectory:
@@ -148,19 +159,15 @@ def rft_train(
     cfg = cfg or RftConfig()
     if not dataset.problems:
         raise EmptyDataset("no problems to sample from")
-    if report is None:
-        report = TrainReport(loss_column="mean_rft_loss")
+    report = report or TrainReport(loss_column="mean_rft_loss")
     rng = np.random.default_rng(cfg.seed)
     kept: list[Reference] = []
     for problem in dataset.problems:
-        reward_fn = make_reward_fn(problem, dataset.task, dataset.vocab)
-        memo: Memo = {}
-        samples = [_sample_with_rng(policy, problem, cfg.decode, rng, memo) for _ in range(cfg.k)]
-        rewards = [reward_fn(s.tokens[: s.prompt_len] + trajectory_body(s)) for s in samples]
-        best = rft_select(samples, rewards)
-        kept.append(Reference(problem.prompt_tokens, trajectory_body(best)))
-    fit_cfg = SftConfig(epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch_size, seed=cfg.seed)
-    return _fit_references(policy, kept, fit_cfg, report)
+        samples, rewards = _draw_scored(policy, dataset, problem, cfg.decode, cfg.k, rng)
+        kept.append(Reference(*trajectory_item(rft_select(samples, rewards))))
+    # the fit shuffles with a fresh generator of the same seed
+    return _fit(policy, kept, items_of, sft_loss_var, cfg.epochs, cfg.lr, cfg.batch_size,
+                np.random.default_rng(cfg.seed), report)
 
 
 def _pair_logprob(policy: Policy, traj: Trajectory) -> float:
@@ -206,6 +213,10 @@ class DpoConfig:
     decode: DecodeCfg = field(default_factory=DecodeCfg)
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.samples_per_problem < 2:
+            raise ValueError("samples_per_problem must be at least 2 to form a pair")
+
 
 def build_preference_pairs(
     ref_policy: Policy, dataset: TrainSet, cfg: DpoConfig, rng: np.random.Generator
@@ -213,24 +224,11 @@ def build_preference_pairs(
     """Sample from the frozen reference and pair extremes; reward ties are skipped."""
     pairs: list[PreferencePair] = []
     for pid, problem in enumerate(dataset.problems):
-        reward_fn = make_reward_fn(problem, dataset.task, dataset.vocab)
-        memo: Memo = {}
-        samples = [_sample_with_rng(ref_policy, problem, cfg.decode, rng, memo)
-                   for _ in range(cfg.samples_per_problem)]
-        rewards = [reward_fn(s.tokens[: s.prompt_len] + trajectory_body(s)) for s in samples]
+        samples, rewards = _draw_scored(ref_policy, dataset, problem, cfg.decode, cfg.samples_per_problem, rng)
         hi = int(np.argmax(rewards))
         lo = int(np.argmin(rewards))
-        if rewards[hi] <= rewards[lo]:
-            continue
-        pairs.append(
-            PreferencePair(
-                problem_id=pid,
-                chosen=samples[hi],
-                rejected=samples[lo],
-                chosen_reward=float(rewards[hi]),
-                rejected_reward=float(rewards[lo]),
-            )
-        )
+        if rewards[hi] > rewards[lo]:
+            pairs.append(PreferencePair(pid, samples[hi], samples[lo], float(rewards[hi]), float(rewards[lo])))
     return pairs
 
 
@@ -245,29 +243,15 @@ def dpo_train(
     cfg = cfg or DpoConfig()
     if not dataset.problems:
         raise EmptyDataset("no problems to sample from")
-    if report is None:
-        report = TrainReport(loss_column="mean_dpo_loss")
+    report = report or TrainReport(loss_column="mean_dpo_loss")
     rng = np.random.default_rng(cfg.seed)
     pairs = build_preference_pairs(ref_policy, dataset, cfg, rng)
-    if not pairs:
-        return policy
-    adam = AdamState.init(policy.params.size, cfg.lr)
-    step = 0
-    for _ in range(cfg.epochs):
-        order = rng.permutation(len(pairs))
-        for a in range(0, len(order), cfg.batch_size):
-            batch = [pairs[int(i)] for i in order[a : a + cfg.batch_size]]
-            # chosen then rejected, pair by pair
-            policy.register([trajectory_item(t) for p in batch for t in (p.chosen, p.rejected)])
-            adam = adam.resized(policy.params.size)
-            tape = GradTape()
-            theta = tape.input(policy.params)
-            loss = dpo_mean_loss_var(policy, theta, ref_policy, batch, cfg.beta)
-            g = ad.backward(loss, theta)
-            policy.params, adam = adam_step(adam, policy.params, g)
-            step += 1
-            report.add(step, float(loss.value), None, None, None, None)
-    return policy
+    return _fit(
+        policy, pairs,
+        lambda batch: [trajectory_item(t) for p in batch for t in (p.chosen, p.rejected)],
+        lambda pol, theta, batch: dpo_mean_loss_var(pol, theta, ref_policy, batch, cfg.beta),
+        cfg.epochs, cfg.lr, cfg.batch_size, rng, report,
+    )
 
 
 def gae_advantages(
@@ -362,36 +346,28 @@ def ppo_train(
     cfg = cfg or PpoConfig()
     if not dataset.problems:
         raise EmptyDataset("no problems to sample from")
-    if report is None:
-        report = TrainReport(loss_column="mean_ppo_loss")
+    report = report or TrainReport(loss_column="mean_ppo_loss")
     ref_policy = policy.clone()
     rng = np.random.default_rng(cfg.seed)
-    adam_actor = AdamState.init(policy.params.size, cfg.actor_lr)
-    adam_critic = AdamState.init(critic.params.size, cfg.critic_lr)
+    actor_fit = Fitter(policy, cfg.actor_lr)
+    critic_fit = Fitter(critic, cfg.critic_lr)
 
     for step in range(1, cfg.steps + 1):
-        p_idx = int(rng.integers(0, len(dataset.problems)))
-        problem = dataset.problems[p_idx]
-        reward_fn = make_reward_fn(problem, dataset.task, dataset.vocab)
-        memo: Memo = {}
-        trajs = [_sample_with_rng(policy, problem, cfg.decode, rng, memo) for _ in range(cfg.trajs_per_step)]
+        problem = dataset.problems[int(rng.integers(0, len(dataset.problems)))]
+        trajs, env_rewards = _draw_scored(policy, dataset, problem, cfg.decode, cfg.trajs_per_step, rng)
 
         items: list[PpoItem] = []
         value_rows: list[np.ndarray] = []
         value_targets: list[np.ndarray] = []
-        env_rewards: list[float] = []
-        for traj in trajs:
-            prompt = traj.tokens[: traj.prompt_len]
-            body = trajectory_body(traj)
+        for traj, env_r in zip(trajs, env_rewards):
+            prompt, body = trajectory_item(traj)
             old_lp = np.asarray(traj.logprobs)
             token_rewards = -cfg.kl_beta * (old_lp - logprob(ref_policy, problem, traj))
-            env_r = reward_fn(prompt + body)
             if traj.terminated:
                 token_rewards[-1] += env_r
-            env_rewards.append(env_r)
 
             ctx = context_matrix(policy, prompt, body)
-            critic.register([(prompt, body)])
+            # an unregistered critic context reads 0, the value its new row starts at
             states = critic.values(ctx)
             # truncated rollouts bootstrap from the critic, finished ones see zero beyond stop
             values = np.concatenate([states, [0.0]]) if traj.terminated else states
@@ -400,25 +376,13 @@ def ppo_train(
             value_rows.append(ctx if traj.terminated else ctx[: old_lp.size])
             value_targets.append(adv + values[:-1])
 
-        policy.register(items_of(items))
-        adam_actor = adam_actor.resized(policy.params.size)
-        adam_critic = adam_critic.resized(critic.params.size)
+        theta = actor_fit.theta(items_of(items))
+        actor_loss = actor_fit.step(ppo_surrogate_var(policy, theta, items, cfg.clip), theta)
 
-        tape = GradTape()
-        theta = tape.input(policy.params)
-        actor_loss = ppo_surrogate_var(policy, theta, items, cfg.clip)
-        g = ad.backward(actor_loss, theta)
-        policy.params, adam_actor = adam_step(adam_actor, policy.params, g)
-
-        ctape = GradTape()
-        ctheta = ctape.input(critic.params)
-        all_rows = np.concatenate(value_rows, axis=0)
+        ctheta = critic_fit.theta(items_of(items))
         all_targets = np.concatenate(value_targets)
-        pred = critic.values_var(ctheta, all_rows)
-        resid = pred - ctape.const(all_targets)
-        critic_loss = ad.vsum(ad.square(resid)) / float(all_targets.size)
-        cg = ad.backward(critic_loss, ctheta)
-        critic.params, adam_critic = adam_step(adam_critic, critic.params, cg)
+        resid = critic.values_var(ctheta, np.concatenate(value_rows, axis=0)) - ctheta.tape.const(all_targets)
+        critic_fit.step(ad.vsum(ad.square(resid)) / float(all_targets.size), ctheta)
 
-        report.add(step, float(actor_loss.value), None, float(np.mean(env_rewards)), None, None)
+        report.add(step, actor_loss, reward_mean=float(np.mean(env_rewards)))
     return policy

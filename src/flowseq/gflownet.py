@@ -64,6 +64,10 @@ class EmptyBuffer(LookupError):
     """Sampling from a replay buffer with no entries."""
 
 
+class NonFiniteLoss(FloatingPointError):
+    """A training loss or its gradient is not finite; the update step moved no parameter."""
+
+
 def make_reward_fn(problem: Problem, cfg: TaskConfig, vocab: Vocab) -> RewardFn:
     """Reward of a full token prefix (prompt included) treated as terminated."""
     return lambda prefix: reward(problem, prefix, cfg, vocab)
@@ -259,6 +263,32 @@ def sft_loss(policy: Policy, refs: list[Reference]) -> float:
     return ad.loss_value(lambda th: sft_loss_var(policy, th, refs), policy.params)
 
 
+class Fitter:
+    """The one update step every trainer shares: register, tape, backward, Adam."""
+
+    def __init__(self, model: Policy, lr: float) -> None:
+        if not (np.isfinite(lr) and lr > 0.0):
+            raise ValueError(f"learning rate must be positive and finite, got {lr}")
+        self.model = model
+        self.adam = AdamState.init(model.params.size, lr)
+
+    def theta(self, items: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> Var:
+        """Register the (prompt_tokens, body) items' contexts, grow the Adam state, open a tape on the parameters."""
+        self.model.register(items)
+        self.adam = self.adam.resized(self.model.params.size)
+        return GradTape().input(self.model.params)
+
+    def step(self, loss: Var, theta: Var) -> float:
+        """Back-propagate and apply Adam, moving nothing if the loss or gradient is not finite; returns the loss."""
+        g = ad.backward(loss, theta)
+        value = float(loss.value)
+        if not (np.isfinite(value) and np.isfinite(g).all()):
+            bad = int(np.count_nonzero(~np.isfinite(g)))
+            raise NonFiniteLoss(f"loss {value} with {bad} non-finite gradient entries; no parameter moved")
+        self.model.params, self.adam = adam_step(self.adam, self.model.params, g)
+        return value
+
+
 @dataclass(frozen=True)
 class GfnConfig:
     """Training-loop settings.
@@ -286,6 +316,10 @@ class GfnConfig:
     def __post_init__(self) -> None:
         if self.steps < 0:
             raise ValueError("steps must be non-negative")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
+        if not (np.isfinite(self.subtb_lambda) and self.subtb_lambda > 0.0):
+            raise ValueError("subtb_lambda must be positive and finite")
         if self.samples_per_problem < 1:
             raise ValueError("samples_per_problem must be at least 1")
         if self.sft_coeff < 0.0:
@@ -307,8 +341,8 @@ class TrainReport:
     loss_column: str = "mean_subtb_loss"
     rows: list[dict] = field(default_factory=list)
 
-    def add(self, step: int, loss: float, sft: float | None, reward_mean: float | None,
-            buffer_size: int | None, l1: float | None) -> None:
+    def add(self, step: int, loss: float, sft: float | None = None, reward_mean: float | None = None,
+            buffer_size: int | None = None, l1: float | None = None) -> None:
         row = {
             "step": step,
             "mean_sft_loss": sft,
@@ -455,11 +489,10 @@ def train_gflownet(
     """
     if not dataset.problems:
         raise ValueError("dataset has no problems")
-    if report is None:
-        report = TrainReport(loss_column="mean_subtb_loss")
+    report = report or TrainReport(loss_column="mean_subtb_loss")
     rng = np.random.default_rng(cfg.seed)
     buf = ReplayBuffer(cfg.buffer_capacity)
-    adam = AdamState.init(policy.params.size, cfg.lr)
+    fit = Fitter(policy, cfg.lr)
     refs_all = dataset.all_references()
     use_sft = cfg.sft_coeff > 0.0 and refs_all
     reward_fns = [make_reward_fn(p, dataset.task, dataset.vocab) for p in dataset.problems]
@@ -486,14 +519,9 @@ def train_gflownet(
             ridx = rng.integers(0, len(refs_all), size=cfg.batch_size)
             ref_batch = [refs_all[int(i)] for i in ridx]
 
-        policy.register(items_of(batch + ref_batch))
-        adam = adam.resized(policy.params.size)
-
-        tape = GradTape()
-        theta = tape.input(policy.params)
+        theta = fit.theta(items_of(batch + ref_batch))
         total, mean_subtb, sft_term = replay_loss_var(policy, theta, batch, ref_batch, cfg)
-        g = ad.backward(total, theta)
-        policy.params, adam = adam_step(adam, policy.params, g)
+        fit.step(total, theta)
 
         l1 = None
         if diag_problem is not None and (

@@ -581,4 +581,6 @@ def load_policy(path: str, vocab: Vocab) -> Policy:
     if len(policy.contexts) != n_rows:
         raise CheckpointMismatch(f"{len(policy.contexts)} distinct contexts where the header says {n_rows} rows")
     policy.params = np.frombuffer(blob, dtype="<f8", count=n_params, offset=off + table_bytes).copy()
+    if not np.isfinite(policy.params).all():
+        raise CheckpointMismatch(f"{np.count_nonzero(~np.isfinite(policy.params))} parameters are not finite")
     return policy

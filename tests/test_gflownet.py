@@ -297,7 +297,7 @@ def test_train_report_csv_layout(tmp_path):
 def test_train_report_sft_only_column_collapse():
     # when the method's own loss IS the sft column there is exactly one column
     report = TrainReport(loss_column="mean_sft_loss")
-    report.add(1, 0.5, None, None, None, None)
+    report.add(1, 0.5)
     assert report.columns.count("mean_sft_loss") == 1
     assert report.rows[0]["mean_sft_loss"] == 0.5
 

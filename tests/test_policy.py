@@ -373,6 +373,14 @@ def test_checkpoint_rejects_truncated_file(tmp_path):
         load_policy(path, tiny_vocab())
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_checkpoint_rejects_non_finite_parameter(tmp_path, value):
+    # the last parameter is the last 8 bytes; before the check it loaded cleanly
+    path = _corrupt_checkpoint(tmp_path, lambda b: struct.pack_into("<d", b, len(b) - 8, value))
+    with pytest.raises(CheckpointMismatch, match="not finite"):
+        load_policy(path, tiny_vocab())
+
+
 def test_checkpoint_rejects_repeated_tabular_context(tmp_path):
     vocab = tiny_vocab()
     pol = seeded_tabular(vocab)
