@@ -22,7 +22,8 @@ from .autodiff import Var
 # not called here (Fitter calls gflownet's): perfbench/layers.py wraps the name where baselines binds it
 from .autodiff import adam_step  # noqa: F401
 from .core import Problem, Trajectory
-from .gflownet import Fitter, Reference, TrainReport, TrainSet, items_of, make_reward_fn, sft_loss_var
+from .gflownet import (Fitter, Reference, TrainReport, TrainSet, check_learning_rate, items_of, make_reward_fn,
+                       sft_loss_var)
 from .policy import (
     DecodeCfg,
     Memo,
@@ -30,7 +31,6 @@ from .policy import (
     ValueNet,
     _sample_with_rng,
     batched_generation_log_vars,
-    context_matrix,
     generation_log_probs,
     logprob,
     pad_rows,
@@ -69,12 +69,29 @@ class PreferencePair:
             raise ValueError("pair members must share one problem prompt")
 
 
+def _check_fit(epochs: int, batch_size: int | None) -> None:
+    """What _fit loops over: a non-negative epoch count, and batches of at least one item (None: full batch)."""
+    if epochs < 0:
+        raise ValueError(f"epochs must be non-negative, got {epochs}")
+    if batch_size is not None and batch_size < 1:
+        raise EmptyBatch(f"batch_size must be at least 1, got {batch_size}")
+
+
+def _check_draws(k: int) -> None:
+    if k < 1:
+        raise EmptyBatch(f"draws per problem must be at least 1, got {k}")
+
+
 @dataclass(frozen=True)
 class SftConfig:
     epochs: int = 1
     lr: float = 1e-3
     batch_size: int | None = None
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_fit(self.epochs, self.batch_size)
+        check_learning_rate(self.lr)
 
 
 def _fit(policy: Policy, data: list, items: Callable[[list], list], loss_var: Callable[[Policy, Var, list], Var],
@@ -83,8 +100,7 @@ def _fit(policy: Policy, data: list, items: Callable[[list], list], loss_var: Ca
 
     items(batch) lists the (prompt_tokens, body) items whose contexts the batch's loss reads.
     """
-    if batch_size is not None and batch_size < 1:
-        raise EmptyBatch(f"batch_size must be at least 1, got {batch_size}")
+    _check_fit(epochs, batch_size)
     fit = Fitter(policy, lr)
     step = 0
     for _ in range(epochs):
@@ -104,8 +120,6 @@ def _draw_scored(
     policy: Policy, dataset: TrainSet, problem: Problem, decode: DecodeCfg, k: int, rng: np.random.Generator
 ) -> tuple[list[Trajectory], list[float]]:
     """k draws for one problem sharing one context memo, and the reward of each."""
-    if k < 1:
-        raise EmptyBatch(f"draws per problem must be at least 1, got {k}")
     reward_fn = make_reward_fn(problem, dataset.task, dataset.vocab)
     memo: Memo = {}
     samples = [_sample_with_rng(policy, problem, decode, rng, memo) for _ in range(k)]
@@ -147,6 +161,11 @@ class RftConfig:
     batch_size: int | None = 16
     decode: DecodeCfg = field(default_factory=DecodeCfg)
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        _check_draws(self.k)
+        _check_fit(self.epochs, self.batch_size)
+        check_learning_rate(self.lr)
 
 
 def rft_train(
@@ -214,8 +233,12 @@ class DpoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if not (np.isfinite(self.beta) and self.beta > 0.0):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if self.samples_per_problem < 2:
             raise ValueError("samples_per_problem must be at least 2 to form a pair")
+        _check_fit(self.epochs, self.batch_size)
+        check_learning_rate(self.lr)
 
 
 def build_preference_pairs(
@@ -300,6 +323,13 @@ class PpoConfig:
             raise ValueError("gamma must lie in (0, 1]")
         if not 0.0 <= self.gae_lambda <= 1.0:
             raise ValueError("gae_lambda must lie in [0, 1]")
+        if not 0.0 <= self.kl_beta < np.inf:
+            raise ValueError(f"kl_beta must be non-negative and finite, got {self.kl_beta}")
+        if self.steps < 0:
+            raise ValueError(f"steps must be non-negative, got {self.steps}")
+        _check_draws(self.trajs_per_step)
+        check_learning_rate(self.actor_lr, "actor learning rate")
+        check_learning_rate(self.critic_lr, "critic learning rate")
 
 
 @dataclass(frozen=True)
@@ -366,7 +396,7 @@ def ppo_train(
             if traj.terminated:
                 token_rewards[-1] += env_r
 
-            ctx = context_matrix(policy, prompt, body)
+            ctx = critic.windows([(prompt, body)])
             # an unregistered critic context reads 0, the value its new row starts at
             states = critic.values(ctx)
             # truncated rollouts bootstrap from the critic, finished ones see zero beyond stop

@@ -169,13 +169,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class Solution:
-    """A decoded, scored solution.
+    """A graded solution.
 
     `step_tokens` hold the reasoning portion only (the final-answer segment is
     excluded) and feed the similarity metric used for distinct counting.
     """
 
-    text: str
     final_answer: Fraction | None
     correct: bool
     step_tokens: tuple[int, ...]

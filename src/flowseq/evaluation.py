@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Problem, Solution, TaskKind, Vocab, decode
+from .core import Problem, Solution, TaskKind, Vocab
 from .env import extract_answer
 from .policy import DecodeCfg, DecodeRow, Policy, _decode, trajectory_body
 # not called here: perfbench/layers.py wraps these names where evaluation binds them
@@ -97,12 +97,7 @@ def solution_from_body(
             if body[i] == marker:
                 steps = body[:i]
                 break
-    return Solution(
-        text=decode(body, vocab),
-        final_answer=answer,
-        correct=correct,
-        step_tokens=tuple(steps),
-    )
+    return Solution(final_answer=answer, correct=correct, step_tokens=tuple(steps))
 
 
 @dataclass

@@ -263,12 +263,16 @@ def sft_loss(policy: Policy, refs: list[Reference]) -> float:
     return ad.loss_value(lambda th: sft_loss_var(policy, th, refs), policy.params)
 
 
+def check_learning_rate(lr: float, name: str = "learning rate") -> None:
+    if not (np.isfinite(lr) and lr > 0.0):
+        raise ValueError(f"{name} must be positive and finite, got {lr}")
+
+
 class Fitter:
     """The one update step every trainer shares: register, tape, backward, Adam."""
 
     def __init__(self, model: Policy, lr: float) -> None:
-        if not (np.isfinite(lr) and lr > 0.0):
-            raise ValueError(f"learning rate must be positive and finite, got {lr}")
+        check_learning_rate(lr)
         self.model = model
         self.adam = AdamState.init(model.params.size, lr)
 

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, islice
+from itertools import accumulate, count, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -154,27 +154,39 @@ class Policy:
         tail = tuple(prefix[-self.window:]) if self.window <= len(prefix) else tuple(prefix)
         return (self.pad_id,) * (self.window - len(tail)) + tail
 
-    def register_context(self, ctx: tuple[int, ...]) -> int:
-        """Row index for a context, growing the tabular table when new."""
-        if self.kind is not PolicyKind.TABULAR:
-            raise ValueError("only tabular policies register contexts")
-        row = self.contexts.get(ctx)
-        if row is None:
-            row = len(self.contexts)
-            self.contexts[ctx] = row
-            self.params = np.concatenate([self.params, np.zeros(self.width)])
-        return row
+    def windows(self, items: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> np.ndarray:
+        """Contexts before positions 0..len(body) of each (prompt_tokens, body) item, in item order.
+
+        One gather over the items' PAD-prefixed sequences laid end to end: the
+        context before position t starts t tokens after the prompt's first token.
+        """
+        pad = (self.pad_id,) * self.window
+        flat, starts = [], []
+        for prompt, body in items:
+            start = len(flat) + len(prompt)
+            flat += pad + prompt + body
+            starts += range(start, start + len(body) + 1)
+        return np.array(flat, dtype=np.int64)[np.array(starts, dtype=np.int64)[:, None] + np.arange(self.window)]
+
+    def _rows(self, ctx_mat: np.ndarray, grow: bool = False) -> list[int]:
+        """Table row of each context, -1 when unregistered; grow appends new contexts in first-appearance order."""
+        keys = list(map(tuple, ctx_mat.tolist()))
+        if grow:
+            new = dict.fromkeys(k for k in keys if k not in self.contexts)
+            if new:
+                self.contexts.update(zip(new, count(len(self.contexts))))
+                self.params = np.concatenate([self.params, np.zeros(len(new) * self.width)])
+        get = self.contexts.get
+        return [get(k, -1) for k in keys]
 
     def register_prefixes(self, prompt_tokens: tuple[int, ...], gen_body: tuple[int, ...]) -> None:
-        """Pre-register every context a trajectory's loss will touch."""
-        for t in range(len(gen_body) + 1):
-            self.register_context(self.context_of(prompt_tokens + gen_body[:t]))
+        """Register one trajectory's contexts; kept as the name perfbench/layers.py wraps."""
+        self.register([(prompt_tokens, gen_body)])
 
     def register(self, items: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
         """Register the contexts of every (prompt_tokens, body) item in item order; a no-op when neural."""
         if self.kind is PolicyKind.TABULAR:
-            for prompt_tokens, body in items:
-                self.register_prefixes(prompt_tokens, body)
+            self._rows(self.windows(items), grow=True)
 
     # numpy fast paths
 
@@ -190,14 +202,11 @@ class Policy:
     def _logits(self, ctx_mat: np.ndarray) -> np.ndarray:
         """Pre-softmax outputs, one row of `width` per context; unregistered tabular contexts read zeros."""
         if self.kind is PolicyKind.TABULAR:
-            o = self.width
-            table = self.params.reshape(-1, o) if self.params.size else np.zeros((0, o))
-            rows = np.zeros((ctx_mat.shape[0], o))
-            for i, ctx in enumerate(map(tuple, ctx_mat)):
-                idx = self.contexts.get(ctx)
-                if idx is not None:
-                    rows[i] = table[idx]
-            return rows
+            rows = self._rows(ctx_mat)
+            table = self.params.reshape(-1, self.width)
+            if -1 in rows:  # row -1 is then a zero row appended to a copy of the table
+                table = np.concatenate([table, np.zeros((1, self.width))])
+            return table.take(rows, axis=0)
         emb, w1, b1, w2, b2 = self._neural_views(self.params)
         x = emb[ctx_mat].reshape(ctx_mat.shape[0], -1)
         hidden = np.tanh(x @ w1 + b1)
@@ -219,14 +228,10 @@ class Policy:
         parameter vector does not grow mid-evaluation.
         """
         if self.kind is PolicyKind.TABULAR:
-            o = self.width
-            row_idx = np.empty(ctx_mat.shape[0], dtype=np.int64)
-            for i, ctx in enumerate(map(tuple, ctx_mat)):
-                try:
-                    row_idx[i] = self.contexts[ctx]
-                except KeyError:
-                    raise KeyError(f"unregistered tabular context {ctx}") from None
-            return ad.take(theta, row_idx[:, None] * o + np.arange(o)[None, :])
+            rows = self._rows(ctx_mat)
+            if -1 in rows:
+                raise KeyError(f"unregistered tabular context {tuple(ctx_mat[rows.index(-1)].tolist())}")
+            return ad.take(theta, np.asarray(rows)[:, None] * self.width + np.arange(self.width))
         e = self.embed_dim
         emb_idx = ctx_mat[:, :, None] * e + np.arange(e)[None, None, :]
         x = ad.reshape(ad.take(theta, emb_idx), (ctx_mat.shape[0], self.window * e))
@@ -234,12 +239,6 @@ class Policy:
                           for start, end, shape in self._neural_blocks[1:])
         hidden = ad.tanh(ad.matmul(x, w1) + b1)
         return ad.matmul(hidden, w2) + b2
-
-
-def context_matrix(policy: Policy, prompt_tokens: tuple[int, ...], gen_body: tuple[int, ...]) -> np.ndarray:
-    """Contexts before each generated position 0..len(gen_body) (inclusive)."""
-    rows = [policy.context_of(prompt_tokens + gen_body[:t]) for t in range(len(gen_body) + 1)]
-    return np.asarray(rows, dtype=np.int64)
 
 
 def generation_log_probs(
@@ -250,7 +249,7 @@ def generation_log_probs(
     Returns (lp_tok, lp_stop): lp_tok[t] scores gen_body[t], lp_stop[t] scores
     the stop symbol right after the first t generated tokens, t = 0..n.
     """
-    mat = policy.batch_log_probs(context_matrix(policy, prompt_tokens, gen_body))
+    mat = policy.batch_log_probs(policy.windows([(prompt_tokens, gen_body)]))
     n = len(gen_body)
     lp_tok = mat[np.arange(n), np.asarray(gen_body, dtype=np.int64)] if n else np.zeros(0)
     lp_stop = mat[:, policy.vocab.stop_id]
@@ -269,7 +268,7 @@ def batched_generation_log_vars(
     """
     lengths = np.asarray([len(body) for _, body in items], dtype=np.int64)
     width = int(lengths.max()) + 1
-    rows = policy.rows_var(theta, np.concatenate([context_matrix(policy, *it) for it in items], axis=0))
+    rows = policy.rows_var(theta, policy.windows(items))
     t = np.arange(width)
     # padded slots read the item's own last row, then a mask zeroes them
     last = np.cumsum(lengths + 1)[:, None] - 1

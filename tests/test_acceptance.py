@@ -104,8 +104,9 @@ def _two_terminal_toy():
 
 def _toy_policy(vocab, problem, p_tok: float):
     pol = Policy.tabular(vocab, window=2)
-    i0 = pol.register_context(pol.context_of(problem.prompt_tokens))
-    i1 = pol.register_context(pol.context_of(problem.prompt_tokens + (0,)))
+    pol.register([(problem.prompt_tokens, (0,))])
+    i0 = pol.contexts[pol.context_of(problem.prompt_tokens)]
+    i1 = pol.contexts[pol.context_of(problem.prompt_tokens + (0,))]
     pol.params = np.zeros(pol.params.size)
     pol.params[i0 * 2:(i0 + 1) * 2] = np.log([p_tok, 1.0 - p_tok])
     pol.params[i1 * 2:(i1 + 1) * 2] = np.log([1e-12, 1.0 - 1e-12])
@@ -135,7 +136,7 @@ def _fd_instance(seed: int):
         if trajectory_body(traj_b) != trajectory_body(traj_a):
             break
     for t in (traj_a, traj_b):
-        pol.register_prefixes(problem.prompt_tokens, trajectory_body(t))
+        pol.register([(problem.prompt_tokens, trajectory_body(t))])
     rng = np.random.default_rng(seed + 1)
     pol.params = rng.normal(0.0, 0.5, size=pol.params.size)
     reward_fn = make_reward_fn(problem, task, vocab)
@@ -249,7 +250,7 @@ def test_criterion_3_reward_scale_invariance():
     worst = 0.0
     for seed in range(5):
         traj = _random_terminated(pol, problem, seed)
-        pol.register_prefixes(problem.prompt_tokens, trajectory_body(traj))
+        pol.register([(problem.prompt_tokens, trajectory_body(traj))])
         pol.params = rng.normal(0.0, 0.5, size=pol.params.size)
         base = subtb_loss(pol, reward_fn, traj, lam=0.9)
         for c in (0.1, 10.0):

@@ -62,7 +62,7 @@ def one_step_pair():
     pair = PreferencePair(problem_id=0, chosen=chosen, rejected=rejected,
                           chosen_reward=1.0, rejected_reward=0.5)
     pol = Policy.tabular(vocab, window=2)
-    pol.register_prefixes((0,), (0,))
+    pol.register([((0,), (0,))])
     return vocab, problem, pair, pol
 
 
@@ -133,7 +133,8 @@ def test_dpo_zero_margin_is_log_two():
 def test_dpo_loss_follows_margin():
     vocab, problem, pair, pol = one_step_pair()
     ref = pol.clone()
-    row = pol.register_context(pol.context_of((0,)))
+    pol.register([((0,), ())])
+    row = pol.contexts[pol.context_of((0,))]
     up = pol.clone()
     up.params = pol.params.copy()
     up.params[row * 2] += 1.0  # favor the chosen continuation token
@@ -182,7 +183,7 @@ def test_ppo_surrogate_zero_advantages():
     cfg, vocab, problem = tiny_setup()
     pol = Policy.tabular(vocab, window=5)
     body = (2, 3)
-    pol.register_prefixes(problem.prompt_tokens, body)
+    pol.register([(problem.prompt_tokens, body)])
     item = PpoItem(problem.prompt_tokens, body, True, np.full(3, -1.0), np.zeros(3))
     tape = GradTape()
     theta = tape.input(pol.params)
@@ -193,7 +194,7 @@ def test_ppo_surrogate_matches_clipped_oracle():
     cfg, vocab, problem = tiny_setup()
     pol = Policy.tabular(vocab, window=5)
     body = (2, 3)
-    pol.register_prefixes(problem.prompt_tokens, body)
+    pol.register([(problem.prompt_tokens, body)])
     pol.params = np.random.default_rng(4).normal(0, 0.5, size=pol.params.size)
     lp_tok, lp_stop = generation_log_probs(pol, problem.prompt_tokens, body)
     lp = np.concatenate([lp_tok, [lp_stop[len(body)]]])

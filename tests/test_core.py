@@ -98,7 +98,7 @@ def test_trajectory_invariants():
 
 def test_solution_requires_answer_when_correct():
     with pytest.raises(ValueError):
-        Solution(text="1 2", final_answer=None, correct=True, step_tokens=(2, 3))
+        Solution(final_answer=None, correct=True, step_tokens=(2, 3))
 
 
 @given(st.fractions(min_value=-1000, max_value=1000))

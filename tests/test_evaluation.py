@@ -43,7 +43,7 @@ def f1_from_lcs(lcs: int, la: int, lb: int) -> float:
 
 
 def make_solution(steps: tuple[int, ...], correct: bool = True) -> Solution:
-    return Solution(text="", final_answer=Fraction(1), correct=correct, step_tokens=steps)
+    return Solution(final_answer=Fraction(1), correct=correct, step_tokens=steps)
 
 
 def fitted_eval_setup():

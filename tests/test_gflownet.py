@@ -51,8 +51,9 @@ def two_token_setup():
 def fitted_policy(vocab, problem, p_tok: float, p_stop_after: float = None):
     """Tabular policy over the two contexts of the one-step space."""
     pol = Policy.tabular(vocab, window=2)
-    i0 = pol.register_context(pol.context_of(problem.prompt_tokens))
-    i1 = pol.register_context(pol.context_of(problem.prompt_tokens + (0,)))
+    pol.register([(problem.prompt_tokens, (0,))])
+    i0 = pol.contexts[pol.context_of(problem.prompt_tokens)]
+    i1 = pol.contexts[pol.context_of(problem.prompt_tokens + (0,))]
     pol.params = np.zeros(pol.params.size)
     pol.params[i0 * 2:(i0 + 1) * 2] = np.log([p_tok, 1.0 - p_tok])
     stop = 1.0 - 1e-12 if p_stop_after is None else p_stop_after
@@ -85,7 +86,7 @@ def test_subtb_matches_brute_force_double_sum():
     for seed in range(6):
         traj = random_terminated_trajectory(pol, problem, seed)
         body = trajectory_body(traj)
-        pol.register_prefixes(problem.prompt_tokens, body)
+        pol.register([(problem.prompt_tokens, body)])
         pol.params = rng.normal(0, 0.5, size=pol.params.size)
         for lam in (0.5, 1.0, 1.7):
             got = subtb_loss(pol, reward_fn, traj, lam=lam)
@@ -102,7 +103,7 @@ def test_subtb_swapped_placement_matches_its_oracle():
     reward_fn = make_reward_fn(problem, cfg, vocab)
     traj = random_terminated_trajectory(pol, problem, 1)
     body = trajectory_body(traj)
-    pol.register_prefixes(problem.prompt_tokens, body)
+    pol.register([(problem.prompt_tokens, body)])
     pol.params = rng.normal(0, 0.5, size=pol.params.size)
     got = subtb_loss(pol, reward_fn, traj, lam=1.0, stop_placement="swapped")
     lp_tok, lp_stop = generation_log_probs(pol, problem.prompt_tokens, body)
@@ -145,7 +146,7 @@ def test_subtb_reward_scale_invariance():
     rng = np.random.default_rng(9)
     reward_fn = make_reward_fn(problem, cfg, vocab)
     traj = random_terminated_trajectory(pol, problem, 2)
-    pol.register_prefixes(problem.prompt_tokens, trajectory_body(traj))
+    pol.register([(problem.prompt_tokens, trajectory_body(traj))])
     pol.params = rng.normal(0, 0.5, size=pol.params.size)
     base = subtb_loss(pol, reward_fn, traj, lam=0.9)
     for c in (0.1, 10.0):
@@ -160,7 +161,7 @@ def test_tb_loss_definitional_zero():
     reward_fn = make_reward_fn(problem, cfg, vocab)
     traj = random_terminated_trajectory(pol, problem, 7)
     body = trajectory_body(traj)
-    pol.register_prefixes(problem.prompt_tokens, body)
+    pol.register([(problem.prompt_tokens, body)])
     lp_tok, lp_stop = generation_log_probs(pol, problem.prompt_tokens, body)
     seq_lp = float(lp_tok.sum() + lp_stop[len(body)])
     r = reward_fn(problem.prompt_tokens + body)
@@ -176,7 +177,7 @@ def test_sft_loss_is_mean_token_nll():
     refs = [Reference(problem.prompt_tokens, (2, 2)),
             Reference(problem.prompt_tokens, (2,))]
     for r in refs:
-        pol.register_prefixes(r.prompt_tokens, r.body)
+        pol.register([(r.prompt_tokens, r.body)])
     got = sft_loss(pol, refs)
     total, count = 0.0, 0
     for r in refs:

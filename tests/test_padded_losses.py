@@ -56,7 +56,7 @@ def setup(kind: str, seed: int = 0):
     if kind == "tabular":
         pol = Policy.tabular(vocab, window=3)
         for body in bodies:
-            pol.register_prefixes(problem.prompt_tokens, body)
+            pol.register([(problem.prompt_tokens, body)])
     else:
         pol = Policy.neural(vocab, window=3, embed_dim=3, hidden_dim=4, seed=seed)
     pol.params = rng.normal(0.0, 0.5, size=pol.params.size)

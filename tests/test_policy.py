@@ -23,7 +23,6 @@ from flowseq.policy import (
     PolicyKind,
     ValueNet,
     _sample_with_rng,
-    context_matrix,
     generation_log_probs,
     greedy_decode,
     load_policy,
@@ -48,11 +47,11 @@ def seeded_tabular(vocab: Vocab, window: int = 2, scale: float = 1.0, seed: int 
     pol = Policy.tabular(vocab, window=window)
     rng = np.random.default_rng(seed)
     prob = tiny_problem(vocab)
-    pol.register_prefixes(prob.prompt_tokens, tuple())
+    pol.register([(prob.prompt_tokens, tuple())])
     for a in range(vocab.size - 1):
-        pol.register_prefixes(prob.prompt_tokens, (a,))
+        pol.register([(prob.prompt_tokens, (a,))])
         for b in range(vocab.size - 1):
-            pol.register_prefixes(prob.prompt_tokens, (a, b))
+            pol.register([(prob.prompt_tokens, (a, b))])
     pol.params = rng.normal(0.0, scale, size=pol.params.size)
     return pol
 
@@ -143,7 +142,8 @@ def test_top_p_truncates_tail():
     pol = Policy.tabular(vocab, window=1)
     problem = Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=(0,),
                       target=Fraction(1), operands=(1,), max_solution_len=1)
-    idx = pol.register_context(pol.context_of((0,)))
+    pol.register([((0,), ())])
+    idx = pol.contexts[pol.context_of((0,))]
     # p approx [0.6, 0.25, 0.1, 0.05] over x,y,z,eos
     pol.params = np.zeros(pol.params.size)
     pol.params[idx * vocab.size:(idx + 1) * vocab.size] = np.log([0.6, 0.25, 0.1, 0.05])
@@ -195,8 +195,8 @@ def test_terminal_distribution_hand_case():
     pol = Policy.tabular(vocab, window=2)
     problem = Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=(0,),
                       target=Fraction(1), operands=(1,), max_solution_len=1)
-    i0 = pol.register_context(pol.context_of((0,)))
-    i1 = pol.register_context(pol.context_of((0, 0)))
+    pol.register([((0,), (0,))])
+    i0, i1 = pol.contexts[pol.context_of((0,))], pol.contexts[pol.context_of((0, 0))]
     pol.params = np.zeros(pol.params.size)
     pol.params[i0 * 2:(i0 + 1) * 2] = np.log([0.4, 0.6])
     pol.params[i1 * 2:(i1 + 1) * 2] = np.log([0.5, 0.5])
@@ -324,10 +324,8 @@ def test_value_net_shapes_and_registration():
     problem = make_problem(cfg, seed=0)
     pol = Policy.tabular(vocab, window=4)
     net = ValueNet.for_policy(pol)
-    from flowseq.policy import context_matrix
-
-    net.register_prefixes(problem.prompt_tokens, (2, 2))
-    ctx = context_matrix(pol, problem.prompt_tokens, (2, 2))
+    net.register([(problem.prompt_tokens, (2, 2))])
+    ctx = pol.windows([(problem.prompt_tokens, (2, 2))])
     vals = net.values(ctx)
     assert vals.shape == (3,)
     netn = ValueNet.for_policy(Policy.neural(vocab, window=3, embed_dim=4, hidden_dim=6))
@@ -437,8 +435,7 @@ def _critics(vocab: Vocab):
 
 def test_critic_values_match_tape_values_bitwise():
     vocab = tiny_vocab()
-    ctx = np.concatenate([context_matrix(Policy.tabular(vocab, window=2), (0,), (1, 2)),
-                          context_matrix(Policy.tabular(vocab, window=2), (0,), (2,))])
+    ctx = Policy.tabular(vocab, window=2).windows([((0,), (1, 2)), ((0,), (2,))])
     for critic in _critics(vocab):
         tape = GradTape()
         got = critic.values_var(tape.input(critic.params), ctx).value
@@ -448,7 +445,7 @@ def test_critic_values_match_tape_values_bitwise():
 
 def test_critic_squared_error_gradient_matches_finite_differences():
     vocab = tiny_vocab()
-    ctx = context_matrix(Policy.tabular(vocab, window=2), (0,), (1, 2))
+    ctx = Policy.tabular(vocab, window=2).windows([((0,), (1, 2))])
     targets = np.array([0.3, -1.2, 2.0])
     for critic in _critics(vocab):
         def loss(theta, critic=critic):
@@ -480,3 +477,59 @@ def test_value_net_clone_stays_a_value_net():
         copy = critic.clone()
         assert isinstance(copy, ValueNet) and copy.width == 1
         assert np.array_equal(copy.params, critic.params)
+
+
+@pytest.mark.parametrize("window", [1, 2, 3, 6])
+def test_windows_match_per_prefix_contexts(window):
+    vocab = make_vocab(["a", "b", "c", "d"])
+    pol = Policy.tabular(vocab, window=window)
+    rng = np.random.default_rng(window)
+    # prompts of 1 to 4 tokens, bodies of 0 to 5: windows both shorter and longer than the prompt
+    items = [(tuple(rng.integers(0, vocab.size, size=p).tolist()), tuple(rng.integers(0, vocab.size, size=n).tolist()))
+             for p in (1, 2, 4) for n in range(6)]
+    items = [items[i] for i in rng.permutation(len(items))]
+    want = [pol.context_of(prompt + body[:t]) for prompt, body in items for t in range(len(body) + 1)]
+    got = pol.windows(items)
+    assert got.dtype == np.int64 and got.shape == (len(want), window)
+    assert [tuple(row) for row in got.tolist()] == want
+    assert pol.windows([]).shape == (0, window)
+
+
+def test_register_keys_are_python_int_tuples_in_item_order():
+    vocab = tiny_vocab()
+    pol = Policy.tabular(vocab, window=3)
+    items = [((0, 1), (2,)), ((1,), ()), ((0, 1), (2, 0, 1))]
+    pol.register(items)
+    want = list(dict.fromkeys(pol.context_of(p + b[:t]) for p, b in items for t in range(len(b) + 1)))
+    assert list(pol.contexts.items()) == [(ctx, row) for row, ctx in enumerate(want)]
+    # numpy integers compare equal to ints but repr differently, which would move checkpoint digests
+    assert all(type(ctx) is tuple and all(type(t) is int for t in ctx) for ctx in pol.contexts)
+
+
+def test_register_replaces_params_once_per_call():
+    class Counted(Policy):
+        @property
+        def params(self):
+            return self._params
+
+        @params.setter
+        def params(self, value):
+            self.sets = getattr(self, "sets", 0) + 1
+            self._params = value
+
+    vocab = tiny_vocab()
+    pol = Counted(PolicyKind.TABULAR, vocab, 2, np.zeros(0))
+    pol.sets = 0
+    pol.register([((0,), (1, 2)), ((0,), (2, 1, 0))])
+    assert pol.sets == 1 and len(pol.contexts) == 6 and pol.params.size == 6 * vocab.size
+    pol.register([((0,), (1,))])  # nothing new
+    assert pol.sets == 1
+
+
+def test_tape_rows_of_an_unregistered_context_name_it():
+    vocab = tiny_vocab()
+    pol = Policy.tabular(vocab, window=2)
+    pol.register([((0,), (1,))])
+    ctx = pol.windows([((0,), (1, 2))])  # its last context, (1, 2), is new
+    with pytest.raises(KeyError, match=r"unregistered tabular context \(1, 2\)"):
+        pol.rows_var(GradTape().input(pol.params), ctx)

@@ -198,3 +198,36 @@ def test_dpo_config_needs_two_samples_to_pair():
     with pytest.raises(ValueError, match="samples_per_problem"):
         DpoConfig(samples_per_problem=1)
     DpoConfig(samples_per_problem=2)
+
+
+@pytest.mark.parametrize("build, error, match", [
+    (lambda: SftConfig(epochs=-3), ValueError, "epochs"),
+    (lambda: SftConfig(batch_size=0), EmptyBatch, "batch_size"),
+    (lambda: SftConfig(lr=float("nan")), ValueError, "learning rate"),
+    (lambda: RftConfig(epochs=-1), ValueError, "epochs"),
+    (lambda: RftConfig(k=0), EmptyBatch, "draws per problem"),
+    (lambda: RftConfig(batch_size=0), EmptyBatch, "batch_size"),
+    (lambda: RftConfig(lr=0.0), ValueError, "learning rate"),
+    (lambda: DpoConfig(epochs=-1), ValueError, "epochs"),
+    (lambda: DpoConfig(batch_size=0), EmptyBatch, "batch_size"),
+    (lambda: DpoConfig(beta=-5.0), ValueError, "beta"),
+    (lambda: DpoConfig(beta=0.0), ValueError, "beta"),
+    (lambda: DpoConfig(beta=float("inf")), ValueError, "beta"),
+    (lambda: DpoConfig(lr=-1e-3), ValueError, "learning rate"),
+    (lambda: PpoConfig(steps=-1), ValueError, "steps"),
+    (lambda: PpoConfig(trajs_per_step=0), EmptyBatch, "draws per problem"),
+    (lambda: PpoConfig(steps=0, trajs_per_step=0), EmptyBatch, "draws per problem"),
+    (lambda: PpoConfig(kl_beta=-1.0), ValueError, "kl_beta"),
+    (lambda: PpoConfig(kl_beta=float("nan")), ValueError, "kl_beta"),
+    (lambda: PpoConfig(actor_lr=float("inf")), ValueError, "actor learning rate"),
+    (lambda: PpoConfig(critic_lr=0.0), ValueError, "critic learning rate"),
+])
+def test_trainer_configs_reject_bad_settings_when_built(build, error, match):
+    with pytest.raises(error, match=match):
+        build()
+
+
+def test_fit_rejects_negative_epochs_given_outside_the_config():
+    ds = tiny_dataset()
+    with pytest.raises(ValueError, match="epochs"):
+        sft_train(Policy.tabular(ds.vocab, window=5), ds, epochs=-3)
