@@ -8,6 +8,7 @@ run byte for byte.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from pathlib import Path
@@ -151,11 +152,11 @@ class RunConfig:
 
 # key registry: (section, key) -> (attr, parser, range check)
 def _positive(x: float) -> bool:
-    return x > 0
+    return math.isfinite(x) and x > 0
 
 
 def _non_negative(x: float) -> bool:
-    return x >= 0
+    return math.isfinite(x) and x >= 0
 
 
 def _at_least_one(x: int) -> bool:
@@ -216,16 +217,19 @@ _SCHEMA: dict[tuple[str, str], _Entry] = {
     ("train", "batch_size"): ("batch_size", _parse_int, _at_least_one, "must be at least 1"),
     ("train", "samples_per_problem"): ("samples_per_problem", _parse_int, _at_least_one,
                                        "must be at least 1"),
-    ("train", "sft_coeff"): ("sft_coeff", _parse_float, _non_negative, "must be non-negative"),
-    ("train", "subtb_lambda"): ("subtb_lambda", _parse_float, _positive, "must be positive"),
+    ("train", "sft_coeff"): ("sft_coeff", _parse_float, _non_negative,
+                             "must be non-negative and finite"),
+    ("train", "subtb_lambda"): ("subtb_lambda", _parse_float, _positive,
+                                "must be positive and finite"),
     ("train", "horizon_coeff"): ("horizon_coeff", _parse_float, _non_negative,
-                                 "must be non-negative"),
-    ("train", "lr"): ("lr", _parse_float, _positive, "must be positive"),
+                                 "must be non-negative and finite"),
+    ("train", "lr"): ("lr", _parse_float, _positive, "must be positive and finite"),
     ("train", "replay"): ("replay", _parse_int, _at_least_one, "must be at least 1"),
     ("train", "stop_placement"): ("stop_placement", str,
                                   lambda x: x in ("printed", "swapped"),
                                   "must be printed or swapped"),
-    ("train", "temperature"): ("train_temperature", _parse_float, _positive, "must be positive"),
+    ("train", "temperature"): ("train_temperature", _parse_float, _positive,
+                               "must be positive and finite"),
     ("train", "top_p"): ("train_top_p", _parse_float,
                          lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]"),
     ("train", "max_new_tokens"): ("max_new_tokens", _parse_int, _non_negative,
@@ -234,22 +238,24 @@ _SCHEMA: dict[tuple[str, str], _Entry] = {
     ("train", "sft_init_epochs"): ("sft_init_epochs", _parse_int, _non_negative,
                                    "must be non-negative"),
     ("train", "rft_k"): ("rft_k", _parse_int, _at_least_one, "must be at least 1"),
-    ("train", "dpo_beta"): ("dpo_beta", _parse_float, _positive, "must be positive"),
+    ("train", "dpo_beta"): ("dpo_beta", _parse_float, _positive, "must be positive and finite"),
     ("train", "dpo_samples"): ("dpo_samples", _parse_int, lambda x: x >= 2,
                                "must be at least 2"),
     ("train", "ppo_clip"): ("ppo_clip", _parse_float,
                             lambda x: 0.0 < x < 1.0, "must lie in (0, 1)"),
-    ("train", "kl_beta"): ("kl_beta", _parse_float, _non_negative, "must be non-negative"),
+    ("train", "kl_beta"): ("kl_beta", _parse_float, _non_negative,
+                           "must be non-negative and finite"),
     ("train", "gamma"): ("gamma", _parse_float,
                          lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]"),
     ("train", "gae_lambda"): ("gae_lambda", _parse_float,
                               lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]"),
     ("train", "trajs_per_step"): ("trajs_per_step", _parse_int, _at_least_one,
                                   "must be at least 1"),
-    ("train", "critic_lr"): ("critic_lr", _parse_float, _positive, "must be positive"),
+    ("train", "critic_lr"): ("critic_lr", _parse_float, _positive, "must be positive and finite"),
     ("train", "diag_every"): ("diag_every", _parse_int, _non_negative, "must be non-negative"),
     ("eval", "k"): ("eval_k", _parse_int, _at_least_one, "must be at least 1"),
-    ("eval", "temperature"): ("eval_temperature", _parse_float, _positive, "must be positive"),
+    ("eval", "temperature"): ("eval_temperature", _parse_float, _positive,
+                              "must be positive and finite"),
     ("eval", "top_p"): ("eval_top_p", _parse_float,
                         lambda x: 0.0 < x <= 1.0, "must lie in (0, 1]"),
     ("eval", "prepend_greedy"): ("prepend_greedy", _parse_bool, None, ""),

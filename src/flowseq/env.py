@@ -18,6 +18,7 @@ arithmetically valid derivation lines.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -273,121 +274,172 @@ def _random_arith_target(rng: np.random.Generator, operands: tuple[int, ...], lo
     return acc
 
 
-def _generated_region(problem: Problem, prefix: tuple[int, ...] | list[int], vocab: Vocab) -> list[str]:
-    """Decode the generated tokens of a prompt-consistent prefix, cut at the first stop symbol."""
-    prefix = tuple(prefix)
-    k = problem.prompt_len
-    if prefix[:k] != problem.prompt_tokens:
-        raise ValueError("prefix does not start with the problem prompt")
-    gen: list[str] = []
-    for tid in prefix[k:]:
-        if tid == vocab.stop_id:
-            break
-        gen.append(vocab.tokens[tid])
-    return gen
+@dataclass(frozen=True)
+class _Lexicon:
+    """What each token id of a vocabulary means to the verifiers, indexed by token id."""
+
+    numbers: tuple[int | None, ...]  # value of an integer literal
+    answers: tuple[Fraction | None, ...]  # value an ANSWER marker reads from the token
+    ops: tuple[str | None, ...]  # arithmetic operator
+    answer_id: int  # -1 when the vocabulary has no ANSWER marker
+    eq_id: int
+
+
+@functools.lru_cache(maxsize=16)
+def _lexicon(vocab: Vocab) -> _Lexicon:
+    def answer_value(token: str) -> Fraction | None:
+        try:
+            return Fraction(token)
+        except (ValueError, ZeroDivisionError):
+            return None
+
+    toks = vocab.tokens
+    return _Lexicon(
+        numbers=tuple(int(t) if t.lstrip("-").isdigit() else None for t in toks),
+        answers=tuple(answer_value(t) for t in toks),
+        ops=tuple(t if t in ARITH_OPS else None for t in toks),
+        answer_id=toks.index("ANSWER") if "ANSWER" in toks else -1,
+        eq_id=toks.index("=") if "=" in toks else -1,
+    )
+
+
+class SumpathVerifier:
+    """SUMPATH's verifier state machine: every generated token is one step.
+
+    A step is valid when it is an allowed part and the running sum has not
+    overshot the target. A state is ``(running sum, valid steps, steps, ok)``,
+    where ok stays true while every step is valid. The answer is CORRECT when
+    ok holds and the parts sum exactly to the target, NONE for an empty
+    generation, WRONG otherwise.
+    """
+
+    def __init__(self, problem: Problem, vocab: Vocab) -> None:
+        self.numbers = _lexicon(vocab).numbers
+        self.parts = problem.operands
+        self.target = int(problem.target)
+        self.start = (0, 0, 0, True)
+
+    def step(self, state: tuple, tid: int) -> tuple:
+        running, valid, total, ok = state
+        value = self.numbers[tid]
+        if value is None or value not in self.parts:
+            return (running, valid, total + 1, False)
+        running += value
+        if running <= self.target:
+            return (running, valid + 1, total + 1, ok)
+        return (running, valid, total + 1, False)
+
+    def verdict(self, state: tuple) -> StepVerdict:
+        running, valid, total, ok = state
+        if total == 0:
+            answer = AnswerState.NONE
+        elif ok and running == self.target:
+            answer = AnswerState.CORRECT
+        else:
+            answer = AnswerState.WRONG
+        return StepVerdict(valid_steps=valid, total_steps=total, answer_state=answer)
+
+
+class ArithVerifier:
+    """ARITH's verifier state machine.
+
+    Complete five-token chunks before the first ANSWER marker are steps. A
+    step is valid when it matches ``<a> <op> <b> = <c>``, the arithmetic
+    holds, and both inputs are available: each line consumes its inputs and
+    releases its result. Before the first marker a state is ``(available
+    values as a sorted tuple, the open line's token ids, valid steps, steps,
+    None)``. From the marker on the lines are settled and the last element
+    is ``(the last marker's value equals the target, the previous token is a
+    marker)``, so the answer is the value after the last marker that has one.
+    """
+
+    def __init__(self, problem: Problem, vocab: Vocab) -> None:
+        self.lex = _lexicon(vocab)
+        self.target = problem.target
+        self.start = (tuple(sorted(problem.operands)), (), 0, 0, None)
+
+    def step(self, state: tuple, tid: int) -> tuple:
+        avail, line, valid, total, answer = state
+        marker = tid == self.lex.answer_id
+        if answer is not None:
+            hit, after_marker = answer
+            if after_marker:
+                hit = self.lex.answers[tid] == self.target
+            return ((), (), valid, total, (hit, marker))
+        if marker:
+            return ((), (), valid, total, (False, True))
+        line += (tid,)
+        if len(line) < 5:
+            return (avail, line, valid, total, None)
+        after = self._consume(avail, line)
+        if after is None:
+            return (avail, (), valid, total + 1, None)
+        return (after, (), valid + 1, total + 1, None)
+
+    def _consume(self, avail: tuple[int, ...], line: tuple[int, ...]) -> tuple[int, ...] | None:
+        """The available values after a valid line; None when the line is not valid."""
+        nums = self.lex.numbers
+        a, op, b, c = nums[line[0]], self.lex.ops[line[1]], nums[line[2]], nums[line[4]]
+        if a is None or b is None or c is None or op is None or line[3] != self.lex.eq_id:
+            return None
+        if _apply_op(a, op, b) != c:
+            return None
+        rest = list(avail)
+        if a == b:
+            if rest.count(a) < 2:
+                return None
+        elif a not in rest or b not in rest:
+            return None
+        rest.remove(a)
+        rest.remove(b)
+        rest.append(c)
+        return tuple(sorted(rest))
+
+    def verdict(self, state: tuple) -> StepVerdict:
+        _, _, valid, total, answer = state
+        if answer is None:
+            answer_state = AnswerState.NONE
+        else:
+            answer_state = AnswerState.CORRECT if answer[0] else AnswerState.WRONG
+        return StepVerdict(valid_steps=valid, total_steps=total, answer_state=answer_state)
+
+
+def verifier(problem: Problem, vocab: Vocab) -> SumpathVerifier | ArithVerifier:
+    """The problem's verifier state machine.
+
+    It has a hashable ``start`` state, ``step(state, token_id) -> state``
+    and ``verdict(state) -> StepVerdict``.
+    """
+    if problem.task_kind is TaskKind.SUMPATH:
+        return SumpathVerifier(problem, vocab)
+    return ArithVerifier(problem, vocab)
 
 
 def verify_prefix(problem: Problem, prefix: tuple[int, ...] | list[int], vocab: Vocab) -> StepVerdict:
     """Audit a prompt-consistent prefix, treated as if terminated.
 
-    SUMPATH: every generated token is one step; a step is valid when it is an
-    allowed part and the running sum has not overshot the target. The answer
-    state is CORRECT when all tokens are parts and they sum exactly to the
-    target, NONE for an empty generation, WRONG otherwise.
-
-    ARITH: complete five-token chunks before the first ANSWER marker are
-    steps; a step is valid when it matches ``<a> <op> <b> = <c>``, the
-    arithmetic holds, and both inputs are available (each line consumes its
-    inputs and releases its result). The answer state compares the value after
-    the last ANSWER marker with the target.
+    Folds the problem's verifier over the generated tokens up to the first
+    stop symbol; SumpathVerifier and ArithVerifier state the rules.
     """
-    gen = _generated_region(problem, prefix, vocab)
-    if problem.task_kind is TaskKind.SUMPATH:
-        return _verify_sumpath(problem, gen)
-    return _verify_arith(problem, gen)
+    prefix = tuple(prefix)
+    k = problem.prompt_len
+    if prefix[:k] != problem.prompt_tokens:
+        raise ValueError("prefix does not start with the problem prompt")
+    machine, stop = verifier(problem, vocab), vocab.stop_id
+    state = machine.start
+    for tid in prefix[k:]:
+        if tid == stop:
+            break
+        state = machine.step(state, tid)
+    return machine.verdict(state)
 
 
-def _verify_sumpath(problem: Problem, gen: list[str]) -> StepVerdict:
-    parts = set(problem.operands)
-    target = int(problem.target)
-    running = 0
-    valid = 0
-    ok = bool(gen)
-    for unit in gen:
-        is_part = unit.isdigit() and int(unit) in parts
-        if is_part:
-            running += int(unit)
-            if running <= target:
-                valid += 1
-            else:
-                ok = False
-        else:
-            ok = False
-    if not gen:
-        state = AnswerState.NONE
-    elif ok and running == target:
-        state = AnswerState.CORRECT
-    else:
-        state = AnswerState.WRONG
-    return StepVerdict(valid_steps=valid, total_steps=len(gen), answer_state=state)
-
-
-def _verify_arith(problem: Problem, gen: list[str]) -> StepVerdict:
-    if "ANSWER" in gen:
-        first = gen.index("ANSWER")
-        body, answer_region = gen[:first], gen[first:]
-    else:
-        body, answer_region = gen, []
-
-    avail = list(problem.operands)
-    total = 0
-    valid = 0
-    for i in range(0, len(body) - len(body) % 5, 5):
-        a_s, op, b_s, eq, c_s = body[i : i + 5]
-        total += 1
-        if not (a_s.lstrip("-").isdigit() and b_s.lstrip("-").isdigit() and c_s.lstrip("-").isdigit()):
-            continue
-        if op not in ARITH_OPS or eq != "=":
-            continue
-        a, b, c = int(a_s), int(b_s), int(c_s)
-        if _apply_op(a, op, b) != c:
-            continue
-        if a == b:
-            if avail.count(a) < 2:
-                continue
-        elif a not in avail or b not in avail:
-            continue
-        avail.remove(a)
-        avail.remove(b)
-        avail.append(c)
-        valid += 1
-
-    if not answer_region:
-        state = AnswerState.NONE
-    else:
-        value = _last_answer_value(gen)
-        state = AnswerState.CORRECT if value == problem.target else AnswerState.WRONG
-    return StepVerdict(valid_steps=valid, total_steps=total, answer_state=state)
-
-
-def _last_answer_value(units: list[str]) -> Fraction | None:
-    value = None
-    for i, unit in enumerate(units):
-        if unit == "ANSWER" and i + 1 < len(units):
-            try:
-                value = Fraction(units[i + 1])
-            except (ValueError, ZeroDivisionError):
-                value = None
-    return value
-
-
-def reward(problem: Problem, prefix: tuple[int, ...] | list[int], cfg: TaskConfig, vocab: Vocab) -> float:
-    """Strictly positive reward of a prefix treated as terminated.
+def verdict_reward(verdict: StepVerdict, cfg: TaskConfig) -> float:
+    """Strictly positive reward of an audited terminal.
 
     TERMINAL mode: floor + (1 - floor) * [answer correct].
     SHAPED mode: floor + (1 - floor) * (valid/max(total,1)) * [answer correct].
     """
-    verdict = verify_prefix(problem, prefix, vocab)
     eps = cfg.reward_floor
     correct = verdict.answer_state is AnswerState.CORRECT
     if cfg.reward_mode is RewardMode.TERMINAL:
@@ -396,13 +448,18 @@ def reward(problem: Problem, prefix: tuple[int, ...] | list[int], cfg: TaskConfi
     return eps + (1.0 - eps) * frac * float(correct)
 
 
+def reward(problem: Problem, prefix: tuple[int, ...] | list[int], cfg: TaskConfig, vocab: Vocab) -> float:
+    """Strictly positive reward of a prefix treated as terminated (see verdict_reward)."""
+    return verdict_reward(verify_prefix(problem, prefix, vocab), cfg)
+
+
 def terminal_levels(problem: Problem, vocab: Vocab) -> Iterator[Iterator[tuple[int, ...]]]:
     """The bodies of every terminated sequence, one level per length 0..max_solution_len.
 
     Each level yields its bodies (generated tokens, the stop symbol left
     implicit) ordered by token ids, i.e. itertools.product order over
-    vocab.body_ids. Raises SpaceTooLarge above the enumeration budget before
-    yielding anything.
+    vocab.body_ids. Raises SpaceTooLarge above the enumeration budget when
+    called, before yielding anything.
     """
     n_body = len(vocab.body_ids)
     count = 0
@@ -415,8 +472,7 @@ def terminal_levels(problem: Problem, vocab: Vocab) -> Iterator[Iterator[tuple[i
                 f"terminal space exceeds {ENUMERATION_CAP} sequences for "
                 f"max_solution_len={problem.max_solution_len}, vocab={vocab.size}"
             )
-    for length in range(problem.max_solution_len + 1):
-        yield itertools.product(vocab.body_ids, repeat=length)
+    return (itertools.product(vocab.body_ids, repeat=n) for n in range(problem.max_solution_len + 1))
 
 
 def enumerate_terminals(
@@ -427,10 +483,48 @@ def enumerate_terminals(
     Returns (generated tokens, reward) pairs in terminal_levels order: by
     length, then token ids. The reward sum over the list is the partition
     function Z. Raises SpaceTooLarge above the enumeration budget.
+
+    A body's verifier state is its parent's stepped by its last token, so each
+    level's states come from the previous level's in the same product order.
+    States are numbered as they appear; each state's reward and each state's
+    row of children (one per body id) is computed once.
     """
-    prompt = problem.prompt_tokens
-    return [(body, reward(problem, prompt + body, cfg, vocab))
-            for level in terminal_levels(problem, vocab) for body in level]
+    levels = terminal_levels(problem, vocab)
+    machine, body_ids = verifier(problem, vocab), vocab.body_ids
+    states: list[tuple] = []
+    rewards: list[float] = []
+    index: dict[tuple, int] = {}
+    children: dict[int, list[int]] = {}
+
+    def number(state: tuple) -> int:
+        i = index.get(state)
+        if i is None:
+            i = index[state] = len(states)
+            states.append(state)
+            rewards.append(verdict_reward(machine.verdict(state), cfg))
+        return i
+
+    level = [number(machine.start)]
+    terminals: list[tuple[tuple[int, ...], float]] = []
+    for length, bodies in enumerate(levels):
+        if length:
+            for i in dict.fromkeys(level):
+                if i not in children:
+                    children[i] = [number(machine.step(states[i], tid)) for tid in body_ids]
+            level = [c for i in level for c in children[i]]
+        terminals.extend(zip(bodies, [rewards[i] for i in level], strict=True))
+    return terminals
+
+
+def _last_answer_value(units: list[str]) -> Fraction | None:
+    value = None
+    for i, unit in enumerate(units):
+        if unit == "ANSWER" and i + 1 < len(units):
+            try:
+                value = Fraction(units[i + 1])
+            except (ValueError, ZeroDivisionError):
+                value = None
+    return value
 
 
 def partition_function(terminals: list[tuple[tuple[int, ...], float]]) -> float:

@@ -82,6 +82,14 @@ def test_range_violation_exits_2(tmp_path, capsys):
     assert "lr" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["lr", "critic_lr", "dpo_beta", "kl_beta"])
+def test_infinite_value_exits_2_naming_key(tmp_path, capsys, key):
+    # rejected at parse time, before train looks for its (absent) problems file
+    cfg = write_config(tmp_path, f"[train]\n{key} = inf\n")
+    assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"train.{key}:" in capsys.readouterr().err
+
+
 def test_parse_error_reports_line(tmp_path, capsys):
     cfg = write_config(tmp_path, "method = gflownet\nnot a key value line\n")
     assert run_cli(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

@@ -1,15 +1,21 @@
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flowseq.core import TaskKind, decode, encode
+from flowseq import env
+from flowseq.core import Problem, TaskKind, decode, encode
 from flowseq.env import (
+    ARITH_OPS,
     AnswerState,
     RewardMode,
     SpaceTooLarge,
+    StepVerdict,
     TaskConfig,
     Unsatisfiable,
     build_vocab,
@@ -21,6 +27,7 @@ from flowseq.env import (
     partition_function,
     read_problems,
     reward,
+    terminal_levels,
     verify_prefix,
     write_problems,
 )
@@ -68,8 +75,6 @@ def test_sumpath_solution_count_matches_composition_oracle():
 
 
 def _fixed_sumpath_problem(cfg: TaskConfig, vocab, target: int):
-    from flowseq.core import Problem
-
     prompt = tuple(encode(f"SUM {target} :", vocab))
     return Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=prompt,
                    target=Fraction(target), operands=tuple(range(1, cfg.max_part + 1)),
@@ -156,12 +161,20 @@ def test_enumeration_count_is_geometric_series():
     assert len(enumerate_terminals(problem, cfg, vocab)) == want
 
 
-def test_space_too_large_guard():
+def test_space_too_large_guard(monkeypatch):
     cfg = TaskConfig(task_kind=TaskKind.ARITH, value_range=(2, 30))
     vocab = build_vocab(cfg)
     problem = make_problem(cfg, seed=3)
+
+    def no_state(*args):
+        raise AssertionError("a verifier state was built before the budget check")
+
+    # the budget check comes before any verifier state is built
+    monkeypatch.setattr(env, "verifier", no_state)
     with pytest.raises(SpaceTooLarge):
         enumerate_terminals(problem, cfg, vocab)
+    with pytest.raises(SpaceTooLarge):
+        terminal_levels(problem, vocab)
 
 
 def test_make_problem_deterministic_and_multisolution():
@@ -201,8 +214,6 @@ def test_arith_verify_prefix_semantics():
 
 
 def _fixed_arith_problem(cfg: TaskConfig, vocab, target: int, operands: tuple[int, ...]):
-    from flowseq.core import Problem
-
     ops = " ".join(str(v) for v in operands)
     prompt = tuple(encode(f"TARGET {target} FROM {ops} :", vocab))
     return Problem(task_kind=TaskKind.ARITH, prompt_tokens=prompt,
@@ -271,3 +282,225 @@ def test_problem_generation_spread():
     cfg = arith_cfg(hi=12)
     seen = {make_problem(cfg, seed=s).prompt_tokens for s in range(20)}
     assert len(seen) >= 10
+
+
+# The string verifiers that the state machines replaced, kept as the oracle:
+# they decode the generated region and replay it from its first token.
+def _ref_generated_region(problem, prefix, vocab) -> list[str]:
+    prefix = tuple(prefix)
+    k = problem.prompt_len
+    if prefix[:k] != problem.prompt_tokens:
+        raise ValueError("prefix does not start with the problem prompt")
+    gen: list[str] = []
+    for tid in prefix[k:]:
+        if tid == vocab.stop_id:
+            break
+        gen.append(vocab.tokens[tid])
+    return gen
+
+
+def _ref_verify_sumpath(problem, gen: list[str]) -> StepVerdict:
+    parts = set(problem.operands)
+    target = int(problem.target)
+    running = 0
+    valid = 0
+    ok = bool(gen)
+    for unit in gen:
+        is_part = unit.isdigit() and int(unit) in parts
+        if is_part:
+            running += int(unit)
+            if running <= target:
+                valid += 1
+            else:
+                ok = False
+        else:
+            ok = False
+    if not gen:
+        state = AnswerState.NONE
+    elif ok and running == target:
+        state = AnswerState.CORRECT
+    else:
+        state = AnswerState.WRONG
+    return StepVerdict(valid_steps=valid, total_steps=len(gen), answer_state=state)
+
+
+def _ref_last_answer_value(units: list[str]) -> Fraction | None:
+    value = None
+    for i, unit in enumerate(units):
+        if unit == "ANSWER" and i + 1 < len(units):
+            try:
+                value = Fraction(units[i + 1])
+            except (ValueError, ZeroDivisionError):
+                value = None
+    return value
+
+
+def _ref_apply_op(a: int, op: str, b: int) -> int:
+    return {"+": a + b, "-": a - b, "*": a * b}[op]
+
+
+def _ref_verify_arith(problem, gen: list[str]) -> StepVerdict:
+    if "ANSWER" in gen:
+        first = gen.index("ANSWER")
+        body, answer_region = gen[:first], gen[first:]
+    else:
+        body, answer_region = gen, []
+    avail = list(problem.operands)
+    total = 0
+    valid = 0
+    for i in range(0, len(body) - len(body) % 5, 5):
+        a_s, op, b_s, eq, c_s = body[i : i + 5]
+        total += 1
+        if not (a_s.lstrip("-").isdigit() and b_s.lstrip("-").isdigit() and c_s.lstrip("-").isdigit()):
+            continue
+        if op not in ARITH_OPS or eq != "=":
+            continue
+        a, b, c = int(a_s), int(b_s), int(c_s)
+        if _ref_apply_op(a, op, b) != c:
+            continue
+        if a == b:
+            if avail.count(a) < 2:
+                continue
+        elif a not in avail or b not in avail:
+            continue
+        avail.remove(a)
+        avail.remove(b)
+        avail.append(c)
+        valid += 1
+    if not answer_region:
+        state = AnswerState.NONE
+    else:
+        value = _ref_last_answer_value(gen)
+        state = AnswerState.CORRECT if value == problem.target else AnswerState.WRONG
+    return StepVerdict(valid_steps=valid, total_steps=total, answer_state=state)
+
+
+def ref_verify_prefix(problem, prefix, vocab) -> StepVerdict:
+    gen = _ref_generated_region(problem, prefix, vocab)
+    if problem.task_kind is TaskKind.SUMPATH:
+        return _ref_verify_sumpath(problem, gen)
+    return _ref_verify_arith(problem, gen)
+
+
+def ref_reward(problem, prefix, cfg, vocab) -> float:
+    verdict = ref_verify_prefix(problem, prefix, vocab)
+    eps = cfg.reward_floor
+    correct = verdict.answer_state is AnswerState.CORRECT
+    if cfg.reward_mode is RewardMode.TERMINAL:
+        return eps + (1.0 - eps) * float(correct)
+    frac = verdict.valid_steps / max(verdict.total_steps, 1)
+    return eps + (1.0 - eps) * frac * float(correct)
+
+
+_SUMPATH_CFG = sumpath_cfg(hi=6, max_part=3)
+_SUMPATH_VOCAB = build_vocab(_SUMPATH_CFG)
+_ARITH_CFG = arith_cfg(hi=12)
+_ARITH_VOCAB = build_vocab(_ARITH_CFG)
+# (config, vocab, problem): one SUMPATH problem, ARITH with distinct and with repeated operands
+ORACLE_PROBLEMS = [
+    (_SUMPATH_CFG, _SUMPATH_VOCAB, _fixed_sumpath_problem(_SUMPATH_CFG, _SUMPATH_VOCAB, 5)),
+    (_ARITH_CFG, _ARITH_VOCAB, _fixed_arith_problem(_ARITH_CFG, _ARITH_VOCAB, 9, (2, 3, 4))),
+    (_ARITH_CFG, _ARITH_VOCAB, _fixed_arith_problem(_ARITH_CFG, _ARITH_VOCAB, 10, (3, 3, 4))),
+]
+
+
+def assert_matches_oracle(cfg, vocab, problem, prefix) -> None:
+    assert verify_prefix(problem, prefix, vocab) == ref_verify_prefix(problem, prefix, vocab)
+    for mode in RewardMode:
+        mode_cfg = dataclasses.replace(cfg, reward_mode=mode)
+        got, want = reward(problem, prefix, mode_cfg, vocab), ref_reward(problem, prefix, mode_cfg, vocab)
+        assert got.hex() == want.hex(), mode
+
+
+@st.composite
+def oracle_bodies(draw):
+    """A problem and a body: any tokens, the stop symbol included, mixed with
+    well-formed lines, solution lines and ANSWER pairs so ARITH lines are often valid."""
+    cfg, vocab, problem = draw(st.sampled_from(ORACLE_PROBLEMS))
+    token = st.sampled_from(range(vocab.size)).map(lambda t: (t,))
+    if problem.task_kind is TaskKind.SUMPATH:
+        part = st.sampled_from([vocab.token_id(str(v)) for v in problem.operands]).map(lambda t: (t,))
+        pieces = st.one_of(token, part, part)
+    else:
+        num = st.sampled_from([vocab.token_id(str(v)) for v in range(13)])
+        answer = st.one_of(num, st.just(vocab.token_id(str(problem.target))))
+        op = st.sampled_from([vocab.token_id(o) for o in ARITH_OPS])
+        eq, marker = vocab.token_id("="), vocab.token_id("ANSWER")
+        line = st.tuples(num, op, num, st.just(eq), num)
+        solution_lines = [s[i : i + 5] for s in enumerate_solutions(problem, cfg, vocab)
+                          for i in range(0, len(s) - 2, 5)]
+        pieces = st.one_of(token, line, st.sampled_from(solution_lines), st.tuples(st.just(marker), answer))
+    body = tuple(t for piece in draw(st.lists(pieces, max_size=6)) for t in piece)
+    return cfg, vocab, problem, body
+
+
+@settings(max_examples=400, deadline=None)
+@given(oracle_bodies())
+def test_fold_matches_string_oracle(case):
+    cfg, vocab, problem, body = case
+    assert_matches_oracle(cfg, vocab, problem, problem.prompt_tokens + body)
+
+
+@pytest.mark.parametrize("case, text", [
+    (0, "2 <eos> 3"),  # stop symbol mid-prefix: the rest is ignored
+    (0, "1 SUM 4"),
+    (0, "3 3"),
+    (1, "2 + 3 = 5 <eos> 5 + 4 = 9 ANSWER 9"),
+    (1, "ANSWER ANSWER 9"),
+    (1, "ANSWER 9 ANSWER"),  # a marker at the end keeps the value before it
+    (1, "2 + 3 = 5 ANSWER"),
+    (1, "ANSWER 9 ANSWER ANSWER"),
+    (1, "2 + 3 ANSWER 9"),  # a partial line before ANSWER is not a step
+    (1, "2 + 3 = 5 5 + 4 ANSWER 9 4 = 9"),
+    (1, "2 + 3 = 5 5 + 4 = 9 ANSWER 9"),
+    (2, "3 + 3 = 6 6 + 4 = 10 ANSWER 10"),  # repeated operands
+    (2, "3 * 3 = 9 3 + 4 = 7 ANSWER 10"),  # only two copies of 3
+    (2, "4 + 4 = 8 ANSWER 10"),
+])
+def test_fold_matches_string_oracle_on_edge_bodies(case, text):
+    cfg, vocab, problem = ORACLE_PROBLEMS[case]
+    assert_matches_oracle(cfg, vocab, problem, problem.prompt_tokens + tuple(encode(text, vocab)))
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_PROBLEMS)))
+def test_wrong_prompt_raises(case):
+    cfg, vocab, problem = ORACLE_PROBLEMS[case]
+    bad = problem.prompt_tokens[:-1] + (vocab.stop_id,)
+    with pytest.raises(ValueError, match="prompt"):
+        verify_prefix(problem, bad, vocab)
+    with pytest.raises(ValueError, match="prompt"):
+        reward(problem, bad, cfg, vocab)
+
+
+def assert_enumeration_matches_reward(problem, cfg, vocab) -> None:
+    """enumerate_terminals equals one reward call per body, in order and bit for bit."""
+    for mode in RewardMode:
+        mode_cfg = dataclasses.replace(cfg, reward_mode=mode)
+        got = enumerate_terminals(problem, mode_cfg, vocab)
+        want = [(body, reward(problem, problem.prompt_tokens + body, mode_cfg, vocab))
+                for level in terminal_levels(problem, vocab) for body in level]
+        assert [b for b, _ in got] == [b for b, _ in want]
+        assert [r.hex() for _, r in got] == [r.hex() for _, r in want], mode
+
+
+def test_enumerate_terminals_matches_per_body_reward_sumpath():
+    cfg = sumpath_cfg(hi=9, max_parts=4, max_part=3)
+    vocab = build_vocab(cfg)
+    problem = _fixed_sumpath_problem(cfg, vocab, 7)
+    assert sum(1 for level in terminal_levels(problem, vocab) for _ in level) == 16_105
+    assert_enumeration_matches_reward(problem, cfg, vocab)
+
+
+def test_enumerate_terminals_matches_per_body_reward_arith():
+    # numbers 0..2 and max_solution_len 5 keep the space at 177,156 terminals
+    cfg = TaskConfig(task_kind=TaskKind.ARITH, value_range=(1, 2), reward_mode=RewardMode.TERMINAL)
+    vocab = build_vocab(cfg)
+    problem = Problem(task_kind=TaskKind.ARITH, prompt_tokens=tuple(encode("TARGET 2 FROM 1 2 :", vocab)),
+                      target=Fraction(2), operands=(1, 2), max_solution_len=5)
+    terminals = dict(enumerate_terminals(problem, cfg, vocab))
+    assert len(terminals) == 177_156
+    # answer regions decide the terminal reward; a full line leaves no room for an answer
+    assert terminals[tuple(encode("1 + ANSWER 2", vocab))] == 1.0
+    assert terminals[tuple(encode("ANSWER 1 ANSWER", vocab))] == cfg.reward_floor
+    assert terminals[tuple(encode("1 * 2 = 2", vocab))] == cfg.reward_floor
+    assert_enumeration_matches_reward(problem, cfg, vocab)
