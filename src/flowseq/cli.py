@@ -25,9 +25,9 @@ import numpy as np
 
 from . import baselines as bl
 from .config import ConfigError, Method, RunConfig, load_config
-from .env import build_vocab, enumerate_terminals, make_problem, partition_function, read_problems, write_problems
+from .env import build_vocab, enumerate_terminals, make_problem, read_problems, write_problems
 from .evaluation import evaluate
-from .gflownet import GfnConfig, TrainReport, TrainSet, terminal_l1_gap, train_gflownet
+from .gflownet import GfnConfig, TrainReport, TrainSet, terminal_l1_gap, terminal_law, train_gflownet
 from .policy import Policy, PolicyKind, ValueNet, load_policy, save_policy, terminal_distribution
 
 log = logging.getLogger("flowseq")
@@ -40,6 +40,7 @@ def _setup_logging() -> None:
     if raw not in _LOG_LEVELS:
         raise ConfigError(f"FLOWSEQ_LOG must be one of {sorted(_LOG_LEVELS)}, got {raw!r}")
     logging.basicConfig(level=_LOG_LEVELS[raw], format="%(levelname)s %(name)s: %(message)s")
+    log.setLevel(_LOG_LEVELS[raw])  # basicConfig does nothing once the root logger has a handler
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -207,18 +208,19 @@ def _cmd_enumerate(cfg: RunConfig, workers: int) -> int:
     out.mkdir(parents=True, exist_ok=True)
     gaps: dict[str, dict] = {}
     with open(out / "enumeration.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["problem_id", "sequence", "policy_prob", "target_prob"])
+        # the bytes csv.writer would write: no token holds a comma, quote or line break to quote
+        fh.write("problem_id,sequence,policy_prob,target_prob\r\n")
         for pid, problem in enumerate(problems):
             terminals = enumerate_terminals(problem, task, vocab)
-            z = partition_function(terminals)
             dist = terminal_distribution(policy, problem)
-            for (body, r), text in zip(terminals, _terminal_texts(problem, vocab), strict=True):
-                writer.writerow([pid, text, repr(dist.probs.get(body, 0.0)), repr(r / z)])
-            gaps[str(pid)] = {
-                "l1": terminal_l1_gap(policy, problem, task, vocab, terminals=terminals, dist=dist),
-                "overflow": dist.overflow,
-            }
+            law = terminal_law(terminals, dist)
+            gap = terminal_l1_gap(policy, problem, task, vocab, dist=dist, law=law)
+            targets = law[1].tolist()
+            shown = {t: repr(t) for t in set(targets)}  # a problem has a few distinct rewards
+            fh.write("".join([f"{pid},{text},{p!r},{shown[t]}\r\n" for text, p, t in zip(
+                _terminal_texts(problem, vocab), dist.probs.values(), targets, strict=True)]))
+            gaps[str(pid)] = {"l1": gap, "overflow": dist.overflow}
+            log.info("problem %d: %d terminals, l1 %r, overflow %r", pid, len(terminals), gap, dist.overflow)
     with open(out / "enumeration.json", "w", encoding="utf-8", newline="") as fh:
         json.dump({"problems": gaps}, fh, sort_keys=True, indent=2)
         fh.write("\n")

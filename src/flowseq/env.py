@@ -527,8 +527,13 @@ def _last_answer_value(units: list[str]) -> Fraction | None:
     return value
 
 
+def left_sum(values: np.ndarray, start: float = 0.0) -> float:
+    """start plus the values added left to right, as the builtin sum did before it compensated (3.12)."""
+    return float(np.cumsum(np.r_[start, values])[-1])
+
+
 def partition_function(terminals: list[tuple[tuple[int, ...], float]]) -> float:
-    return float(sum(r for _, r in terminals))
+    return left_sum(np.fromiter((r for _, r in terminals), dtype=float, count=len(terminals)))
 
 
 def parse_final_answer(text: str) -> Fraction | None:

@@ -36,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, GradTape, Var, adam_step
 from .core import Problem, Trajectory, Vocab
-from .env import TaskConfig, enumerate_solutions, enumerate_terminals, partition_function, reward
+from .env import TaskConfig, enumerate_solutions, enumerate_terminals, left_sum, reward
 from .policy import (
     DecodeCfg,
     Memo,
@@ -380,19 +380,23 @@ def _cell(value) -> str:
     return str(value)
 
 
+def terminal_law(terminals: list, dist: TerminalDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Policy probability and R/Z of each terminal; dist.probs is in enumerate_terminals order too."""
+    if len(dist.probs) != len(terminals):
+        raise ValueError(f"the terminal law has {len(dist.probs)} bodies, the problem {len(terminals)} terminals")
+    rewards = np.fromiter((r for _, r in terminals), dtype=float, count=len(terminals))
+    return np.fromiter(dist.probs.values(), dtype=float, count=len(terminals)), rewards / left_sum(rewards)
+
+
 def terminal_l1_gap(policy: Policy, problem: Problem, cfg: TaskConfig, vocab: Vocab,
-                    terminals: list | None = None, dist: TerminalDistribution | None = None) -> float:
+                    dist: TerminalDistribution | None = None, law: tuple | None = None) -> float:
     """L1 distance between the policy's terminal distribution and R/Z, plus overflow mass.
 
-    Callers that already hold the enumerated terminals or the terminal law pass them in.
+    Callers that already hold the terminal law, or its terminal_law arrays, pass them in.
     """
-    terminals = enumerate_terminals(problem, cfg, vocab) if terminals is None else terminals
     dist = terminal_distribution(policy, problem) if dist is None else dist
-    z = partition_function(terminals)
-    gap = dist.overflow
-    for body, r in terminals:
-        gap += abs(dist.probs.get(body, 0.0) - r / z)
-    return float(gap)
+    p, target = terminal_law(enumerate_terminals(problem, cfg, vocab), dist) if law is None else law
+    return left_sum(np.abs(p - target), start=dist.overflow)
 
 
 @dataclass

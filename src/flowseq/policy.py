@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .core import Problem, Trajectory, Vocab
-from .env import terminal_levels
+from .env import left_sum, terminal_levels
 
 MAGIC = b"FSEQPOL1"
 # contexts per batch_log_probs call in terminal_distribution, which bounds its temporaries
@@ -477,7 +477,7 @@ class TerminalDistribution:
 
     @property
     def total_mass(self) -> float:
-        return float(sum(self.probs.values()) + self.overflow)
+        return left_sum(np.fromiter(self.probs.values(), dtype=float, count=len(self.probs))) + self.overflow
 
 
 def terminal_distribution(policy: Policy, problem: Problem) -> TerminalDistribution:
@@ -504,8 +504,7 @@ def terminal_distribution(policy: Policy, problem: Problem) -> TerminalDistribut
             children.append(m * (1.0 - p[:, stop]) if last else (m[:, None] * p[:, body_ids]).reshape(-1))
         mass = np.concatenate(children) if children else mass
     # mass now holds the last level's over-length masses: sum them in a depth-first walk's (reverse) order
-    overflow = float(np.cumsum(np.r_[0.0, mass[::-1]])[-1])
-    return TerminalDistribution(probs=probs, overflow=overflow)
+    return TerminalDistribution(probs=probs, overflow=left_sum(mass[::-1]))
 
 
 class ValueNet(Policy):

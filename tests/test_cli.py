@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
+import logging
 from pathlib import Path
 
 import pytest
 
 from flowseq.cli import run_cli
 from flowseq.config import RunConfig, load_config
+from flowseq.core import TaskKind, decode
+from flowseq.env import TaskConfig, build_vocab, enumerate_terminals, read_problems
+from flowseq.policy import load_policy, terminal_distribution
 
 PIPELINE_CONFIG = """\
 method = gflownet
@@ -224,3 +230,73 @@ def test_enumeration_texts_are_the_decoded_terminals_in_order():
         problem = make_problem(task, seed=seed)
         want = [decode(body, vocab) for body, _ in enumerate_terminals(problem, task, vocab)]
         assert list(_terminal_texts(problem, vocab)) == want
+
+
+def loop_enumeration(cfg_path: str, out: Path) -> tuple[bytes, bytes]:
+    """enumeration.csv and enumeration.json as a csv.writer loop over dict lookups writes them."""
+    cfg = load_config(cfg_path)
+    cfg.out = str(out)
+    task = cfg.task_config()
+    vocab = build_vocab(task)
+    policy = load_policy(str(cfg.resolve_path(cfg.checkpoint_path)), vocab)
+    rows = io.StringIO(newline="")
+    writer = csv.writer(rows)
+    writer.writerow(["problem_id", "sequence", "policy_prob", "target_prob"])
+    gaps = {}
+    for pid, problem in enumerate(read_problems(cfg.resolve_path(cfg.problems_path), vocab)):
+        terminals = enumerate_terminals(problem, task, vocab)
+        z = 0.0
+        for _, r in terminals:
+            z += r
+        dist = terminal_distribution(policy, problem)
+        gap = dist.overflow
+        for body, r in terminals:
+            writer.writerow([pid, decode(body, vocab), repr(dist.probs.get(body, 0.0)), repr(r / z)])
+            gap += abs(dist.probs.get(body, 0.0) - r / z)
+        gaps[str(pid)] = {"l1": float(gap), "overflow": dist.overflow}
+    return rows.getvalue().encode(), (json.dumps({"problems": gaps}, sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("kind", ["tabular", "neural"])
+def test_enumeration_files_equal_the_csv_writer_loop(tmp_path, kind):
+    text = PIPELINE_CONFIG.replace("kind = tabular", f"kind = {kind}\nembed_dim = 4\nhidden_dim = 8")
+    cfg = write_config(tmp_path, text.replace("steps = 60", "steps = 20"))
+    out = tmp_path / "run"
+    for command in ("gen-data", "train", "enumerate"):
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == 0, command
+    want_csv, want_json = loop_enumeration(cfg, out)
+    assert (out / "enumeration.csv").read_bytes() == want_csv
+    assert (out / "enumeration.json").read_bytes() == want_json
+
+
+@pytest.mark.parametrize("kind", list(TaskKind))
+def test_no_token_needs_csv_quoting(kind):
+    # enumerate writes its rows without csv.writer, which would quote a field holding one of these
+    vocab = build_vocab(TaskConfig(task_kind=kind, value_range=(2, 30)))
+    assert not [t for t in vocab.tokens if set(t) & set(',"\r\n')]
+
+
+def test_enumerate_logs_one_line_per_problem(tmp_path, monkeypatch, caplog, capsys):
+    cfg = write_config(tmp_path, PIPELINE_CONFIG.replace("steps = 60", "steps = 0"))
+    out = tmp_path / "run"
+    for command in ("gen-data", "train"):
+        assert run_cli([command, "--config", cfg, "--out", str(out)]) == 0, command
+    files = ("enumeration.csv", "enumeration.json")
+    # run_cli sets the flowseq logger's level from FLOWSEQ_LOG; set_level opens caplog's handler to
+    # info records and restores the logger's level after the test
+    caplog.set_level(logging.INFO, logger="flowseq")
+    capsys.readouterr()
+    assert run_cli(["enumerate", "--config", cfg, "--out", str(out)]) == 0
+    assert not [r for r in caplog.records if r.name == "flowseq"]
+    assert capsys.readouterr().out == "".join(f"wrote {out / name}\n" for name in files)
+    quiet = [(out / name).read_bytes() for name in files]
+
+    monkeypatch.setenv("FLOWSEQ_LOG", "info")
+    assert run_cli(["enumerate", "--config", cfg, "--out", str(out)]) == 0
+    assert [(out / name).read_bytes() for name in files] == quiet
+    gaps = json.loads((out / "enumeration.json").read_text())["problems"]
+    rows = (out / "enumeration.csv").read_text().splitlines()[1:]
+    by_id = sorted(gaps.items(), key=lambda item: int(item[0]))
+    want = [f"problem {pid}: {sum(row.startswith(f'{pid},') for row in rows)} terminals, "
+            f"l1 {g['l1']!r}, overflow {g['overflow']!r}" for pid, g in by_id]
+    assert [r.getMessage() for r in caplog.records if r.name == "flowseq"] == want

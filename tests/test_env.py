@@ -151,6 +151,11 @@ def test_partition_function_hand_case():
     assert partition_function(terminals) == pytest.approx(want_z)
 
 
+def test_partition_function_adds_left_to_right():
+    # 1e16 + 1.0 rounds back to 1e16; the builtin sum of Python 3.12+ would keep the 1.0 and return 1.0
+    assert partition_function([((), 1e16), ((1,), 1.0), ((2,), -1e16)]) == 0.0
+
+
 def test_enumeration_count_is_geometric_series():
     cfg = sumpath_cfg(hi=3, max_parts=3, max_part=2)
     vocab = build_vocab(cfg)

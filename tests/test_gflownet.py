@@ -25,7 +25,14 @@ from flowseq.gflownet import (
     train_gflownet,
 )
 from flowseq.gflownet import Reference
-from flowseq.policy import DecodeCfg, Policy, _sample_with_rng, generation_log_probs, trajectory_body
+from flowseq.policy import (
+    DecodeCfg,
+    Policy,
+    _sample_with_rng,
+    generation_log_probs,
+    terminal_distribution,
+    trajectory_body,
+)
 
 
 def brute_subtb(lp_tok: np.ndarray, lp_stop: np.ndarray, log_r: np.ndarray,
@@ -316,3 +323,42 @@ def test_training_moves_toward_reward_proportionality():
     assert after < before * 0.5
     losses = [r["mean_subtb_loss"] for r in report.rows]
     assert np.mean(losses[-20:]) < np.mean(losses[:20])
+
+
+def criterion_1_setup(max_parts: int):
+    """The criterion-1 problem (seed 0) at max_parts, with a tabular policy wide enough for it."""
+    task = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 4), max_parts=max_parts, max_part=2)
+    vocab = build_vocab(task)
+    problem = make_problem(task, seed=0)
+    return task, vocab, problem, Policy.tabular(vocab, window=len(problem.prompt_tokens) + problem.max_solution_len)
+
+
+def loop_l1_gap(problem, task, vocab, dist) -> float:
+    """The gap as a per-terminal loop: dict lookups, overflow first, then terminal order."""
+    terminals = enumerate_terminals(problem, task, vocab)
+    z = 0.0
+    for _, r in terminals:
+        z += r
+    gap = dist.overflow
+    for body, r in terminals:
+        gap += abs(dist.probs.get(body, 0.0) - r / z)
+    return float(gap)
+
+
+def test_terminal_l1_gap_equals_the_loop_oracle_bit_for_bit():
+    task, vocab, problem, pol = criterion_1_setup(max_parts=4)
+    train_gflownet(pol, TrainSet.build([problem], task, vocab), GfnConfig(
+        steps=60, batch_size=16, samples_per_problem=8, sft_coeff=0.0,
+        lr=0.08, decode=DecodeCfg(temperature=2.0, top_p=1.0), seed=0))
+    dist = terminal_distribution(pol, problem)
+    assert dist.overflow > 0.0
+    assert terminal_l1_gap(pol, problem, task, vocab) == loop_l1_gap(problem, task, vocab, dist)
+
+
+def test_terminal_l1_gap_rejects_the_law_of_another_problem():
+    task, vocab, problem, pol = criterion_1_setup(max_parts=3)
+    _, _, wider, wide_pol = criterion_1_setup(max_parts=4)
+    dist = terminal_distribution(wide_pol, wider)
+    assert (len(enumerate_terminals(problem, task, vocab)), len(dist.probs)) == (259, 1555)
+    with pytest.raises(ValueError, match=r"1555 bodies.*259 terminals"):
+        terminal_l1_gap(pol, problem, task, vocab, dist=dist)

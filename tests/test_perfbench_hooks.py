@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import importlib
 import sys
+from collections import Counter
 from pathlib import Path
+
+from flowseq import cli, gflownet
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -32,3 +35,46 @@ def test_every_traced_site_resolves():
 def test_workloads_import():
     workloads = _import("workloads")
     assert set(workloads.WORKLOADS) == {"sumpath-tabular-train", "arith-methods", "sumpath-cli-enumerate"}
+
+
+ENUMERATE_CONFIG = """\
+method = sft
+[task]
+kind = sumpath
+value_lo = 2
+value_hi = 3
+max_parts = 2
+max_part = 2
+[policy]
+kind = tabular
+window = 5
+[data]
+n_problems = 3
+[train]
+epochs = 1
+"""
+
+
+def test_enumerate_calls_the_hooked_names_once_per_problem(tmp_path, monkeypatch):
+    # layers.py counts terminals and law nodes where cli binds these names; gflownet's own
+    # bindings stay unused, since enumerate hands terminal_l1_gap the law it already holds
+    calls = Counter()
+
+    def count(owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[owner.__name__, name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    hooked = [(cli, "enumerate_terminals"), (cli, "terminal_distribution"), (cli, "terminal_l1_gap")]
+    unused = [(gflownet, "enumerate_terminals"), (gflownet, "terminal_distribution")]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(ENUMERATE_CONFIG)
+    for command in ("gen-data", "train"):
+        assert cli.run_cli([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0, command
+    for owner, name in hooked + unused:
+        count(owner, name)
+    assert cli.run_cli(["enumerate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    assert calls == {(owner.__name__, name): 3 for owner, name in hooked}

@@ -21,6 +21,7 @@ from flowseq.policy import (
     InconsistentTrajectory,
     Policy,
     PolicyKind,
+    TerminalDistribution,
     ValueNet,
     _sample_with_rng,
     generation_log_probs,
@@ -256,6 +257,12 @@ def test_terminal_distribution_matches_per_step_products(kind, score_rows, monke
             overflow += mass * (1.0 - p_stop)
     assert dist.overflow == pytest.approx(overflow, rel=1e-12, abs=0.0)
     assert dist.total_mass == pytest.approx(1.0, abs=1e-12)
+
+
+def test_total_mass_adds_left_to_right():
+    # the same cancellation as partition_function's: 0.0 on every Python version
+    dist = TerminalDistribution(probs={(): 1e16, (1,): 1.0, (2,): -1e16}, overflow=0.0)
+    assert dist.total_mass == 0.0
 
 
 def test_terminal_distribution_refuses_an_over_cap_space():
