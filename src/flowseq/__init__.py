@@ -40,7 +40,6 @@ from .env import (
     enumerate_solutions,
     enumerate_terminals,
     make_problem,
-    parse_final_answer,
     partition_function,
     reward,
     verify_prefix,

@@ -117,9 +117,6 @@ class Var:
     def __matmul__(self, other):
         return matmul(self, self._lift(other))
 
-    def item(self) -> float:
-        return float(self.value)
-
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
@@ -145,10 +142,6 @@ def _binary(a: Var, b: Var, value: np.ndarray, op: str, da, db) -> Var:
 def _unary(x: Var, value: np.ndarray, op: str, dx) -> Var:
     links = ((x, dx),) if x.track else ()
     return Var(x.tape, np.asarray(value, dtype=np.float64), op, x.track, links)
-
-
-def log(x: Var) -> Var:
-    return _unary(x, np.log(x.value), "log", lambda g, xv=x.value: g / xv)
 
 
 def exp(x: Var) -> Var:

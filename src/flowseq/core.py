@@ -2,7 +2,7 @@
 
 Every other module builds on the types here: a fixed whole-word vocabulary
 with a distinguished stop symbol, immutable problems and trajectories, and
-parsed solutions. Tokens are whole lexical units (numbers, operators,
+graded solutions. Tokens are whole lexical units (numbers, operators,
 keywords) joined by single spaces, which keeps sequences short enough for
 exact enumeration.
 """
@@ -13,7 +13,6 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -107,27 +106,28 @@ class Problem:
     Attributes:
         task_kind: which synthetic task family the instance belongs to.
         prompt_tokens: conditioning token ids, non-empty.
-        target: exact rational value a correct solution must reach.
+        target: whole number a correct solution must reach.
         operands: starting integers (ARITH); addend values allowed (SUMPATH).
         max_solution_len: cap on generated tokens before the stop symbol.
     """
 
     task_kind: TaskKind
     prompt_tokens: tuple[int, ...]
-    target: Fraction
+    target: int
     operands: tuple[int, ...]
     max_solution_len: int
 
     def __post_init__(self) -> None:
         if not self.prompt_tokens:
             raise ValueError("prompt_tokens must be non-empty")
+        if type(self.target) is not int:
+            raise ValueError(f"target must be an int, got {self.target!r}")
         if any(v <= 0 for v in self.operands):
             raise ValueError("operands must be positive")
         if self.max_solution_len < 1:
             raise ValueError("max_solution_len must be positive")
         object.__setattr__(self, "prompt_tokens", tuple(self.prompt_tokens))
         object.__setattr__(self, "operands", tuple(self.operands))
-        object.__setattr__(self, "target", Fraction(self.target))
 
     @property
     def prompt_len(self) -> int:
@@ -162,10 +162,6 @@ class Trajectory:
         """Generated token ids, including the stop symbol when terminated."""
         return self.tokens[self.prompt_len:]
 
-    @property
-    def logprob_sum(self) -> float:
-        return float(sum(self.logprobs))
-
 
 @dataclass(frozen=True)
 class Solution:
@@ -175,23 +171,11 @@ class Solution:
     excluded) and feed the similarity metric used for distinct counting.
     """
 
-    final_answer: Fraction | None
     correct: bool
     step_tokens: tuple[int, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "step_tokens", tuple(self.step_tokens))
-        if self.correct and self.final_answer is None:
-            raise ValueError("a correct solution must carry a final answer")
-
-
-def format_rational(value: Fraction | None) -> str | None:
-    """Render an exact rational for JSON output ("3", "3/2"); None stays None."""
-    if value is None:
-        return None
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:

@@ -23,7 +23,6 @@ import itertools
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +33,6 @@ from .core import (
     Vocab,
     decode,
     encode,
-    format_rational,
     make_vocab,
     read_jsonl,
     write_jsonl,
@@ -205,16 +203,14 @@ def enumerate_solutions(problem: Problem, cfg: TaskConfig, vocab: Vocab) -> list
     if problem.task_kind is TaskKind.SUMPATH:
         seqs = [
             tuple(vocab.token_id(str(p)) for p in comp)
-            for comp in _sumpath_compositions(
-                int(problem.target), problem.operands, problem.max_solution_len
-            )
+            for comp in _sumpath_compositions(problem.target, problem.operands, problem.max_solution_len)
         ]
     else:
         max_lines = max(1, (problem.max_solution_len - 2) // 5)
         _, hi = cfg.value_range
         seqs = [
             tuple(vocab.token_id(t) for t in deriv)
-            for deriv in _arith_derivations(problem.operands, int(problem.target), max_lines, hi)
+            for deriv in _arith_derivations(problem.operands, problem.target, max_lines, hi)
         ]
     return sorted(seqs, key=lambda s: (len(s), s))
 
@@ -237,7 +233,7 @@ def make_problem(cfg: TaskConfig, seed: int) -> Problem:
             candidate = Problem(
                 task_kind=TaskKind.SUMPATH,
                 prompt_tokens=tuple(encode(f"SUM {target} :", vocab)),
-                target=Fraction(target),
+                target=target,
                 operands=parts,
                 max_solution_len=max_len,
             )
@@ -251,7 +247,7 @@ def make_problem(cfg: TaskConfig, seed: int) -> Problem:
             candidate = Problem(
                 task_kind=TaskKind.ARITH,
                 prompt_tokens=tuple(encode(prompt, vocab)),
-                target=Fraction(target),
+                target=target,
                 operands=operands,
                 max_solution_len=5 * (n_operands - 1) + 2,
             )
@@ -279,7 +275,6 @@ class _Lexicon:
     """What each token id of a vocabulary means to the verifiers, indexed by token id."""
 
     numbers: tuple[int | None, ...]  # value of an integer literal
-    answers: tuple[Fraction | None, ...]  # value an ANSWER marker reads from the token
     ops: tuple[str | None, ...]  # arithmetic operator
     answer_id: int  # -1 when the vocabulary has no ANSWER marker
     eq_id: int
@@ -287,16 +282,9 @@ class _Lexicon:
 
 @functools.lru_cache(maxsize=16)
 def _lexicon(vocab: Vocab) -> _Lexicon:
-    def answer_value(token: str) -> Fraction | None:
-        try:
-            return Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            return None
-
     toks = vocab.tokens
     return _Lexicon(
         numbers=tuple(int(t) if t.lstrip("-").isdigit() else None for t in toks),
-        answers=tuple(answer_value(t) for t in toks),
         ops=tuple(t if t in ARITH_OPS else None for t in toks),
         answer_id=toks.index("ANSWER") if "ANSWER" in toks else -1,
         eq_id=toks.index("=") if "=" in toks else -1,
@@ -316,7 +304,7 @@ class SumpathVerifier:
     def __init__(self, problem: Problem, vocab: Vocab) -> None:
         self.numbers = _lexicon(vocab).numbers
         self.parts = problem.operands
-        self.target = int(problem.target)
+        self.target = problem.target
         self.start = (0, 0, 0, True)
 
     def step(self, state: tuple, tid: int) -> tuple:
@@ -364,7 +352,7 @@ class ArithVerifier:
         if answer is not None:
             hit, after_marker = answer
             if after_marker:
-                hit = self.lex.answers[tid] == self.target
+                hit = self.lex.numbers[tid] == self.target
             return ((), (), valid, total, (hit, marker))
         if marker:
             return ((), (), valid, total, (False, True))
@@ -516,17 +504,6 @@ def enumerate_terminals(
     return terminals
 
 
-def _last_answer_value(units: list[str]) -> Fraction | None:
-    value = None
-    for i, unit in enumerate(units):
-        if unit == "ANSWER" and i + 1 < len(units):
-            try:
-                value = Fraction(units[i + 1])
-            except (ValueError, ZeroDivisionError):
-                value = None
-    return value
-
-
 def left_sum(values: np.ndarray, start: float = 0.0) -> float:
     """start plus the values added left to right, as the builtin sum did before it compensated (3.12)."""
     return float(np.cumsum(np.r_[start, values])[-1])
@@ -536,49 +513,28 @@ def partition_function(terminals: list[tuple[tuple[int, ...], float]]) -> float:
     return left_sum(np.fromiter((r for _, r in terminals), dtype=float, count=len(terminals)))
 
 
-def parse_final_answer(text: str) -> Fraction | None:
-    """Value after the last ANSWER marker as an exact rational; None if absent or unparseable."""
-    units = text.split()
-    return _last_answer_value(units)
-
-
-def extract_answer(problem: Problem, gen_tokens: tuple[int, ...] | list[int], vocab: Vocab) -> Fraction | None:
-    """Task-aware final answer of a generated sequence.
-
-    ARITH reads the value after the last ANSWER marker. SUMPATH has no marker:
-    the answer is the sum of the generated tokens, provided every token is an
-    allowed part. Returns None when no answer can be read.
-    """
-    gen = []
-    for tid in gen_tokens:
-        if tid == vocab.stop_id:
-            break
-        gen.append(vocab.tokens[tid])
-    if problem.task_kind is TaskKind.ARITH:
-        return _last_answer_value(gen)
-    parts = set(problem.operands)
-    if not gen or any(not (u.isdigit() and int(u) in parts) for u in gen):
-        return None
-    return Fraction(sum(int(u) for u in gen))
-
-
 def problem_record(problem: Problem, problem_id: int, vocab: Vocab) -> dict:
     """JSON-ready record for one problem."""
     return {
         "id": problem_id,
         "task_kind": problem.task_kind.value,
         "prompt": decode(problem.prompt_tokens, vocab),
-        "target": format_rational(problem.target),
+        "target": str(problem.target),
         "operands": list(problem.operands),
         "max_solution_len": problem.max_solution_len,
     }
 
 
 def problem_from_record(rec: dict, vocab: Vocab) -> Problem:
+    """The problem a problem_record wrote; its target must be a whole number in decimal digits."""
+    target = rec["target"]
+    if not (isinstance(target, str) and target.isdecimal()):
+        raise ValueError(f"problem {rec.get('id')}: target must be a whole number in decimal digits, "
+                         f"got {target!r}")
     return Problem(
         task_kind=TaskKind(rec["task_kind"]),
         prompt_tokens=tuple(encode(rec["prompt"], vocab)),
-        target=Fraction(rec["target"]),
+        target=int(target),
         operands=tuple(int(v) for v in rec["operands"]),
         max_solution_len=int(rec["max_solution_len"]),
     )

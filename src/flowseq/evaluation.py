@@ -12,19 +12,17 @@ from __future__ import annotations
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
 from .core import Problem, Solution, TaskKind, Vocab
-from .env import extract_answer
+from .env import AnswerState, verify_prefix
 from .policy import DecodeCfg, DecodeRow, Policy, _decode, trajectory_body
 # not called here: perfbench/layers.py wraps these names where evaluation binds them
 from .policy import _sample_with_rng, greedy_decode  # noqa: F401
 
 DISTINCT_THRESHOLD = 0.7
-ANSWER_ROUNDING = 6
 
 
 class KTooLarge(ValueError):
@@ -76,19 +74,11 @@ def pass_at_k(correctness: list[list[bool]] | np.ndarray, k: int) -> float:
     return float(np.mean([any(r[:k]) for r in rows]))
 
 
-def answers_match(answer: Fraction | None, target: Fraction) -> bool:
-    """Exact-rational equality after rounding both sides to six decimal places."""
-    if answer is None:
-        return False
-    return round(answer, ANSWER_ROUNDING) == round(target, ANSWER_ROUNDING)
-
-
 def solution_from_body(
     problem: Problem, body: tuple[int, ...], vocab: Vocab
 ) -> Solution:
-    """Grade one generated body and split off its reasoning-step tokens."""
-    answer = extract_answer(problem, body, vocab)
-    correct = answers_match(answer, problem.target)
+    """Grade one generated body with the reward's verifier and split off its reasoning-step tokens."""
+    correct = verify_prefix(problem, problem.prompt_tokens + body, vocab).answer_state is AnswerState.CORRECT
     steps = body
     if problem.task_kind is TaskKind.ARITH:
         # similarity looks at derivation lines only, not the answer segment
@@ -97,7 +87,7 @@ def solution_from_body(
             if body[i] == marker:
                 steps = body[:i]
                 break
-    return Solution(final_answer=answer, correct=correct, step_tokens=tuple(steps))
+    return Solution(correct=correct, step_tokens=tuple(steps))
 
 
 @dataclass

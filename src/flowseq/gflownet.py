@@ -103,7 +103,6 @@ class ReplayBuffer:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
         self.entries: deque[BufferEntry] = deque(maxlen=capacity)
-        self.pushed = 0
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -140,7 +139,6 @@ def buffer_push(
             cache[body] = log_rewards
     entry = BufferEntry(prompt, body, log_rewards, at_horizon)
     buf.entries.append(entry)
-    buf.pushed += 1
 
 
 def buffer_sample(buf: ReplayBuffer, batch: int, rng: np.random.Generator) -> list[BufferEntry]:
@@ -491,9 +489,10 @@ def train_gflownet(
 ) -> TrainReport:
     """Sample, score, replay, update; returns the per-step report.
 
-    The policy is updated in place. When diag_problem is enumerable, the
-    report's l1_to_target column tracks the exact proportionality gap every
-    cfg.diag_every steps and at the final step.
+    The policy is updated in place. With a diag_problem, the report's
+    l1_to_target column tracks the exact proportionality gap every
+    cfg.diag_every steps and at the final step; its terminals are enumerated
+    once, before the first step, so one too large to enumerate fails there.
     """
     if not dataset.problems:
         raise ValueError("dataset has no problems")
@@ -505,6 +504,8 @@ def train_gflownet(
     use_sft = cfg.sft_coeff > 0.0 and refs_all
     reward_fns = [make_reward_fn(p, dataset.task, dataset.vocab) for p in dataset.problems]
     log_reward_caches: list[dict] = [{} for _ in dataset.problems]
+    diag_terminals = None if diag_problem is None else enumerate_terminals(
+        diag_problem, dataset.task, dataset.vocab)
 
     for step in range(1, cfg.steps + 1):
         p_idx = int(rng.integers(0, len(dataset.problems)))
@@ -532,10 +533,12 @@ def train_gflownet(
         fit.step(total, theta)
 
         l1 = None
-        if diag_problem is not None and (
+        if diag_terminals is not None and (
             step == cfg.steps or (cfg.diag_every and step % cfg.diag_every == 0)
         ):
-            l1 = terminal_l1_gap(policy, diag_problem, dataset.task, dataset.vocab)
+            dist = terminal_distribution(policy, diag_problem)
+            l1 = terminal_l1_gap(policy, diag_problem, dataset.task, dataset.vocab, dist,
+                                 terminal_law(diag_terminals, dist))
         sft_value = None if sft_term is None else float(sft_term.value)
         report.add(step, float(mean_subtb.value), sft_value, float(np.mean(rewards_step)), len(buf), l1)
     return report

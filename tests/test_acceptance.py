@@ -8,9 +8,9 @@ training seeds each, and is built once per module.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +98,7 @@ def test_criterion_1_terminal_law_tracks_reward():
 def _two_terminal_toy():
     vocab = make_vocab(["g"])
     problem = Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=(0,),
-                      target=Fraction(1), operands=(1,), max_solution_len=1)
+                      target=1, operands=(1,), max_solution_len=1)
     return vocab, problem
 
 
@@ -402,7 +402,7 @@ def test_criterion_7_maximizer_concentrates_sampler_spreads():
                       max_parts=2, max_part=2)
     vocab = make_vocab(["1"])
     problem = Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=(0,),
-                      target=Fraction(1), operands=(1,), max_solution_len=1)
+                      target=1, operands=(1,), max_solution_len=1)
     terminals = enumerate_terminals(problem, task, vocab)
     assert sorted(r for _, r in terminals) == [task.reward_floor, 1.0]
     target_share = 1.0 / (1.0 + task.reward_floor)
@@ -481,15 +481,18 @@ def test_criterion_8_pipeline_is_bytewise_deterministic(tmp_path):
         for command in ("gen-data", "train", "eval", "enumerate"):
             code = run_cli([command, "--config", str(cfg_path), "--out", str(out)])
             assert code == 0, command
+    hashes = []
     for name in DETERMINISM_FILES:
         first = (outs[0] / name).read_bytes()
         second = (outs[1] / name).read_bytes()
         assert first == second, name
+        hashes.append(f"{name} {hashlib.sha256(first).hexdigest()[:12]}")
     # the run manifest differs only in where it says it wrote
     metas = [json.loads((out / "run_meta.json").read_text()) for out in outs]
     for meta, out in zip(metas, outs):
         assert meta["config"]["out"] == str(out)
         meta["config"]["out"] = ""
     assert metas[0] == metas[1]
+    # the sha256 prefixes let a change that claims no behaviour change quote them at both commits
     print(f"criterion 8: PASS ({len(DETERMINISM_FILES)} outputs byte-identical "
-          "across two runs)")
+          f"across two runs: {', '.join(hashes)})")

@@ -22,11 +22,6 @@ def test_quadratic_gradient_analytic():
     assert np.allclose(g, 2 * theta)
 
 
-def test_log_gradient_analytic():
-    g = grad(lambda t: ad.vsum(ad.log(t)), np.array([2.0]))
-    assert np.allclose(g, [0.5])
-
-
 def test_chain_and_broadcast():
     tape = GradTape()
     x = tape.input(np.array([1.0, 2.0, 3.0]))

@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
@@ -56,7 +54,7 @@ def one_step_pair():
     """Chosen generates one token then stops; rejected stops immediately."""
     vocab = make_vocab(["g"])
     problem = Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=(0,),
-                      target=Fraction(1), operands=(1,), max_solution_len=1)
+                      target=1, operands=(1,), max_solution_len=1)
     chosen = Trajectory(prompt_len=1, tokens=(0, 0, 1), logprobs=(-0.7, -0.7), terminated=True)
     rejected = Trajectory(prompt_len=1, tokens=(0, 1), logprobs=(-0.7,), terminated=True)
     pair = PreferencePair(problem_id=0, chosen=chosen, rejected=rejected,

@@ -113,6 +113,18 @@ def test_missing_problems_file_exits_1(tmp_path):
     assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_eval_of_a_target_that_is_not_whole_exits_1_naming_it(tmp_path, capsys):
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    out = tmp_path / "o"
+    assert run_cli(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+    path = out / "problems.jsonl"
+    first, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([json.dumps(dict(json.loads(first), target="3/2")) + "\n", *rest]))
+    capsys.readouterr()
+    assert run_cli(["eval", "--config", cfg, "--out", str(out)]) == 1
+    assert "target must be a whole number in decimal digits, got '3/2'" in capsys.readouterr().err
+
+
 def test_missing_config_file_exits_2(tmp_path):
     assert run_cli(["gen-data", "--config", str(tmp_path / "absent.cfg"),
                     "--out", str(tmp_path / "o")]) == 2

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -21,9 +23,7 @@ from flowseq.env import (
     build_vocab,
     enumerate_solutions,
     enumerate_terminals,
-    extract_answer,
     make_problem,
-    parse_final_answer,
     partition_function,
     read_problems,
     reward,
@@ -31,6 +31,7 @@ from flowseq.env import (
     verify_prefix,
     write_problems,
 )
+from flowseq.evaluation import solution_from_body
 
 
 def sumpath_cfg(hi: int = 6, max_parts: int = 4, max_part: int = 3,
@@ -77,7 +78,7 @@ def test_sumpath_solution_count_matches_composition_oracle():
 def _fixed_sumpath_problem(cfg: TaskConfig, vocab, target: int):
     prompt = tuple(encode(f"SUM {target} :", vocab))
     return Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=prompt,
-                   target=Fraction(target), operands=tuple(range(1, cfg.max_part + 1)),
+                   target=target, operands=tuple(range(1, cfg.max_part + 1)),
                    max_solution_len=min(target, cfg.max_parts))
 
 
@@ -222,7 +223,7 @@ def _fixed_arith_problem(cfg: TaskConfig, vocab, target: int, operands: tuple[in
     ops = " ".join(str(v) for v in operands)
     prompt = tuple(encode(f"TARGET {target} FROM {ops} :", vocab))
     return Problem(task_kind=TaskKind.ARITH, prompt_tokens=prompt,
-                   target=Fraction(target), operands=operands,
+                   target=target, operands=operands,
                    max_solution_len=5 * (len(operands) - 1) + 2)
 
 
@@ -248,9 +249,6 @@ def test_arith_answer_from_last_marker():
     body = tuple(encode("ANSWER 3 ANSWER 9", vocab))
     v = verify_prefix(problem, problem.prompt_tokens + body, vocab)
     assert v.answer_state is AnswerState.CORRECT
-    assert extract_answer(problem, body, vocab) == Fraction(9)
-    assert parse_final_answer("ANSWER 3 ANSWER 9") == Fraction(9)
-    assert parse_final_answer("no marker here") is None
 
 
 def test_arith_solutions_require_valid_derivations():
@@ -264,15 +262,6 @@ def test_arith_solutions_require_valid_derivations():
     assert all("=" in t for t in texts)
 
 
-def test_extract_answer_sumpath():
-    cfg = sumpath_cfg(hi=6, max_part=3)
-    vocab = build_vocab(cfg)
-    problem = _fixed_sumpath_problem(cfg, vocab, 5)
-    assert extract_answer(problem, tuple(encode("2 3", vocab)), vocab) == Fraction(5)
-    # non-part tokens mean no readable answer
-    assert extract_answer(problem, tuple(encode("SUM 2", vocab)), vocab) is None
-
-
 def test_problem_file_round_trip(tmp_path):
     cfg = arith_cfg(hi=12)
     vocab = build_vocab(cfg)
@@ -280,6 +269,21 @@ def test_problem_file_round_trip(tmp_path):
     path = tmp_path / "problems.jsonl"
     write_problems(path, problems, vocab)
     assert read_problems(path, vocab) == problems
+
+
+@pytest.mark.parametrize("target", ["3/2", "1.5", "-3", "", 2])
+def test_read_problems_rejects_a_target_that_is_not_whole(tmp_path, target):
+    # a SUMPATH target of "3/2" was once truncated to 1 by the reward, which paid the body "1" in full
+    cfg = sumpath_cfg(hi=6)
+    vocab = build_vocab(cfg)
+    path = tmp_path / "problems.jsonl"
+    write_problems(path, [_fixed_sumpath_problem(cfg, vocab, 2)], vocab)
+    assert '"target": "2"' in path.read_text()
+    rec = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(rec, target=target)) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"problem 0: target must be a whole number in decimal "
+                                                   f"digits, got {target!r}")):
+        read_problems(path, vocab)
 
 
 def test_problem_generation_spread():
@@ -501,7 +505,7 @@ def test_enumerate_terminals_matches_per_body_reward_arith():
     cfg = TaskConfig(task_kind=TaskKind.ARITH, value_range=(1, 2), reward_mode=RewardMode.TERMINAL)
     vocab = build_vocab(cfg)
     problem = Problem(task_kind=TaskKind.ARITH, prompt_tokens=tuple(encode("TARGET 2 FROM 1 2 :", vocab)),
-                      target=Fraction(2), operands=(1, 2), max_solution_len=5)
+                      target=2, operands=(1, 2), max_solution_len=5)
     terminals = dict(enumerate_terminals(problem, cfg, vocab))
     assert len(terminals) == 177_156
     # answer regions decide the terminal reward; a full line leaves no room for an answer
@@ -509,3 +513,80 @@ def test_enumerate_terminals_matches_per_body_reward_arith():
     assert terminals[tuple(encode("ANSWER 1 ANSWER", vocab))] == cfg.reward_floor
     assert terminals[tuple(encode("1 * 2 = 2", vocab))] == cfg.reward_floor
     assert_enumeration_matches_reward(problem, cfg, vocab)
+
+
+# The string answer rule that evaluation graded with before it read the verifier's
+# answer_state, kept as the oracle: extract_answer then answers_match.
+def _ref_extract_answer(problem, gen_tokens, vocab) -> Fraction | None:
+    gen = []
+    for tid in gen_tokens:
+        if tid == vocab.stop_id:
+            break
+        gen.append(vocab.tokens[tid])
+    if problem.task_kind is TaskKind.ARITH:
+        return _ref_last_answer_value(gen)
+    parts = set(problem.operands)
+    if not gen or any(not (u.isdigit() and int(u) in parts) for u in gen):
+        return None
+    return Fraction(sum(int(u) for u in gen))
+
+
+def _ref_answers_match(answer: Fraction | None, target: int) -> bool:
+    if answer is None:
+        return False
+    return round(answer, 6) == round(Fraction(target), 6)
+
+
+def _ref_correct(problem, body, vocab) -> bool:
+    return _ref_answers_match(_ref_extract_answer(problem, body, vocab), problem.target)
+
+
+@pytest.mark.parametrize("target", [3, 7])
+def test_grading_matches_answer_oracle_on_every_sumpath_terminal(target):
+    cfg = sumpath_cfg(hi=9, max_parts=4, max_part=3)
+    vocab = build_vocab(cfg)
+    problem = _fixed_sumpath_problem(cfg, vocab, target)
+    bodies = [body for level in terminal_levels(problem, vocab) for body in level]
+    got = [solution_from_body(problem, body, vocab).correct for body in bodies]
+    assert got == [_ref_correct(problem, body, vocab) for body in bodies]
+    assert sum(got) == len(enumerate_solutions(problem, cfg, vocab))
+
+
+def test_grading_matches_answer_oracle_on_every_enumerated_solution():
+    for cfg in (sumpath_cfg(hi=9, max_parts=4, max_part=3), arith_cfg(hi=12)):
+        vocab = build_vocab(cfg)
+        for seed in range(12):
+            problem = make_problem(cfg, seed=seed)
+            for body in enumerate_solutions(problem, cfg, vocab):
+                assert solution_from_body(problem, body, vocab).correct
+                assert _ref_correct(problem, body, vocab)
+
+
+def test_grading_matches_answer_oracle_on_random_arith_bodies():
+    """120,000 seeded bodies: any token, the stop symbol included, with ANSWER pairs planted,
+    half of them answering the target; a body may end between a marker and its value."""
+    cfg = arith_cfg(hi=12)
+    vocab = build_vocab(cfg)
+    numbers = np.array([vocab.token_id(str(v)) for v in range(13)])
+    marker = vocab.token_id("ANSWER")
+    rng = np.random.default_rng(0)
+    n, width = 15_000, 12
+    mismatches = correct = 0
+    for seed in range(8):
+        problem = make_problem(cfg, seed=seed)
+        tokens = rng.integers(0, vocab.size, size=(n, width))
+        for _ in range(2):
+            rows = np.flatnonzero(rng.random(n) < 0.7)
+            at = rng.integers(0, width - 1, size=rows.size)
+            answers = np.where(rng.random(rows.size) < 0.5, vocab.token_id(str(problem.target)),
+                               rng.choice(numbers, size=rows.size))
+            tokens[rows, at] = marker
+            tokens[rows, at + 1] = answers
+        lengths = rng.integers(0, width + 1, size=n)
+        for row, length in zip(tokens.tolist(), lengths.tolist()):
+            body = tuple(row[:length])
+            got = solution_from_body(problem, body, vocab).correct
+            mismatches += got != _ref_correct(problem, body, vocab)
+            correct += got
+    assert mismatches == 0
+    assert 10_000 < correct < 110_000

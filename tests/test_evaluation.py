@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -11,7 +10,6 @@ from flowseq.core import Solution, TaskKind
 from flowseq.env import RewardMode, TaskConfig, build_vocab, make_problem
 from flowseq.evaluation import (
     KTooLarge,
-    answers_match,
     distinct_correct_count,
     evaluate,
     pass_at_k,
@@ -43,7 +41,7 @@ def f1_from_lcs(lcs: int, la: int, lb: int) -> float:
 
 
 def make_solution(steps: tuple[int, ...], correct: bool = True) -> Solution:
-    return Solution(final_answer=Fraction(1), correct=correct, step_tokens=steps)
+    return Solution(correct=correct, step_tokens=steps)
 
 
 def fitted_eval_setup():
@@ -119,13 +117,6 @@ def test_pass_at_k_rejects_bad_k():
         pass_at_k(rows, 3)
     with pytest.raises(KTooLarge):
         pass_at_k(rows, 0)
-
-
-def test_answers_match_rounds_to_six_places():
-    assert answers_match(Fraction(1, 3), Fraction(333333, 10**6))
-    assert not answers_match(Fraction(1, 2), Fraction(500001, 10**6))
-    assert answers_match(Fraction(2), Fraction(2))
-    assert not answers_match(None, Fraction(2))
 
 
 def test_solution_from_body_strips_answer_segment():

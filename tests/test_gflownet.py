@@ -1,11 +1,10 @@
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 import pytest
 
-from flowseq.core import Problem, TaskKind, Trajectory, make_vocab
+from flowseq import gflownet
+from flowseq.core import Problem, TaskKind, Trajectory, encode, make_vocab
 from flowseq.env import RewardMode, TaskConfig, build_vocab, enumerate_terminals, make_problem
 from flowseq.gflownet import (
     EmptyBuffer,
@@ -51,7 +50,7 @@ def brute_subtb(lp_tok: np.ndarray, lp_stop: np.ndarray, log_r: np.ndarray,
 def two_token_setup():
     vocab = make_vocab(["g"])
     problem = Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=(0,),
-                      target=Fraction(1), operands=(1,), max_solution_len=1)
+                      target=1, operands=(1,), max_solution_len=1)
     return vocab, problem
 
 
@@ -214,7 +213,6 @@ def test_replay_buffer_fifo_oracle():
         pushed.append(trajectory_body(traj))
     # a deque of maxlen 5 holds exactly the last five pushes in order
     assert [e.body for e in buf.entries] == pushed[-5:]
-    assert buf.pushed == 9
     assert len(buf) == 5
 
 
@@ -323,6 +321,37 @@ def test_training_moves_toward_reward_proportionality():
     assert after < before * 0.5
     losses = [r["mean_subtb_loss"] for r in report.rows]
     assert np.mean(losses[-20:]) < np.mean(losses[:20])
+
+
+def test_diag_problem_is_enumerated_once(monkeypatch):
+    """A 100-step run with diag_every=10 enumerates its 16,105-terminal diagnostic problem once, and
+    each l1_to_target equals terminal_l1_gap computed from scratch for the policy of its step."""
+    task = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 9), max_parts=4, max_part=3)
+    vocab = build_vocab(task)
+    problem = Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=tuple(encode("SUM 7 :", vocab)),
+                      target=7, operands=(1, 2, 3), max_solution_len=4)
+    pol = Policy.tabular(vocab, window=7)
+    gfn = GfnConfig(steps=100, diag_every=10, batch_size=16, samples_per_problem=8, sft_coeff=0.0,
+                    lr=0.08, decode=DecodeCfg(temperature=2.0, top_p=1.0), seed=0)
+    calls, snapshots = [], []
+    real_enumerate, real_gap = gflownet.enumerate_terminals, gflownet.terminal_l1_gap
+
+    def counted_enumerate(*args):
+        calls.append(args)
+        return real_enumerate(*args)
+
+    def snapshot_gap(policy, *args):
+        snapshots.append(policy.clone())
+        return real_gap(policy, *args)
+
+    monkeypatch.setattr(gflownet, "enumerate_terminals", counted_enumerate)
+    monkeypatch.setattr(gflownet, "terminal_l1_gap", snapshot_gap)
+    report = train_gflownet(pol, TrainSet.build([problem], task, vocab), gfn, diag_problem=problem)
+    monkeypatch.undo()
+    assert len(calls) == 1
+    column = [r["l1_to_target"] for r in report.rows if r["l1_to_target"] is not None]
+    assert len(column) == len(snapshots) == 10
+    assert [g.hex() for g in column] == [terminal_l1_gap(p, problem, task, vocab).hex() for p in snapshots]
 
 
 def criterion_1_setup(max_parts: int):

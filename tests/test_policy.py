@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import struct
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,7 +39,7 @@ def tiny_vocab() -> Vocab:
 
 def tiny_problem(vocab: Vocab, max_len: int = 3) -> Problem:
     return Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=(0,),
-                   target=Fraction(1), operands=(1,), max_solution_len=max_len)
+                   target=1, operands=(1,), max_solution_len=max_len)
 
 
 def seeded_tabular(vocab: Vocab, window: int = 2, scale: float = 1.0, seed: int = 0) -> Policy:
@@ -142,7 +141,7 @@ def test_top_p_truncates_tail():
     vocab = make_vocab(["x", "y", "z"])
     pol = Policy.tabular(vocab, window=1)
     problem = Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=(0,),
-                      target=Fraction(1), operands=(1,), max_solution_len=1)
+                      target=1, operands=(1,), max_solution_len=1)
     pol.register([((0,), ())])
     idx = pol.contexts[pol.context_of((0,))]
     # p approx [0.6, 0.25, 0.1, 0.05] over x,y,z,eos
@@ -195,7 +194,7 @@ def test_terminal_distribution_hand_case():
     vocab = make_vocab(["u"])
     pol = Policy.tabular(vocab, window=2)
     problem = Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=(0,),
-                      target=Fraction(1), operands=(1,), max_solution_len=1)
+                      target=1, operands=(1,), max_solution_len=1)
     pol.register([((0,), (0,))])
     i0, i1 = pol.contexts[pol.context_of((0,))], pol.contexts[pol.context_of((0, 0))]
     pol.params = np.zeros(pol.params.size)
