@@ -21,7 +21,7 @@ from . import autodiff as ad
 from .autodiff import Var
 # not called here (Fitter calls gflownet's): perfbench/layers.py wraps the name where baselines binds it
 from .autodiff import adam_step  # noqa: F401
-from .core import Problem, Trajectory
+from .core import Problem, SettingError, Trajectory, check_fields
 from .gflownet import (Fitter, Reference, TrainReport, TrainSet, check_learning_rate, items_of, make_reward_fn,
                        sft_loss_var)
 from .policy import (
@@ -48,7 +48,7 @@ class EmptyDataset(ValueError):
     """A trainer was given nothing to train on."""
 
 
-class EmptyBatch(ValueError):
+class EmptyBatch(SettingError):
     """A minibatch or a per-problem draw was asked to hold nothing."""
 
 
@@ -70,16 +70,16 @@ class PreferencePair:
 
 
 def _check_fit(epochs: int, batch_size: int | None) -> None:
-    """What _fit loops over: a non-negative epoch count, and batches of at least one item (None: full batch)."""
-    if epochs < 0:
-        raise ValueError(f"epochs must be non-negative, got {epochs}")
+    """What _fit loops over: at least one epoch, and batches of at least one item (None: full batch)."""
+    if epochs < 1:
+        raise SettingError("epochs", f"epochs must be at least 1, got {epochs}")
     if batch_size is not None and batch_size < 1:
-        raise EmptyBatch(f"batch_size must be at least 1, got {batch_size}")
+        raise EmptyBatch("batch_size", f"batch_size must be at least 1, got {batch_size}")
 
 
-def _check_draws(k: int) -> None:
+def _check_draws(k: int, field: str) -> None:
     if k < 1:
-        raise EmptyBatch(f"draws per problem must be at least 1, got {k}")
+        raise EmptyBatch(field, f"draws per problem must be at least 1, got {k}")
 
 
 @dataclass(frozen=True)
@@ -163,7 +163,7 @@ class RftConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_draws(self.k)
+        _check_draws(self.k, "k")
         _check_fit(self.epochs, self.batch_size)
         check_learning_rate(self.lr)
 
@@ -233,10 +233,10 @@ class DpoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.beta) and self.beta > 0.0):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        check_fields(self, "be positive and finite", "beta")
         if self.samples_per_problem < 2:
-            raise ValueError("samples_per_problem must be at least 2 to form a pair")
+            raise SettingError("samples_per_problem", "samples_per_problem must be at least 2 to form a pair, "
+                                                      f"got {self.samples_per_problem}")
         _check_fit(self.epochs, self.batch_size)
         check_learning_rate(self.lr)
 
@@ -317,19 +317,14 @@ class PpoConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.clip < 1.0:
-            raise ValueError("clip must lie in (0, 1)")
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0, 1]")
-        if not 0.0 <= self.gae_lambda <= 1.0:
-            raise ValueError("gae_lambda must lie in [0, 1]")
-        if not 0.0 <= self.kl_beta < np.inf:
-            raise ValueError(f"kl_beta must be non-negative and finite, got {self.kl_beta}")
-        if self.steps < 0:
-            raise ValueError(f"steps must be non-negative, got {self.steps}")
-        _check_draws(self.trajs_per_step)
-        check_learning_rate(self.actor_lr, "actor learning rate")
-        check_learning_rate(self.critic_lr, "critic learning rate")
+        check_fields(self, "lie in (0, 1)", "clip")
+        check_fields(self, "lie in (0, 1]", "gamma")
+        check_fields(self, "lie in [0, 1]", "gae_lambda")
+        check_fields(self, "be non-negative and finite", "kl_beta")
+        check_fields(self, "be non-negative", "steps")
+        _check_draws(self.trajs_per_step, "trajs_per_step")
+        check_learning_rate(self.actor_lr, "actor learning rate", "actor_lr")
+        check_learning_rate(self.critic_lr, "critic learning rate", "critic_lr")
 
 
 @dataclass(frozen=True)

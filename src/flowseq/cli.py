@@ -24,10 +24,10 @@ from typing import Iterator
 import numpy as np
 
 from . import baselines as bl
-from .config import ConfigError, Method, RunConfig, load_config
+from .config import ConfigError, Method, RunConfig, read_config
 from .env import build_vocab, enumerate_terminals, make_problem, read_problems, write_problems
 from .evaluation import evaluate
-from .gflownet import GfnConfig, TrainReport, TrainSet, terminal_l1_gap, terminal_law, train_gflownet
+from .gflownet import TrainReport, TrainSet, terminal_l1_gap, terminal_law, train_gflownet
 from .policy import Policy, PolicyKind, ValueNet, load_policy, save_policy, terminal_distribution
 
 log = logging.getLogger("flowseq")
@@ -58,19 +58,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """The config file's values (defaults without one), then the --seed and --out overrides, checked once."""
+    cfg = RunConfig()
     if args.config:
         try:
-            cfg = load_config(args.config)
+            cfg = read_config(args.config)
         except OSError as exc:
             raise ConfigError(f"cannot read config file: {exc}") from exc
-    else:
-        cfg = RunConfig()
     if args.seed is not None:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out = args.out
     if args.workers < 1:
         raise ConfigError("--workers must be at least 1")
+    cfg.check()
     return cfg
 
 
@@ -78,9 +79,7 @@ def _write_meta(cfg: RunConfig, command: str, workers: int) -> None:
     meta = {"command": command, "config": cfg.to_dict(), "workers": workers}
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "run_meta.json", "w", encoding="utf-8", newline="") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="")
 
 
 def _problem_seed(run_seed: int, index: int) -> int:
@@ -90,8 +89,8 @@ def _problem_seed(run_seed: int, index: int) -> int:
 def _cmd_gen_data(cfg: RunConfig, workers: int) -> int:
     task = cfg.task_config()
     vocab = build_vocab(task)
-    problems = [make_problem(task, seed=_problem_seed(cfg.seed, i)) for i in range(cfg.n_problems)]
-    path = cfg.resolve_path(cfg.problems_path)
+    problems = [make_problem(task, seed=_problem_seed(cfg.seed, i)) for i in range(cfg.data.n_problems)]
+    path = cfg.resolve_path(cfg.data.problems)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_problems(path, problems, vocab)
     _write_meta(cfg, "gen-data", workers)
@@ -101,65 +100,39 @@ def _cmd_gen_data(cfg: RunConfig, workers: int) -> int:
 
 
 def _build_policy(cfg: RunConfig, vocab) -> Policy:
-    if cfg.policy_kind is PolicyKind.TABULAR:
-        return Policy.tabular(vocab, window=cfg.window)
-    return Policy.neural(vocab, window=cfg.window, embed_dim=cfg.embed_dim,
-                         hidden_dim=cfg.hidden_dim, seed=cfg.seed)
+    p = cfg.policy
+    if p.kind is PolicyKind.TABULAR:
+        return Policy.tabular(vocab, window=p.window)
+    return Policy.neural(vocab, window=p.window, embed_dim=p.embed_dim, hidden_dim=p.hidden_dim, seed=cfg.seed)
 
 
 def _cmd_train(cfg: RunConfig, workers: int) -> int:
     task = cfg.task_config()
     vocab = build_vocab(task)
-    problems = read_problems(cfg.resolve_path(cfg.problems_path), vocab)
+    problems = read_problems(cfg.resolve_path(cfg.data.problems), vocab)
     dataset = TrainSet.build(problems, task, vocab)
     policy = _build_policy(cfg, vocab)
-    decode_cfg = cfg.decode_train()
 
-    if cfg.sft_init_epochs > 0 and cfg.method is not Method.SFT:
-        warm = bl.SftConfig(epochs=cfg.sft_init_epochs, lr=cfg.lr,
-                            batch_size=cfg.batch_size, seed=cfg.seed)
-        bl.sft_train(policy, dataset, epochs=cfg.sft_init_epochs, cfg=warm)
-        log.info("warm-started with %d sft epochs", cfg.sft_init_epochs)
+    if cfg.train.sft_init_epochs and cfg.method is not Method.SFT:
+        bl.sft_train(policy, dataset, cfg=cfg.warm_start())
+        log.info("warm-started with %d sft epochs", cfg.train.sft_init_epochs)
 
-    if cfg.method is Method.GFLOWNET:
-        report = TrainReport(loss_column="mean_subtb_loss")
-        gfn = GfnConfig(
-            steps=cfg.steps, batch_size=cfg.batch_size,
-            samples_per_problem=cfg.samples_per_problem, sft_coeff=cfg.sft_coeff,
-            subtb_lambda=cfg.subtb_lambda, horizon_coeff=cfg.horizon_coeff,
-            lr=cfg.lr, buffer_capacity=cfg.replay,
-            decode=decode_cfg, stop_placement=cfg.stop_placement, seed=cfg.seed,
-            diag_every=cfg.diag_every,
-        )
-        diag = problems[0] if cfg.diag_every > 0 else None
-        train_gflownet(policy, dataset, gfn, diag_problem=diag, report=report)
-    elif cfg.method is Method.SFT:
-        report = TrainReport(loss_column="mean_sft_loss")
-        sft = bl.SftConfig(epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch_size, seed=cfg.seed)
-        bl.sft_train(policy, dataset, epochs=cfg.epochs, cfg=sft, report=report)
-    elif cfg.method is Method.RFT:
-        report = TrainReport(loss_column="mean_rft_loss")
-        rft = bl.RftConfig(k=cfg.rft_k, epochs=cfg.epochs, lr=cfg.lr,
-                           batch_size=cfg.batch_size, decode=decode_cfg, seed=cfg.seed)
-        bl.rft_train(policy, dataset, rft, report=report)
-    elif cfg.method is Method.DPO:
-        report = TrainReport(loss_column="mean_dpo_loss")
-        dpo = bl.DpoConfig(beta=cfg.dpo_beta, samples_per_problem=cfg.dpo_samples,
-                           epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch_size,
-                           decode=decode_cfg, seed=cfg.seed)
-        bl.dpo_train(policy, policy.clone(), dataset, dpo, report=report)
+    method, trainer = cfg.method, cfg.trainer_config(cfg.method)
+    report = TrainReport(loss_column=f"mean_{'subtb' if method is Method.GFLOWNET else method.value}_loss")
+    if method is Method.GFLOWNET:
+        train_gflownet(policy, dataset, trainer, problems[0] if trainer.diag_every else None, report=report)
+    elif method is Method.SFT:
+        bl.sft_train(policy, dataset, cfg=trainer, report=report)
+    elif method is Method.RFT:
+        bl.rft_train(policy, dataset, trainer, report=report)
+    elif method is Method.DPO:
+        bl.dpo_train(policy, policy.clone(), dataset, trainer, report=report)
     else:
-        report = TrainReport(loss_column="mean_ppo_loss")
-        ppo = bl.PpoConfig(clip=cfg.ppo_clip, kl_beta=cfg.kl_beta, gamma=cfg.gamma,
-                           gae_lambda=cfg.gae_lambda, steps=cfg.steps,
-                           trajs_per_step=cfg.trajs_per_step, actor_lr=cfg.lr,
-                           critic_lr=cfg.critic_lr, decode=decode_cfg, seed=cfg.seed)
-        critic = ValueNet.for_policy(policy, seed=cfg.seed)
-        bl.ppo_train(policy, critic, dataset, ppo, report=report)
+        bl.ppo_train(policy, ValueNet.for_policy(policy, seed=cfg.seed), dataset, trainer, report=report)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
-    ckpt = cfg.resolve_path(cfg.checkpoint_path)
+    ckpt = cfg.resolve_path(cfg.data.checkpoint)
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     save_policy(str(ckpt), policy)
     report.write_csv(out / "train_report.csv")
@@ -173,10 +146,10 @@ def _cmd_train(cfg: RunConfig, workers: int) -> int:
 def _cmd_eval(cfg: RunConfig, workers: int) -> int:
     task = cfg.task_config()
     vocab = build_vocab(task)
-    problems = read_problems(cfg.resolve_path(cfg.problems_path), vocab)
-    policy = load_policy(str(cfg.resolve_path(cfg.checkpoint_path)), vocab)
-    report = evaluate(policy, problems, vocab, k=cfg.eval_k, decode_cfg=cfg.decode_eval(),
-                      seed=cfg.seed, prepend_greedy=cfg.prepend_greedy, workers=workers)
+    problems = read_problems(cfg.resolve_path(cfg.data.problems), vocab)
+    policy = load_policy(str(cfg.resolve_path(cfg.data.checkpoint)), vocab)
+    report = evaluate(policy, problems, vocab, k=cfg.eval.k, decode_cfg=cfg.decode("eval"),
+                      seed=cfg.seed, prepend_greedy=cfg.eval.prepend_greedy, workers=workers)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     report.write_json(out / "eval_aggregate.json")
@@ -202,8 +175,8 @@ def _terminal_texts(problem, vocab) -> Iterator[str]:
 def _cmd_enumerate(cfg: RunConfig, workers: int) -> int:
     task = cfg.task_config()
     vocab = build_vocab(task)
-    problems = read_problems(cfg.resolve_path(cfg.problems_path), vocab)
-    policy = load_policy(str(cfg.resolve_path(cfg.checkpoint_path)), vocab)
+    problems = read_problems(cfg.resolve_path(cfg.data.problems), vocab)
+    policy = load_policy(str(cfg.resolve_path(cfg.data.checkpoint)), vocab)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     gaps: dict[str, dict] = {}
@@ -271,15 +244,10 @@ def run_cli(argv: list[str] | None = None) -> int:
         _setup_logging()
         args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
-        if args.command == "gen-data":
-            return _cmd_gen_data(cfg, args.workers)
-        if args.command == "train":
-            return _cmd_train(cfg, args.workers)
-        if args.command == "eval":
-            return _cmd_eval(cfg, args.workers)
-        if args.command == "enumerate":
-            return _cmd_enumerate(cfg, args.workers)
-        return _cmd_compare(cfg, args.workers, args.reports)
+        if args.command == "compare":
+            return _cmd_compare(cfg, args.workers, args.reports)
+        return {"gen-data": _cmd_gen_data, "train": _cmd_train, "eval": _cmd_eval,
+                "enumerate": _cmd_enumerate}[args.command](cfg, args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

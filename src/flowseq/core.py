@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 STOP_TOKEN = "<eos>"
 
@@ -25,6 +26,34 @@ class UnknownToken(ValueError):
 
 class IdOutOfRange(ValueError):
     """A token id is not a valid index into the vocabulary."""
+
+
+class SettingError(ValueError):
+    """A typed config rejects the value of one of its fields; field names it."""
+
+    def __init__(self, field: str, detail: str) -> None:
+        super().__init__(detail)
+        self.field = field
+
+
+# the typed configs' shared range rules, keyed by the words that finish "<field> must ..."
+RULES: dict[str, Callable[[Any], bool]] = {
+    "be at least 1": lambda v: v >= 1,
+    "be non-negative": lambda v: v >= 0,
+    "be positive and finite": lambda v: 0 < v < math.inf,
+    "be non-negative and finite": lambda v: 0 <= v < math.inf,
+    "lie in (0, 1]": lambda v: 0 < v <= 1,
+    "lie in (0, 1)": lambda v: 0 < v < 1,
+    "lie in [0, 1]": lambda v: 0 <= v <= 1,
+}
+
+
+def check_fields(cfg: object, rule: str, *names: str) -> None:
+    """Raise SettingError for the first of cfg's fields `names` whose value breaks RULES[rule]."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not RULES[rule](value):
+            raise SettingError(name, f"{name} must {rule}, got {value!r}")
 
 
 class TaskKind(str, Enum):

@@ -29,6 +29,7 @@ import numpy as np
 
 from .core import (
     Problem,
+    SettingError,
     TaskKind,
     Vocab,
     decode,
@@ -86,14 +87,18 @@ class TaskConfig:
 
     def __post_init__(self) -> None:
         lo, hi = self.value_range
-        if not (isinstance(lo, int) and isinstance(hi, int) and 1 <= lo <= hi):
-            raise ValueError("value_range must be integer bounds with 1 <= lo <= hi")
+        bad = f"value_range must be integer bounds with 1 <= lo <= hi, got {self.value_range}"
+        for i, bound in enumerate(self.value_range):
+            if not (isinstance(bound, int) and bound >= 1):
+                raise SettingError(f"value_range[{i}]", bad)
+        if lo > hi:
+            raise SettingError("value_range[0]", bad)
         if not 0.0 < self.reward_floor <= 0.01:
-            raise ValueError("reward_floor must lie in (0, 0.01]")
+            raise SettingError("reward_floor", f"reward_floor must lie in (0, 0.01], got {self.reward_floor}")
         if self.max_parts < 2:
-            raise ValueError("max_parts must be at least 2")
-        if self.task_kind is TaskKind.SUMPATH and not 1 <= self.max_part <= hi:
-            raise ValueError("max_part must lie in [1, value_range hi]")
+            raise SettingError("max_parts", f"max_parts must be at least 2, got {self.max_parts}")
+        if self.max_part < 1 or (self.task_kind is TaskKind.SUMPATH and self.max_part > hi):
+            raise SettingError("max_part", f"max_part must lie in [1, value_range hi], got {self.max_part}")
 
 
 @dataclass(frozen=True)
@@ -215,6 +220,13 @@ def enumerate_solutions(problem: Problem, cfg: TaskConfig, vocab: Vocab) -> list
     return sorted(seqs, key=lambda s: (len(s), s))
 
 
+def prompt_text(kind: TaskKind, target: int, operands: tuple[int, ...]) -> str:
+    """The prompt that states a problem: ``SUM <N> :``, or ``TARGET <t> FROM <a> <b> [<c>] :``."""
+    if kind is TaskKind.SUMPATH:
+        return f"SUM {target} :"
+    return f"TARGET {target} FROM {' '.join(str(v) for v in operands)} :"
+
+
 def make_problem(cfg: TaskConfig, seed: int) -> Problem:
     """Draw a problem instance with at least two distinct correct solutions.
 
@@ -232,7 +244,7 @@ def make_problem(cfg: TaskConfig, seed: int) -> Problem:
             max_len = min(target, cfg.max_parts)
             candidate = Problem(
                 task_kind=TaskKind.SUMPATH,
-                prompt_tokens=tuple(encode(f"SUM {target} :", vocab)),
+                prompt_tokens=tuple(encode(prompt_text(TaskKind.SUMPATH, target, parts), vocab)),
                 target=target,
                 operands=parts,
                 max_solution_len=max_len,
@@ -243,10 +255,9 @@ def make_problem(cfg: TaskConfig, seed: int) -> Problem:
             target = _random_arith_target(rng, operands, lo, hi)
             if target is None:
                 continue
-            prompt = "TARGET " + str(target) + " FROM " + " ".join(str(v) for v in operands) + " :"
             candidate = Problem(
                 task_kind=TaskKind.ARITH,
-                prompt_tokens=tuple(encode(prompt, vocab)),
+                prompt_tokens=tuple(encode(prompt_text(TaskKind.ARITH, target, operands), vocab)),
                 target=target,
                 operands=operands,
                 max_solution_len=5 * (n_operands - 1) + 2,
@@ -526,16 +537,26 @@ def problem_record(problem: Problem, problem_id: int, vocab: Vocab) -> dict:
 
 
 def problem_from_record(rec: dict, vocab: Vocab) -> Problem:
-    """The problem a problem_record wrote; its target must be a whole number in decimal digits."""
+    """The problem a problem_record wrote.
+
+    Its target must be a whole number in decimal digits, and its prompt must be the one prompt_text
+    builds from its kind, target and operands, so the policy reads the problem the reward grades.
+    """
     target = rec["target"]
     if not (isinstance(target, str) and target.isdecimal()):
         raise ValueError(f"problem {rec.get('id')}: target must be a whole number in decimal digits, "
                          f"got {target!r}")
+    kind = TaskKind(rec["task_kind"])
+    operands = tuple(int(v) for v in rec["operands"])
+    prompt = prompt_text(kind, int(target), operands)
+    if rec["prompt"] != prompt:
+        raise ValueError(f"problem {rec.get('id')}: prompt {rec['prompt']!r} does not state the problem, "
+                         f"whose prompt is {prompt!r}")
     return Problem(
-        task_kind=TaskKind(rec["task_kind"]),
-        prompt_tokens=tuple(encode(rec["prompt"], vocab)),
+        task_kind=kind,
+        prompt_tokens=tuple(encode(prompt, vocab)),
         target=int(target),
-        operands=tuple(int(v) for v in rec["operands"]),
+        operands=operands,
         max_solution_len=int(rec["max_solution_len"]),
     )
 

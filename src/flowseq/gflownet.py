@@ -35,7 +35,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamState, GradTape, Var, adam_step
-from .core import Problem, Trajectory, Vocab
+from .core import RULES, Problem, SettingError, Trajectory, Vocab, check_fields
 from .env import TaskConfig, enumerate_solutions, enumerate_terminals, left_sum, reward
 from .policy import (
     DecodeCfg,
@@ -261,9 +261,9 @@ def sft_loss(policy: Policy, refs: list[Reference]) -> float:
     return ad.loss_value(lambda th: sft_loss_var(policy, th, refs), policy.params)
 
 
-def check_learning_rate(lr: float, name: str = "learning rate") -> None:
-    if not (np.isfinite(lr) and lr > 0.0):
-        raise ValueError(f"{name} must be positive and finite, got {lr}")
+def check_learning_rate(lr: float, name: str = "learning rate", field: str = "lr") -> None:
+    if not RULES["be positive and finite"](lr):
+        raise SettingError(field, f"{name} must be positive and finite, got {lr}")
 
 
 class Fitter:
@@ -316,20 +316,14 @@ class GfnConfig:
     diag_every: int = 0
 
     def __post_init__(self) -> None:
-        if self.steps < 0:
-            raise ValueError("steps must be non-negative")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be at least 1")
-        if not (np.isfinite(self.subtb_lambda) and self.subtb_lambda > 0.0):
-            raise ValueError("subtb_lambda must be positive and finite")
-        if self.samples_per_problem < 1:
-            raise ValueError("samples_per_problem must be at least 1")
-        if self.sft_coeff < 0.0:
-            raise ValueError("sft_coeff must be non-negative")
-        if self.horizon_coeff < 0.0:
-            raise ValueError("horizon_coeff must be non-negative")
+        check_fields(self, "be non-negative", "steps", "diag_every")
+        check_fields(self, "be at least 1", "batch_size", "samples_per_problem", "buffer_capacity")
+        check_fields(self, "be positive and finite", "subtb_lambda")
+        check_fields(self, "be non-negative and finite", "sft_coeff", "horizon_coeff")
+        check_learning_rate(self.lr)
         if self.stop_placement not in STOP_PLACEMENTS:
-            raise ValueError(f"stop_placement must be one of {STOP_PLACEMENTS}")
+            raise SettingError("stop_placement", f"stop_placement must be one of {STOP_PLACEMENTS}, "
+                                                 f"got {self.stop_placement!r}")
 
 
 @dataclass

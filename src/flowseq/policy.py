@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var
-from .core import Problem, Trajectory, Vocab
+from .core import Problem, Trajectory, Vocab, check_fields
 from .env import left_sum, terminal_levels
 
 MAGIC = b"FSEQPOL1"
@@ -62,12 +62,10 @@ class DecodeCfg:
     max_new_tokens: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.temperature < np.inf:
-            raise ValueError("temperature must be positive and finite")
-        if not 0.0 < self.top_p <= 1.0:
-            raise ValueError("top_p must lie in (0, 1]")
-        if self.max_new_tokens is not None and self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be positive")
+        check_fields(self, "be positive and finite", "temperature")
+        check_fields(self, "lie in (0, 1]", "top_p")
+        if self.max_new_tokens is not None:
+            check_fields(self, "be at least 1", "max_new_tokens")
 
 
 class Policy:

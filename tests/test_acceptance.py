@@ -493,6 +493,8 @@ def test_criterion_8_pipeline_is_bytewise_deterministic(tmp_path):
         assert meta["config"]["out"] == str(out)
         meta["config"]["out"] = ""
     assert metas[0] == metas[1]
+    # the manifest as _write_meta writes it, with out blanked
+    manifest = hashlib.sha256((json.dumps(metas[0], sort_keys=True, indent=2) + "\n").encode()).hexdigest()[:12]
     # the sha256 prefixes let a change that claims no behaviour change quote them at both commits
     print(f"criterion 8: PASS ({len(DETERMINISM_FILES)} outputs byte-identical "
-          f"across two runs: {', '.join(hashes)})")
+          f"across two runs: {', '.join(hashes)}; run_meta.json with out blanked {manifest})")

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import logging
+import re
 from pathlib import Path
 
 import pytest
@@ -96,6 +97,105 @@ def test_infinite_value_exits_2_naming_key(tmp_path, capsys, key):
     assert f"train.{key}:" in capsys.readouterr().err
 
 
+# one value per key that the key's rule or type rejects; a new key without one fails the test below
+BAD_VALUES = {
+    "method": "bogus", "seed": "-3", "out": "",
+    "task.kind": "tree", "task.value_lo": "0", "task.value_hi": "0", "task.max_parts": "1",
+    "task.max_part": "0", "task.reward_floor": "0.5", "task.reward_mode": "dense",
+    "policy.kind": "forest", "policy.window": "0", "policy.embed_dim": "0", "policy.hidden_dim": "0",
+    "data.n_problems": "0", "data.problems": "", "data.checkpoint": "",
+    "train.steps": "-1", "train.batch_size": "0", "train.samples_per_problem": "0", "train.sft_coeff": "nan",
+    "train.subtb_lambda": "0", "train.horizon_coeff": "inf", "train.lr": "-0.5", "train.replay": "0",
+    "train.stop_placement": "sideways", "train.temperature": "0", "train.top_p": "1.5",
+    "train.max_new_tokens": "-1", "train.epochs": "0", "train.sft_init_epochs": "-1", "train.rft_k": "0",
+    "train.dpo_beta": "inf", "train.dpo_samples": "1", "train.ppo_clip": "1", "train.kl_beta": "-1",
+    "train.gamma": "0", "train.gae_lambda": "1.5", "train.trajs_per_step": "0", "train.critic_lr": "0",
+    "train.diag_every": "-1",
+    "eval.k": "0", "eval.temperature": "nan", "eval.top_p": "0", "eval.prepend_greedy": "maybe",
+}
+
+
+def dotted_keys(tree: dict, prefix: str = "") -> list[str]:
+    return [k for name, v in tree.items()
+            for k in (dotted_keys(v, f"{prefix}{name}.") if isinstance(v, dict) else [prefix + name])]
+
+
+def config_line(key: str, value: str) -> str:
+    section, _, name = key.rpartition(".")
+    return f"[{section}]\n{name} = {value}\n" if section else f"{name} = {value}\n"
+
+
+@pytest.mark.parametrize("key", dotted_keys(RunConfig().to_dict()))
+def test_a_bad_value_of_every_key_exits_2_naming_it(tmp_path, capsys, key):
+    # train would exit 1 for want of a problems file if the value got through
+    cfg = write_config(tmp_path, config_line(key, BAD_VALUES[key]))
+    assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"{key}:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key", [
+    ("value_lo = 10\n", "task.value_lo"),  # above the default value_hi of 9
+    ("value_lo = 5\nvalue_hi = 4\n", "task.value_lo"),
+    ("max_part = 10\n", "task.max_part"),  # a SUMPATH part above value_hi
+    ("kind = arith\nmax_part = 0\n", "task.max_part"),
+])
+def test_a_cross_key_range_error_names_the_key(tmp_path, capsys, text, key):
+    cfg = write_config(tmp_path, "[task]\n" + text)
+    assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert f"config error: {key}:" in capsys.readouterr().err
+
+
+def test_every_parse_error_is_reported_before_any_range_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[train]\nlr = -1\nsteps = many\n")
+    assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "line 3: train.steps:" in capsys.readouterr().err
+
+
+def test_a_negative_seed_flag_exits_2_naming_the_seed(tmp_path, capsys):
+    assert run_cli(["gen-data", "--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    assert "config error: seed: must be non-negative, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_warm_start_error_names_sft_init_epochs(tmp_path, capsys):
+    cfg = write_config(tmp_path, "method = sft\n[train]\nsft_init_epochs = -2\n")
+    assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "train.sft_init_epochs: epochs must be at least 1, got -2" in capsys.readouterr().err
+
+
+# RunConfig().to_dict() as the config file layout has always been: every section, key and default
+LAYOUT = {
+    "method": "gflownet", "seed": 0, "out": "out",
+    "task": {"kind": "SUMPATH", "value_lo": 2, "value_hi": 9, "max_parts": 4, "max_part": 3,
+             "reward_floor": 0.0001, "reward_mode": "SHAPED"},
+    "policy": {"kind": "TABULAR", "window": 3, "embed_dim": 16, "hidden_dim": 64},
+    "data": {"n_problems": 50, "problems": "problems.jsonl", "checkpoint": "policy.bin"},
+    "train": {"steps": 200, "batch_size": 16, "samples_per_problem": 8, "sft_coeff": 30.0, "subtb_lambda": 1.0,
+              "horizon_coeff": 1.0, "lr": 0.001, "replay": 1000, "stop_placement": "printed",
+              "temperature": 0.6, "top_p": 0.9, "max_new_tokens": 0, "epochs": 1, "sft_init_epochs": 0,
+              "rft_k": 4, "dpo_beta": 0.01, "dpo_samples": 8, "ppo_clip": 0.2, "kl_beta": 0.1, "gamma": 1.0,
+              "gae_lambda": 0.95, "trajs_per_step": 8, "critic_lr": 0.003, "diag_every": 0},
+    "eval": {"k": 8, "temperature": 0.6, "top_p": 0.9, "prepend_greedy": False},
+}
+
+
+def test_config_layout_and_defaults_are_pinned():
+    assert RunConfig().to_dict() == LAYOUT
+    assert dotted_keys(LAYOUT) == list(BAD_VALUES)
+
+
+def test_readme_config_reference_lists_every_key():
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    reference = text.split("## Config reference", 1)[1].split("\n## ", 1)[0]
+    top = re.search(r"Top level: (.*)\.", reference).group(1)
+    listed = {"": re.findall(r"`(\w+)`", top)}
+    for section, keys in re.findall(r"^\| `\[(\w+)\]` \| (.*) \|$", reference, flags=re.M):
+        listed[section] = re.findall(r"`(\w+)`", keys)
+    want = {"": [k for k, v in LAYOUT.items() if not isinstance(v, dict)]}
+    want.update({k: list(v) for k, v in LAYOUT.items() if isinstance(v, dict)})
+    assert listed == want
+
+
 def test_parse_error_reports_line(tmp_path, capsys):
     cfg = write_config(tmp_path, "method = gflownet\nnot a key value line\n")
     assert run_cli(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -123,6 +223,20 @@ def test_eval_of_a_target_that_is_not_whole_exits_1_naming_it(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["eval", "--config", cfg, "--out", str(out)]) == 1
     assert "target must be a whole number in decimal digits, got '3/2'" in capsys.readouterr().err
+
+
+def test_eval_of_a_prompt_that_misstates_the_problem_exits_1_naming_it(tmp_path, capsys):
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    out = tmp_path / "o"
+    assert run_cli(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+    path = out / "problems.jsonl"
+    first, second, *rest = path.read_text().splitlines(keepends=True)
+    rec = json.loads(second)
+    other = 5 - int(rec["target"])  # the config's targets are 2 and 3
+    path.write_text("".join([first, json.dumps(dict(rec, prompt=f"SUM {other} :")) + "\n", *rest]))
+    capsys.readouterr()
+    assert run_cli(["eval", "--config", cfg, "--out", str(out)]) == 1
+    assert f"error: problem 1: prompt 'SUM {other} :' does not state the problem" in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_2(tmp_path):
@@ -250,12 +364,12 @@ def loop_enumeration(cfg_path: str, out: Path) -> tuple[bytes, bytes]:
     cfg.out = str(out)
     task = cfg.task_config()
     vocab = build_vocab(task)
-    policy = load_policy(str(cfg.resolve_path(cfg.checkpoint_path)), vocab)
+    policy = load_policy(str(cfg.resolve_path(cfg.data.checkpoint)), vocab)
     rows = io.StringIO(newline="")
     writer = csv.writer(rows)
     writer.writerow(["problem_id", "sequence", "policy_prob", "target_prob"])
     gaps = {}
-    for pid, problem in enumerate(read_problems(cfg.resolve_path(cfg.problems_path), vocab)):
+    for pid, problem in enumerate(read_problems(cfg.resolve_path(cfg.data.problems), vocab)):
         terminals = enumerate_terminals(problem, task, vocab)
         z = 0.0
         for _, r in terminals:

@@ -263,12 +263,13 @@ def test_arith_solutions_require_valid_derivations():
 
 
 def test_problem_file_round_trip(tmp_path):
-    cfg = arith_cfg(hi=12)
-    vocab = build_vocab(cfg)
-    problems = [make_problem(cfg, seed=s) for s in range(5)]
-    path = tmp_path / "problems.jsonl"
-    write_problems(path, problems, vocab)
-    assert read_problems(path, vocab) == problems
+    # reading checks each prompt against the one prompt_text rebuilds, so both kinds' generated prompts must be it
+    for cfg in (arith_cfg(hi=12), sumpath_cfg(hi=9)):
+        vocab = build_vocab(cfg)
+        problems = [make_problem(cfg, seed=s) for s in range(5)]
+        path = tmp_path / "problems.jsonl"
+        write_problems(path, problems, vocab)
+        assert read_problems(path, vocab) == problems
 
 
 @pytest.mark.parametrize("target", ["3/2", "1.5", "-3", "", 2])
@@ -283,6 +284,31 @@ def test_read_problems_rejects_a_target_that_is_not_whole(tmp_path, target):
     path.write_text(json.dumps(dict(rec, target=target)) + "\n")
     with pytest.raises(ValueError, match=re.escape(f"problem 0: target must be a whole number in decimal "
                                                    f"digits, got {target!r}")):
+        read_problems(path, vocab)
+
+
+def _sumpath_record_of_a_5_read_as_7(vocab) -> dict:
+    # the reward would pay the bodies that sum to 7 while the policy reads 5
+    rec = env.problem_record(_fixed_sumpath_problem(sumpath_cfg(hi=9), vocab, 7), 3, vocab)
+    return dict(rec, prompt="SUM 5 :")
+
+
+def _arith_record_with_shifted_operands(vocab) -> dict:
+    rec = env.problem_record(make_problem(arith_cfg(), seed=0), 4, vocab)
+    return dict(rec, prompt=env.prompt_text(TaskKind.ARITH, int(rec["target"]), [v + 1 for v in rec["operands"]]))
+
+
+@pytest.mark.parametrize("kind", ["sumpath", "arith"])
+def test_read_problems_rejects_a_prompt_that_misstates_the_problem(tmp_path, kind):
+    cfg = sumpath_cfg(hi=9) if kind == "sumpath" else arith_cfg()
+    vocab = build_vocab(cfg)
+    rec = (_sumpath_record_of_a_5_read_as_7 if kind == "sumpath" else _arith_record_with_shifted_operands)(vocab)
+    encode(rec["prompt"], vocab)  # every word is in the vocabulary: only the statement is wrong
+    want = env.prompt_text(TaskKind(rec["task_kind"]), int(rec["target"]), rec["operands"])
+    path = tmp_path / "problems.jsonl"
+    path.write_text(json.dumps(rec) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"problem {rec['id']}: prompt {rec['prompt']!r} does not state "
+                                                   f"the problem, whose prompt is {want!r}")):
         read_problems(path, vocab)
 
 

@@ -20,7 +20,7 @@ from flowseq.baselines import (
     rft_train,
     sft_train,
 )
-from flowseq.core import TaskKind
+from flowseq.core import SettingError, TaskKind
 from flowseq.env import RewardMode, TaskConfig, build_vocab, make_problem
 from flowseq.gflownet import Fitter, GfnConfig, NonFiniteLoss, TrainReport, TrainSet, items_of, sft_loss_var
 from flowseq.policy import DecodeCfg, Policy, ValueNet
@@ -225,6 +225,43 @@ def test_dpo_config_needs_two_samples_to_pair():
 def test_trainer_configs_reject_bad_settings_when_built(build, error, match):
     with pytest.raises(error, match=match):
         build()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("build, field", [
+    # GfnConfig once let these through: a nan sft_coeff trained as if it were 0
+    (lambda: GfnConfig(steps=1, sft_coeff=NAN), "sft_coeff"),
+    (lambda: GfnConfig(steps=1, sft_coeff=INF), "sft_coeff"),
+    (lambda: GfnConfig(steps=1, horizon_coeff=INF), "horizon_coeff"),
+    (lambda: GfnConfig(steps=1, diag_every=-1), "diag_every"),
+    (lambda: GfnConfig(steps=1, lr=0.0), "lr"),
+    (lambda: GfnConfig(steps=1, buffer_capacity=0), "buffer_capacity"),
+    (lambda: GfnConfig(steps=1, stop_placement="sideways"), "stop_placement"),
+    # and the fitted trainers accepted zero epochs
+    (lambda: SftConfig(epochs=0), "epochs"),
+    (lambda: RftConfig(epochs=0), "epochs"),
+    (lambda: DpoConfig(epochs=0), "epochs"),
+    (lambda: RftConfig(k=0), "k"),
+    (lambda: DpoConfig(beta=NAN), "beta"),
+    (lambda: DpoConfig(samples_per_problem=1), "samples_per_problem"),
+    (lambda: PpoConfig(clip=1.0), "clip"),
+    (lambda: PpoConfig(trajs_per_step=0), "trajs_per_step"),
+    (lambda: PpoConfig(actor_lr=INF), "actor_lr"),
+    (lambda: DecodeCfg(temperature=NAN), "temperature"),
+    (lambda: DecodeCfg(top_p=0.0), "top_p"),
+    (lambda: DecodeCfg(max_new_tokens=0), "max_new_tokens"),
+    (lambda: TaskConfig(TaskKind.SUMPATH, value_range=(0, 3)), "value_range[0]"),
+    (lambda: TaskConfig(TaskKind.SUMPATH, value_range=(4, 3)), "value_range[0]"),
+    (lambda: TaskConfig(TaskKind.SUMPATH, value_range=(2, 0)), "value_range[1]"),
+    (lambda: TaskConfig(TaskKind.ARITH, max_part=0), "max_part"),
+    (lambda: TaskConfig(TaskKind.SUMPATH, reward_floor=NAN), "reward_floor"),
+])
+def test_a_typed_config_names_the_field_it_rejects(build, field):
+    with pytest.raises(SettingError) as info:
+        build()
+    assert info.value.field == field
 
 
 def test_fit_rejects_negative_epochs_given_outside_the_config():
