@@ -117,6 +117,19 @@ class Var:
     def __matmul__(self, other):
         return matmul(self, self._lift(other))
 
+    # numpy indexing and reshaping; both only move entries
+
+    def __getitem__(self, key) -> "Var":
+        """The entries a numpy key selects, as a take of their positions in the flattened value."""
+        if isinstance(key, slice) and self.value.ndim == 1:  # a block of a flat vector: no arange of all of it
+            return take(self, np.arange(*key.indices(self.value.size)))
+        return take(self, np.arange(self.value.size).reshape(self.value.shape)[key])
+
+    def reshape(self, *shape) -> "Var":
+        """The value reshaped as ndarray.reshape would: reshape(2, 3) or reshape((2, 3))."""
+        return _unary(self, self.value.reshape(*shape), "reshape",
+                      lambda g, sh=self.value.shape: np.asarray(g).reshape(sh))
+
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum a broadcast gradient back down to the original operand shape."""
@@ -149,7 +162,10 @@ def exp(x: Var) -> Var:
     return _unary(x, out, "exp", lambda g, ov=out: g * ov)
 
 
-def tanh(x: Var) -> Var:
+def tanh(x: Var | np.ndarray) -> Var | np.ndarray:
+    """Elementwise tanh; a plain array gives a plain array."""
+    if not isinstance(x, Var):
+        return np.tanh(x)
     out = np.tanh(x.value)
     return _unary(x, out, "tanh", lambda g, ov=out: g * (1.0 - ov * ov))
 
@@ -185,11 +201,6 @@ def take(x: Var, idx: np.ndarray) -> Var:
     return _unary(x, value, "take", dx)
 
 
-def reshape(x: Var, shape: tuple[int, ...]) -> Var:
-    return _unary(x, x.value.reshape(shape), "reshape",
-                  lambda g, sh=x.value.shape: np.asarray(g).reshape(sh))
-
-
 def matmul(a: Var, b: Var) -> Var:
     if a.value.ndim != 2 or b.value.ndim != 2:
         raise UnsupportedPrimitive("matmul expects 2-d variables")
@@ -202,20 +213,17 @@ def matmul(a: Var, b: Var) -> Var:
     return Var(a.tape, value, "matmul", a.track or b.track, tuple(links))
 
 
-def log_softmax(x: Var) -> Var:
-    """Row-wise log-softmax of a 2-d variable, fused for numerical stability."""
-    if x.value.ndim != 2:
+def log_softmax(x: Var | np.ndarray) -> Var | np.ndarray:
+    """Row-wise log-softmax of a 2-d variable, fused for numerical stability; a plain array gives a plain array."""
+    value = x.value if isinstance(x, Var) else x
+    if value.ndim != 2:
         raise UnsupportedPrimitive("log_softmax expects a 2-d variable")
-    shifted = x.value - x.value.max(axis=1, keepdims=True)
-    lse = np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
-    out = shifted - lse
-    probs = np.exp(out)
-
-    def dx(g, p=probs):
-        g = np.asarray(g)
-        return g - p * g.sum(axis=1, keepdims=True)
-
-    return _unary(x, out, "log_softmax", dx)
+    # the ufuncs' own reductions: what ndarray.max and np.sum call, without their Python wrappers
+    shifted = value - np.maximum.reduce(value, axis=1, keepdims=True)
+    out = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
+    if not isinstance(x, Var):
+        return out
+    return _unary(x, out, "log_softmax", lambda g, p=np.exp(out): g - p * np.asarray(g).sum(axis=1, keepdims=True))
 
 
 def clamp(x: Var, lo: float, hi: float) -> Var:
@@ -293,6 +301,10 @@ def finite_diff_check(loss_fn: Callable[[Var], Var], theta: np.ndarray, h: float
     return worst
 
 
+# Adam's moment decay rates and denominator guard
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass(frozen=True)
 class AdamState:
     """Bias-corrected Adam moments for one flat parameter vector."""
@@ -301,13 +313,10 @@ class AdamState:
     v: np.ndarray
     t: int
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def init(cls, n: int, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n), t=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def init(cls, n: int, lr: float) -> "AdamState":
+        return cls(m=np.zeros(n), v=np.zeros(n), t=0, lr=lr)
 
     def resized(self, n: int) -> "AdamState":
         """Zero-padded copy for a grown parameter vector (new entries start cold)."""
@@ -331,9 +340,9 @@ def adam_step(state: AdamState, theta: np.ndarray, g: np.ndarray) -> tuple[np.nd
             f"theta {theta.shape}, grad {g.shape}, state {state.m.shape} must be equal 1-d shapes"
         )
     t = state.t + 1
-    m = state.beta1 * state.m + (1.0 - state.beta1) * g
-    v = state.beta2 * state.v + (1.0 - state.beta2) * g * g
-    m_hat = m / (1.0 - state.beta1 ** t)
-    v_hat = v / (1.0 - state.beta2 ** t)
-    new_theta = theta - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m = BETA1 * state.m + (1.0 - BETA1) * g
+    v = BETA2 * state.v + (1.0 - BETA2) * g * g
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    new_theta = theta - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
     return new_theta, replace(state, m=m, v=v, t=t)

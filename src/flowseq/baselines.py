@@ -92,16 +92,18 @@ class SftConfig:
     def __post_init__(self) -> None:
         _check_fit(self.epochs, self.batch_size)
         check_learning_rate(self.lr)
+        check_fields(self, "be non-negative", "seed")
 
 
 def _fit(policy: Policy, data: list, items: Callable[[list], list], loss_var: Callable[[Policy, Var, list], Var],
-         epochs: int, lr: float, batch_size: int | None, rng: np.random.Generator, report: TrainReport) -> Policy:
+         epochs: int, lr: float, batch_size: int | None, rng: np.random.Generator, loss_column: str) -> TrainReport:
     """Adam on loss_var(policy, theta, batch) over shuffled minibatches; full batch when batch_size is None.
 
     items(batch) lists the (prompt_tokens, body) items whose contexts the batch's loss reads.
     """
     _check_fit(epochs, batch_size)
     fit = Fitter(policy, lr)
+    report = TrainReport(loss_column=loss_column)
     step = 0
     for _ in range(epochs):
         if batch_size is None:
@@ -113,7 +115,7 @@ def _fit(policy: Policy, data: list, items: Callable[[list], list], loss_var: Ca
             theta = fit.theta(items(batch))
             step += 1
             report.add(step, fit.step(loss_var(policy, theta, batch), theta))
-    return policy
+    return report
 
 
 def _draw_scored(
@@ -131,8 +133,7 @@ def sft_train(
     dataset: TrainSet,
     epochs: int | None = None,
     cfg: SftConfig | None = None,
-    report: TrainReport | None = None,
-) -> Policy:
+) -> TrainReport:
     """Supervised fine-tuning on the dataset's reference solutions, in place.
 
     epochs, when given, overrides cfg.epochs.
@@ -141,9 +142,8 @@ def sft_train(
     if not refs:
         raise EmptyDataset("no reference solutions to fit")
     cfg = cfg or SftConfig()
-    report = report or TrainReport(loss_column="mean_sft_loss")
     return _fit(policy, refs, items_of, sft_loss_var, cfg.epochs if epochs is None else epochs, cfg.lr,
-                cfg.batch_size, np.random.default_rng(cfg.seed), report)
+                cfg.batch_size, np.random.default_rng(cfg.seed), "mean_sft_loss")
 
 
 def rft_select(samples: list[Trajectory], rewards: list[float]) -> Trajectory:
@@ -166,19 +166,18 @@ class RftConfig:
         _check_draws(self.k, "k")
         _check_fit(self.epochs, self.batch_size)
         check_learning_rate(self.lr)
+        check_fields(self, "be non-negative", "seed")
 
 
 def rft_train(
     policy: Policy,
     dataset: TrainSet,
     cfg: RftConfig | None = None,
-    report: TrainReport | None = None,
-) -> Policy:
+) -> TrainReport:
     """Rejection sampling: keep the best of k samples per problem, then fit the kept set."""
     cfg = cfg or RftConfig()
     if not dataset.problems:
         raise EmptyDataset("no problems to sample from")
-    report = report or TrainReport(loss_column="mean_rft_loss")
     rng = np.random.default_rng(cfg.seed)
     kept: list[Reference] = []
     for problem in dataset.problems:
@@ -186,7 +185,7 @@ def rft_train(
         kept.append(Reference(*trajectory_item(rft_select(samples, rewards))))
     # the fit shuffles with a fresh generator of the same seed
     return _fit(policy, kept, items_of, sft_loss_var, cfg.epochs, cfg.lr, cfg.batch_size,
-                np.random.default_rng(cfg.seed), report)
+                np.random.default_rng(cfg.seed), "mean_rft_loss")
 
 
 def _pair_logprob(policy: Policy, traj: Trajectory) -> float:
@@ -239,6 +238,7 @@ class DpoConfig:
                                                       f"got {self.samples_per_problem}")
         _check_fit(self.epochs, self.batch_size)
         check_learning_rate(self.lr)
+        check_fields(self, "be non-negative", "seed")
 
 
 def build_preference_pairs(
@@ -260,20 +260,18 @@ def dpo_train(
     ref_policy: Policy,
     dataset: TrainSet,
     cfg: DpoConfig | None = None,
-    report: TrainReport | None = None,
-) -> Policy:
+) -> TrainReport:
     """Preference optimization against a frozen reference; the policy updates in place."""
     cfg = cfg or DpoConfig()
     if not dataset.problems:
         raise EmptyDataset("no problems to sample from")
-    report = report or TrainReport(loss_column="mean_dpo_loss")
     rng = np.random.default_rng(cfg.seed)
     pairs = build_preference_pairs(ref_policy, dataset, cfg, rng)
     return _fit(
         policy, pairs,
         lambda batch: [trajectory_item(t) for p in batch for t in (p.chosen, p.rejected)],
         lambda pol, theta, batch: dpo_mean_loss_var(pol, theta, ref_policy, batch, cfg.beta),
-        cfg.epochs, cfg.lr, cfg.batch_size, rng, report,
+        cfg.epochs, cfg.lr, cfg.batch_size, rng, "mean_dpo_loss",
     )
 
 
@@ -321,7 +319,7 @@ class PpoConfig:
         check_fields(self, "lie in (0, 1]", "gamma")
         check_fields(self, "lie in [0, 1]", "gae_lambda")
         check_fields(self, "be non-negative and finite", "kl_beta")
-        check_fields(self, "be non-negative", "steps")
+        check_fields(self, "be non-negative", "steps", "seed")
         _check_draws(self.trajs_per_step, "trajs_per_step")
         check_learning_rate(self.actor_lr, "actor learning rate", "actor_lr")
         check_learning_rate(self.critic_lr, "critic learning rate", "critic_lr")
@@ -360,8 +358,7 @@ def ppo_train(
     critic: ValueNet,
     dataset: TrainSet,
     cfg: PpoConfig | None = None,
-    report: TrainReport | None = None,
-) -> Policy:
+) -> TrainReport:
     """Clipped policy gradient with GAE and a KL penalty against the starting policy.
 
     Per-token reward is -kl_beta * (log pi - log pi_ref), with the environment
@@ -371,7 +368,7 @@ def ppo_train(
     cfg = cfg or PpoConfig()
     if not dataset.problems:
         raise EmptyDataset("no problems to sample from")
-    report = report or TrainReport(loss_column="mean_ppo_loss")
+    report = TrainReport(loss_column="mean_ppo_loss")
     ref_policy = policy.clone()
     rng = np.random.default_rng(cfg.seed)
     actor_fit = Fitter(policy, cfg.actor_lr)
@@ -410,4 +407,4 @@ def ppo_train(
         critic_fit.step(ad.vsum(ad.square(resid)) / float(all_targets.size), ctheta)
 
         report.add(step, actor_loss, reward_mean=float(np.mean(env_rewards)))
-    return policy
+    return report

@@ -27,7 +27,7 @@ from . import baselines as bl
 from .config import ConfigError, Method, RunConfig, read_config
 from .env import build_vocab, enumerate_terminals, make_problem, read_problems, write_problems
 from .evaluation import evaluate
-from .gflownet import TrainReport, TrainSet, terminal_l1_gap, terminal_law, train_gflownet
+from .gflownet import TrainSet, terminal_l1_gap, terminal_law, train_gflownet
 from .policy import Policy, PolicyKind, ValueNet, load_policy, save_policy, terminal_distribution
 
 log = logging.getLogger("flowseq")
@@ -118,17 +118,16 @@ def _cmd_train(cfg: RunConfig, workers: int) -> int:
         log.info("warm-started with %d sft epochs", cfg.train.sft_init_epochs)
 
     method, trainer = cfg.method, cfg.trainer_config(cfg.method)
-    report = TrainReport(loss_column=f"mean_{'subtb' if method is Method.GFLOWNET else method.value}_loss")
     if method is Method.GFLOWNET:
-        train_gflownet(policy, dataset, trainer, problems[0] if trainer.diag_every else None, report=report)
+        report = train_gflownet(policy, dataset, trainer, problems[0] if trainer.diag_every else None)
     elif method is Method.SFT:
-        bl.sft_train(policy, dataset, cfg=trainer, report=report)
+        report = bl.sft_train(policy, dataset, cfg=trainer)
     elif method is Method.RFT:
-        bl.rft_train(policy, dataset, trainer, report=report)
+        report = bl.rft_train(policy, dataset, trainer)
     elif method is Method.DPO:
-        bl.dpo_train(policy, policy.clone(), dataset, trainer, report=report)
+        report = bl.dpo_train(policy, policy.clone(), dataset, trainer)
     else:
-        bl.ppo_train(policy, ValueNet.for_policy(policy, seed=cfg.seed), dataset, trainer, report=report)
+        report = bl.ppo_train(policy, ValueNet.for_policy(policy, seed=cfg.seed), dataset, trainer)
 
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)

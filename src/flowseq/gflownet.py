@@ -316,7 +316,7 @@ class GfnConfig:
     diag_every: int = 0
 
     def __post_init__(self) -> None:
-        check_fields(self, "be non-negative", "steps", "diag_every")
+        check_fields(self, "be non-negative", "steps", "diag_every", "seed")
         check_fields(self, "be at least 1", "batch_size", "samples_per_problem", "buffer_capacity")
         check_fields(self, "be positive and finite", "subtb_lambda")
         check_fields(self, "be non-negative and finite", "sft_coeff", "horizon_coeff")
@@ -427,10 +427,9 @@ def replay_loss_var(
     lp_tok, lp_stop, lengths = batched_generation_log_vars(policy, theta, items_of(batch + refs))
     nb = len(batch)
     if refs:
-        # the reference rows follow the replayed ones; take splits them off
-        tok_ix, stop_ix = (np.arange(x.value.size).reshape(x.value.shape) for x in (lp_tok, lp_stop))
-        ref_rows = (ad.take(lp_tok, tok_ix[nb:]), ad.take(lp_stop, stop_ix[nb:]), lengths[nb:])
-        lp_tok, lp_stop, lengths = ad.take(lp_tok, tok_ix[:nb]), ad.take(lp_stop, stop_ix[:nb]), lengths[:nb]
+        # the reference rows follow the replayed ones
+        ref_rows = (lp_tok[nb:], lp_stop[nb:], lengths[nb:])
+        lp_tok, lp_stop, lengths = lp_tok[:nb], lp_stop[:nb], lengths[:nb]
     subtb = subtb_sum_var(lp_tok, lp_stop, lengths, [e.log_rewards for e in batch],
                           cfg.subtb_lambda, cfg.stop_placement)
     mean_subtb = subtb / float(nb)
@@ -439,8 +438,7 @@ def replay_loss_var(
     if at_horizon.size and cfg.horizon_coeff > 0.0:
         # stopping is forced at maximal length; balance alone leaves that
         # stop probability (and with it the total terminal mass) free
-        final_stops = at_horizon * lp_stop.value.shape[1] + lengths[at_horizon]
-        horizon_nll = -ad.vsum(ad.take(lp_stop, final_stops))
+        horizon_nll = -ad.vsum(lp_stop[at_horizon, lengths[at_horizon]])
         total = total + cfg.horizon_coeff * (horizon_nll / float(at_horizon.size))
     sft_term = None
     if refs:
@@ -479,7 +477,6 @@ def train_gflownet(
     dataset: TrainSet,
     cfg: GfnConfig,
     diag_problem: Problem | None = None,
-    report: TrainReport | None = None,
 ) -> TrainReport:
     """Sample, score, replay, update; returns the per-step report.
 
@@ -490,7 +487,7 @@ def train_gflownet(
     """
     if not dataset.problems:
         raise ValueError("dataset has no problems")
-    report = report or TrainReport(loss_column="mean_subtb_loss")
+    report = TrainReport(loss_column="mean_subtb_loss")
     rng = np.random.default_rng(cfg.seed)
     buf = ReplayBuffer(cfg.buffer_capacity)
     fit = Fitter(policy, cfg.lr)

@@ -19,7 +19,7 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, count, islice
 from typing import NamedTuple
 
@@ -186,97 +186,90 @@ class Policy:
         if self.kind is PolicyKind.TABULAR:
             self._rows(self.windows(items), grow=True)
 
-    # numpy fast paths
+    # the forward, on the parameter array or on a tape variable
 
     def next_log_probs(self, prefix: tuple[int, ...] | list[int]) -> np.ndarray:
         """Log-probabilities over the vocabulary for the next position."""
         return self.batch_log_probs(np.asarray([self.context_of(prefix)], dtype=np.int64))[0]
 
     def batch_log_probs(self, ctx_mat: np.ndarray) -> np.ndarray:
-        logits = self._logits(ctx_mat)
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.sum(np.exp(shifted), axis=1, keepdims=True))
+        return self.rows_var(self.params, ctx_mat)
 
-    def _logits(self, ctx_mat: np.ndarray) -> np.ndarray:
-        """Pre-softmax outputs, one row of `width` per context; unregistered tabular contexts read zeros."""
-        if self.kind is PolicyKind.TABULAR:
-            rows = self._rows(ctx_mat)
-            table = self.params.reshape(-1, self.width)
-            if -1 in rows:  # row -1 is then a zero row appended to a copy of the table
-                table = np.concatenate([table, np.zeros((1, self.width))])
-            return table.take(rows, axis=0)
-        emb, w1, b1, w2, b2 = self._neural_views(self.params)
-        x = emb[ctx_mat].reshape(ctx_mat.shape[0], -1)
-        hidden = np.tanh(x @ w1 + b1)
-        return hidden @ w2 + b2
+    def rows_var(self, theta: Var | np.ndarray, ctx_mat: np.ndarray) -> Var | np.ndarray:
+        """Log-softmax rows, one per context, of theta: a tape variable, or an array (then an array)."""
+        return ad.log_softmax(self._outputs(theta, ctx_mat))
 
-    def _neural_views(self, theta: np.ndarray) -> list[np.ndarray]:
-        return [theta[start:end].reshape(shape) for start, end, shape in self._neural_blocks]
+    def _outputs(self, theta: Var | np.ndarray, ctx_mat: np.ndarray) -> Var | np.ndarray:
+        """Pre-softmax outputs, one row of `width` per context.
 
-    # tape paths
-
-    def rows_var(self, theta: Var, ctx_mat: np.ndarray) -> Var:
-        """Log-softmax rows (one per context) as a differentiable variable."""
-        return ad.log_softmax(self._outputs_var(theta, ctx_mat))
-
-    def _outputs_var(self, theta: Var, ctx_mat: np.ndarray) -> Var:
-        """Pre-softmax outputs (one row of `width` per context) as a differentiable variable.
-
-        Tabular contexts must be registered before the tape is built so the
-        parameter vector does not grow mid-evaluation.
+        An unregistered tabular context reads a zero row from a parameter
+        array and raises KeyError on a tape: tabular contexts must be
+        registered before the tape is built so the parameters do not grow
+        mid-evaluation.
         """
         if self.kind is PolicyKind.TABULAR:
             rows = self._rows(ctx_mat)
+            table = theta.reshape(-1, self.width)
             if -1 in rows:
-                raise KeyError(f"unregistered tabular context {tuple(ctx_mat[rows.index(-1)].tolist())}")
-            return ad.take(theta, np.asarray(rows)[:, None] * self.width + np.arange(self.width))
-        e = self.embed_dim
-        emb_idx = ctx_mat[:, :, None] * e + np.arange(e)[None, None, :]
-        x = ad.reshape(ad.take(theta, emb_idx), (ctx_mat.shape[0], self.window * e))
-        w1, b1, w2, b2 = (ad.take(theta, np.arange(start, end).reshape(shape))
-                          for start, end, shape in self._neural_blocks[1:])
-        hidden = ad.tanh(ad.matmul(x, w1) + b1)
-        return ad.matmul(hidden, w2) + b2
+                if isinstance(theta, Var):
+                    raise KeyError(f"unregistered tabular context {tuple(ctx_mat[rows.index(-1)].tolist())}")
+                # row -1 is then a zero row appended to a copy of the table
+                table = np.concatenate([table, np.zeros((1, self.width))])
+            return table[rows]
+        emb, w1, b1, w2, b2 = (theta[start:end].reshape(shape) for start, end, shape in self._neural_blocks)
+        x = emb[ctx_mat].reshape(ctx_mat.shape[0], -1)
+        hidden = ad.tanh(x @ w1 + b1)
+        return hidden @ w2 + b2
 
 
 def generation_log_probs(
     policy: Policy, prompt_tokens: tuple[int, ...], gen_body: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fast-path per-token log-probabilities for a generated body.
+    """Per-token log-probabilities of a generated body under the policy's parameters.
 
     Returns (lp_tok, lp_stop): lp_tok[t] scores gen_body[t], lp_stop[t] scores
     the stop symbol right after the first t generated tokens, t = 0..n.
     """
-    mat = policy.batch_log_probs(policy.windows([(prompt_tokens, gen_body)]))
-    n = len(gen_body)
-    lp_tok = mat[np.arange(n), np.asarray(gen_body, dtype=np.int64)] if n else np.zeros(0)
-    lp_stop = mat[:, policy.vocab.stop_id]
-    return lp_tok, lp_stop
+    lp_tok, lp_stop, _ = batched_generation_log_vars(policy, policy.params, [(prompt_tokens, gen_body)])
+    return lp_tok[0], lp_stop[0]
 
 
 def batched_generation_log_vars(
-    policy: Policy, theta: Var, items: list[tuple[tuple[int, ...], tuple[int, ...]]]
-) -> tuple[Var, Var, np.ndarray]:
-    """The differentiable forward pass: one rows_var over every (prompt_tokens, gen_body) item.
+    policy: Policy, theta: Var | np.ndarray, items: list[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> tuple[Var | np.ndarray, Var | np.ndarray, np.ndarray]:
+    """The forward pass: one rows_var over every (prompt_tokens, gen_body) item.
 
     Returns (lp_tok, lp_stop, lengths) for B items whose longest body has L
     tokens: lp_tok[b, t] (B, L) scores token t of body b, lp_stop[b, t]
     (B, L+1) the stop symbol after its first t tokens, lengths (B,) the body
     lengths. Entries past a body's length are exactly zero, without gradient.
+    A tape variable theta gives variables, a parameter array gives arrays.
     """
-    lengths = np.asarray([len(body) for _, body in items], dtype=np.int64)
-    width = int(lengths.max()) + 1
-    rows = policy.rows_var(theta, policy.windows(items))
-    t = np.arange(width)
-    # padded slots read the item's own last row, then a mask zeroes them
-    last = np.cumsum(lengths + 1)[:, None] - 1
-    row = (last + np.minimum(t - lengths[:, None], 0)) * policy.vocab.size
-    tokens = pad_rows([body for _, body in items], width - 1).astype(np.int64)
-    lp_tok, lp_stop = ad.take(rows, row[:, :-1] + tokens), ad.take(rows, row + policy.vocab.stop_id)
-    if lengths.min() < width - 1:
-        valid = t <= lengths[:, None]
+    lengths, row, valid = _padded_layout(tuple(len(body) for _, body in items))
+    ctx = policy.windows(items)
+    rows = policy.rows_var(theta, ctx)
+    # the token at position t is the last one of the context before position t + 1
+    lp_tok, lp_stop = rows[row[:, :-1], ctx[row[:, 1:], -1]], rows[row, policy.vocab.stop_id]
+    if valid is not None:
         lp_tok, lp_stop = lp_tok * valid[:, 1:], lp_stop * valid
     return lp_tok, lp_stop, lengths
+
+
+@lru_cache(maxsize=64)
+def _padded_layout(n: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(lengths, row, valid) of bodies of n tokens each whose contexts are laid end to end.
+
+    row[b, t] is the context before position t of body b; slots past a body's
+    end read its last context, and valid, None when no body is short, masks them.
+    """
+    lengths, t = np.array(n, dtype=np.int64), np.arange(max(n) + 1)
+    first = np.cumsum(lengths + 1) - (lengths + 1)
+    row = first[:, None] + np.minimum(t, lengths[:, None])
+    valid = t <= lengths[:, None] if min(n) < t.size - 1 else None
+    for shared in (lengths, row, valid):  # every caller with these lengths gets these same arrays
+        if shared is not None:
+            shared.flags.writeable = False
+    return lengths, row, valid
 
 
 def pad_rows(rows: list, width: int) -> np.ndarray:
@@ -290,7 +283,7 @@ def pad_rows(rows: list, width: int) -> np.ndarray:
 def sequence_log_prob_vars(lp_tok: Var, lp_stop: Var, lengths: np.ndarray,
                            stopped: np.ndarray | None = None) -> Var:
     """(B, 1) log-probability of each padded body, plus its stop symbol where stopped."""
-    stops = ad.take(lp_stop, (np.arange(lengths.size) * lp_stop.value.shape[1] + lengths)[:, None])
+    stops = lp_stop[np.arange(lengths.size)[:, None], lengths[:, None]]
     if stopped is not None and not stopped.all():
         stops = stops * stopped[:, None]
     return lp_tok @ np.ones((lp_tok.value.shape[1], 1)) + stops
@@ -521,10 +514,11 @@ class ValueNet(Policy):
         return cls.neural(policy.vocab, policy.window, policy.embed_dim, policy.hidden_dim, seed)
 
     def values(self, ctx_mat: np.ndarray) -> np.ndarray:
-        return self._logits(ctx_mat)[:, 0]
+        return self.values_var(self.params, ctx_mat)
 
-    def values_var(self, theta: Var, ctx_mat: np.ndarray) -> Var:
-        return ad.reshape(self._outputs_var(theta, ctx_mat), (ctx_mat.shape[0],))
+    def values_var(self, theta: Var | np.ndarray, ctx_mat: np.ndarray) -> Var | np.ndarray:
+        """One value per context, of theta: a tape variable, or an array (then an array)."""
+        return self._outputs(theta, ctx_mat)[:, 0]
 
 
 def save_policy(path: str, policy: Policy) -> None:

@@ -62,10 +62,10 @@ def test_take_reshape_matmul():
 
     def f(t):
         # a prefix sum as a constant triangular matmul, as the padded losses use it
-        a = ad.reshape(ad.take(t, np.array([0, 1, 2])), (1, 3)) @ np.triu(np.ones((3, 3)))
+        a = ad.take(t, np.array([0, 1, 2])).reshape(1, 3) @ np.triu(np.ones((3, 3)))
         b = ad.take(t, np.array([3, 4, 5]))
-        m = ad.reshape(a, (3, 1)) @ ad.reshape(b, (1, 3))
-        return ad.vsum(m @ ad.reshape(b, (3, 1)))
+        m = a.reshape(3, 1) @ b.reshape(1, 3)
+        return ad.vsum(m @ b.reshape((3, 1)))
 
     rel = finite_diff_check(f, theta)
     assert rel < 1e-6
@@ -92,16 +92,44 @@ def test_take_backward_is_bitwise_add_at():
         assert got.tobytes() == want.tobytes(), case
 
 
+@pytest.mark.parametrize("shape, key", [
+    ((12,), np.s_[2:11:3]),  # a block of a flat vector, which builds only its own positions
+    ((3, 4), np.s_[1:3]),
+    ((3, 4), np.s_[:, 1::2]),
+    ((3, 4), np.array([2, 0, 2, 2])),  # repeated rows
+    ((3, 4), (np.array([[0, 2], [2, 2]]), np.array([[1, 1], [1, 0]]))),  # a tuple of arrays, (2, 1) three times
+])
+def test_var_indexing_is_a_take_of_the_selected_positions(shape, key):
+    rng = np.random.default_rng(0)
+    theta = rng.normal(size=12)
+    positions = np.arange(12).reshape(shape)[key]
+    up = rng.normal(size=positions.shape)
+    tape = GradTape()
+    x = tape.input(theta)
+    got, want = x.reshape(shape)[key], ad.take(x, positions)
+    assert got.value.tobytes() == theta.reshape(shape)[key].tobytes() == want.value.tobytes()
+    assert ad.backward(ad.vsum(got * up), x).tobytes() == ad.backward(ad.vsum(want * up), x).tobytes()
+    assert finite_diff_check(lambda t: ad.vsum(ad.square(t.reshape(shape)[key]) * up), theta) < 1e-6
+
+
+def test_tanh_and_log_softmax_of_an_array_are_arrays_of_the_same_bits():
+    x = np.random.default_rng(1).normal(size=(3, 4))
+    for op in (ad.tanh, ad.log_softmax):
+        got = op(x)
+        assert isinstance(got, np.ndarray)
+        assert got.tobytes() == op(GradTape().input(x)).value.tobytes()
+
+
 def test_log_softmax_rows_sum_to_one():
     rng = np.random.default_rng(0)
     theta = rng.normal(size=12)
     tape = GradTape()
     x = tape.input(theta)
-    rows = ad.log_softmax(ad.reshape(x, (3, 4)))
+    rows = ad.log_softmax(x.reshape(3, 4))
     p = np.exp(rows.value)
     assert np.allclose(p.sum(axis=1), 1.0)
     # gradient of a single selected logprob: p shifted by the one-hot pick
-    picked = ad.take(ad.reshape(rows, (12,)), np.array([1]))
+    picked = ad.take(rows.reshape(12), np.array([1]))
     g = ad.backward(ad.vsum(picked), x)
     want = np.zeros(12)
     want[1] = 1.0
@@ -129,9 +157,9 @@ def test_finite_diff_on_composite_losses():
         theta = rng.normal(size=10)
 
         def f(t):
-            q = ad.log_softmax(ad.reshape(t, (2, 5)))
-            picked = ad.take(ad.reshape(q, (10,)), np.array([2, 7]))
-            prefix = ad.reshape(picked, (1, 2)) @ np.triu(np.ones((2, 2)))
+            q = ad.log_softmax(t.reshape(2, 5))
+            picked = ad.take(q.reshape(10), np.array([2, 7]))
+            prefix = picked.reshape(1, 2) @ np.triu(np.ones((2, 2)))
             return ad.vsum(ad.square(prefix)) + ad.vsum(ad.exp(picked))
 
         assert finite_diff_check(f, theta) < 1e-6

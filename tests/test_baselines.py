@@ -25,7 +25,7 @@ from flowseq.baselines import (
 )
 from flowseq.core import Problem, TaskKind, Trajectory, make_vocab
 from flowseq.env import RewardMode, TaskConfig, build_vocab, enumerate_terminals, make_problem
-from flowseq.gflownet import TrainReport, TrainSet
+from flowseq.gflownet import TrainSet
 from flowseq.policy import (
     DecodeCfg,
     Policy,
@@ -99,8 +99,7 @@ def test_sft_reduces_reference_nll():
     cfg, vocab, problem = tiny_setup()
     ds = TrainSet.build([problem], cfg, vocab)
     pol = Policy.tabular(vocab, window=5)
-    report = TrainReport(loss_column="mean_sft_loss")
-    sft_train(pol, ds, epochs=30, cfg=SftConfig(epochs=30, lr=0.05, seed=0), report=report)
+    report = sft_train(pol, ds, epochs=30, cfg=SftConfig(epochs=30, lr=0.05, seed=0))
     losses = [r["mean_sft_loss"] for r in report.rows]
     assert losses[-1] < losses[0] * 0.5
 
@@ -115,8 +114,7 @@ def test_sft_requires_references():
 def test_sft_cfg_alone_sets_the_epochs():
     cfg, vocab, problem = tiny_setup()
     ds = TrainSet.build([problem], cfg, vocab)
-    report = TrainReport(loss_column="mean_sft_loss")
-    sft_train(Policy.tabular(vocab, window=5), ds, cfg=SftConfig(epochs=3, batch_size=None), report=report)
+    report = sft_train(Policy.tabular(vocab, window=5), ds, cfg=SftConfig(epochs=3, batch_size=None))
     # one full-batch step per epoch
     assert len(report.rows) == 3
 
@@ -240,10 +238,9 @@ def test_ppo_training_climbs_reward():
     ds = TrainSet.build([problem], cfg, vocab)
     pol = Policy.tabular(vocab, window=5)
     critic = ValueNet.for_policy(pol)
-    report = TrainReport(loss_column="mean_ppo_loss")
     pcfg = PpoConfig(steps=150, trajs_per_step=8, actor_lr=0.05, critic_lr=0.1,
                      kl_beta=0.01, decode=DecodeCfg(temperature=1.0, top_p=1.0), seed=0)
-    ppo_train(pol, critic, ds, pcfg, report=report)
+    report = ppo_train(pol, critic, ds, pcfg)
     rewards = [r["mean_terminal_reward"] for r in report.rows]
     assert len(rewards) == 150
     assert np.mean(rewards[-10:]) > np.mean(rewards[:10]) + 0.5

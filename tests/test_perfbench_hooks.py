@@ -11,7 +11,10 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-from flowseq import cli, gflownet
+from flowseq import baselines, cli, evaluation, gflownet
+from flowseq.core import TaskKind
+from flowseq.env import TaskConfig, build_vocab, make_problem
+from flowseq.policy import Policy, ValueNet
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -78,3 +81,26 @@ def test_enumerate_calls_the_hooked_names_once_per_problem(tmp_path, monkeypatch
         count(owner, name)
     assert cli.run_cli(["enumerate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
     assert calls == {(owner.__name__, name): 3 for owner, name in hooked}
+
+
+def test_a_traced_run_counts_through_every_hooked_signature():
+    # the counters unpack call arguments (layers._rows reads args[2] as (prompt, body) items),
+    # so a changed signature shows up here rather than in the next --trace 1 run
+    layers, spans = _import("layers"), _import("spans")
+    task = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 3), max_parts=2, max_part=2)
+    vocab = build_vocab(task)
+    problem = make_problem(task, seed=1)
+    ds = gflownet.TrainSet.build([problem], task, vocab)
+    tracer = spans.Tracer()
+    layers.install(tracer)
+    try:
+        pol = Policy.tabular(vocab, window=5)
+        gflownet.train_gflownet(pol, ds, gflownet.GfnConfig(steps=2, batch_size=2, samples_per_problem=2))
+        baselines.ppo_train(pol.clone(), ValueNet.for_policy(pol), ds, baselines.PpoConfig(steps=1, trajs_per_step=2))
+        evaluation.evaluate(pol, [problem], vocab, k=2)
+        gflownet.terminal_distribution(pol, problem)
+    finally:
+        tracer.unpatch()
+    for name in ("policy.batched_generation_log_vars.rows", "autodiff.backward.tape_nodes",
+                 "policy.sample.tokens", "policy.terminal_distribution.nodes"):
+        assert tracer.counts[name] > 0, name

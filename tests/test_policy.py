@@ -23,6 +23,7 @@ from flowseq.policy import (
     TerminalDistribution,
     ValueNet,
     _sample_with_rng,
+    batched_generation_log_vars,
     generation_log_probs,
     greedy_decode,
     load_policy,
@@ -449,6 +450,28 @@ def test_critic_values_match_tape_values_bitwise():
         assert np.array_equal(critic.values(ctx), got)
 
 
+def _policies(vocab: Vocab):
+    """A tabular and a neural policy of window 2 at random parameters."""
+    neural = Policy.neural(vocab, window=2, embed_dim=3, hidden_dim=5)
+    neural.params = np.random.default_rng(4).normal(0.0, 0.5, size=neural.params.size)
+    return seeded_tabular(vocab), neural
+
+
+def test_policy_rows_match_tape_rows_bitwise():
+    # sampling and enumeration score with the array forward, training with the tape one
+    vocab = tiny_vocab()
+    items = [((0,), (1, 2)), ((0,), (2,)), ((0,), ())]
+    for pol in _policies(vocab):
+        ctx = pol.windows(items)
+        got = pol.rows_var(GradTape().input(pol.params), ctx).value
+        assert pol.batch_log_probs(ctx).tobytes() == got.tobytes()
+        # and so does the padded batch, masks included
+        arrays = batched_generation_log_vars(pol, pol.params, items)
+        tape = batched_generation_log_vars(pol, GradTape().input(pol.params), items)
+        for a, v in zip(arrays[:2], tape[:2]):
+            assert a.tobytes() == v.value.tobytes()
+
+
 def test_critic_squared_error_gradient_matches_finite_differences():
     vocab = tiny_vocab()
     ctx = Policy.tabular(vocab, window=2).windows([((0,), (1, 2))])
@@ -536,6 +559,11 @@ def test_tape_rows_of_an_unregistered_context_name_it():
     vocab = tiny_vocab()
     pol = Policy.tabular(vocab, window=2)
     pol.register([((0,), (1,))])
+    pol.params = np.random.default_rng(0).normal(size=pol.params.size)
     ctx = pol.windows([((0,), (1, 2))])  # its last context, (1, 2), is new
     with pytest.raises(KeyError, match=r"unregistered tabular context \(1, 2\)"):
         pol.rows_var(GradTape().input(pol.params), ctx)
+    # the same forward on the parameter array reads a zero, so uniform, row there
+    lp = pol.batch_log_probs(ctx)
+    assert np.array_equal(lp[-1], np.full(vocab.size, -np.log(vocab.size)))
+    assert lp[:-1].tobytes() == pol.rows_var(GradTape().input(pol.params), ctx[:-1]).value.tobytes()
