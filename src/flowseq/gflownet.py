@@ -283,6 +283,8 @@ class Fitter:
     def step(self, loss: Var, theta: Var) -> float:
         """Back-propagate and apply Adam, moving nothing if the loss or gradient is not finite; returns the loss."""
         g = ad.backward(loss, theta)
+        # tape and nodes refer to each other: emptying the tape frees the step's graph without the cyclic collector
+        loss.tape.nodes.clear()
         value = float(loss.value)
         if not (np.isfinite(value) and np.isfinite(g).all()):
             bad = int(np.count_nonzero(~np.isfinite(g)))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -124,6 +127,23 @@ def test_one_update_step_equals_the_inline_sequence_bitwise():
     assert new.params.tobytes() == old.params.tobytes()
     assert fit.adam.t == adam.t == len(batches)
     assert fit.adam.m.tobytes() == adam.m.tobytes() and fit.adam.v.tobytes() == adam.v.tobytes()
+
+
+def test_an_update_step_frees_its_graph_without_the_cyclic_collector():
+    # a tape and its variables refer to each other; left alone, each step's graph waits for gc
+    ds = tiny_dataset()
+    pol = Policy.tabular(ds.vocab, window=5)
+    refs = ds.all_references()
+    fit = Fitter(pol, 0.05)
+    theta = fit.theta(items_of(refs))
+    tape = weakref.ref(theta.tape)
+    fit.step(sft_loss_var(pol, theta, refs), theta)
+    gc.disable()
+    try:
+        del theta
+        assert tape() is None
+    finally:
+        gc.enable()
 
 
 def test_every_trainer_steps_through_the_one_update_step(adam_calls):
