@@ -96,14 +96,13 @@ class SftConfig:
 
 
 def _fit(policy: Policy, data: list, items: Callable[[list], list], loss_var: Callable[[Policy, Var, list], Var],
-         epochs: int, lr: float, batch_size: int | None, rng: np.random.Generator, loss_column: str) -> TrainReport:
+         epochs: int, lr: float, batch_size: int | None, rng: np.random.Generator, report: TrainReport) -> TrainReport:
     """Adam on loss_var(policy, theta, batch) over shuffled minibatches; full batch when batch_size is None.
 
     items(batch) lists the (prompt_tokens, body) items whose contexts the batch's loss reads.
     """
     _check_fit(epochs, batch_size)
     fit = Fitter(policy, lr)
-    report = TrainReport(loss_column=loss_column)
     step = 0
     for _ in range(epochs):
         if batch_size is None:
@@ -143,7 +142,7 @@ def sft_train(
         raise EmptyDataset("no reference solutions to fit")
     cfg = cfg or SftConfig()
     return _fit(policy, refs, items_of, sft_loss_var, cfg.epochs if epochs is None else epochs, cfg.lr,
-                cfg.batch_size, np.random.default_rng(cfg.seed), "mean_sft_loss")
+                cfg.batch_size, np.random.default_rng(cfg.seed), TrainReport(loss_column="mean_sft_loss"))
 
 
 def rft_select(samples: list[Trajectory], rewards: list[float]) -> Trajectory:
@@ -185,7 +184,7 @@ def rft_train(
         kept.append(Reference(*trajectory_item(rft_select(samples, rewards))))
     # the fit shuffles with a fresh generator of the same seed
     return _fit(policy, kept, items_of, sft_loss_var, cfg.epochs, cfg.lr, cfg.batch_size,
-                np.random.default_rng(cfg.seed), "mean_rft_loss")
+                np.random.default_rng(cfg.seed), TrainReport(loss_column="mean_rft_loss"))
 
 
 def _pair_logprob(policy: Policy, traj: Trajectory) -> float:
@@ -271,7 +270,7 @@ def dpo_train(
         policy, pairs,
         lambda batch: [trajectory_item(t) for p in batch for t in (p.chosen, p.rejected)],
         lambda pol, theta, batch: dpo_mean_loss_var(pol, theta, ref_policy, batch, cfg.beta),
-        cfg.epochs, cfg.lr, cfg.batch_size, rng, "mean_dpo_loss",
+        cfg.epochs, cfg.lr, cfg.batch_size, rng, TrainReport(loss_column="mean_dpo_loss"),
     )
 
 
