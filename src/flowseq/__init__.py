@@ -70,7 +70,6 @@ from .policy import (
     ValueNet,
     greedy_decode,
     load_policy,
-    logprob,
     save_policy,
     terminal_distribution,
 )

@@ -11,6 +11,7 @@ Adam lives here too; every trainer reaches it through one update step, gflownet.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -120,10 +121,20 @@ class Var:
     # numpy indexing and reshaping; both only move entries
 
     def __getitem__(self, key) -> "Var":
-        """The entries a numpy key selects, as a take of their positions in the flattened value."""
-        if isinstance(key, slice) and self.value.ndim == 1:  # a block of a flat vector: no arange of all of it
-            return take(self, np.arange(*key.indices(self.value.size)))
-        return take(self, np.arange(self.value.size).reshape(self.value.shape)[key])
+        """The entries a numpy key selects, as a take of their positions in the flattened value.
+
+        A key on the leading axis alone (a slice, an int, or ints) builds the
+        positions of the rows it selects, not an arange of the whole value.
+        """
+        shape = self.value.shape
+        if isinstance(key, slice):
+            lead = np.arange(*key.indices(shape[0]))
+        elif isinstance(key, (int, np.integer, list, np.ndarray)) and np.asarray(key).dtype.kind in "iu":
+            lead = np.arange(shape[0])[key]
+        else:
+            return take(self, np.arange(self.value.size).reshape(shape)[key])
+        row = math.prod(shape[1:])
+        return take(self, (lead[..., None] * row + np.arange(row)).reshape(lead.shape + shape[1:]))
 
     def reshape(self, *shape) -> "Var":
         """The value reshaped as ndarray.reshape would: reshape(2, 3) or reshape((2, 3))."""

@@ -12,7 +12,7 @@ would use learning rates near 3e-6 (actor) and 5e-6 (critic).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -31,8 +31,6 @@ from .policy import (
     ValueNet,
     _sample_with_rng,
     batched_generation_log_vars,
-    generation_log_probs,
-    logprob,
     pad_rows,
     sequence_log_prob_vars,
     trajectory_body,
@@ -96,20 +94,21 @@ class SftConfig:
 
 
 def _fit(policy: Policy, data: list, items: Callable[[list], list], loss_var: Callable[[Policy, Var, list], Var],
-         epochs: int, lr: float, batch_size: int | None, rng: np.random.Generator, report: TrainReport) -> TrainReport:
-    """Adam on loss_var(policy, theta, batch) over shuffled minibatches; full batch when batch_size is None.
+         cfg: SftConfig | RftConfig | DpoConfig, rng: np.random.Generator, report: TrainReport) -> TrainReport:
+    """Adam at cfg.lr on loss_var(policy, theta, batch) over cfg.epochs of shuffled minibatches.
 
+    The batches hold cfg.batch_size items, or all of data when it is None.
     items(batch) lists the (prompt_tokens, body) items whose contexts the batch's loss reads.
     """
-    _check_fit(epochs, batch_size)
-    fit = Fitter(policy, lr)
+    fit = Fitter(policy, cfg.lr)
     step = 0
-    for _ in range(epochs):
-        if batch_size is None:
+    for _ in range(cfg.epochs):
+        if cfg.batch_size is None:
             batches = [data]
         else:
             order = rng.permutation(len(data))
-            batches = [[data[int(i)] for i in order[a : a + batch_size]] for a in range(0, len(order), batch_size)]
+            size = cfg.batch_size
+            batches = [[data[int(i)] for i in order[a : a + size]] for a in range(0, len(order), size)]
         for batch in batches:
             theta = fit.theta(items(batch))
             step += 1
@@ -135,14 +134,16 @@ def sft_train(
 ) -> TrainReport:
     """Supervised fine-tuning on the dataset's reference solutions, in place.
 
-    epochs, when given, overrides cfg.epochs.
+    epochs, when given, replaces cfg.epochs, and SftConfig checks it.
     """
+    cfg = cfg or SftConfig()
+    if epochs is not None:
+        cfg = replace(cfg, epochs=epochs)
     refs = dataset.all_references()
     if not refs:
         raise EmptyDataset("no reference solutions to fit")
-    cfg = cfg or SftConfig()
-    return _fit(policy, refs, items_of, sft_loss_var, cfg.epochs if epochs is None else epochs, cfg.lr,
-                cfg.batch_size, np.random.default_rng(cfg.seed), TrainReport(loss_column="mean_sft_loss"))
+    return _fit(policy, refs, items_of, sft_loss_var, cfg, np.random.default_rng(cfg.seed),
+                TrainReport(loss_column="mean_sft_loss"))
 
 
 def rft_select(samples: list[Trajectory], rewards: list[float]) -> Trajectory:
@@ -183,26 +184,27 @@ def rft_train(
         samples, rewards = _draw_scored(policy, dataset, problem, cfg.decode, cfg.k, rng)
         kept.append(Reference(*trajectory_item(rft_select(samples, rewards))))
     # the fit shuffles with a fresh generator of the same seed
-    return _fit(policy, kept, items_of, sft_loss_var, cfg.epochs, cfg.lr, cfg.batch_size,
-                np.random.default_rng(cfg.seed), TrainReport(loss_column="mean_rft_loss"))
-
-
-def _pair_logprob(policy: Policy, traj: Trajectory) -> float:
-    body = trajectory_body(traj)
-    lp_tok, lp_stop = generation_log_probs(policy, traj.tokens[: traj.prompt_len], body)
-    return float(lp_tok.sum()) + (float(lp_stop[len(body)]) if traj.terminated else 0.0)
+    return _fit(policy, kept, items_of, sft_loss_var, cfg, np.random.default_rng(cfg.seed),
+                TrainReport(loss_column="mean_rft_loss"))
 
 
 def dpo_mean_loss_var(
     policy: Policy, theta: Var, ref_policy: Policy, pairs: list[PreferencePair], beta: float = 0.01
 ) -> Var:
-    """Mean DPO loss over pairs; one forward pass scores every chosen and rejected body."""
+    """Mean DPO loss over pairs; one forward pass each scores every chosen and rejected body.
+
+    The policy's pass is on theta, the frozen reference's on its parameter array.
+    """
     trajs = [p.chosen for p in pairs] + [p.rejected for p in pairs]
-    lp = batched_generation_log_vars(policy, theta, [trajectory_item(t) for t in trajs])
+    items = [trajectory_item(t) for t in trajs]
+    lp = batched_generation_log_vars(policy, theta, items)
     seq = sequence_log_prob_vars(*lp, np.asarray([t.terminated for t in trajs]))
+    # a row's tokens summed alone, then its stop where it stopped (sequence_log_prob_vars sums in another order)
+    ref_tok, ref_stop, lengths = batched_generation_log_vars(ref_policy, ref_policy.params, items)
+    ref = [float(tok[:k].sum()) + (float(stop[k]) if t.terminated else 0.0)
+           for tok, stop, k, t in zip(ref_tok, ref_stop, lengths, trajs)]
     n = len(pairs)
-    margin_ref = np.asarray([[_pair_logprob(ref_policy, p.chosen) - _pair_logprob(ref_policy, p.rejected)]
-                             for p in pairs])
+    margin_ref = np.subtract(ref[:n], ref[n:])[:, None]
     # chosen minus rejected sequence log-probability, one row per pair
     margin = theta.tape.const(np.hstack([np.eye(n), -np.eye(n)])) @ seq - margin_ref
     return ad.vsum(ad.softplus(-(margin * beta))) / float(n)
@@ -266,11 +268,14 @@ def dpo_train(
         raise EmptyDataset("no problems to sample from")
     rng = np.random.default_rng(cfg.seed)
     pairs = build_preference_pairs(ref_policy, dataset, cfg, rng)
+    if not pairs:
+        raise EmptyDataset(f"no preference pairs: every problem's draws tie in reward "
+                           f"({len(dataset.problems)} problems, {cfg.samples_per_problem} draws each)")
     return _fit(
         policy, pairs,
         lambda batch: [trajectory_item(t) for p in batch for t in (p.chosen, p.rejected)],
         lambda pol, theta, batch: dpo_mean_loss_var(pol, theta, ref_policy, batch, cfg.beta),
-        cfg.epochs, cfg.lr, cfg.batch_size, rng, TrainReport(loss_column="mean_dpo_loss"),
+        cfg, rng, TrainReport(loss_column="mean_dpo_loss"),
     )
 
 
@@ -377,13 +382,17 @@ def ppo_train(
         problem = dataset.problems[int(rng.integers(0, len(dataset.problems)))]
         trajs, env_rewards = _draw_scored(policy, dataset, problem, cfg.decode, cfg.trajs_per_step, rng)
 
+        # the frozen reference scores all of the step's draws in one forward
+        ref_tok, ref_stop, lengths = batched_generation_log_vars(ref_policy, ref_policy.params,
+                                                                 [trajectory_item(t) for t in trajs])
         items: list[PpoItem] = []
         value_rows: list[np.ndarray] = []
         value_targets: list[np.ndarray] = []
-        for traj, env_r in zip(trajs, env_rewards):
+        for traj, env_r, tok, stop, n in zip(trajs, env_rewards, ref_tok, ref_stop, lengths):
             prompt, body = trajectory_item(traj)
             old_lp = np.asarray(traj.logprobs)
-            token_rewards = -cfg.kl_beta * (old_lp - logprob(ref_policy, problem, traj))
+            ref_lp = np.append(tok[:n], stop[n]) if traj.terminated else tok[:n]
+            token_rewards = -cfg.kl_beta * (old_lp - ref_lp)
             if traj.terminated:
                 token_rewards[-1] += env_r
 

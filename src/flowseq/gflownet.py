@@ -186,7 +186,6 @@ def subtb_loss_var(
     traj: Trajectory,
     lam: float = 1.0,
     stop_placement: str = "printed",
-    log_rewards: np.ndarray | None = None,
 ) -> Var:
     """Differentiable subtrajectory balance loss for one terminated trajectory."""
     if stop_placement not in STOP_PLACEMENTS:
@@ -195,10 +194,8 @@ def subtb_loss_var(
         raise ValueError("subtrajectory balance needs a terminated trajectory")
     prompt = traj.tokens[: traj.prompt_len]
     body = trajectory_body(traj)
-    if log_rewards is None:
-        log_rewards = prefix_log_rewards(reward_fn, prompt, body)
     lp = batched_generation_log_vars(policy, theta, [(prompt, body)])
-    return subtb_sum_var(*lp, [log_rewards], lam, stop_placement)
+    return subtb_sum_var(*lp, [prefix_log_rewards(reward_fn, prompt, body)], lam, stop_placement)
 
 
 def subtb_loss(

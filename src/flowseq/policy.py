@@ -35,10 +35,6 @@ MAGIC = b"FSEQPOL1"
 SCORE_ROWS = 4096
 
 
-class InconsistentTrajectory(ValueError):
-    """A trajectory does not match its problem prompt or stop-symbol contract."""
-
-
 class CheckpointMismatch(ValueError):
     """A checkpoint was produced for a different vocabulary or architecture."""
 
@@ -300,34 +296,6 @@ def trajectory_body(traj: Trajectory) -> tuple[int, ...]:
 def trajectory_item(traj: Trajectory) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(prompt_tokens, body) of a trajectory: one item for Policy.register and the batched forward."""
     return traj.tokens[: traj.prompt_len], trajectory_body(traj)
-
-
-def logprob(policy: Policy, problem: Problem, traj: Trajectory) -> np.ndarray:
-    """Per-token log-probabilities of a trajectory under the current policy.
-
-    Includes the stop symbol for terminated trajectories. The product of the
-    corresponding probabilities is the policy's sequence probability.
-    """
-    _check_consistent(policy, problem, traj)
-    body = trajectory_body(traj)
-    lp_tok, lp_stop = generation_log_probs(policy, problem.prompt_tokens, body)
-    if traj.terminated:
-        return np.concatenate([lp_tok, [lp_stop[len(body)]]])
-    return lp_tok
-
-
-def _check_consistent(policy: Policy, problem: Problem, traj: Trajectory) -> None:
-    stop = policy.vocab.stop_id
-    if traj.prompt_len != problem.prompt_len:
-        raise InconsistentTrajectory("prompt length mismatch")
-    if tuple(traj.tokens[: traj.prompt_len]) != problem.prompt_tokens:
-        raise InconsistentTrajectory("trajectory does not start with the problem prompt")
-    gen = traj.generated
-    if traj.terminated:
-        if not gen or gen[-1] != stop or stop in gen[:-1]:
-            raise InconsistentTrajectory("terminated trajectory must end with exactly one stop symbol")
-    elif stop in gen:
-        raise InconsistentTrajectory("unterminated trajectory cannot contain the stop symbol")
 
 
 @dataclass(frozen=True)

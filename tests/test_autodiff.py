@@ -112,6 +112,33 @@ def test_var_indexing_is_a_take_of_the_selected_positions(shape, key):
     assert finite_diff_check(lambda t: ad.vsum(ad.square(t.reshape(shape)[key]) * up), theta) < 1e-6
 
 
+@pytest.mark.parametrize("shape", [(6,), (6, 2), (3, 2, 2)])
+@pytest.mark.parametrize("key", [np.s_[1:5:2], np.s_[::-1], 2, -1, np.int64(-3), [2, 2, 0, -1],
+                                 np.array([[1, -2], [1, 1]])])
+def test_leading_axis_indexing_equals_the_general_take(shape, key):
+    # a key on axis 0 builds its positions from the selected rows; the general path
+    # gathers the same positions from an arange of the whole value
+    rng = np.random.default_rng(3)
+    theta = rng.normal(size=shape)
+    tape = GradTape()
+    x = tape.input(theta)
+    got = x[key]
+    assert len(tape.nodes) == 2
+    want = ad.take(x, np.arange(theta.size).reshape(shape)[key])
+    assert got.value.shape == theta[key].shape
+    assert got.value.tobytes() == want.value.tobytes() == theta[key].tobytes()
+    up = rng.normal(size=got.value.shape)
+    assert ad.backward(ad.vsum(got * up), x).tobytes() == ad.backward(ad.vsum(want * up), x).tobytes()
+
+
+def test_leading_axis_indexing_keeps_numpy_errors():
+    x = GradTape().input(np.zeros((3, 2)))
+    with pytest.raises(IndexError):
+        x[3]
+    with pytest.raises(IndexError):
+        x[[0, -4]]
+
+
 def test_tanh_and_log_softmax_of_an_array_are_arrays_of_the_same_bits():
     x = np.random.default_rng(1).normal(size=(3, 4))
     for op in (ad.tanh, ad.log_softmax):

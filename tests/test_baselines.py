@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from flowseq import autodiff as ad
+from flowseq import baselines
 from flowseq.autodiff import GradTape
 from flowseq.baselines import (
     DpoConfig,
@@ -13,8 +15,10 @@ from flowseq.baselines import (
     PreferencePair,
     RftConfig,
     SftConfig,
+    _draw_scored,
     build_preference_pairs,
     dpo_loss,
+    dpo_mean_loss_var,
     dpo_train,
     gae_advantages,
     ppo_surrogate_var,
@@ -25,13 +29,17 @@ from flowseq.baselines import (
 )
 from flowseq.core import Problem, TaskKind, Trajectory, make_vocab
 from flowseq.env import RewardMode, TaskConfig, build_vocab, enumerate_terminals, make_problem
-from flowseq.gflownet import TrainSet
+from flowseq.gflownet import Fitter, TrainSet, items_of
 from flowseq.policy import (
     DecodeCfg,
     Policy,
     ValueNet,
+    batched_generation_log_vars,
     generation_log_probs,
+    sequence_log_prob_vars,
     terminal_distribution,
+    trajectory_body,
+    trajectory_item,
 )
 
 
@@ -254,3 +262,159 @@ def test_ppo_config_validates_ranges():
         PpoConfig(gamma=1.5)
     with pytest.raises(ValueError):
         PpoConfig(gae_lambda=-0.1)
+
+
+# Oracles: the reference scorers PPO and DPO used before they scored a step or a
+# minibatch with one batched forward, one generation_log_probs call per trajectory.
+
+def logprob_oracle(policy: Policy, traj: Trajectory) -> np.ndarray:
+    """Log-probability of each generated token of traj, its stop symbol included."""
+    body = trajectory_body(traj)
+    lp_tok, lp_stop = generation_log_probs(policy, traj.tokens[: traj.prompt_len], body)
+    return np.concatenate([lp_tok, [lp_stop[len(body)]]]) if traj.terminated else lp_tok
+
+
+def pair_logprob_oracle(policy: Policy, traj: Trajectory) -> float:
+    body = trajectory_body(traj)
+    lp_tok, lp_stop = generation_log_probs(policy, traj.tokens[: traj.prompt_len], body)
+    return float(lp_tok.sum()) + (float(lp_stop[len(body)]) if traj.terminated else 0.0)
+
+
+def dpo_mean_loss_oracle(policy, theta, ref_policy, pairs, beta):
+    trajs = [p.chosen for p in pairs] + [p.rejected for p in pairs]
+    lp = batched_generation_log_vars(policy, theta, [trajectory_item(t) for t in trajs])
+    seq = sequence_log_prob_vars(*lp, np.asarray([t.terminated for t in trajs]))
+    n = len(pairs)
+    margin_ref = np.asarray([[pair_logprob_oracle(ref_policy, p.chosen) - pair_logprob_oracle(ref_policy, p.rejected)]
+                             for p in pairs])
+    margin = theta.tape.const(np.hstack([np.eye(n), -np.eye(n)])) @ seq - margin_ref
+    return ad.vsum(ad.softplus(-(margin * beta))) / float(n)
+
+
+def ppo_train_oracle(policy: Policy, critic: ValueNet, dataset: TrainSet, cfg: PpoConfig) -> None:
+    """ppo_train's update loop as it was with one reference forward per trajectory."""
+    ref_policy = policy.clone()
+    rng = np.random.default_rng(cfg.seed)
+    actor_fit = Fitter(policy, cfg.actor_lr)
+    critic_fit = Fitter(critic, cfg.critic_lr)
+    for _ in range(cfg.steps):
+        problem = dataset.problems[int(rng.integers(0, len(dataset.problems)))]
+        trajs, env_rewards = _draw_scored(policy, dataset, problem, cfg.decode, cfg.trajs_per_step, rng)
+        items, value_rows, value_targets = [], [], []
+        for traj, env_r in zip(trajs, env_rewards):
+            prompt, body = trajectory_item(traj)
+            old_lp = np.asarray(traj.logprobs)
+            token_rewards = -cfg.kl_beta * (old_lp - logprob_oracle(ref_policy, traj))
+            if traj.terminated:
+                token_rewards[-1] += env_r
+            ctx = critic.windows([(prompt, body)])
+            states = critic.values(ctx)
+            values = np.concatenate([states, [0.0]]) if traj.terminated else states
+            adv = gae_advantages(token_rewards, values, cfg.gamma, cfg.gae_lambda)
+            items.append(PpoItem(prompt, body, traj.terminated, old_lp, adv))
+            value_rows.append(ctx if traj.terminated else ctx[: old_lp.size])
+            value_targets.append(adv + values[:-1])
+        theta = actor_fit.theta(items_of(items))
+        actor_fit.step(ppo_surrogate_var(policy, theta, items, cfg.clip), theta)
+        ctheta = critic_fit.theta(items_of(items))
+        all_targets = np.concatenate(value_targets)
+        resid = critic.values_var(ctheta, np.concatenate(value_rows, axis=0)) - ctheta.tape.const(all_targets)
+        critic_fit.step(ad.vsum(ad.square(resid)) / float(all_targets.size), ctheta)
+
+
+def mixed_pairs(problem: Problem, stop: int, rng: np.random.Generator, n: int = 6) -> list[PreferencePair]:
+    """Pairs of random bodies, terminated and unterminated draws mixed on both sides."""
+    def draw(terminated: bool) -> Trajectory:
+        body = tuple(int(t) for t in rng.integers(0, stop, size=int(rng.integers(0 if terminated else 1, 4))))
+        gen = body + ((stop,) if terminated else ())
+        return Trajectory(prompt_len=problem.prompt_len, tokens=problem.prompt_tokens + gen,
+                          logprobs=(-1.0,) * len(gen), terminated=terminated)
+    return [PreferencePair(i, draw(i % 2 == 0), draw(i % 3 == 0), 1.0, 0.5) for i in range(n)]
+
+
+def dpo_pair_case(neural: bool):
+    cfg, vocab, problem = tiny_setup()
+    rng = np.random.default_rng(11)
+    pairs = mixed_pairs(problem, vocab.stop_id, rng)
+    items = [trajectory_item(t) for p in pairs for t in (p.chosen, p.rejected)]
+    if neural:
+        pol = Policy.neural(vocab, window=3, embed_dim=4, hidden_dim=8, seed=1)
+        ref = Policy.neural(vocab, window=3, embed_dim=4, hidden_dim=8, seed=2)
+        return pol, ref, pairs
+    ref = Policy.tabular(vocab, window=2)
+    ref.register(items[::3])  # the reference reads some contexts as unregistered zero rows
+    ref.params = rng.normal(0.0, 1.0, size=ref.params.size)
+    pol = ref.clone()
+    pol.register(items)
+    pol.params = rng.normal(0.0, 1.0, size=pol.params.size)
+    return pol, ref, pairs
+
+
+def test_dpo_reference_margins_equal_the_per_pair_oracle_bit_for_bit_on_a_tabular_policy():
+    pol, ref, pairs = dpo_pair_case(neural=False)
+    assert {p.chosen.terminated for p in pairs} == {p.rejected.terminated for p in pairs} == {True, False}
+    got = lambda th: dpo_mean_loss_var(pol, th, ref, pairs, 0.3)  # noqa: E731
+    want = lambda th: dpo_mean_loss_oracle(pol, th, ref, pairs, 0.3)  # noqa: E731
+    assert ad.loss_value(got, pol.params) == ad.loss_value(want, pol.params)
+    assert ad.grad(got, pol.params).tobytes() == ad.grad(want, pol.params).tobytes()
+
+
+def test_dpo_reference_margins_match_the_per_pair_oracle_on_a_neural_policy():
+    pol, ref, pairs = dpo_pair_case(neural=True)
+    got = lambda th: dpo_mean_loss_var(pol, th, ref, pairs, 0.3)  # noqa: E731
+    want = lambda th: dpo_mean_loss_oracle(pol, th, ref, pairs, 0.3)  # noqa: E731
+    assert ad.loss_value(got, pol.params) == pytest.approx(ad.loss_value(want, pol.params), rel=1e-12, abs=0.0)
+    g, w = ad.grad(got, pol.params), ad.grad(want, pol.params)
+    assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+
+
+def test_ppo_with_a_batched_reference_ends_where_the_per_trajectory_loop_does():
+    cfg = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 3), max_parts=2,
+                     max_part=2, reward_mode=RewardMode.TERMINAL)
+    vocab = build_vocab(cfg)
+    ds = TrainSet.build([make_problem(cfg, seed=s) for s in (1, 2)], cfg, vocab)
+    start = Policy.tabular(vocab, window=3)
+    sft_train(start, ds, cfg=SftConfig(epochs=5, lr=0.05))
+    # a two-token budget leaves some draws unterminated
+    pcfg = PpoConfig(steps=6, trajs_per_step=8, actor_lr=0.05, critic_lr=0.1, kl_beta=0.5,
+                     decode=DecodeCfg(temperature=1.0, top_p=1.0, max_new_tokens=2), seed=3)
+    pol, critic = start.clone(), ValueNet.for_policy(start)
+    want_pol, want_critic = start.clone(), ValueNet.for_policy(start)
+    ppo_train(pol, critic, ds, pcfg)
+    ppo_train_oracle(want_pol, want_critic, ds, pcfg)
+    assert pol.contexts == want_pol.contexts and critic.contexts == want_critic.contexts
+    assert pol.params.tobytes() == want_pol.params.tobytes()
+    assert critic.params.tobytes() == want_critic.params.tobytes()
+    assert not np.array_equal(pol.params, start.params)
+
+
+def test_the_reference_is_scored_once_per_ppo_step_and_once_per_dpo_minibatch(monkeypatch):
+    array_calls = []
+    inner = baselines.batched_generation_log_vars
+
+    def counted(policy, theta, items):
+        if isinstance(theta, np.ndarray):
+            array_calls.append(len(items))
+        return inner(policy, theta, items)
+    monkeypatch.setattr(baselines, "batched_generation_log_vars", counted)
+    cfg, vocab, problem = tiny_setup()
+    ds = TrainSet.build([problem, make_problem(cfg, seed=2), make_problem(cfg, seed=3)], cfg, vocab)
+    pol = Policy.tabular(vocab, window=5)
+    sft_train(pol, ds, cfg=SftConfig(epochs=10, lr=0.05))
+    ppo_train(pol.clone(), ValueNet.for_policy(pol), ds, PpoConfig(steps=3, trajs_per_step=4))
+    assert array_calls == [4, 4, 4]
+    array_calls.clear()
+    report = dpo_train(pol.clone(), pol, ds, DpoConfig(samples_per_problem=8, epochs=2, batch_size=2,
+                                                      decode=DecodeCfg(temperature=1.0, top_p=1.0)))
+    assert len(report.rows) >= 2 and len(array_calls) == len(report.rows)
+
+
+def test_dpo_without_preference_pairs_fails_naming_the_counts():
+    # an SFT-peaked policy decoded almost greedily draws one body over and over
+    cfg, vocab, problem = tiny_setup()
+    ds = TrainSet.build([problem], cfg, vocab)
+    pol = Policy.tabular(vocab, window=5)
+    sft_train(pol, ds, cfg=SftConfig(epochs=40, lr=0.05))
+    dcfg = DpoConfig(samples_per_problem=8, decode=DecodeCfg(temperature=0.05, top_p=0.5))
+    with pytest.raises(EmptyDataset, match=r"\(1 problems, 8 draws each\)"):
+        dpo_train(pol.clone(), pol, ds, dcfg)

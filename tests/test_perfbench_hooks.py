@@ -97,6 +97,9 @@ def test_a_traced_run_counts_through_every_hooked_signature():
         pol = Policy.tabular(vocab, window=5)
         gflownet.train_gflownet(pol, ds, gflownet.GfnConfig(steps=2, batch_size=2, samples_per_problem=2))
         baselines.ppo_train(pol.clone(), ValueNet.for_policy(pol), ds, baselines.PpoConfig(steps=1, trajs_per_step=2))
+        ref = pol.clone()  # a warm start whose draws differ in reward, so that DPO has pairs
+        baselines.sft_train(ref, ds, cfg=baselines.SftConfig(epochs=10, lr=0.05))
+        baselines.dpo_train(ref.clone(), ref, ds, baselines.DpoConfig(epochs=1))
         evaluation.evaluate(pol, [problem], vocab, k=2)
         gflownet.terminal_distribution(pol, problem)
     finally:

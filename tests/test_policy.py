@@ -17,7 +17,6 @@ from flowseq.policy import (
     MAGIC,
     CheckpointMismatch,
     DecodeCfg,
-    InconsistentTrajectory,
     Policy,
     PolicyKind,
     TerminalDistribution,
@@ -27,7 +26,6 @@ from flowseq.policy import (
     generation_log_probs,
     greedy_decode,
     load_policy,
-    logprob,
     save_policy,
     terminal_distribution,
     trajectory_body,
@@ -76,13 +74,15 @@ def test_unregistered_context_is_uniform():
     assert np.allclose(lp, -np.log(vocab.size))
 
 
-def test_logprob_step_by_step_oracle():
+def test_generation_log_probs_step_by_step_oracle():
     vocab = tiny_vocab()
     pol = seeded_tabular(vocab)
     problem = tiny_problem(vocab)
     traj = _sample_with_rng(pol, problem, DecodeCfg(temperature=1.0, top_p=1.0),
                             np.random.default_rng(5))
-    lp = logprob(pol, problem, traj)
+    body = trajectory_body(traj)
+    lp_tok, lp_stop = generation_log_probs(pol, problem.prompt_tokens, body)
+    lp = np.append(lp_tok, lp_stop[len(body)]) if traj.terminated else lp_tok
     # recompute each factor by querying the policy one prefix at a time
     prefix = list(problem.prompt_tokens)
     want = []
@@ -91,18 +91,6 @@ def test_logprob_step_by_step_oracle():
         prefix.append(tok)
     assert np.allclose(lp, want)
     assert len(lp) == len(traj.generated)
-
-
-def test_logprob_rejects_foreign_trajectory():
-    from flowseq.core import Trajectory
-
-    vocab = tiny_vocab()
-    pol = seeded_tabular(vocab)
-    problem = tiny_problem(vocab)
-    # prompt (2,) disagrees with the problem's prompt (0,)
-    bad = Trajectory(prompt_len=1, tokens=(2, 0), logprobs=(-0.7,), terminated=False)
-    with pytest.raises(InconsistentTrajectory):
-        logprob(pol, problem, bad)
 
 
 def test_sampled_logprobs_are_unmodified_policy_values():
