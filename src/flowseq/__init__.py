@@ -13,7 +13,6 @@ from .baselines import (
     PreferencePair,
     RftConfig,
     SftConfig,
-    dpo_loss,
     dpo_train,
     gae_advantages,
     ppo_train,
@@ -40,7 +39,6 @@ from .env import (
     enumerate_solutions,
     enumerate_terminals,
     make_problem,
-    partition_function,
     reward,
     verify_prefix,
 )
@@ -58,9 +56,6 @@ from .gflownet import (
     TrainSet,
     buffer_push,
     buffer_sample,
-    sft_loss,
-    subtb_loss,
-    tb_loss,
     train_gflownet,
 )
 from .policy import (

@@ -210,18 +210,6 @@ def dpo_mean_loss_var(
     return ad.vsum(ad.softplus(-(margin * beta))) / float(n)
 
 
-def dpo_loss_var(
-    policy: Policy, theta: Var, ref_policy: Policy, pair: PreferencePair, beta: float = 0.01
-) -> Var:
-    """-log sigmoid(beta * margin) with the margin taken against the frozen reference."""
-    return dpo_mean_loss_var(policy, theta, ref_policy, [pair], beta)
-
-
-def dpo_loss(policy: Policy, ref_policy: Policy, pair: PreferencePair, beta: float = 0.01) -> float:
-    policy.register([trajectory_item(pair.chosen), trajectory_item(pair.rejected)])
-    return ad.loss_value(lambda th: dpo_loss_var(policy, th, ref_policy, pair, beta), policy.params)
-
-
 @dataclass(frozen=True)
 class DpoConfig:
     beta: float = 0.01

@@ -1,8 +1,8 @@
 """Run configuration: a line-based ``key = value`` format with bracketed sections.
 
 Each ``[section]`` is a dataclass whose field names are its keys, and a value
-parses by its field's type. Unknown sections or keys and empty or malformed
-values are hard errors, so a typo cannot silently fall back to a default.
+parses by its field's type. Unknown sections or keys, a key set twice, and
+empty or malformed values are hard errors, so a typo cannot silently fall back.
 Range rules are the typed configs' own (TaskConfig, DecodeCfg, the trainer
 configs); RunConfig.check builds each once and names the key of the first value
 one rejects. The resolved config is what lands in run_meta.json, and re-running
@@ -28,7 +28,7 @@ class ConfigError(Exception):
 
 
 class ParseError(ConfigError):
-    """A line that is not a section header or ``key = value``, an unknown key, or a value its type cannot hold."""
+    """A line that is neither a section header nor ``key = value``, an unknown or repeated key, or a mistyped value."""
 
 
 class RangeError(ConfigError):
@@ -219,6 +219,7 @@ def read_config(path: str | Path) -> RunConfig:
     """Parse a config file by the types of its keys' fields, ranges unchecked; an empty file yields all defaults."""
     cfg = RunConfig()
     section = ""
+    first_line: dict[str, int] = {}  # dotted key -> the line that set it
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -237,6 +238,9 @@ def read_config(path: str | Path) -> RunConfig:
             dotted = f"{section}.{key}" if section else key
             if key not in _KEYS[section]:
                 raise ParseError(f"unknown key: {dotted}")
+            if dotted in first_line:
+                raise ParseError(f"line {line_no}: {dotted} is set again; line {first_line[dotted]} set it first")
+            first_line[dotted] = line_no
             try:
                 setattr(getattr(cfg, section) if section else cfg, key, _parse(_KEYS[section][key], value))
             except ValueError as exc:

@@ -520,10 +520,6 @@ def left_sum(values: np.ndarray, start: float = 0.0) -> float:
     return float(np.cumsum(np.r_[start, values])[-1])
 
 
-def partition_function(terminals: list[tuple[tuple[int, ...], float]]) -> float:
-    return left_sum(np.fromiter((r for _, r in terminals), dtype=float, count=len(terminals)))
-
-
 def problem_record(problem: Problem, problem_id: int, vocab: Vocab) -> dict:
     """JSON-ready record for one problem."""
     return {

@@ -26,7 +26,7 @@ DISTINCT_THRESHOLD = 0.7
 
 
 class KTooLarge(ValueError):
-    """k exceeds the number of recorded samples."""
+    """k is below 1 or exceeds the number of recorded samples."""
 
 
 def rouge_l(a, b) -> float:
@@ -217,6 +217,8 @@ def evaluate(
     """
     if not problems:
         raise ValueError("no problems to evaluate")
+    if k < 1:
+        raise KTooLarge(f"k must be at least 1, got {k}")
     decode_cfg = decode_cfg or DecodeCfg()
     bounds = np.linspace(0, len(problems), min(max(workers, 1), len(problems)) + 1).astype(int).tolist()
     chunks = [(policy, problems[a:b], vocab, k, decode_cfg, seed, a, prepend_greedy)

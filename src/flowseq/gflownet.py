@@ -48,7 +48,6 @@ from .policy import (
     sequence_log_prob_vars,
     terminal_distribution,
     trajectory_body,
-    trajectory_item,
 )
 
 RewardFn = Callable[[tuple[int, ...]], float]
@@ -179,62 +178,6 @@ def subtb_sum_var(lp_tok: Var, lp_stop: Var, lengths: np.ndarray, log_rewards: l
     return ad.vsum(ad.square(d @ pairs) * weights[lengths])
 
 
-def subtb_loss_var(
-    policy: Policy,
-    theta: Var,
-    reward_fn: RewardFn,
-    traj: Trajectory,
-    lam: float = 1.0,
-    stop_placement: str = "printed",
-) -> Var:
-    """Differentiable subtrajectory balance loss for one terminated trajectory."""
-    if stop_placement not in STOP_PLACEMENTS:
-        raise ValueError(f"stop_placement must be one of {STOP_PLACEMENTS}")
-    if not traj.terminated:
-        raise ValueError("subtrajectory balance needs a terminated trajectory")
-    prompt = traj.tokens[: traj.prompt_len]
-    body = trajectory_body(traj)
-    lp = batched_generation_log_vars(policy, theta, [(prompt, body)])
-    return subtb_sum_var(*lp, [prefix_log_rewards(reward_fn, prompt, body)], lam, stop_placement)
-
-
-def subtb_loss(
-    policy: Policy,
-    reward_fn: RewardFn,
-    traj: Trajectory,
-    lam: float = 1.0,
-    stop_placement: str = "printed",
-) -> float:
-    """Subtrajectory balance loss value under the current parameters."""
-    policy.register([trajectory_item(traj)])
-    return ad.loss_value(lambda th: subtb_loss_var(policy, th, reward_fn, traj, lam, stop_placement),
-                         policy.params)
-
-
-def tb_loss_var(
-    policy: Policy,
-    theta: Var,
-    reward_fn: RewardFn,
-    traj: Trajectory,
-    log_z: Var | float,
-) -> Var:
-    """Trajectory balance: (logZ + sum log pi + log pi(sT|.) - log R)^2."""
-    if not traj.terminated:
-        raise ValueError("trajectory balance needs a terminated trajectory")
-    prompt = traj.tokens[: traj.prompt_len]
-    body = trajectory_body(traj)
-    r = reward_fn(prompt + body)
-    if not r > 0.0:
-        raise NonPositiveReward(f"reward {r} on the full sequence")
-    seq_lp = ad.vsum(sequence_log_prob_vars(*batched_generation_log_vars(policy, theta, [(prompt, body)])))
-    return ad.square(log_z + seq_lp - float(np.log(r)))
-
-
-def tb_loss(policy: Policy, reward_fn: RewardFn, traj: Trajectory, log_z: float) -> float:
-    policy.register([trajectory_item(traj)])
-    return ad.loss_value(lambda th: tb_loss_var(policy, th, reward_fn, traj, float(log_z)), policy.params)
-
-
 def items_of(entries: list) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """(prompt_tokens, body) of each entry (a Reference, BufferEntry or PpoItem), in order."""
     return [(e.prompt_tokens, e.body) for e in entries]
@@ -249,13 +192,6 @@ def sft_from_vars(lp_tok: Var, lp_stop: Var, lengths: np.ndarray) -> Var:
 def sft_loss_var(policy: Policy, theta: Var, refs: list[Reference]) -> Var:
     """Mean per-token negative log-likelihood of reference bodies, stop symbol included."""
     return sft_from_vars(*batched_generation_log_vars(policy, theta, items_of(refs)))
-
-
-def sft_loss(policy: Policy, refs: list[Reference]) -> float:
-    if not refs:
-        raise ValueError("reference set is empty")
-    policy.register(items_of(refs))
-    return ad.loss_value(lambda th: sft_loss_var(policy, th, refs), policy.params)
 
 
 def check_learning_rate(lr: float, name: str = "learning rate", field: str = "lr") -> None:
@@ -402,10 +338,9 @@ class TrainSet:
     @classmethod
     def build(cls, problems: list[Problem], task: TaskConfig, vocab: Vocab,
               max_refs: int | None = None) -> "TrainSet":
-        refs = []
-        for p in problems:
-            sols = enumerate_solutions(p, task, vocab)
-            refs.append(sols[:max_refs] if max_refs else sols)
+        if max_refs is not None and max_refs < 0:
+            raise SettingError("max_refs", f"max_refs must be non-negative, got {max_refs}")
+        refs = [enumerate_solutions(p, task, vocab)[: max_refs or None] for p in problems]
         return cls(problems=problems, references=refs, task=task, vocab=vocab)
 
     def all_references(self) -> list[Reference]:

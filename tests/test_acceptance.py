@@ -25,7 +25,7 @@ from flowseq.baselines import (
     PreferencePair,
     RftConfig,
     SftConfig,
-    dpo_loss_var,
+    dpo_mean_loss_var,
     dpo_train,
     ppo_surrogate_var,
     ppo_train,
@@ -38,14 +38,14 @@ from flowseq.env import TaskConfig, build_vocab, enumerate_terminals, make_probl
 from flowseq.evaluation import pass_at_k, rouge_l
 from flowseq.evaluation import evaluate
 from flowseq.gflownet import (
+    BufferEntry,
     GfnConfig,
     Reference,
     TrainSet,
     make_reward_fn,
+    prefix_log_rewards,
+    replay_loss_var,
     sft_loss_var,
-    subtb_loss,
-    subtb_loss_var,
-    tb_loss_var,
     terminal_l1_gap,
     train_gflownet,
 )
@@ -54,8 +54,11 @@ from flowseq.policy import (
     Policy,
     ValueNet,
     _sample_with_rng,
+    batched_generation_log_vars,
+    sequence_log_prob_vars,
     terminal_distribution,
     trajectory_body,
+    trajectory_item,
 )
 
 HOT = DecodeCfg(temperature=1.0, top_p=1.0)
@@ -111,6 +114,12 @@ def _toy_policy(vocab, problem, p_tok: float):
     pol.params[i0 * 2:(i0 + 1) * 2] = np.log([p_tok, 1.0 - p_tok])
     pol.params[i1 * 2:(i1 + 1) * 2] = np.log([1e-12, 1.0 - 1e-12])
     return pol
+
+
+def _replayed(reward_fn, traj):
+    """A one-row replay batch holding traj, its prefix log-rewards scored by reward_fn."""
+    prompt, body = trajectory_item(traj)
+    return [BufferEntry(prompt, body, prefix_log_rewards(reward_fn, prompt, body))]
 
 
 def _random_terminated(pol, problem, seed):
@@ -176,7 +185,9 @@ def test_criterion_2_balance_loss_correctness():
     rewards = {(): 1.0, (0,): 3.0}
     reward_fn = lambda prefix: rewards[prefix[1:]]
     traj = _random_terminated(pol, problem, 0)
-    flow_loss = subtb_loss(pol, reward_fn, traj, lam=1.0)
+    cfg = GfnConfig(steps=1, subtb_lambda=1.0)
+    flow_loss = ad.loss_value(lambda th: replay_loss_var(pol, th, _replayed(reward_fn, traj), [], cfg)[1],
+                              pol.params)
     assert flow_loss < 1e-10
 
     # (b) uniform one-step policy against rewards {1, 3}: the single
@@ -187,7 +198,7 @@ def test_criterion_2_balance_loss_correctness():
     traj = Trajectory(prompt_len=1, tokens=(0, 0, 1),
                       logprobs=(float(np.log(0.5)), float(np.log(1 - 1e-12))),
                       terminated=True)
-    hand = subtb_loss(pol, reward_fn, traj, lam=1.0)
+    hand = ad.loss_value(lambda th: replay_loss_var(pol, th, _replayed(reward_fn, traj), [], cfg)[1], pol.params)
     assert hand == pytest.approx(float(np.log(3.0)) ** 2, abs=1e-9)
 
     # (c) every loss gradient against central differences, 20 instances each
@@ -201,13 +212,20 @@ def test_criterion_2_balance_loss_correctness():
         problem, pol, (ta, tb), reward_fn, rng = _fd_instance(i)
         lam = (0.5, 0.9, 1.0, 1.7)[i % 4]
         placement = "printed" if i % 2 == 0 else "swapped"
+        cfg = GfnConfig(steps=1, subtb_lambda=lam, stop_placement=placement)
+        batch = _replayed(reward_fn, ta)
         record("subtb", _max_grad_rel_err(
-            pol, lambda p, th: subtb_loss_var(p, th, reward_fn, ta, lam=lam,
-                                              stop_placement=placement)))
+            pol, lambda p, th: replay_loss_var(p, th, batch, [], cfg)[1]))
 
+        # trajectory balance has no trainer, so its loss is built here: (log Z + log pi(ta) - log R(ta))^2
         log_z = float(rng.normal())
-        record("tb", _max_grad_rel_err(
-            pol, lambda p, th: tb_loss_var(p, th, reward_fn, ta, log_z)))
+        log_r = float(np.log(reward_fn(problem.prompt_tokens + trajectory_body(ta))))
+
+        def trajectory_balance(p, th):
+            seq = ad.vsum(sequence_log_prob_vars(*batched_generation_log_vars(p, th, [trajectory_item(ta)])))
+            return ad.square(log_z + seq - log_r)
+
+        record("tb", _max_grad_rel_err(pol, trajectory_balance))
 
         refs = [Reference(problem.prompt_tokens, trajectory_body(t)) for t in (ta, tb)]
         record("sft", _max_grad_rel_err(
@@ -219,7 +237,7 @@ def test_criterion_2_balance_loss_correctness():
                               chosen_reward=1.0, rejected_reward=0.5)
         beta = (0.01, 0.1, 0.5)[i % 3]
         record("dpo", _max_grad_rel_err(
-            pol, lambda p, th: dpo_loss_var(p, th, ref_pol, pair, beta)))
+            pol, lambda p, th: dpo_mean_loss_var(p, th, ref_pol, [pair], beta)))
 
         items = [
             PpoItem(problem.prompt_tokens, trajectory_body(t), t.terminated,
@@ -247,14 +265,17 @@ def test_criterion_3_reward_scale_invariance():
     reward_fn = make_reward_fn(problem, task, vocab)
     pol = Policy.tabular(vocab, window=4)
     rng = np.random.default_rng(11)
+    cfg = GfnConfig(steps=1, subtb_lambda=0.9)
     worst = 0.0
     for seed in range(5):
         traj = _random_terminated(pol, problem, seed)
         pol.register([(problem.prompt_tokens, trajectory_body(traj))])
         pol.params = rng.normal(0.0, 0.5, size=pol.params.size)
-        base = subtb_loss(pol, reward_fn, traj, lam=0.9)
+        base = ad.loss_value(lambda th: replay_loss_var(pol, th, _replayed(reward_fn, traj), [], cfg)[1],
+                             pol.params)
         for c in (0.1, 10.0):
-            scaled = subtb_loss(pol, lambda pre: c * reward_fn(pre), traj, lam=0.9)
+            batch = _replayed(lambda pre: c * reward_fn(pre), traj)
+            scaled = ad.loss_value(lambda th: replay_loss_var(pol, th, batch, [], cfg)[1], pol.params)
             worst = max(worst, abs(scaled - base))
             assert abs(scaled - base) < 1e-9
     print(f"criterion 3: PASS (max |delta| {worst:.2e} across 5 trajectories x 2 scales)")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from flowseq.cli import run_cli
-from flowseq.config import RunConfig, load_config
+from flowseq.config import ParseError, RunConfig, load_config, read_config
 from flowseq.core import TaskKind, decode
 from flowseq.env import TaskConfig, build_vocab, enumerate_terminals, read_problems
 from flowseq.policy import load_policy, terminal_distribution
@@ -200,6 +200,18 @@ def test_parse_error_reports_line(tmp_path, capsys):
     cfg = write_config(tmp_path, "method = gflownet\nnot a key value line\n")
     assert run_cli(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "2" in capsys.readouterr().err  # the offending line number
+
+
+def test_key_set_twice_exits_2_naming_both_lines(tmp_path, capsys):
+    # the second value would otherwise win silently
+    cfg = write_config(tmp_path, "[train]\nlr = 0.1\n\n[eval]\nk = 4\n[train]\nlr = 0.2\n")
+    assert run_cli(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "line 7" in err and "train.lr" in err and "line 2" in err
+    with pytest.raises(ParseError, match=r"line 7: train\.lr .*line 2"):
+        read_config(cfg)
+    # the same key in another section is a different key
+    read_config(write_config(tmp_path, "[train]\ntemperature = 0.5\n[eval]\ntemperature = 0.7\n"))
 
 
 def test_bad_log_env_exits_2(tmp_path, monkeypatch):

@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from flowseq import evaluation
 from flowseq.core import Solution, TaskKind
 from flowseq.env import RewardMode, TaskConfig, build_vocab, make_problem
 from flowseq.evaluation import (
@@ -173,6 +174,21 @@ def test_evaluate_prepend_greedy_bounds_pass_rates():
     # sample 0 is the greedy solution itself
     for row in report.rows:
         assert row.sample_correctness[0] == row.greedy_correct
+
+
+@pytest.mark.parametrize("prepend_greedy", (False, True))
+@pytest.mark.parametrize("k", (0, -1))
+def test_evaluate_rejects_k_below_one_before_decoding(monkeypatch, k, prepend_greedy):
+    cfg = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 3), max_parts=2, max_part=2)
+    vocab = build_vocab(cfg)
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("evaluate decoded before checking k")
+
+    monkeypatch.setattr(evaluation, "_decode", no_decode)
+    with pytest.raises(KTooLarge, match="k must be at least 1"):
+        evaluate(Policy.tabular(vocab, window=5), [make_problem(cfg, seed=0)], vocab, k=k,
+                 prepend_greedy=prepend_greedy)
 
 
 def test_report_files_round_trip(tmp_path):

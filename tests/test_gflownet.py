@@ -3,10 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from flowseq import autodiff as ad
 from flowseq import gflownet
 from flowseq.core import Problem, TaskKind, Trajectory, encode, make_vocab
 from flowseq.env import RewardMode, TaskConfig, build_vocab, enumerate_terminals, make_problem
 from flowseq.gflownet import (
+    BufferEntry,
     EmptyBuffer,
     GfnConfig,
     NonPositiveReward,
@@ -17,9 +19,8 @@ from flowseq.gflownet import (
     buffer_sample,
     make_reward_fn,
     prefix_log_rewards,
-    sft_loss,
-    subtb_loss,
-    tb_loss,
+    replay_loss_var,
+    sft_loss_var,
     terminal_l1_gap,
     train_gflownet,
 )
@@ -31,6 +32,7 @@ from flowseq.policy import (
     generation_log_probs,
     terminal_distribution,
     trajectory_body,
+    trajectory_item,
 )
 
 
@@ -45,6 +47,12 @@ def brute_subtb(lp_tok: np.ndarray, lp_stop: np.ndarray, log_r: np.ndarray,
         for j in range(i + 1, n + 1):
             total += lam ** (j - i) * (d[i] - d[j]) ** 2
     return total
+
+
+def replayed(reward_fn, traj: Trajectory) -> list[BufferEntry]:
+    """A one-row replay batch holding traj, its prefix log-rewards scored by reward_fn."""
+    prompt, body = trajectory_item(traj)
+    return [BufferEntry(prompt, body, prefix_log_rewards(reward_fn, prompt, body))]
 
 
 def two_token_setup():
@@ -95,7 +103,9 @@ def test_subtb_matches_brute_force_double_sum():
         pol.register([(problem.prompt_tokens, body)])
         pol.params = rng.normal(0, 0.5, size=pol.params.size)
         for lam in (0.5, 1.0, 1.7):
-            got = subtb_loss(pol, reward_fn, traj, lam=lam)
+            cfg = GfnConfig(steps=1, subtb_lambda=lam)
+            got = ad.loss_value(lambda th: replay_loss_var(pol, th, replayed(reward_fn, traj), [], cfg)[1],
+                                pol.params)
             lp_tok, lp_stop = generation_log_probs(pol, problem.prompt_tokens, body)
             log_r = prefix_log_rewards(reward_fn, problem.prompt_tokens, body)
             want = brute_subtb(lp_tok, lp_stop, log_r, lam)
@@ -111,7 +121,8 @@ def test_subtb_swapped_placement_matches_its_oracle():
     body = trajectory_body(traj)
     pol.register([(problem.prompt_tokens, body)])
     pol.params = rng.normal(0, 0.5, size=pol.params.size)
-    got = subtb_loss(pol, reward_fn, traj, lam=1.0, stop_placement="swapped")
+    cfg = GfnConfig(steps=1, subtb_lambda=1.0, stop_placement="swapped")
+    got = ad.loss_value(lambda th: replay_loss_var(pol, th, replayed(reward_fn, traj), [], cfg)[1], pol.params)
     lp_tok, lp_stop = generation_log_probs(pol, problem.prompt_tokens, body)
     log_r = prefix_log_rewards(reward_fn, problem.prompt_tokens, body)
     want = brute_subtb(lp_tok, lp_stop, log_r, 1.0, swapped=True)
@@ -126,7 +137,8 @@ def test_subtb_flow_consistent_policy_is_zero():
     rewards = {(): 1.0, (0,): 3.0}
     reward_fn = lambda prefix: rewards[prefix[1:]]
     traj = random_terminated_trajectory(pol, problem, 0)
-    loss = subtb_loss(pol, reward_fn, traj, lam=1.0)
+    cfg = GfnConfig(steps=1, subtb_lambda=1.0)
+    loss = ad.loss_value(lambda th: replay_loss_var(pol, th, replayed(reward_fn, traj), [], cfg)[1], pol.params)
     assert loss < 1e-10
 
 
@@ -142,7 +154,8 @@ def test_subtb_hand_derived_single_step_case():
     traj = Trajectory(prompt_len=1, tokens=(0, 0, 1),
                       logprobs=(float(np.log(0.5)), float(np.log(1 - 1e-12))),
                       terminated=True)
-    loss = subtb_loss(pol, reward_fn, traj, lam=1.0)
+    cfg = GfnConfig(steps=1, subtb_lambda=1.0)
+    loss = ad.loss_value(lambda th: replay_loss_var(pol, th, replayed(reward_fn, traj), [], cfg)[1], pol.params)
     assert loss == pytest.approx(float(np.log(3.0)) ** 2, abs=1e-9)
 
 
@@ -154,27 +167,12 @@ def test_subtb_reward_scale_invariance():
     traj = random_terminated_trajectory(pol, problem, 2)
     pol.register([(problem.prompt_tokens, trajectory_body(traj))])
     pol.params = rng.normal(0, 0.5, size=pol.params.size)
-    base = subtb_loss(pol, reward_fn, traj, lam=0.9)
+    cfg = GfnConfig(steps=1, subtb_lambda=0.9)
+    base = ad.loss_value(lambda th: replay_loss_var(pol, th, replayed(reward_fn, traj), [], cfg)[1], pol.params)
     for c in (0.1, 10.0):
-        scaled = subtb_loss(pol, lambda pre: c * reward_fn(pre), traj, lam=0.9)
+        batch = replayed(lambda pre: c * reward_fn(pre), traj)
+        scaled = ad.loss_value(lambda th: replay_loss_var(pol, th, batch, [], cfg)[1], pol.params)
         assert abs(scaled - base) < 1e-9
-
-
-def test_tb_loss_definitional_zero():
-    # log Z set to the exact sequence mismatch makes the residual vanish
-    cfg, vocab, problem = sumpath_setup()
-    pol = Policy.tabular(vocab, window=4)
-    reward_fn = make_reward_fn(problem, cfg, vocab)
-    traj = random_terminated_trajectory(pol, problem, 7)
-    body = trajectory_body(traj)
-    pol.register([(problem.prompt_tokens, body)])
-    lp_tok, lp_stop = generation_log_probs(pol, problem.prompt_tokens, body)
-    seq_lp = float(lp_tok.sum() + lp_stop[len(body)])
-    r = reward_fn(problem.prompt_tokens + body)
-    log_z = float(np.log(r)) - seq_lp
-    assert tb_loss(pol, reward_fn, traj, log_z=log_z) == pytest.approx(0.0, abs=1e-18)
-    # and a unit offset costs exactly 1
-    assert tb_loss(pol, reward_fn, traj, log_z=log_z + 1.0) == pytest.approx(1.0)
 
 
 def test_sft_loss_is_mean_token_nll():
@@ -184,7 +182,7 @@ def test_sft_loss_is_mean_token_nll():
             Reference(problem.prompt_tokens, (2,))]
     for r in refs:
         pol.register([(r.prompt_tokens, r.body)])
-    got = sft_loss(pol, refs)
+    got = ad.loss_value(lambda th: sft_loss_var(pol, th, refs), pol.params)
     total, count = 0.0, 0
     for r in refs:
         lp_tok, lp_stop = generation_log_probs(pol, r.prompt_tokens, r.body)
@@ -198,7 +196,7 @@ def test_nonpositive_reward_rejected():
     pol = Policy.tabular(vocab, window=4)
     traj = random_terminated_trajectory(pol, problem, 0)
     with pytest.raises(NonPositiveReward):
-        subtb_loss(pol, lambda pre: 0.0, traj, lam=1.0)
+        replayed(lambda pre: 0.0, traj)
 
 
 def test_replay_buffer_fifo_oracle():
@@ -391,3 +389,15 @@ def test_terminal_l1_gap_rejects_the_law_of_another_problem():
     assert (len(enumerate_terminals(problem, task, vocab)), len(dist.probs)) == (259, 1555)
     with pytest.raises(ValueError, match=r"1555 bodies.*259 terminals"):
         terminal_l1_gap(pol, problem, task, vocab, dist=dist)
+
+
+def test_trainset_rejects_a_negative_max_refs():
+    cfg, vocab, _ = sumpath_setup()
+    problems = [make_problem(cfg, seed=s) for s in range(3)]
+    counts = [len(refs) for refs in TrainSet.build(problems, cfg, vocab).references]
+    assert min(counts) >= 2
+    assert [len(refs) for refs in TrainSet.build(problems, cfg, vocab, max_refs=0).references] == counts
+    assert [len(refs) for refs in TrainSet.build(problems, cfg, vocab, max_refs=1).references] == [1, 1, 1]
+    # a negative slice bound would drop each problem's last solution
+    with pytest.raises(ValueError, match="max_refs"):
+        TrainSet.build(problems, cfg, vocab, max_refs=-1)

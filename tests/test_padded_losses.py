@@ -1,9 +1,9 @@
 """Padded-batch losses against B=1 oracles.
 
 Every training loss reads one padded (B, L) / (B, L+1) forward pass. Here each
-batched loss and its gradient must equal the sum or mean of the same loss
-evaluated one row at a time, on batches that mix every body length from 0 to
-L, and must agree with central finite differences.
+batched loss and its gradient must equal the sum or mean of the same function
+called on one-row batches, on batches that mix every body length from 0 to L,
+and must agree with central finite differences.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from flowseq import autodiff as ad
-from flowseq.baselines import PpoItem, PreferencePair, dpo_loss_var, dpo_mean_loss_var, ppo_surrogate_var
+from flowseq.baselines import PpoItem, PreferencePair, dpo_mean_loss_var, ppo_surrogate_var
 from flowseq.core import TaskKind, Trajectory
 from flowseq.env import TaskConfig, build_vocab, make_problem
 from flowseq.gflownet import (
@@ -22,7 +22,6 @@ from flowseq.gflownet import (
     prefix_log_rewards,
     replay_loss_var,
     sft_loss_var,
-    subtb_loss_var,
 )
 from flowseq.policy import Policy, batched_generation_log_vars
 
@@ -125,7 +124,6 @@ def test_padded_forward_layout():
 @pytest.mark.parametrize("horizon", (False, True))
 def test_replay_loss_equals_b1_oracle(kind, lam, placement, horizon):
     pol, problem, bodies, _ = setup(kind, seed=int(lam * 10))
-    stop = pol.vocab.stop_id
     entries = [
         BufferEntry(problem.prompt_tokens, b, prefix_log_rewards(reward_fn, problem.prompt_tokens, b),
                     at_horizon=horizon and len(b) >= MAX_LEN - 1)
@@ -137,8 +135,7 @@ def test_replay_loss_equals_b1_oracle(kind, lam, placement, horizon):
         return replay_loss_var(p, th, entries, [], cfg)[0]
 
     def oracle(p, th):
-        subtb = [subtb_loss_var(p, th, reward_fn, trajectory(problem, e.body, stop), lam, placement)
-                 for e in entries]
+        subtb = [replay_loss_var(p, th, [e], [], cfg)[1] for e in entries]
         total = sum_vars(subtb) / float(len(entries))
         fins = []
         for e in entries:
@@ -156,7 +153,6 @@ def test_replay_loss_equals_b1_oracle(kind, lam, placement, horizon):
 @pytest.mark.parametrize("kind", KINDS)
 def test_replay_loss_with_references_equals_b1_oracle(kind):
     pol, problem, bodies, _ = setup(kind, seed=3)
-    stop = pol.vocab.stop_id
     entries = [BufferEntry(problem.prompt_tokens, b,
                            prefix_log_rewards(reward_fn, problem.prompt_tokens, b)) for b in bodies[:5]]
     # references longer than any replayed body widen the shared padding
@@ -167,8 +163,7 @@ def test_replay_loss_with_references_equals_b1_oracle(kind):
         return replay_loss_var(p, th, entries, refs, cfg)[0]
 
     def oracle(p, th):
-        subtb = [subtb_loss_var(p, th, reward_fn, trajectory(problem, e.body, stop), 0.9)
-                 for e in entries]
+        subtb = [replay_loss_var(p, th, [e], [], cfg)[1] for e in entries]
         return sum_vars(subtb) / float(len(entries)) + 3.0 * sft_oracle(p, th, refs)
 
     assert_matches(pol, batched, oracle)
@@ -238,7 +233,7 @@ def test_dpo_loss_equals_b1_oracle(kind):
         return dpo_mean_loss_var(p, th, ref, pairs, beta=0.5)
 
     def oracle(p, th):
-        return sum_vars([dpo_loss_var(p, th, ref, pair, beta=0.5) for pair in pairs]) / float(len(pairs))
+        return sum_vars([dpo_mean_loss_var(p, th, ref, [pair], beta=0.5) for pair in pairs]) / float(len(pairs))
 
     assert_matches(pol, batched, oracle)
     assert_finite_diff(pol, batched)

@@ -248,7 +248,7 @@ def test_terminal_distribution_matches_per_step_products(kind, score_rows, monke
 
 
 def test_total_mass_adds_left_to_right():
-    # the same cancellation as partition_function's: 0.0 on every Python version
+    # the same cancellation as left_sum's: 0.0 on every Python version
     dist = TerminalDistribution(probs={(): 1e16, (1,): 1.0, (2,): -1e16}, overflow=0.0)
     assert dist.total_mass == 0.0
 
