@@ -250,20 +250,24 @@ def dpo_train(
     dataset: TrainSet,
     cfg: DpoConfig | None = None,
 ) -> TrainReport:
-    """Preference optimization against a frozen reference; the policy updates in place."""
+    """Preference optimization against a frozen reference; the policy updates in place.
+
+    When every problem's draws tie in reward there is no pair to fit: the
+    report comes back without rows and the policy is left as it was.
+    """
     cfg = cfg or DpoConfig()
     if not dataset.problems:
         raise EmptyDataset("no problems to sample from")
     rng = np.random.default_rng(cfg.seed)
     pairs = build_preference_pairs(ref_policy, dataset, cfg, rng)
+    report = TrainReport(loss_column="mean_dpo_loss")
     if not pairs:
-        raise EmptyDataset(f"no preference pairs: every problem's draws tie in reward "
-                           f"({len(dataset.problems)} problems, {cfg.samples_per_problem} draws each)")
+        return report
     return _fit(
         policy, pairs,
         lambda batch: [trajectory_item(t) for p in batch for t in (p.chosen, p.rejected)],
         lambda pol, theta, batch: dpo_mean_loss_var(pol, theta, ref_policy, batch, cfg.beta),
-        cfg, rng, TrainReport(loss_column="mean_dpo_loss"),
+        cfg, rng, report,
     )
 
 

@@ -126,6 +126,9 @@ def _cmd_train(cfg: RunConfig, workers: int) -> int:
         report = bl.rft_train(policy, dataset, trainer)
     elif method is Method.DPO:
         report = bl.dpo_train(policy, policy.clone(), dataset, trainer)
+        if not report.rows:  # a run that fitted nothing leaves no checkpoint
+            raise bl.EmptyDataset(f"no preference pairs: every problem's draws tie in reward "
+                                  f"({len(dataset.problems)} problems, {trainer.samples_per_problem} draws each)")
     else:
         report = bl.ppo_train(policy, ValueNet.for_policy(policy, seed=cfg.seed), dataset, trainer)
 
@@ -188,8 +191,10 @@ def _cmd_enumerate(cfg: RunConfig, workers: int) -> int:
             law = terminal_law(terminals, dist)
             gap = terminal_l1_gap(policy, problem, task, vocab, dist=dist, law=law)
             targets = law[1].tolist()
-            shown = {t: repr(t) for t in set(targets)}  # a problem has a few distinct rewards
-            fh.write("".join([f"{pid},{text},{p!r},{shown[t]}\r\n" for text, p, t in zip(
+            # a problem has a few distinct rewards, and a tabular policy few distinct probabilities:
+            # repr each value once (none is -0.0, the one float whose repr differs from an equal one's)
+            shown = {v: repr(v) for v in {*targets, *dist.probs.values()}}
+            fh.write("".join([f"{pid},{text},{shown[p]},{shown[t]}\r\n" for text, p, t in zip(
                 _terminal_texts(problem, vocab), dist.probs.values(), targets, strict=True)]))
             gaps[str(pid)] = {"l1": gap, "overflow": dist.overflow}
             log.info("problem %d: %d terminals, l1 %r, overflow %r", pid, len(terminals), gap, dist.overflow)

@@ -35,14 +35,16 @@ def rouge_l(a, b) -> float:
     b = list(b)
     if not a or not b:
         return 0.0
-    # O(|a||b|) dp over prefix pairs, rolling one row
-    prev = np.zeros(len(b) + 1, dtype=np.int64)
+    # O(|a||b|) dp over prefix pairs, rolling one row of LCS lengths
+    prev = [0] * (len(b) + 1)
     for x in a:
-        cur = np.zeros_like(prev)
-        for j, y in enumerate(b, start=1):
-            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
+        cur = [0]
+        left = 0
+        for diag, up, y in zip(prev, prev[1:], b):
+            left = diag + 1 if x == y else (up if up > left else left)
+            cur.append(left)
         prev = cur
-    lcs = int(prev[-1])
+    lcs = prev[-1]
     if lcs == 0:
         return 0.0
     p = lcs / len(a)
@@ -51,13 +53,23 @@ def rouge_l(a, b) -> float:
 
 
 def distinct_correct_count(solutions: list[Solution], threshold: float = DISTINCT_THRESHOLD) -> int:
-    """Correct solutions kept greedily in order; a newcomer must differ from every kept one."""
-    kept: list[Solution] = []
+    """Correct solutions kept greedily in order; a newcomer must differ from every kept one.
+
+    A correct solution whose non-empty steps repeat an earlier correct one's
+    is skipped without comparing: it scores 1.0 against that one, and as much
+    as it does against every kept solution, so at any threshold up to 1.0 it
+    is dropped whether or not that one was kept.
+    """
+    kept: list[tuple[int, ...]] = []
+    seen: set[tuple[int, ...]] = set()
     for sol in solutions:
-        if not sol.correct:
+        steps = sol.step_tokens
+        if not sol.correct or steps in seen:
             continue
-        if all(rouge_l(sol.step_tokens, other.step_tokens) < threshold for other in kept):
-            kept.append(sol)
+        if steps and threshold <= 1.0:
+            seen.add(steps)
+        if all(rouge_l(steps, other) < threshold for other in kept):
+            kept.append(steps)
     return len(kept)
 
 

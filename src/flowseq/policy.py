@@ -439,6 +439,17 @@ class TerminalDistribution:
         return left_sum(np.fromiter(self.probs.values(), dtype=float, count=len(self.probs))) + self.overflow
 
 
+def level_rows(body_ids: list[int], length: int, start: int, n: int) -> np.ndarray:
+    """Bodies start .. start+n-1 of one terminal_levels level, as an (n, length) int64 matrix.
+
+    Body i of a level is i written in base len(body_ids), most significant
+    digit first, each digit mapped to its body id: product order.
+    """
+    places = len(body_ids) ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    numbers = np.arange(start, start + n, dtype=np.int64)
+    return np.asarray(body_ids, dtype=np.int64)[numbers[:, None] // places % len(body_ids)]
+
+
 def terminal_distribution(policy: Policy, problem: Problem) -> TerminalDistribution:
     """Probability of every terminated sequence up to max_solution_len generated tokens.
 
@@ -456,7 +467,7 @@ def terminal_distribution(policy: Policy, problem: Problem) -> TerminalDistribut
         for start in range(0, mass.size, SCORE_ROWS):
             bodies = list(islice(level, SCORE_ROWS))
             seqs = np.concatenate([np.broadcast_to(prompt_pad, (len(bodies), prompt_pad.size)),
-                                   np.asarray(bodies, dtype=np.int64).reshape(len(bodies), length)], axis=1)
+                                   level_rows(body_ids, length, start, len(bodies))], axis=1)
             p = np.exp(policy.batch_log_probs(seqs[:, -policy.window:]))
             m = mass[start : start + len(bodies)]
             probs.update(zip(bodies, (m * p[:, stop]).tolist()))

@@ -409,12 +409,18 @@ def test_the_reference_is_scored_once_per_ppo_step_and_once_per_dpo_minibatch(mo
     assert len(report.rows) >= 2 and len(array_calls) == len(report.rows)
 
 
-def test_dpo_without_preference_pairs_fails_naming_the_counts():
+def test_dpo_without_preference_pairs_leaves_the_policy_untouched():
     # an SFT-peaked policy decoded almost greedily draws one body over and over
     cfg, vocab, problem = tiny_setup()
     ds = TrainSet.build([problem], cfg, vocab)
     pol = Policy.tabular(vocab, window=5)
     sft_train(pol, ds, cfg=SftConfig(epochs=40, lr=0.05))
     dcfg = DpoConfig(samples_per_problem=8, decode=DecodeCfg(temperature=0.05, top_p=0.5))
-    with pytest.raises(EmptyDataset, match=r"\(1 problems, 8 draws each\)"):
-        dpo_train(pol.clone(), pol, ds, dcfg)
+    assert build_preference_pairs(pol, ds, dcfg, np.random.default_rng(dcfg.seed)) == []
+    trained = pol.clone()
+    params, contexts = trained.params.tobytes(), dict(trained.contexts)
+    report = dpo_train(trained, pol, ds, dcfg)
+    assert report.rows == []
+    assert report.loss_column == "mean_dpo_loss"
+    assert trained.params.tobytes() == params
+    assert trained.contexts == contexts

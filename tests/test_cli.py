@@ -225,6 +225,21 @@ def test_missing_problems_file_exits_1(tmp_path):
     assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+def test_dpo_train_without_preference_pairs_exits_1_naming_the_counts(tmp_path, capsys):
+    # an SFT-peaked warm start decoded almost greedily draws one body over and over on each problem
+    text = PIPELINE_CONFIG.replace("method = gflownet", "method = dpo").split("[train]")[0] + (
+        "[train]\nsft_init_epochs = 40\ndpo_samples = 8\nlr = 0.05\ntemperature = 0.05\ntop_p = 0.5\n")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "o"
+    assert run_cli(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run_cli(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: no preference pairs: every problem's draws tie in reward (3 problems, 8 draws each)\n")
+    assert not (out / "policy.bin").exists()
+    assert not (out / "train_report.csv").exists()
+
+
 def test_eval_of_a_target_that_is_not_whole_exits_1_naming_it(tmp_path, capsys):
     cfg = write_config(tmp_path, PIPELINE_CONFIG)
     out = tmp_path / "o"
@@ -403,6 +418,13 @@ def test_enumeration_files_equal_the_csv_writer_loop(tmp_path, kind):
     for command in ("gen-data", "train", "enumerate"):
         assert run_cli([command, "--config", cfg, "--out", str(out)]) == 0, command
     want_csv, want_json = loop_enumeration(cfg, out)
+    # enumerate renders each distinct value once: within a problem the tabular policy repeats its
+    # probabilities (every unvisited context is uniform), the neural one gives every terminal its own
+    probs: dict[str, list[str]] = {}
+    for row in csv.DictReader(io.StringIO(want_csv.decode())):
+        probs.setdefault(row["problem_id"], []).append(row["policy_prob"])
+    for shown in probs.values():
+        assert (len(set(shown)) < len(shown)) if kind == "tabular" else (len(set(shown)) == len(shown))
     assert (out / "enumeration.csv").read_bytes() == want_csv
     assert (out / "enumeration.json").read_bytes() == want_json
 

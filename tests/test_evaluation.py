@@ -100,6 +100,44 @@ def test_distinct_count_respects_threshold():
     assert distinct_correct_count([a, near], threshold=0.8) == 2
 
 
+def numpy_rouge_l(a, b) -> float:
+    """The earlier rouge_l: the same dp, writing numpy int64 cells one at a time."""
+    a, b = list(a), list(b)
+    if not a or not b:
+        return 0.0
+    prev = np.zeros(len(b) + 1, dtype=np.int64)
+    for x in a:
+        cur = np.zeros_like(prev)
+        for j, y in enumerate(b, start=1):
+            cur[j] = prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1])
+        prev = cur
+    return f1_from_lcs(int(prev[-1]), len(a), len(b))
+
+
+def pairwise_distinct_count(solutions, threshold) -> int:
+    """The earlier distinct_correct_count: every correct solution compared with every kept one."""
+    kept = []
+    for sol in solutions:
+        if sol.correct and all(numpy_rouge_l(sol.step_tokens, k.step_tokens) < threshold for k in kept):
+            kept.append(sol)
+    return len(kept)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.5, evaluation.DISTINCT_THRESHOLD, 1.0, 1.5])
+def test_distinct_count_and_rouge_equal_the_numpy_pairwise_oracle(threshold):
+    # few short step lists over few tokens, so empty and repeated steps are common; a threshold
+    # above 1.0 keeps every non-empty repeat, the one case where a repeat may not be skipped
+    rng = np.random.default_rng(17)
+    pool = [tuple(rng.integers(0, 3, size=int(n)).tolist()) for n in rng.integers(0, 5, size=12)]
+    assert () in pool
+    for _ in range(1000):
+        sols = [make_solution(pool[int(i)], bool(c))
+                for i, c in zip(rng.integers(0, len(pool), size=8), rng.random(8) < 0.8)]
+        assert distinct_correct_count(sols, threshold) == pairwise_distinct_count(sols, threshold), sols
+        a, b = (tuple(rng.integers(0, 4, size=int(n)).tolist()) for n in rng.integers(0, 11, size=2))
+        assert rouge_l(a, b) == numpy_rouge_l(a, b), (a, b)
+
+
 def test_pass_at_k_matches_direct_counting():
     rng = np.random.default_rng(2)
     for _ in range(30):

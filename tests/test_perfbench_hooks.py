@@ -11,6 +11,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from flowseq import baselines, cli, evaluation, gflownet
 from flowseq.core import TaskKind
 from flowseq.env import TaskConfig, build_vocab, make_problem
@@ -107,3 +109,21 @@ def test_a_traced_run_counts_through_every_hooked_signature():
     for name in ("policy.batched_generation_log_vars.rows", "autodiff.backward.tape_nodes",
                  "policy.sample.tokens", "policy.terminal_distribution.nodes"):
         assert tracer.counts[name] > 0, name
+
+
+@pytest.mark.parametrize("seed", [15, 49])
+def test_tabular_train_dpo_chains_run_where_every_draw_ties(seed):
+    # sumpath-tabular-train's DPO chain 2 at these workload seeds draws 32 bodies of one reward
+    # from the warm start; the chain must come back empty, not stop the benchmark with an exception
+    workloads = _import("workloads")
+    w = workloads.WORKLOADS["sumpath-tabular-train"]
+    state = w.setup(None, seed, None)
+    ds, warm = state["dataset"], state["policies"][-1]
+    # SumpathTabularTrain.run's warm start and DPO chain settings
+    baselines.sft_train(warm, ds, cfg=baselines.SftConfig(epochs=w.sft_epochs, lr=0.08, batch_size=None, seed=seed))
+    policy = warm.clone()
+    report = baselines.dpo_train(policy, warm.clone(), ds, baselines.DpoConfig(
+        beta=0.1, samples_per_problem=32, epochs=w.dpo_epochs, lr=0.08, batch_size=16,
+        decode=workloads.WIDE, seed=seed * w.dpo_chains + 2))
+    assert report.rows == []
+    assert policy.params.tobytes() == warm.params.tobytes()

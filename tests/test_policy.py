@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import struct
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from flowseq import autodiff as ad
 from flowseq import policy as policy_module
 from flowseq.autodiff import GradTape, finite_diff_check
 from flowseq.core import Problem, TaskKind, Vocab, encode, make_vocab
-from flowseq.env import SpaceTooLarge, TaskConfig, RewardMode, build_vocab, enumerate_terminals, make_problem
+from flowseq.env import (SpaceTooLarge, TaskConfig, RewardMode, build_vocab, enumerate_terminals, make_problem,
+                         terminal_levels)
 from flowseq.policy import (
     MAGIC,
     CheckpointMismatch,
@@ -25,6 +27,7 @@ from flowseq.policy import (
     batched_generation_log_vars,
     generation_log_probs,
     greedy_decode,
+    level_rows,
     load_policy,
     save_policy,
     terminal_distribution,
@@ -245,6 +248,26 @@ def test_terminal_distribution_matches_per_step_products(kind, score_rows, monke
             overflow += mass * (1.0 - p_stop)
     assert dist.overflow == pytest.approx(overflow, rel=1e-12, abs=0.0)
     assert dist.total_mass == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 7, policy_module.SCORE_ROWS])
+def test_level_rows_equal_each_chunk_of_the_level_as_an_array(rows):
+    # the matrix terminal_distribution scores is the chunk of terminal_levels' tuples it used to convert;
+    # the longest level, 11**4 bodies, spans four chunks of SCORE_ROWS, the last one partial
+    cfg = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 9), max_parts=4, max_part=3)
+    vocab = build_vocab(cfg)
+    problem = make_problem(cfg, seed=0)
+    for length, level in enumerate(terminal_levels(problem, vocab)):
+        if rows == 1 and length > 2:
+            break
+        start = 0
+        while bodies := list(islice(level, rows)):
+            got = level_rows(vocab.body_ids, length, start, len(bodies))
+            want = np.asarray(bodies, dtype=np.int64).reshape(len(bodies), length)
+            assert got.dtype == want.dtype and got.shape == want.shape, (length, start)
+            assert np.array_equal(got, want), (length, start)
+            start += len(bodies)
+        assert start == len(vocab.body_ids) ** length
 
 
 def test_total_mass_adds_left_to_right():
