@@ -164,12 +164,12 @@ def _cmd_eval(cfg: RunConfig, workers: int) -> int:
 
 
 def _terminal_texts(problem, vocab) -> Iterator[str]:
-    """core.decode of each body of enumerate_terminals, in its order; a level extends the one before."""
+    """core.decode of each body, in env.terminal_levels order; a level extends the one before."""
     words = [vocab.tokens[t] for t in vocab.body_ids]
     level = [""]
     yield from level
     for _ in range(problem.max_solution_len):
-        # terminal_levels' product order: the parent's bodies in order, the last token fastest
+        # product order: the parent's bodies in order, the last token fastest
         level = [f"{text} {w}" if text else w for text in level for w in words]
         yield from level
 
@@ -186,18 +186,17 @@ def _cmd_enumerate(cfg: RunConfig, workers: int) -> int:
         # the bytes csv.writer would write: no token holds a comma, quote or line break to quote
         fh.write("problem_id,sequence,policy_prob,target_prob\r\n")
         for pid, problem in enumerate(problems):
-            terminals = enumerate_terminals(problem, task, vocab)
             dist = terminal_distribution(policy, problem)
-            law = terminal_law(terminals, dist)
+            law = terminal_law(enumerate_terminals(problem, task, vocab), dist)
             gap = terminal_l1_gap(policy, problem, task, vocab, dist=dist, law=law)
-            targets = law[1].tolist()
+            probs, targets = (a.tolist() for a in law)
             # a problem has a few distinct rewards, and a tabular policy few distinct probabilities:
             # repr each value once (none is -0.0, the one float whose repr differs from an equal one's)
-            shown = {v: repr(v) for v in {*targets, *dist.probs.values()}}
+            shown = {v: repr(v) for v in {*targets, *probs}}
             fh.write("".join([f"{pid},{text},{shown[p]},{shown[t]}\r\n" for text, p, t in zip(
-                _terminal_texts(problem, vocab), dist.probs.values(), targets, strict=True)]))
+                _terminal_texts(problem, vocab), probs, targets, strict=True)]))
             gaps[str(pid)] = {"l1": gap, "overflow": dist.overflow}
-            log.info("problem %d: %d terminals, l1 %r, overflow %r", pid, len(terminals), gap, dist.overflow)
+            log.info("problem %d: %d terminals, l1 %r, overflow %r", pid, len(probs), gap, dist.overflow)
     with open(out / "enumeration.json", "w", encoding="utf-8", newline="") as fh:
         json.dump({"problems": gaps}, fh, sort_keys=True, indent=2)
         fh.write("\n")

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -452,43 +451,47 @@ def reward(problem: Problem, prefix: tuple[int, ...] | list[int], cfg: TaskConfi
     return verdict_reward(verify_prefix(problem, prefix, vocab), cfg)
 
 
-def terminal_levels(problem: Problem, vocab: Vocab) -> Iterator[Iterator[tuple[int, ...]]]:
-    """The bodies of every terminated sequence, one level per length 0..max_solution_len.
+def terminal_levels(problem: Problem, vocab: Vocab) -> list[int]:
+    """The number of bodies of each length 0..max_solution_len, in the one terminal order.
 
-    Each level yields its bodies (generated tokens, the stop symbol left
-    implicit) ordered by token ids, i.e. itertools.product order over
-    vocab.body_ids. Raises SpaceTooLarge above the enumeration budget when
-    called, before yielding anything.
+    Every terminated sequence is addressed by its position in that order: by
+    length, then in itertools.product order over vocab.body_ids (level_rows
+    writes a level's bodies). Raises SpaceTooLarge above the enumeration budget.
     """
-    n_body = len(vocab.body_ids)
-    count = 0
-    term = 1
-    for _ in range(problem.max_solution_len + 1):
-        count += term
-        term *= n_body
-        if count > ENUMERATION_CAP:
+    sizes: list[int] = []
+    for length in range(problem.max_solution_len + 1):
+        sizes.append(len(vocab.body_ids) ** length)
+        if sum(sizes) > ENUMERATION_CAP:
             raise SpaceTooLarge(
                 f"terminal space exceeds {ENUMERATION_CAP} sequences for "
                 f"max_solution_len={problem.max_solution_len}, vocab={vocab.size}"
             )
-    return (itertools.product(vocab.body_ids, repeat=n) for n in range(problem.max_solution_len + 1))
+    return sizes
 
 
-def enumerate_terminals(
-    problem: Problem, cfg: TaskConfig, vocab: Vocab
-) -> list[tuple[tuple[int, ...], float]]:
-    """Every terminated sequence up to max_solution_len with its reward.
+def level_rows(body_ids: list[int], length: int, start: int, n: int) -> np.ndarray:
+    """Bodies start .. start+n-1 of one terminal_levels level, as an (n, length) int64 matrix.
 
-    Returns (generated tokens, reward) pairs in terminal_levels order: by
-    length, then token ids. The reward sum over the list is the partition
-    function Z. Raises SpaceTooLarge above the enumeration budget.
+    Body i of a level is i written in base len(body_ids), most significant
+    digit first, each digit mapped to its body id: product order.
+    """
+    places = len(body_ids) ** np.arange(length - 1, -1, -1, dtype=np.int64)
+    numbers = np.arange(start, start + n, dtype=np.int64)
+    return np.asarray(body_ids, dtype=np.int64)[numbers[:, None] // places % len(body_ids)]
+
+
+def enumerate_terminals(problem: Problem, cfg: TaskConfig, vocab: Vocab) -> np.ndarray:
+    """The reward of every terminated sequence up to max_solution_len, in terminal_levels order.
+
+    Its sum is the partition function Z. Raises SpaceTooLarge above the
+    enumeration budget.
 
     A body's verifier state is its parent's stepped by its last token, so each
     level's states come from the previous level's in the same product order.
     States are numbered as they appear; each state's reward and each state's
     row of children (one per body id) is computed once.
     """
-    levels = terminal_levels(problem, vocab)
+    sizes = terminal_levels(problem, vocab)
     machine, body_ids = verifier(problem, vocab), vocab.body_ids
     states: list[tuple] = []
     rewards: list[float] = []
@@ -504,15 +507,14 @@ def enumerate_terminals(
         return i
 
     level = [number(machine.start)]
-    terminals: list[tuple[tuple[int, ...], float]] = []
-    for length, bodies in enumerate(levels):
-        if length:
-            for i in dict.fromkeys(level):
-                if i not in children:
-                    children[i] = [number(machine.step(states[i], tid)) for tid in body_ids]
-            level = [c for i in level for c in children[i]]
-        terminals.extend(zip(bodies, [rewards[i] for i in level], strict=True))
-    return terminals
+    terminals = list(level)
+    for _ in sizes[1:]:
+        for i in dict.fromkeys(level):
+            if i not in children:
+                children[i] = [number(machine.step(states[i], tid)) for tid in body_ids]
+        level = [c for i in level for c in children[i]]
+        terminals.extend(level)
+    return np.asarray(rewards)[terminals]
 
 
 def left_sum(values: np.ndarray, start: float = 0.0) -> float:

@@ -307,12 +307,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-def terminal_law(terminals: list, dist: TerminalDistribution) -> tuple[np.ndarray, np.ndarray]:
-    """Policy probability and R/Z of each terminal; dist.probs is in enumerate_terminals order too."""
-    if len(dist.probs) != len(terminals):
-        raise ValueError(f"the terminal law has {len(dist.probs)} bodies, the problem {len(terminals)} terminals")
-    rewards = np.fromiter((r for _, r in terminals), dtype=float, count=len(terminals))
-    return np.fromiter(dist.probs.values(), dtype=float, count=len(terminals)), rewards / left_sum(rewards)
+def terminal_law(rewards: np.ndarray, dist: TerminalDistribution) -> tuple[np.ndarray, np.ndarray]:
+    """Policy probability and R/Z of each terminal: the two arrays share env.terminal_levels order."""
+    if len(dist.probs) != len(rewards):
+        raise ValueError(f"the terminal law has {len(dist.probs)} bodies, the problem {len(rewards)} terminals")
+    return dist.probs, rewards / left_sum(rewards)
 
 
 def terminal_l1_gap(policy: Policy, problem: Problem, cfg: TaskConfig, vocab: Vocab,
@@ -429,7 +428,7 @@ def train_gflownet(
     use_sft = cfg.sft_coeff > 0.0 and refs_all
     reward_fns = [make_reward_fn(p, dataset.task, dataset.vocab) for p in dataset.problems]
     log_reward_caches: list[dict] = [{} for _ in dataset.problems]
-    diag_terminals = None if diag_problem is None else enumerate_terminals(
+    diag_rewards = None if diag_problem is None else enumerate_terminals(
         diag_problem, dataset.task, dataset.vocab)
 
     for step in range(1, cfg.steps + 1):
@@ -458,12 +457,12 @@ def train_gflownet(
         fit.step(total, theta)
 
         l1 = None
-        if diag_terminals is not None and (
+        if diag_rewards is not None and (
             step == cfg.steps or (cfg.diag_every and step % cfg.diag_every == 0)
         ):
             dist = terminal_distribution(policy, diag_problem)
             l1 = terminal_l1_gap(policy, diag_problem, dataset.task, dataset.vocab, dist,
-                                 terminal_law(diag_terminals, dist))
+                                 terminal_law(diag_rewards, dist))
         sft_value = None if sft_term is None else float(sft_term.value)
         report.add(step, float(mean_subtb.value), sft_value, float(np.mean(rewards_step)), len(buf), l1)
     return report

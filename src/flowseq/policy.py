@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import accumulate, count, islice
+from itertools import accumulate, count
 from typing import NamedTuple
 
 import numpy as np
@@ -28,7 +28,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 from .core import Problem, Trajectory, Vocab, check_fields
-from .env import left_sum, terminal_levels
+from .env import left_sum, level_rows, terminal_levels
 
 MAGIC = b"FSEQPOL1"
 # contexts per batch_log_probs call in terminal_distribution, which bounds its temporaries
@@ -429,52 +429,40 @@ def _proposals(lp: np.ndarray, cfg: DecodeCfg | None) -> list[Proposal]:
 
 @dataclass(frozen=True)
 class TerminalDistribution:
-    """Exact policy mass per terminated sequence plus the over-length remainder."""
+    """Exact policy mass of each terminal, in env.terminal_levels order, plus the over-length remainder."""
 
-    probs: dict[tuple[int, ...], float]
+    probs: np.ndarray
     overflow: float
 
     @property
     def total_mass(self) -> float:
-        return left_sum(np.fromiter(self.probs.values(), dtype=float, count=len(self.probs))) + self.overflow
-
-
-def level_rows(body_ids: list[int], length: int, start: int, n: int) -> np.ndarray:
-    """Bodies start .. start+n-1 of one terminal_levels level, as an (n, length) int64 matrix.
-
-    Body i of a level is i written in base len(body_ids), most significant
-    digit first, each digit mapped to its body id: product order.
-    """
-    places = len(body_ids) ** np.arange(length - 1, -1, -1, dtype=np.int64)
-    numbers = np.arange(start, start + n, dtype=np.int64)
-    return np.asarray(body_ids, dtype=np.int64)[numbers[:, None] // places % len(body_ids)]
+        return left_sum(self.probs) + self.overflow
 
 
 def terminal_distribution(policy: Policy, problem: Problem) -> TerminalDistribution:
     """Probability of every terminated sequence up to max_solution_len generated tokens.
 
-    Walks env.terminal_levels level by level, so the keys come in
-    enumerate_terminals' order. Sequences that would exceed max_solution_len
+    Scores env.terminal_levels level by level, so probs is position-aligned
+    with enumerate_terminals. Sequences that would exceed max_solution_len
     contribute to a single overflow mass, so the returned masses sum to one.
     """
     stop, body_ids = policy.vocab.stop_id, policy.vocab.body_ids
     prompt_pad = np.asarray((policy.pad_id,) * policy.window + problem.prompt_tokens, dtype=np.int64)
-    probs: dict[tuple[int, ...], float] = {}
+    probs: list[np.ndarray] = []
     mass = np.ones(1)
-    for length, level in enumerate(terminal_levels(problem, policy.vocab)):
+    for length, size in enumerate(terminal_levels(problem, policy.vocab)):
         last = length == problem.max_solution_len
         children = []
-        for start in range(0, mass.size, SCORE_ROWS):
-            bodies = list(islice(level, SCORE_ROWS))
-            seqs = np.concatenate([np.broadcast_to(prompt_pad, (len(bodies), prompt_pad.size)),
-                                   level_rows(body_ids, length, start, len(bodies))], axis=1)
+        for start in range(0, size, SCORE_ROWS):
+            m = mass[start : start + SCORE_ROWS]
+            seqs = np.concatenate([np.broadcast_to(prompt_pad, (m.size, prompt_pad.size)),
+                                   level_rows(body_ids, length, start, m.size)], axis=1)
             p = np.exp(policy.batch_log_probs(seqs[:, -policy.window:]))
-            m = mass[start : start + len(bodies)]
-            probs.update(zip(bodies, (m * p[:, stop]).tolist()))
+            probs.append(m * p[:, stop])
             children.append(m * (1.0 - p[:, stop]) if last else (m[:, None] * p[:, body_ids]).reshape(-1))
-        mass = np.concatenate(children) if children else mass
+        mass = np.concatenate(children)
     # mass now holds the last level's over-length masses: sum them in a depth-first walk's (reverse) order
-    return TerminalDistribution(probs=probs, overflow=left_sum(mass[::-1]))
+    return TerminalDistribution(probs=np.concatenate(probs), overflow=left_sum(mass[::-1]))
 
 
 class ValueNet(Policy):
@@ -546,6 +534,9 @@ def load_policy(path: str, vocab: Vocab) -> Policy:
     if len(blob) != size:
         raise CheckpointMismatch(f"checkpoint has {len(blob)} bytes where its header implies {size}")
     table = np.frombuffer(blob, dtype="<i4", count=table_bytes // 4, offset=off).reshape(-1, window)
+    bad = table[(table < 0) | (table > policy.pad_id)]
+    if bad.size:
+        raise CheckpointMismatch(f"context token id {bad[0]} is outside 0..{policy.pad_id}")
     policy.contexts = {tuple(int(t) for t in ctx): row for row, ctx in enumerate(table)}
     if len(policy.contexts) != n_rows:
         raise CheckpointMismatch(f"{len(policy.contexts)} distinct contexts where the header says {n_rows} rows")

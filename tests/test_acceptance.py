@@ -9,6 +9,7 @@ training seeds each, and is built once per module.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import time
 from pathlib import Path
@@ -78,8 +79,8 @@ def test_criterion_1_terminal_law_tracks_reward():
                           max_parts=max_parts, max_part=2)
         vocab = build_vocab(task)
         problem = make_problem(task, seed=0)
-        terminals = enumerate_terminals(problem, task, vocab)
-        assert len(terminals) <= 5000
+        rewards = enumerate_terminals(problem, task, vocab)
+        assert len(rewards) <= 5000
         pol = Policy.tabular(
             vocab, window=len(problem.prompt_tokens) + problem.max_solution_len)
         ds = TrainSet.build([problem], task, vocab)
@@ -89,8 +90,8 @@ def test_criterion_1_terminal_law_tracks_reward():
         gap = terminal_l1_gap(pol, problem, task, vocab)
         elapsed = time.time() - t0
         assert elapsed <= 300.0, f"{max_parts} parts took {elapsed:.0f}s"
-        measured.append((len(terminals), gap))
-        assert gap <= 0.05, f"L1 {gap:.4f} over {len(terminals)} terminals"
+        measured.append((len(rewards), gap))
+        assert gap <= 0.05, f"L1 {gap:.4f} over {len(rewards)} terminals"
     detail = ", ".join(f"{n} terminals: L1={g:.4f}" for n, g in measured)
     print(f"criterion 1: PASS ({detail})")
 
@@ -424,8 +425,11 @@ def test_criterion_7_maximizer_concentrates_sampler_spreads():
     vocab = make_vocab(["1"])
     problem = Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=(0,),
                       target=1, operands=(1,), max_solution_len=1)
-    terminals = enumerate_terminals(problem, task, vocab)
-    assert sorted(r for _, r in terminals) == [task.reward_floor, 1.0]
+    # the bodies in the terminal order, by length then product order: () then (0,)
+    bodies = [b for n in range(problem.max_solution_len + 1) for b in itertools.product(vocab.body_ids, repeat=n)]
+    digit = bodies.index((0,))
+    rewards = enumerate_terminals(problem, task, vocab).tolist()
+    assert sorted(rewards) == [task.reward_floor, 1.0] and rewards[digit] == 1.0
     target_share = 1.0 / (1.0 + task.reward_floor)
     ds = TrainSet(problems=[problem], references=[[]], task=task, vocab=vocab)
 
@@ -433,13 +437,13 @@ def test_criterion_7_maximizer_concentrates_sampler_spreads():
     critic = ValueNet.for_policy(pol)
     ppo_train(pol, critic, ds, PpoConfig(steps=300, trajs_per_step=8, actor_lr=0.05,
                                          critic_lr=0.1, kl_beta=0.01, decode=HOT, seed=0))
-    ppo_mass = terminal_distribution(pol, problem).probs[(0,)]
+    ppo_mass = terminal_distribution(pol, problem).probs[digit]
 
     pol = Policy.tabular(vocab, window=3)
     train_gflownet(pol, ds, GfnConfig(steps=400, batch_size=16, samples_per_problem=8,
                                       sft_coeff=0.0, lr=0.08,
                                       decode=DecodeCfg(temperature=2.0, top_p=1.0), seed=0))
-    gfn_mass = terminal_distribution(pol, problem).probs[(0,)]
+    gfn_mass = terminal_distribution(pol, problem).probs[digit]
 
     assert ppo_mass >= 0.95, ppo_mass
     assert abs(gfn_mass - target_share) <= 0.05, (gfn_mass, target_share)

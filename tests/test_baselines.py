@@ -52,9 +52,10 @@ def tiny_setup():
 
 
 def solution_mass(pol, problem, cfg, vocab) -> float:
-    sols = [b for b, r in enumerate_terminals(problem, cfg, vocab) if r > 0.5]
-    dist = terminal_distribution(pol, problem)
-    return sum(dist.probs.get(b, 0.0) for b in sols)
+    # rewards and probabilities share one terminal order, so a solution's mass sits at its reward's position
+    rewards = enumerate_terminals(problem, cfg, vocab).tolist()
+    probs = terminal_distribution(pol, problem).probs.tolist()
+    return sum(p for p, r in zip(probs, rewards, strict=True) if r > 0.5)
 
 
 def one_step_pair():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import logging
 import re
@@ -372,6 +373,11 @@ def test_compare_rejects_malformed_spec(tmp_path):
     assert run_cli(["compare", "--out", str(tmp_path / "o"), "nolabel", "x=y"]) == 2
 
 
+def product_bodies(problem, vocab) -> list[tuple[int, ...]]:
+    """Every terminal body in the terminal order, built here rather than in src: by length, then product order."""
+    return [body for n in range(problem.max_solution_len + 1) for body in itertools.product(vocab.body_ids, repeat=n)]
+
+
 def test_enumeration_texts_are_the_decoded_terminals_in_order():
     from flowseq.cli import _terminal_texts
     from flowseq.core import TaskKind, decode
@@ -381,12 +387,13 @@ def test_enumeration_texts_are_the_decoded_terminals_in_order():
     vocab = build_vocab(task)
     for seed in range(3):
         problem = make_problem(task, seed=seed)
-        want = [decode(body, vocab) for body, _ in enumerate_terminals(problem, task, vocab)]
+        want = [decode(body, vocab) for body in product_bodies(problem, vocab)]
+        assert len(want) == len(enumerate_terminals(problem, task, vocab))
         assert list(_terminal_texts(problem, vocab)) == want
 
 
 def loop_enumeration(cfg_path: str, out: Path) -> tuple[bytes, bytes]:
-    """enumeration.csv and enumeration.json as a csv.writer loop over dict lookups writes them."""
+    """enumeration.csv and enumeration.json as a csv.writer loop over each terminal writes them."""
     cfg = load_config(cfg_path)
     cfg.out = str(out)
     task = cfg.task_config()
@@ -397,15 +404,15 @@ def loop_enumeration(cfg_path: str, out: Path) -> tuple[bytes, bytes]:
     writer.writerow(["problem_id", "sequence", "policy_prob", "target_prob"])
     gaps = {}
     for pid, problem in enumerate(read_problems(cfg.resolve_path(cfg.data.problems), vocab)):
-        terminals = enumerate_terminals(problem, task, vocab)
+        rewards = enumerate_terminals(problem, task, vocab).tolist()
         z = 0.0
-        for _, r in terminals:
+        for r in rewards:
             z += r
         dist = terminal_distribution(policy, problem)
         gap = dist.overflow
-        for body, r in terminals:
-            writer.writerow([pid, decode(body, vocab), repr(dist.probs.get(body, 0.0)), repr(r / z)])
-            gap += abs(dist.probs.get(body, 0.0) - r / z)
+        for body, p, r in zip(product_bodies(problem, vocab), dist.probs.tolist(), rewards, strict=True):
+            writer.writerow([pid, decode(body, vocab), repr(p), repr(r / z)])
+            gap += abs(p - r / z)
         gaps[str(pid)] = {"l1": float(gap), "overflow": dist.overflow}
     return rows.getvalue().encode(), (json.dumps({"problems": gaps}, sort_keys=True, indent=2) + "\n").encode()
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import re
 from fractions import Fraction
@@ -32,6 +33,7 @@ from flowseq.env import (
     write_problems,
 )
 from flowseq.evaluation import solution_from_body
+from flowseq.policy import Policy, terminal_distribution
 
 
 def sumpath_cfg(hi: int = 6, max_parts: int = 4, max_part: int = 3,
@@ -42,6 +44,11 @@ def sumpath_cfg(hi: int = 6, max_parts: int = 4, max_part: int = 3,
 
 def arith_cfg(hi: int = 12, mode: RewardMode = RewardMode.SHAPED) -> TaskConfig:
     return TaskConfig(task_kind=TaskKind.ARITH, value_range=(2, hi), reward_mode=mode)
+
+
+def product_bodies(problem: Problem, vocab) -> list[tuple[int, ...]]:
+    """Every terminal body in the terminal order, built here rather than in src: by length, then product order."""
+    return [body for n in range(problem.max_solution_len + 1) for body in itertools.product(vocab.body_ids, repeat=n)]
 
 
 def compositions(n: int, k: int, m: int) -> int:
@@ -119,7 +126,7 @@ def test_rewards_strictly_positive_everywhere():
     cfg = sumpath_cfg(hi=4, max_parts=3, max_part=2)
     vocab = build_vocab(cfg)
     problem = make_problem(cfg, seed=0)
-    for body, r in enumerate_terminals(problem, cfg, vocab):
+    for r in enumerate_terminals(problem, cfg, vocab):
         assert r > 0.0
 
 
@@ -128,7 +135,7 @@ def test_enumerate_terminals_cross_checks_solutions():
     cfg = sumpath_cfg(hi=4, max_parts=3, max_part=2, mode=RewardMode.TERMINAL)
     vocab = build_vocab(cfg)
     problem = make_problem(cfg, seed=1)
-    terminals = dict(enumerate_terminals(problem, cfg, vocab))
+    terminals = dict(zip(product_bodies(problem, vocab), enumerate_terminals(problem, cfg, vocab), strict=True))
     sols = enumerate_solutions(problem, cfg, vocab)
     top = max(terminals.values())
     assert sols, "multi-solution guarantee"
@@ -143,13 +150,13 @@ def test_partition_function_hand_case():
     cfg = sumpath_cfg(hi=3, max_parts=3, max_part=2, mode=RewardMode.TERMINAL)
     vocab = build_vocab(cfg)
     problem = _fixed_sumpath_problem(cfg, vocab, 3)
-    terminals = enumerate_terminals(problem, cfg, vocab)
+    rewards = enumerate_terminals(problem, cfg, vocab)
     sols = enumerate_solutions(problem, cfg, vocab)
     assert {decode(b, vocab) for b in sols} == {"1 2", "2 1", "1 1 1"}
-    n = len(terminals)
+    n = len(rewards)
     eps = cfg.reward_floor
     want_z = 3 * (eps + (1 - eps)) + (n - 3) * eps
-    assert left_sum(np.array([r for _, r in terminals])) == pytest.approx(want_z)
+    assert left_sum(rewards) == pytest.approx(want_z)
 
 
 def test_partition_function_adds_left_to_right():
@@ -165,6 +172,7 @@ def test_enumeration_count_is_geometric_series():
     b = vocab.size - 1
     want = sum(b ** l for l in range(problem.max_solution_len + 1))
     assert len(enumerate_terminals(problem, cfg, vocab)) == want
+    assert terminal_levels(problem, vocab) == [b ** l for l in range(problem.max_solution_len + 1)]
 
 
 def test_space_too_large_guard(monkeypatch):
@@ -175,11 +183,29 @@ def test_space_too_large_guard(monkeypatch):
     def no_state(*args):
         raise AssertionError("a verifier state was built before the budget check")
 
-    # the budget check comes before any verifier state is built
+    def no_forward(*args):
+        raise AssertionError("the policy ran a forward pass before the budget check")
+
+    # the budget check comes before any verifier state is built or any context is scored
     monkeypatch.setattr(env, "verifier", no_state)
+    monkeypatch.setattr(Policy, "batch_log_probs", no_forward)
     with pytest.raises(SpaceTooLarge):
         enumerate_terminals(problem, cfg, vocab)
     with pytest.raises(SpaceTooLarge):
+        terminal_levels(problem, vocab)
+    with pytest.raises(SpaceTooLarge):
+        terminal_distribution(Policy.tabular(vocab), problem)
+
+
+def test_level_sizes_meet_the_budget_at_its_edge(monkeypatch):
+    cfg = sumpath_cfg(hi=3, max_parts=3, max_part=2)
+    vocab = build_vocab(cfg)
+    problem = _fixed_sumpath_problem(cfg, vocab, 3)
+    sizes = terminal_levels(problem, vocab)
+    monkeypatch.setattr(env, "ENUMERATION_CAP", sum(sizes))
+    assert terminal_levels(problem, vocab) == sizes
+    monkeypatch.setattr(env, "ENUMERATION_CAP", sum(sizes) - 1)
+    with pytest.raises(SpaceTooLarge, match=f"exceeds {sum(sizes) - 1} sequences"):
         terminal_levels(problem, vocab)
 
 
@@ -512,17 +538,17 @@ def assert_enumeration_matches_reward(problem, cfg, vocab) -> None:
     for mode in RewardMode:
         mode_cfg = dataclasses.replace(cfg, reward_mode=mode)
         got = enumerate_terminals(problem, mode_cfg, vocab)
-        want = [(body, reward(problem, problem.prompt_tokens + body, mode_cfg, vocab))
-                for level in terminal_levels(problem, vocab) for body in level]
-        assert [b for b, _ in got] == [b for b, _ in want]
-        assert [r.hex() for _, r in got] == [r.hex() for _, r in want], mode
+        want = [reward(problem, problem.prompt_tokens + body, mode_cfg, vocab)
+                for body in product_bodies(problem, vocab)]
+        assert got.dtype == np.float64
+        assert [r.hex() for r in got.tolist()] == [r.hex() for r in want], mode
 
 
 def test_enumerate_terminals_matches_per_body_reward_sumpath():
     cfg = sumpath_cfg(hi=9, max_parts=4, max_part=3)
     vocab = build_vocab(cfg)
     problem = _fixed_sumpath_problem(cfg, vocab, 7)
-    assert sum(1 for level in terminal_levels(problem, vocab) for _ in level) == 16_105
+    assert sum(terminal_levels(problem, vocab)) == len(product_bodies(problem, vocab)) == 16_105
     assert_enumeration_matches_reward(problem, cfg, vocab)
 
 
@@ -532,7 +558,7 @@ def test_enumerate_terminals_matches_per_body_reward_arith():
     vocab = build_vocab(cfg)
     problem = Problem(task_kind=TaskKind.ARITH, prompt_tokens=tuple(encode("TARGET 2 FROM 1 2 :", vocab)),
                       target=2, operands=(1, 2), max_solution_len=5)
-    terminals = dict(enumerate_terminals(problem, cfg, vocab))
+    terminals = dict(zip(product_bodies(problem, vocab), enumerate_terminals(problem, cfg, vocab), strict=True))
     assert len(terminals) == 177_156
     # answer regions decide the terminal reward; a full line leaves no room for an answer
     assert terminals[tuple(encode("1 + ANSWER 2", vocab))] == 1.0
@@ -572,7 +598,7 @@ def test_grading_matches_answer_oracle_on_every_sumpath_terminal(target):
     cfg = sumpath_cfg(hi=9, max_parts=4, max_part=3)
     vocab = build_vocab(cfg)
     problem = _fixed_sumpath_problem(cfg, vocab, target)
-    bodies = [body for level in terminal_levels(problem, vocab) for body in level]
+    bodies = product_bodies(problem, vocab)
     got = [solution_from_body(problem, body, vocab).correct for body in bodies]
     assert got == [_ref_correct(problem, body, vocab) for body in bodies]
     assert sum(got) == len(enumerate_solutions(problem, cfg, vocab))

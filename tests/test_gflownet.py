@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -361,14 +363,14 @@ def criterion_1_setup(max_parts: int):
 
 
 def loop_l1_gap(problem, task, vocab, dist) -> float:
-    """The gap as a per-terminal loop: dict lookups, overflow first, then terminal order."""
-    terminals = enumerate_terminals(problem, task, vocab)
+    """The gap as a per-terminal loop over Python floats: overflow first, then terminal order."""
+    rewards = enumerate_terminals(problem, task, vocab).tolist()
     z = 0.0
-    for _, r in terminals:
+    for r in rewards:
         z += r
     gap = dist.overflow
-    for body, r in terminals:
-        gap += abs(dist.probs.get(body, 0.0) - r / z)
+    for p, r in zip(dist.probs.tolist(), rewards, strict=True):
+        gap += abs(p - r / z)
     return float(gap)
 
 
@@ -389,6 +391,16 @@ def test_terminal_l1_gap_rejects_the_law_of_another_problem():
     assert (len(enumerate_terminals(problem, task, vocab)), len(dist.probs)) == (259, 1555)
     with pytest.raises(ValueError, match=r"1555 bodies.*259 terminals"):
         terminal_l1_gap(pol, problem, task, vocab, dist=dist)
+
+
+def test_terminal_l1_gap_rejects_a_policy_of_another_vocabulary():
+    # the same problem under a policy with one more body token: its law covers more bodies than the problem has
+    task, vocab, problem, _ = criterion_1_setup(max_parts=3)
+    wide_vocab = build_vocab(dataclasses.replace(task, value_range=(2, 5)))
+    counts = [sum(len(v.body_ids) ** n for n in range(problem.max_solution_len + 1)) for v in (vocab, wide_vocab)]
+    assert counts == [259, 400]
+    with pytest.raises(ValueError, match=r"the terminal law has 400 bodies, the problem 259 terminals"):
+        terminal_l1_gap(Policy.tabular(wide_vocab, window=4), problem, task, vocab)
 
 
 def test_trainset_rejects_a_negative_max_refs():

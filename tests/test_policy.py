@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import struct
-from itertools import islice
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from flowseq import autodiff as ad
 from flowseq import policy as policy_module
 from flowseq.autodiff import GradTape, finite_diff_check
 from flowseq.core import Problem, TaskKind, Vocab, encode, make_vocab
-from flowseq.env import (SpaceTooLarge, TaskConfig, RewardMode, build_vocab, enumerate_terminals, make_problem,
+from flowseq.env import (SpaceTooLarge, TaskConfig, RewardMode, build_vocab, level_rows, make_problem,
                          terminal_levels)
 from flowseq.policy import (
     MAGIC,
@@ -27,7 +27,6 @@ from flowseq.policy import (
     batched_generation_log_vars,
     generation_log_probs,
     greedy_decode,
-    level_rows,
     load_policy,
     save_policy,
     terminal_distribution,
@@ -42,6 +41,11 @@ def tiny_vocab() -> Vocab:
 def tiny_problem(vocab: Vocab, max_len: int = 3) -> Problem:
     return Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=(0,),
                    target=1, operands=(1,), max_solution_len=max_len)
+
+
+def product_bodies(problem: Problem, vocab: Vocab) -> list[tuple[int, ...]]:
+    """Every terminal body in the terminal order, built here rather than in src: by length, then product order."""
+    return [body for n in range(problem.max_solution_len + 1) for body in product(vocab.body_ids, repeat=n)]
 
 
 def seeded_tabular(vocab: Vocab, window: int = 2, scale: float = 1.0, seed: int = 0) -> Policy:
@@ -193,8 +197,10 @@ def test_terminal_distribution_hand_case():
     pol.params[i0 * 2:(i0 + 1) * 2] = np.log([0.4, 0.6])
     pol.params[i1 * 2:(i1 + 1) * 2] = np.log([0.5, 0.5])
     dist = terminal_distribution(pol, problem)
-    assert dist.probs[()] == pytest.approx(0.6)
-    assert dist.probs[(0,)] == pytest.approx(0.4 * 0.5)
+    assert product_bodies(problem, vocab) == [(), (0,)]
+    assert dist.probs.dtype == np.float64 and len(dist.probs) == 2
+    assert dist.probs[0] == pytest.approx(0.6)
+    assert dist.probs[1] == pytest.approx(0.4 * 0.5)
     assert dist.overflow == pytest.approx(0.4 * 0.5)
     assert dist.total_mass == pytest.approx(1.0)
 
@@ -212,7 +218,7 @@ def test_terminal_distribution_matches_monte_carlo():
         if t.terminated:
             body = trajectory_body(t)
             counts[body] = counts.get(body, 0) + 1
-    for body, p in dist.probs.items():
+    for body, p in zip(product_bodies(problem, vocab), dist.probs.tolist(), strict=True):
         if p < 0.01:
             continue
         freq = counts.get(body, 0) / n
@@ -235,15 +241,15 @@ def test_terminal_distribution_matches_per_step_products(kind, score_rows, monke
         pol.params = np.random.default_rng(4).normal(0.0, 1.0, size=pol.params.size)
     problem = tiny_problem(vocab, max_len=3)
     dist = terminal_distribution(pol, problem)
-    bodies = [b for b, _ in enumerate_terminals(problem, TaskConfig(task_kind=TaskKind.SUMPATH), vocab)]
-    assert list(dist.probs) == bodies
+    bodies = product_bodies(problem, vocab)
+    assert len(dist.probs) == len(bodies)
     overflow = 0.0
-    for body in bodies:
+    for body, got in zip(bodies, dist.probs.tolist()):
         mass = 1.0
         for t, tok in enumerate(body):
             mass *= np.exp(pol.next_log_probs(problem.prompt_tokens + body[:t])[tok])
         p_stop = np.exp(pol.next_log_probs(problem.prompt_tokens + body)[vocab.stop_id])
-        assert dist.probs[body] == pytest.approx(mass * p_stop, rel=1e-12, abs=0.0), body
+        assert got == pytest.approx(mass * p_stop, rel=1e-12, abs=0.0), body
         if len(body) == problem.max_solution_len:
             overflow += mass * (1.0 - p_stop)
     assert dist.overflow == pytest.approx(overflow, rel=1e-12, abs=0.0)
@@ -252,14 +258,15 @@ def test_terminal_distribution_matches_per_step_products(kind, score_rows, monke
 
 @pytest.mark.parametrize("rows", [1, 7, policy_module.SCORE_ROWS])
 def test_level_rows_equal_each_chunk_of_the_level_as_an_array(rows):
-    # the matrix terminal_distribution scores is the chunk of terminal_levels' tuples it used to convert;
+    # the matrix terminal_distribution scores is each chunk of the level's product-order tuples;
     # the longest level, 11**4 bodies, spans four chunks of SCORE_ROWS, the last one partial
     cfg = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 9), max_parts=4, max_part=3)
     vocab = build_vocab(cfg)
     problem = make_problem(cfg, seed=0)
-    for length, level in enumerate(terminal_levels(problem, vocab)):
+    for length, size in enumerate(terminal_levels(problem, vocab)):
         if rows == 1 and length > 2:
             break
+        level = product(vocab.body_ids, repeat=length)
         start = 0
         while bodies := list(islice(level, rows)):
             got = level_rows(vocab.body_ids, length, start, len(bodies))
@@ -267,12 +274,12 @@ def test_level_rows_equal_each_chunk_of_the_level_as_an_array(rows):
             assert got.dtype == want.dtype and got.shape == want.shape, (length, start)
             assert np.array_equal(got, want), (length, start)
             start += len(bodies)
-        assert start == len(vocab.body_ids) ** length
+        assert start == size == len(vocab.body_ids) ** length
 
 
 def test_total_mass_adds_left_to_right():
     # the same cancellation as left_sum's: 0.0 on every Python version
-    dist = TerminalDistribution(probs={(): 1e16, (1,): 1.0, (2,): -1e16}, overflow=0.0)
+    dist = TerminalDistribution(probs=np.array([1e16, 1.0, -1e16]), overflow=0.0)
     assert dist.total_mass == 0.0
 
 
@@ -395,6 +402,23 @@ def test_checkpoint_rejects_non_finite_parameter(tmp_path, value):
     path = _corrupt_checkpoint(tmp_path, lambda b: struct.pack_into("<d", b, len(b) - 8, value))
     with pytest.raises(CheckpointMismatch, match="not finite"):
         load_policy(path, tiny_vocab())
+
+
+def test_checkpoint_rejects_tabular_context_token_outside_the_vocabulary(tmp_path):
+    # with the prompt context's PAD cell rewritten to 999, a checkpoint once loaded and read a zero row there
+    vocab = tiny_vocab()
+    pol = seeded_tabular(vocab)
+    path = tmp_path / "pol.bin"
+    save_policy(str(path), pol)
+    saved = path.read_bytes()
+    cell = len(MAGIC) + struct.calcsize("<BIIIIQ") + 32 + 4 * pol.window * pol.contexts[pol.context_of((0,))]
+    assert struct.unpack_from("<i", saved, cell) == (pol.pad_id,)
+    for token in (999, -5, pol.pad_id + 1):
+        blob = bytearray(saved)
+        struct.pack_into("<i", blob, cell, token)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointMismatch, match=rf"context token id {token} is outside 0\.\.{pol.pad_id}"):
+            load_policy(str(path), vocab)
 
 
 def test_checkpoint_rejects_repeated_tabular_context(tmp_path):
