@@ -42,6 +42,7 @@ from .policy import (
     Memo,
     Policy,
     TerminalDistribution,
+    _prefill_memo,
     _sample_with_rng,
     batched_generation_log_vars,
     pad_rows,
@@ -380,19 +381,21 @@ def replay_loss_var(
     return total, mean_subtb, sft_term
 
 
-def _force_stop(policy: Policy, traj: Trajectory) -> Trajectory:
+def _force_stop(policy: Policy, traj: Trajectory, memo: Memo) -> Trajectory:
     """Close a horizon-capped trajectory with the stop symbol at its true log-probability.
 
     The horizon is part of the environment: a sequence that reaches the
     maximum solution length has no continuation, so training treats the cap
     as a forced stop. Without this, mass pushed past the horizon never
-    receives gradient signal and lingers as unterminated overflow.
+    receives gradient signal and lingers as unterminated overflow. The
+    log-probability comes from memo when it holds the horizon context.
     """
-    lp = policy.next_log_probs(traj.tokens)[policy.vocab.stop_id]
+    prop = memo.get(policy.context_of(traj.tokens))
+    lp = policy.next_log_probs(traj.tokens) if prop is None else prop.logprobs
     return Trajectory(
         prompt_len=traj.prompt_len,
         tokens=traj.tokens + (policy.vocab.stop_id,),
-        logprobs=traj.logprobs + (float(lp),),
+        logprobs=traj.logprobs + (float(lp[policy.vocab.stop_id]),),
         terminated=True,
     )
 
@@ -428,6 +431,8 @@ def train_gflownet(
     use_sft = cfg.sft_coeff > 0.0 and refs_all
     reward_fns = [make_reward_fn(p, dataset.task, dataset.vocab) for p in dataset.problems]
     log_reward_caches: list[dict] = [{} for _ in dataset.problems]
+    drafts: list[Memo] = [{} for _ in dataset.problems]  # earlier steps' proposals: guesses read kept and cum
+    shadow = np.random.default_rng(cfg.seed)  # reset to rng's state before each use
     diag_rewards = None if diag_problem is None else enumerate_terminals(
         diag_problem, dataset.task, dataset.vocab)
 
@@ -438,13 +443,15 @@ def train_gflownet(
         decode = _horizon_decode(cfg.decode, problem)
         rewards_step: list[float] = []
         memo: Memo = {}
+        _prefill_memo(policy, problem, decode, cfg.samples_per_problem, rng, shadow, memo, drafts[p_idx])
         for _ in range(cfg.samples_per_problem):
             traj = _sample_with_rng(policy, problem, decode, rng, memo)
             if not traj.terminated:
-                traj = _force_stop(policy, traj)
+                traj = _force_stop(policy, traj, memo)
             at_horizon = len(trajectory_body(traj)) == problem.max_solution_len
             buffer_push(buf, traj, reward_fn, at_horizon, log_reward_caches[p_idx])
             rewards_step.append(float(np.exp(buf.entries[-1].log_rewards[-1])))
+        drafts[p_idx].update((c, p._replace(logprobs=None)) for c, p in memo.items())
 
         batch = buffer_sample(buf, cfg.batch_size, rng)
         ref_batch: list[Reference] = []

@@ -211,7 +211,7 @@ class Policy:
                     raise KeyError(f"unregistered tabular context {tuple(ctx_mat[rows.index(-1)].tolist())}")
                 # row -1 is then a zero row appended to a copy of the table
                 table = np.concatenate([table, np.zeros((1, self.width))])
-            return table[rows]
+            return table[rows] if isinstance(theta, Var) else table.take(rows, axis=0)
         emb, w1, b1, w2, b2 = (theta[start:end].reshape(shape) for start, end, shape in self._neural_blocks)
         x = emb[ctx_mat].reshape(ctx_mat.shape[0], -1)
         hidden = ad.tanh(x @ w1 + b1)
@@ -324,6 +324,10 @@ class Proposal(NamedTuple):
     kept: list[int] | None
     cum: list[float] | None
 
+    def draw(self, u: float) -> int:
+        """The nucleus token whose cumulative-probability interval holds the uniform u."""
+        return self.kept[min(bisect_right(self.cum, u), len(self.kept) - 1)]
+
 
 # context -> Proposal under one parameter state and one DecodeCfg
 Memo = dict[tuple[int, ...], Proposal]
@@ -372,12 +376,8 @@ def _decode(
             memo.update(zip(new, _proposals(policy.batch_log_probs(np.asarray(new, dtype=np.int64)), cfg)))
         still = []
         for i in live:
-            prop = memo[contexts[i]]
-            rng = rows[i].rng
-            if rng is None:
-                tok = prop.argmax
-            else:
-                tok = prop.kept[min(bisect_right(prop.cum, rng.random()), len(prop.kept) - 1)]
+            prop, rng = memo[contexts[i]], rows[i].rng
+            tok = prop.argmax if rng is None else prop.draw(rng.random())
             tokens[i].append(tok)
             logprobs[i].append(prop.logprobs[tok])
             contexts[i] = contexts[i][1:] + (tok,)
@@ -388,6 +388,38 @@ def _decode(
     return [Trajectory(prompt_len=row.problem.prompt_len, tokens=tuple(toks), logprobs=tuple(lps),
                        terminated=bool(lps) and toks[-1] == stop)
             for row, toks, lps in zip(rows, tokens, logprobs)]
+
+
+def _prefill_memo(policy: Policy, problem: Problem, cfg: DecodeCfg, k: int, rng: np.random.Generator,
+                  shadow: np.random.Generator, memo: Memo, draft: Memo) -> None:
+    """Put in memo the exact Proposal of every context that k _sample_with_rng draws from rng visit.
+
+    A walk replays the draws on uniforms from shadow, set to rng's state, so rng stays put. It guesses
+    with draft where memo has no proposal, scores the guessed contexts and the first unknown one in one
+    forward, and resumes at the first of them until it walks on exact proposals alone: guesses only
+    choose what is scored. The horizon context of a draw that does not stop is scored for _force_stop.
+    """
+    budget = problem.max_solution_len + 1 if cfg.max_new_tokens is None else cfg.max_new_tokens
+    shadow.bit_generator.state = rng.bit_generator.state
+    u = shadow.random(k * budget).tolist()
+    stop, start = policy.vocab.stop_id, policy.context_of(problem.prompt_tokens)
+    at = (0, 0, 0, start)  # the walk's state: draw, its tokens so far, uniforms used, context
+    while at is not None:
+        (i, t, j, ctx), guessed, resume = at, {}, None
+        while i < k:
+            prop = memo.get(ctx)
+            if prop is None:
+                resume = resume or (i, t, j, ctx)
+                guessed[ctx] = prop = draft.get(ctx)
+                if prop is None and t < budget:
+                    break
+            tok = stop if t == budget else prop.draw(u[j])  # at its budget _force_stop closes a draw
+            j += t < budget
+            i, t, ctx = (i + 1, 0, start) if tok == stop else (i, t + 1, ctx[1:] + (tok,))
+        if guessed:
+            lp = policy.batch_log_probs(np.asarray(list(guessed), dtype=np.int64))
+            memo.update(zip(guessed, _proposals(lp, cfg)))
+        at = resume
 
 
 def _proposals(lp: np.ndarray, cfg: DecodeCfg | None) -> list[Proposal]:
@@ -403,10 +435,11 @@ def _proposals(lp: np.ndarray, cfg: DecodeCfg | None) -> list[Proposal]:
         return [Proposal(r, a, None, None) for r, a in zip(rows, argmax)]
     m, v = lp.shape
     add = np.add  # add.reduce / add.accumulate: ndarray.sum / cumsum without their Python wrappers
-    scaled = lp / cfg.temperature
-    top = np.maximum.reduce(scaled, axis=1, keepdims=True)
-    if not np.isfinite(top).all():
+    # dividing keeps order and row maxima are <= 0, so the least one decides; checked before any division
+    tops = np.maximum.reduce(lp, axis=1, keepdims=True)
+    if not math.isfinite(float(np.minimum.reduce(tops, axis=None)) / cfg.temperature):
         raise ValueError(f"temperature {cfg.temperature} leaves no finite scaled logit")
+    scaled, top = lp / cfg.temperature, tops / cfg.temperature
     probs = np.exp(scaled - top)
     probs /= add.reduce(probs, axis=1, keepdims=True)
     order = np.argsort(-probs, axis=1, kind="stable")
@@ -427,7 +460,7 @@ def _proposals(lp: np.ndarray, cfg: DecodeCfg | None) -> list[Proposal]:
     return [Proposal(*p) for p in zip(rows, argmax, kept, cum)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # a law equals only itself: compare probs with numpy
 class TerminalDistribution:
     """Exact policy mass of each terminal, in env.terminal_levels order, plus the over-length remainder."""
 

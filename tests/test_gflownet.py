@@ -384,6 +384,57 @@ def test_terminal_l1_gap_equals_the_loop_oracle_bit_for_bit():
     assert terminal_l1_gap(pol, problem, task, vocab) == loop_l1_gap(problem, task, vocab, dist)
 
 
+def training_outputs(pol: Policy, report) -> tuple:
+    return pol.params.tobytes(), list(pol.contexts.items()), report.rows
+
+
+@pytest.mark.parametrize("kind", ["tabular", "neural"])
+def test_memo_prefill_leaves_training_bit_identical(kind, monkeypatch):
+    """With _prefill_memo a no-op every draw scores its own new contexts one forward at a time, and
+    every forced stop makes its own forward: the same parameters, context table and report rows."""
+    if kind == "tabular":
+        task, vocab, problem, pol = criterion_1_setup(max_parts=4)
+        problems = [problem]
+        gfn = GfnConfig(steps=200, batch_size=16, samples_per_problem=8, sft_coeff=0.0,
+                        lr=0.08, decode=DecodeCfg(temperature=2.0, top_p=1.0), seed=0)
+    else:
+        task, vocab, _ = sumpath_setup()
+        problems = [make_problem(task, seed=s) for s in range(4)]
+        pol = Policy.neural(vocab, window=5, embed_dim=6, hidden_dim=16, seed=1)
+        gfn = GfnConfig(steps=60, batch_size=8, samples_per_problem=8, lr=0.01,
+                        decode=DecodeCfg(temperature=1.5, top_p=0.95), seed=3)
+    ds = TrainSet.build(problems, task, vocab)
+    plain = pol.clone()
+    forwards = []
+    inner = Policy.batch_log_probs
+    monkeypatch.setattr(Policy, "batch_log_probs", lambda self, ctx: forwards.append(len(ctx)) or inner(self, ctx))
+    prefilled = training_outputs(pol, train_gflownet(pol, ds, gfn))
+    n_prefilled = len(forwards)
+    monkeypatch.setattr(gflownet, "_prefill_memo", lambda *args: None)
+    assert training_outputs(plain, train_gflownet(plain, ds, gfn)) == prefilled
+    assert n_prefilled < len(forwards) - n_prefilled
+
+
+def test_forced_stop_from_the_memo_equals_a_fresh_forward_bit_for_bit():
+    task, vocab, problem, pol = criterion_1_setup(max_parts=4)
+    rng = np.random.default_rng(2)
+    for _ in range(40):
+        pol.register([(problem.prompt_tokens, tuple(rng.choice(vocab.body_ids, size=problem.max_solution_len)))])
+    pol.params = rng.normal(0.0, 2.0, size=pol.params.size)
+    cfg = DecodeCfg(temperature=2.0, top_p=1.0, max_new_tokens=problem.max_solution_len)
+    stop, forced = vocab.stop_id, 0
+    for seed in range(20):
+        draws, memo = np.random.default_rng(seed), {}
+        gflownet._prefill_memo(pol, problem, cfg, 8, draws, np.random.default_rng(), memo, {})
+        for _ in range(8):
+            traj = _sample_with_rng(pol, problem, cfg, draws, memo)
+            if not traj.terminated:
+                forced += 1
+                assert memo[pol.context_of(traj.tokens)].logprobs[stop] == pol.next_log_probs(traj.tokens)[stop]
+                assert gflownet._force_stop(pol, traj, memo) == gflownet._force_stop(pol, traj, {})
+    assert forced > 20
+
+
 def test_terminal_l1_gap_rejects_the_law_of_another_problem():
     task, vocab, problem, pol = criterion_1_setup(max_parts=3)
     _, _, wider, wide_pol = criterion_1_setup(max_parts=4)

@@ -21,12 +21,13 @@ from flowseq.evaluation import (
     evaluate,
     solution_from_body,
 )
-from flowseq.gflownet import TrainSet
+from flowseq.gflownet import TrainSet, _force_stop
 from flowseq.policy import (
     DecodeCfg,
     DecodeRow,
     Policy,
     _decode,
+    _prefill_memo,
     _proposals,
     _sample_with_rng,
     greedy_decode,
@@ -167,6 +168,7 @@ def test_proposals_reproduce_the_row_at_a_time_nucleus_bit_for_bit(cfg):
             assert prop.logprobs == row.tolist()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_lockstep_rejects_a_temperature_with_no_finite_scaled_logit():
     pol, problems = arith_policy("tabular")
     rows = [DecodeRow(p, None, np.random.default_rng(i)) for i, p in enumerate(problems[:3])]
@@ -190,6 +192,89 @@ def test_shared_memo_leaves_draws_unchanged(kind):
         for _ in range(8):
             assert_same(_sample_with_rng(pol, p, cfg, shared, memo), _sample_with_rng(pol, p, cfg, plain))
         assert memo  # the shared draws did go through it
+
+
+# k draws per step with the training horizon, as train_gflownet makes them
+STEP_K = 8
+STEP_CFG = DecodeCfg(temperature=2.0, top_p=0.9)
+
+
+def step_draws(pol: Policy, problem, seed: int, draft: dict | None) -> tuple[list[Trajectory], dict]:
+    """A step's STEP_K draws from one generator, and their memo; draft None skips the prefill walk."""
+    cfg = replace(STEP_CFG, max_new_tokens=problem.max_solution_len)
+    rng, memo = np.random.default_rng(seed), {}
+    if draft is not None:
+        _prefill_memo(pol, problem, cfg, STEP_K, rng, np.random.default_rng(), memo, draft)
+    return [_sample_with_rng(pol, problem, cfg, rng, memo) for _ in range(STEP_K)], memo
+
+
+def counting_forwards(pol: Policy) -> list[int]:
+    """Wrap the policy's batch_log_probs; the returned list gets one entry (the row count) per call."""
+    calls, inner = [], pol.batch_log_probs
+
+    def counted(ctx_mat):
+        calls.append(len(ctx_mat))
+        return inner(ctx_mat)
+    pol.batch_log_probs = counted
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["tabular", "neural"])
+def test_prefill_with_a_wrong_draft_leaves_every_draw_unchanged(kind):
+    # the draft holds another policy's proposals: the walk guesses wrong, yet scores exactly
+    pol, problems = arith_policy(kind)
+    other, _ = arith_policy(kind, seed=5)
+    used = 0
+    for i, p in enumerate(problems[:8]):
+        _, wrong = step_draws(other, p, 100 + i, {})
+        got, memo = step_draws(pol, p, i, wrong)
+        want, _ = step_draws(pol, p, i, None)
+        for g, w in zip(got, want, strict=True):
+            # a batch of two or more neural rows may round a log-probability's last bit otherwise
+            assert_same(g, w, exact=kind == "tabular")
+        used += len(set(wrong) & set(memo))
+        assert any(memo[c].logprobs != wrong[c].logprobs for c in set(wrong) & set(memo))
+    assert used > 0
+
+
+def test_prefill_leaves_the_generator_where_it_was():
+    pol, problems = arith_policy("tabular")
+    cfg = replace(STEP_CFG, max_new_tokens=problems[0].max_solution_len)
+    rng = np.random.default_rng(4)
+    rng.random(3)
+    before = rng.bit_generator.state
+    memo = {}
+    _prefill_memo(pol, problems[0], cfg, STEP_K, rng, np.random.default_rng(9), memo, {})
+    assert memo
+    assert rng.bit_generator.state == before
+
+
+@pytest.mark.parametrize("kind", ["tabular", "neural"])
+def test_prefill_without_a_draft_makes_no_more_forwards_than_one_context_at_a_time(kind):
+    # a problem no earlier step drew from: the walk scores each new context as the sequential draws would,
+    # and also the horizon contexts that the forced stops would score one by one
+    pol, problems = arith_policy(kind)
+    calls = counting_forwards(pol)
+    for i, p in enumerate(problems):
+        calls.clear()
+        trajs, memo = step_draws(pol, p, i, None)
+        for t in trajs:
+            if not t.terminated:
+                _force_stop(pol, t, memo)
+        sequential = len(calls)
+        calls.clear()
+        step_draws(pol, p, i, {})
+        assert 0 < len(calls) <= sequential, (i, calls, sequential)
+
+
+def test_prefill_with_an_exact_draft_makes_one_forward():
+    pol, problems = arith_policy("tabular")
+    calls = counting_forwards(pol)
+    for i, p in enumerate(problems):
+        _, exact = step_draws(pol, p, i, None)
+        calls.clear()
+        step_draws(pol, p, i, exact)
+        assert len(calls) == 1
 
 
 def reference_evaluate(policy, problems, vocab, k, cfg, seed, prepend_greedy) -> list[ProblemEval]:

@@ -283,6 +283,15 @@ def test_total_mass_adds_left_to_right():
     assert dist.total_mass == 0.0
 
 
+def test_terminal_laws_compare_without_raising():
+    # a generated __eq__ would compare the probs arrays elementwise and raise on laws of two or more terminals
+    law = TerminalDistribution(probs=np.array([0.25, 0.75]), overflow=0.0)
+    same_values = TerminalDistribution(probs=np.array([0.25, 0.75]), overflow=0.0)
+    assert law == law
+    assert law != same_values
+    assert law in [same_values, law]
+
+
 def test_terminal_distribution_refuses_an_over_cap_space():
     cfg = TaskConfig(task_kind=TaskKind.ARITH, value_range=(2, 30))
     vocab = build_vocab(cfg)
