@@ -51,11 +51,8 @@ from .evaluation import (
 )
 from .gflownet import (
     GfnConfig,
-    ReplayBuffer,
     TrainReport,
     TrainSet,
-    buffer_push,
-    buffer_sample,
     train_gflownet,
 )
 from .policy import (

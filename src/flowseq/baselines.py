@@ -18,12 +18,12 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
+from . import env
 from .autodiff import Var
 # not called here (Fitter calls gflownet's): perfbench/layers.py wraps the name where baselines binds it
 from .autodiff import adam_step  # noqa: F401
 from .core import Problem, SettingError, Trajectory, check_fields
-from .gflownet import (Fitter, Reference, TrainReport, TrainSet, check_learning_rate, items_of, make_reward_fn,
-                       sft_loss_var)
+from .gflownet import Fitter, Reference, TrainReport, TrainSet, check_learning_rate, items_of, sft_loss_var
 from .policy import (
     DecodeCfg,
     Memo,
@@ -120,10 +120,10 @@ def _draw_scored(
     policy: Policy, dataset: TrainSet, problem: Problem, decode: DecodeCfg, k: int, rng: np.random.Generator
 ) -> tuple[list[Trajectory], list[float]]:
     """k draws for one problem sharing one context memo, and the reward of each."""
-    reward_fn = make_reward_fn(problem, dataset.task, dataset.vocab)
     memo: Memo = {}
     samples = [_sample_with_rng(policy, problem, decode, rng, memo) for _ in range(k)]
-    return samples, [reward_fn(s.tokens[: s.prompt_len] + trajectory_body(s)) for s in samples]
+    return samples, [env.reward(problem, problem.prompt_tokens + trajectory_body(s), dataset.task, dataset.vocab)
+                     for s in samples]
 
 
 def sft_train(

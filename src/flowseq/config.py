@@ -81,7 +81,6 @@ class TrainSection:
     horizon_coeff: float = 1.0
     lr: float = 1e-3
     replay: int = 1000
-    stop_placement: str = "printed"
     temperature: float = 0.6
     top_p: float = 0.9
     max_new_tokens: int = 0  # 0: derived from the task

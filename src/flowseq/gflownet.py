@@ -16,10 +16,10 @@ optimum the terminal distribution is proportional to the reward, which exact
 enumeration verifies.
 
 Training follows the sample / score / replay / update loop: draw solutions for
-a problem (closing horizon-capped draws with a forced stop), push them into a
-FIFO buffer with their prefix rewards cached (scored once per distinct body),
-then minimize mean subtb over a replayed batch plus a weighted reference
-log-likelihood term that anchors the policy to readable solutions.
+a problem (closing horizon-capped draws with a forced stop), append them to a
+FIFO replay deque with their prefix log-rewards (scored once per distinct
+body), then minimize mean subtb over a replayed batch plus a weighted
+reference log-likelihood term that anchors the policy to readable solutions.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -51,26 +50,12 @@ from .policy import (
     trajectory_body,
 )
 
-RewardFn = Callable[[tuple[int, ...]], float]
-
-STOP_PLACEMENTS = ("printed", "swapped")
-
-
 class NonPositiveReward(ValueError):
     """A reward evaluation returned a non-positive value; its log is undefined."""
 
 
-class EmptyBuffer(LookupError):
-    """Sampling from a replay buffer with no entries."""
-
-
 class NonFiniteLoss(FloatingPointError):
     """A training loss or its gradient is not finite; the update step moved no parameter."""
-
-
-def make_reward_fn(problem: Problem, cfg: TaskConfig, vocab: Vocab) -> RewardFn:
-    """Reward of a full token prefix (prompt included) treated as terminated."""
-    return lambda prefix: reward(problem, prefix, cfg, vocab)
 
 
 @dataclass(frozen=True)
@@ -95,58 +80,15 @@ class BufferEntry:
     at_horizon: bool = False
 
 
-class ReplayBuffer:
-    """FIFO store of terminated trajectories; capacity 1000 by default."""
-
-    def __init__(self, capacity: int = 1000) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self.capacity = capacity
-        self.entries: deque[BufferEntry] = deque(maxlen=capacity)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-def prefix_log_rewards(reward_fn: RewardFn, prompt_tokens: tuple[int, ...], body: tuple[int, ...]) -> np.ndarray:
-    """log R over every prefix 0..n of the body; rejects non-positive rewards."""
+def prefix_log_rewards(problem: Problem, task: TaskConfig, vocab: Vocab, body: tuple[int, ...]) -> np.ndarray:
+    """log R of every prefix 0..n of the body, each treated as terminated; rejects non-positive rewards."""
     out = np.empty(len(body) + 1)
     for i in range(len(body) + 1):
-        r = reward_fn(prompt_tokens + body[:i])
+        r = reward(problem, problem.prompt_tokens + body[:i], task, vocab)
         if not r > 0.0:
             raise NonPositiveReward(f"reward {r} at prefix length {i}")
         out[i] = np.log(r)
     return out
-
-
-def buffer_push(
-    buf: ReplayBuffer, traj: Trajectory, reward_fn: RewardFn, at_horizon: bool = False,
-    cache: dict[tuple[int, ...], np.ndarray] | None = None,
-) -> None:
-    """Append a terminated trajectory, evicting the oldest entry beyond capacity.
-
-    cache maps a body of the trajectory's problem to its prefix log-rewards;
-    a body it holds is not scored again.
-    """
-    if not traj.terminated:
-        raise ValueError("only terminated trajectories enter the replay buffer")
-    prompt = traj.tokens[: traj.prompt_len]
-    body = trajectory_body(traj)
-    log_rewards = None if cache is None else cache.get(body)
-    if log_rewards is None:
-        log_rewards = prefix_log_rewards(reward_fn, prompt, body)
-        if cache is not None:
-            cache[body] = log_rewards
-    entry = BufferEntry(prompt, body, log_rewards, at_horizon)
-    buf.entries.append(entry)
-
-
-def buffer_sample(buf: ReplayBuffer, batch: int, rng: np.random.Generator) -> list[BufferEntry]:
-    """Uniform sample with replacement; deterministic under a seeded generator."""
-    if not buf.entries:
-        raise EmptyBuffer("replay buffer is empty")
-    idx = rng.integers(0, len(buf.entries), size=batch)
-    return [buf.entries[int(i)] for i in idx]
 
 
 @lru_cache(maxsize=64)
@@ -170,12 +112,11 @@ def _subtb_consts(width: int, lam: float) -> tuple[np.ndarray, np.ndarray, np.nd
 
 
 def subtb_sum_var(lp_tok: Var, lp_stop: Var, lengths: np.ndarray, log_rewards: list[np.ndarray],
-                  lam: float, stop_placement: str) -> Var:
+                  lam: float) -> Var:
     """Subtrajectory balance summed over padded rows; log_rewards[b] is log R of prefixes 0..lengths[b]."""
     width = lp_stop.value.shape[1]
     prefix, pairs, weights = _subtb_consts(width, float(lam))
-    d = lp_tok.tape.const(pad_rows(log_rewards, width)) - lp_tok @ prefix
-    d = d - lp_stop if stop_placement == "printed" else d + lp_stop
+    d = lp_tok.tape.const(pad_rows(log_rewards, width)) - lp_tok @ prefix - lp_stop
     return ad.vsum(ad.square(d @ pairs) * weights[lengths])
 
 
@@ -247,7 +188,6 @@ class GfnConfig:
     lr: float = 1e-3
     buffer_capacity: int = 1000
     decode: DecodeCfg = field(default_factory=DecodeCfg)
-    stop_placement: str = "printed"
     seed: int = 0
     diag_every: int = 0
 
@@ -257,9 +197,6 @@ class GfnConfig:
         check_fields(self, "be positive and finite", "subtb_lambda")
         check_fields(self, "be non-negative and finite", "sft_coeff", "horizon_coeff")
         check_learning_rate(self.lr)
-        if self.stop_placement not in STOP_PLACEMENTS:
-            raise SettingError("stop_placement", f"stop_placement must be one of {STOP_PLACEMENTS}, "
-                                                 f"got {self.stop_placement!r}")
 
 
 @dataclass
@@ -364,8 +301,7 @@ def replay_loss_var(
         # the reference rows follow the replayed ones
         ref_rows = (lp_tok[nb:], lp_stop[nb:], lengths[nb:])
         lp_tok, lp_stop, lengths = lp_tok[:nb], lp_stop[:nb], lengths[:nb]
-    subtb = subtb_sum_var(lp_tok, lp_stop, lengths, [e.log_rewards for e in batch],
-                          cfg.subtb_lambda, cfg.stop_placement)
+    subtb = subtb_sum_var(lp_tok, lp_stop, lengths, [e.log_rewards for e in batch], cfg.subtb_lambda)
     mean_subtb = subtb / float(nb)
     total = mean_subtb
     at_horizon = np.flatnonzero([e.at_horizon for e in batch])
@@ -388,10 +324,9 @@ def _force_stop(policy: Policy, traj: Trajectory, memo: Memo) -> Trajectory:
     maximum solution length has no continuation, so training treats the cap
     as a forced stop. Without this, mass pushed past the horizon never
     receives gradient signal and lingers as unterminated overflow. The
-    log-probability comes from memo when it holds the horizon context.
+    log-probability comes from memo, where _prefill_memo puts every horizon context.
     """
-    prop = memo.get(policy.context_of(traj.tokens))
-    lp = policy.next_log_probs(traj.tokens) if prop is None else prop.logprobs
+    lp = memo[policy.context_of(traj.tokens)].logprobs
     return Trajectory(
         prompt_len=traj.prompt_len,
         tokens=traj.tokens + (policy.vocab.stop_id,),
@@ -425,35 +360,34 @@ def train_gflownet(
         raise ValueError("dataset has no problems")
     report = TrainReport(loss_column="mean_subtb_loss")
     rng = np.random.default_rng(cfg.seed)
-    buf = ReplayBuffer(cfg.buffer_capacity)
+    buf: deque[BufferEntry] = deque(maxlen=cfg.buffer_capacity)
     fit = Fitter(policy, cfg.lr)
     refs_all = dataset.all_references()
     use_sft = cfg.sft_coeff > 0.0 and refs_all
-    reward_fns = [make_reward_fn(p, dataset.task, dataset.vocab) for p in dataset.problems]
-    log_reward_caches: list[dict] = [{} for _ in dataset.problems]
+    scored: list[dict] = [{} for _ in dataset.problems]  # body -> prefix log-rewards, per problem
     drafts: list[Memo] = [{} for _ in dataset.problems]  # earlier steps' proposals: guesses read kept and cum
-    shadow = np.random.default_rng(cfg.seed)  # reset to rng's state before each use
     diag_rewards = None if diag_problem is None else enumerate_terminals(
         diag_problem, dataset.task, dataset.vocab)
 
     for step in range(1, cfg.steps + 1):
         p_idx = int(rng.integers(0, len(dataset.problems)))
         problem = dataset.problems[p_idx]
-        reward_fn = reward_fns[p_idx]
         decode = _horizon_decode(cfg.decode, problem)
         rewards_step: list[float] = []
         memo: Memo = {}
-        _prefill_memo(policy, problem, decode, cfg.samples_per_problem, rng, shadow, memo, drafts[p_idx])
+        _prefill_memo(policy, problem, decode, cfg.samples_per_problem, rng, memo, drafts[p_idx])
         for _ in range(cfg.samples_per_problem):
             traj = _sample_with_rng(policy, problem, decode, rng, memo)
             if not traj.terminated:
                 traj = _force_stop(policy, traj, memo)
-            at_horizon = len(trajectory_body(traj)) == problem.max_solution_len
-            buffer_push(buf, traj, reward_fn, at_horizon, log_reward_caches[p_idx])
-            rewards_step.append(float(np.exp(buf.entries[-1].log_rewards[-1])))
-        drafts[p_idx].update((c, p._replace(logprobs=None)) for c, p in memo.items())
+            body = trajectory_body(traj)
+            log_rewards = scored[p_idx].get(body)
+            if log_rewards is None:
+                log_rewards = scored[p_idx][body] = prefix_log_rewards(problem, dataset.task, dataset.vocab, body)
+            buf.append(BufferEntry(problem.prompt_tokens, body, log_rewards, len(body) == problem.max_solution_len))
+            rewards_step.append(float(np.exp(log_rewards[-1])))
 
-        batch = buffer_sample(buf, cfg.batch_size, rng)
+        batch = [buf[int(i)] for i in rng.integers(0, len(buf), size=cfg.batch_size)]
         ref_batch: list[Reference] = []
         if use_sft:
             ridx = rng.integers(0, len(refs_all), size=cfg.batch_size)

@@ -184,10 +184,6 @@ class Policy:
 
     # the forward, on the parameter array or on a tape variable
 
-    def next_log_probs(self, prefix: tuple[int, ...] | list[int]) -> np.ndarray:
-        """Log-probabilities over the vocabulary for the next position."""
-        return self.batch_log_probs(np.asarray([self.context_of(prefix)], dtype=np.int64))[0]
-
     def batch_log_probs(self, ctx_mat: np.ndarray) -> np.ndarray:
         return self.rows_var(self.params, ctx_mat)
 
@@ -391,17 +387,20 @@ def _decode(
 
 
 def _prefill_memo(policy: Policy, problem: Problem, cfg: DecodeCfg, k: int, rng: np.random.Generator,
-                  shadow: np.random.Generator, memo: Memo, draft: Memo) -> None:
+                  memo: Memo, draft: Memo) -> None:
     """Put in memo the exact Proposal of every context that k _sample_with_rng draws from rng visit.
 
-    A walk replays the draws on uniforms from shadow, set to rng's state, so rng stays put. It guesses
-    with draft where memo has no proposal, scores the guessed contexts and the first unknown one in one
-    forward, and resumes at the first of them until it walks on exact proposals alone: guesses only
-    choose what is scored. The horizon context of a draw that does not stop is scored for _force_stop.
+    A walk replays the draws on uniforms taken from rng, whose state is then restored, so rng stays put.
+    It guesses with draft where memo has no proposal, scores the guessed contexts and the first unknown
+    one in one forward, and resumes at the first of them until it walks on exact proposals alone: guesses
+    only choose what is scored. The horizon context of a draw that does not stop is scored for
+    _force_stop. The draws then add nothing to memo, so draft takes its proposals, without logprobs, for
+    the next walk on this problem.
     """
     budget = problem.max_solution_len + 1 if cfg.max_new_tokens is None else cfg.max_new_tokens
-    shadow.bit_generator.state = rng.bit_generator.state
-    u = shadow.random(k * budget).tolist()
+    state = rng.bit_generator.state
+    u = rng.random(k * budget).tolist()
+    rng.bit_generator.state = state
     stop, start = policy.vocab.stop_id, policy.context_of(problem.prompt_tokens)
     at = (0, 0, 0, start)  # the walk's state: draw, its tokens so far, uniforms used, context
     while at is not None:
@@ -420,6 +419,7 @@ def _prefill_memo(policy: Policy, problem: Problem, cfg: DecodeCfg, k: int, rng:
             lp = policy.batch_log_probs(np.asarray(list(guessed), dtype=np.int64))
             memo.update(zip(guessed, _proposals(lp, cfg)))
         at = resume
+    draft.update((c, p._replace(logprobs=None)) for c, p in memo.items())
 
 
 def _proposals(lp: np.ndarray, cfg: DecodeCfg | None) -> list[Proposal]:
@@ -435,11 +435,16 @@ def _proposals(lp: np.ndarray, cfg: DecodeCfg | None) -> list[Proposal]:
         return [Proposal(r, a, None, None) for r, a in zip(rows, argmax)]
     m, v = lp.shape
     add = np.add  # add.reduce / add.accumulate: ndarray.sum / cumsum without their Python wrappers
-    # dividing keeps order and row maxima are <= 0, so the least one decides; checked before any division
+    # dividing keeps order and every entry is <= 0, so the least entry, or the least row maximum, decides
     tops = np.maximum.reduce(lp, axis=1, keepdims=True)
-    if not math.isfinite(float(np.minimum.reduce(tops, axis=None)) / cfg.temperature):
+    if math.isfinite(float(np.minimum.reduce(lp, axis=None)) / cfg.temperature):
+        scaled = lp / cfg.temperature
+    elif math.isfinite(float(np.minimum.reduce(tops, axis=None)) / cfg.temperature):
+        with np.errstate(over="ignore"):  # an entry scaled to -inf gets no mass
+            scaled = lp / cfg.temperature
+    else:
         raise ValueError(f"temperature {cfg.temperature} leaves no finite scaled logit")
-    scaled, top = lp / cfg.temperature, tops / cfg.temperature
+    top = tops / cfg.temperature
     probs = np.exp(scaled - top)
     probs /= add.reduce(probs, axis=1, keepdims=True)
     order = np.argsort(-probs, axis=1, kind="stable")

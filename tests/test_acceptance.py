@@ -35,7 +35,7 @@ from flowseq.baselines import (
 )
 from flowseq.cli import run_cli
 from flowseq.core import Problem, TaskKind, make_vocab
-from flowseq.env import TaskConfig, build_vocab, enumerate_terminals, make_problem
+from flowseq.env import TaskConfig, build_vocab, enumerate_terminals, make_problem, reward
 from flowseq.evaluation import pass_at_k, rouge_l
 from flowseq.evaluation import evaluate
 from flowseq.gflownet import (
@@ -43,8 +43,6 @@ from flowseq.gflownet import (
     GfnConfig,
     Reference,
     TrainSet,
-    make_reward_fn,
-    prefix_log_rewards,
     replay_loss_var,
     sft_loss_var,
     terminal_l1_gap,
@@ -118,9 +116,9 @@ def _toy_policy(vocab, problem, p_tok: float):
 
 
 def _replayed(reward_fn, traj):
-    """A one-row replay batch holding traj, its prefix log-rewards scored by reward_fn."""
+    """A one-row replay batch holding traj, with the log of reward_fn on each prefix of its body."""
     prompt, body = trajectory_item(traj)
-    return [BufferEntry(prompt, body, prefix_log_rewards(reward_fn, prompt, body))]
+    return [BufferEntry(prompt, body, np.log([reward_fn(prompt + body[:i]) for i in range(len(body) + 1)]))]
 
 
 def _random_terminated(pol, problem, seed):
@@ -149,7 +147,7 @@ def _fd_instance(seed: int):
         pol.register([(problem.prompt_tokens, trajectory_body(t))])
     rng = np.random.default_rng(seed + 1)
     pol.params = rng.normal(0.0, 0.5, size=pol.params.size)
-    reward_fn = make_reward_fn(problem, task, vocab)
+    reward_fn = lambda prefix: reward(problem, prefix, task, vocab)
     return problem, pol, (traj_a, traj_b), reward_fn, rng
 
 
@@ -212,8 +210,7 @@ def test_criterion_2_balance_loss_correctness():
     for i in range(20):
         problem, pol, (ta, tb), reward_fn, rng = _fd_instance(i)
         lam = (0.5, 0.9, 1.0, 1.7)[i % 4]
-        placement = "printed" if i % 2 == 0 else "swapped"
-        cfg = GfnConfig(steps=1, subtb_lambda=lam, stop_placement=placement)
+        cfg = GfnConfig(steps=1, subtb_lambda=lam)
         batch = _replayed(reward_fn, ta)
         record("subtb", _max_grad_rel_err(
             pol, lambda p, th: replay_loss_var(p, th, batch, [], cfg)[1]))
@@ -263,7 +260,7 @@ def test_criterion_3_reward_scale_invariance():
                       max_parts=3, max_part=2)
     vocab = build_vocab(task)
     problem = make_problem(task, seed=0)
-    reward_fn = make_reward_fn(problem, task, vocab)
+    reward_fn = lambda prefix: reward(problem, prefix, task, vocab)
     pol = Policy.tabular(vocab, window=4)
     rng = np.random.default_rng(11)
     cfg = GfnConfig(steps=1, subtb_lambda=0.9)

@@ -79,6 +79,12 @@ def test_unknown_key_exits_2(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_the_removed_stop_placement_key_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, "[train]\nstop_placement = printed\n")
+    assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "unknown key: train.stop_placement" in capsys.readouterr().err
+
+
 def test_unknown_section_exits_2(tmp_path):
     cfg = write_config(tmp_path, "[nope]\nkind = sumpath\n")
     assert run_cli(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -107,8 +113,8 @@ BAD_VALUES = {
     "data.n_problems": "0", "data.problems": "", "data.checkpoint": "",
     "train.steps": "-1", "train.batch_size": "0", "train.samples_per_problem": "0", "train.sft_coeff": "nan",
     "train.subtb_lambda": "0", "train.horizon_coeff": "inf", "train.lr": "-0.5", "train.replay": "0",
-    "train.stop_placement": "sideways", "train.temperature": "0", "train.top_p": "1.5",
-    "train.max_new_tokens": "-1", "train.epochs": "0", "train.sft_init_epochs": "-1", "train.rft_k": "0",
+    "train.temperature": "0", "train.top_p": "1.5", "train.max_new_tokens": "-1", "train.epochs": "0",
+    "train.sft_init_epochs": "-1", "train.rft_k": "0",
     "train.dpo_beta": "inf", "train.dpo_samples": "1", "train.ppo_clip": "1", "train.kl_beta": "-1",
     "train.gamma": "0", "train.gae_lambda": "1.5", "train.trajs_per_step": "0", "train.critic_lr": "0",
     "train.diag_every": "-1",
@@ -172,8 +178,8 @@ LAYOUT = {
     "policy": {"kind": "TABULAR", "window": 3, "embed_dim": 16, "hidden_dim": 64},
     "data": {"n_problems": 50, "problems": "problems.jsonl", "checkpoint": "policy.bin"},
     "train": {"steps": 200, "batch_size": 16, "samples_per_problem": 8, "sft_coeff": 30.0, "subtb_lambda": 1.0,
-              "horizon_coeff": 1.0, "lr": 0.001, "replay": 1000, "stop_placement": "printed",
-              "temperature": 0.6, "top_p": 0.9, "max_new_tokens": 0, "epochs": 1, "sft_init_epochs": 0,
+              "horizon_coeff": 1.0, "lr": 0.001, "replay": 1000, "temperature": 0.6, "top_p": 0.9,
+              "max_new_tokens": 0, "epochs": 1, "sft_init_epochs": 0,
               "rft_k": 4, "dpo_beta": 0.01, "dpo_samples": 8, "ppo_clip": 0.2, "kl_beta": 0.1, "gamma": 1.0,
               "gae_lambda": 0.95, "trajs_per_step": 8, "critic_lr": 0.003, "diag_every": 0},
     "eval": {"k": 8, "temperature": 0.6, "top_p": 0.9, "prepend_greedy": False},

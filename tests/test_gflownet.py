@@ -8,18 +8,14 @@ import pytest
 from flowseq import autodiff as ad
 from flowseq import gflownet
 from flowseq.core import Problem, TaskKind, Trajectory, encode, make_vocab
-from flowseq.env import RewardMode, TaskConfig, build_vocab, enumerate_terminals, make_problem
+from flowseq.env import RewardMode, TaskConfig, build_vocab, enumerate_terminals, make_problem, reward
 from flowseq.gflownet import (
     BufferEntry,
-    EmptyBuffer,
     GfnConfig,
     NonPositiveReward,
-    ReplayBuffer,
     TrainReport,
     TrainSet,
-    buffer_push,
-    buffer_sample,
-    make_reward_fn,
+    _force_stop,
     prefix_log_rewards,
     replay_loss_var,
     sft_loss_var,
@@ -30,6 +26,7 @@ from flowseq.gflownet import Reference
 from flowseq.policy import (
     DecodeCfg,
     Policy,
+    _proposals,
     _sample_with_rng,
     generation_log_probs,
     terminal_distribution,
@@ -38,12 +35,11 @@ from flowseq.policy import (
 )
 
 
-def brute_subtb(lp_tok: np.ndarray, lp_stop: np.ndarray, log_r: np.ndarray,
-                lam: float, swapped: bool = False) -> float:
+def brute_subtb(lp_tok: np.ndarray, lp_stop: np.ndarray, log_r: np.ndarray, lam: float) -> float:
     """Direct double sum over all 0 <= i < j <= n subtrajectory pairs."""
     n = len(lp_tok)
     s = np.concatenate([[0.0], np.cumsum(lp_tok)])
-    d = log_r - s + lp_stop if swapped else log_r - s - lp_stop
+    d = log_r - s - lp_stop
     total = 0.0
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
@@ -52,9 +48,19 @@ def brute_subtb(lp_tok: np.ndarray, lp_stop: np.ndarray, log_r: np.ndarray,
 
 
 def replayed(reward_fn, traj: Trajectory) -> list[BufferEntry]:
-    """A one-row replay batch holding traj, its prefix log-rewards scored by reward_fn."""
+    """A one-row replay batch holding traj, with the log of reward_fn on each prefix of its body."""
     prompt, body = trajectory_item(traj)
-    return [BufferEntry(prompt, body, prefix_log_rewards(reward_fn, prompt, body))]
+    return [BufferEntry(prompt, body, np.log([reward_fn(prompt + body[:i]) for i in range(len(body) + 1)]))]
+
+
+def task_reward(problem, task, vocab):
+    """The environment's reward of a token prefix (prompt included) treated as terminated."""
+    return lambda prefix: reward(problem, prefix, task, vocab)
+
+
+def next_log_probs(pol: Policy, prefix: tuple[int, ...]) -> np.ndarray:
+    """The one-row oracle: log-probabilities of the token after prefix."""
+    return pol.batch_log_probs(np.asarray([pol.context_of(prefix)], dtype=np.int64))[0]
 
 
 def two_token_setup():
@@ -95,10 +101,10 @@ def random_terminated_trajectory(pol, problem, seed: int) -> Trajectory:
 
 
 def test_subtb_matches_brute_force_double_sum():
-    cfg, vocab, problem = sumpath_setup()
+    task, vocab, problem = sumpath_setup()
     pol = Policy.tabular(vocab, window=4)
     rng = np.random.default_rng(3)
-    reward_fn = make_reward_fn(problem, cfg, vocab)
+    reward_fn = task_reward(problem, task, vocab)
     for seed in range(6):
         traj = random_terminated_trajectory(pol, problem, seed)
         body = trajectory_body(traj)
@@ -109,26 +115,9 @@ def test_subtb_matches_brute_force_double_sum():
             got = ad.loss_value(lambda th: replay_loss_var(pol, th, replayed(reward_fn, traj), [], cfg)[1],
                                 pol.params)
             lp_tok, lp_stop = generation_log_probs(pol, problem.prompt_tokens, body)
-            log_r = prefix_log_rewards(reward_fn, problem.prompt_tokens, body)
+            log_r = prefix_log_rewards(problem, task, vocab, body)
             want = brute_subtb(lp_tok, lp_stop, log_r, lam)
             assert got == pytest.approx(want, rel=1e-12), (seed, lam)
-
-
-def test_subtb_swapped_placement_matches_its_oracle():
-    cfg, vocab, problem = sumpath_setup()
-    pol = Policy.tabular(vocab, window=4)
-    rng = np.random.default_rng(5)
-    reward_fn = make_reward_fn(problem, cfg, vocab)
-    traj = random_terminated_trajectory(pol, problem, 1)
-    body = trajectory_body(traj)
-    pol.register([(problem.prompt_tokens, body)])
-    pol.params = rng.normal(0, 0.5, size=pol.params.size)
-    cfg = GfnConfig(steps=1, subtb_lambda=1.0, stop_placement="swapped")
-    got = ad.loss_value(lambda th: replay_loss_var(pol, th, replayed(reward_fn, traj), [], cfg)[1], pol.params)
-    lp_tok, lp_stop = generation_log_probs(pol, problem.prompt_tokens, body)
-    log_r = prefix_log_rewards(reward_fn, problem.prompt_tokens, body)
-    want = brute_subtb(lp_tok, lp_stop, log_r, 1.0, swapped=True)
-    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_subtb_flow_consistent_policy_is_zero():
@@ -162,10 +151,10 @@ def test_subtb_hand_derived_single_step_case():
 
 
 def test_subtb_reward_scale_invariance():
-    cfg, vocab, problem = sumpath_setup()
+    task, vocab, problem = sumpath_setup()
     pol = Policy.tabular(vocab, window=4)
     rng = np.random.default_rng(9)
-    reward_fn = make_reward_fn(problem, cfg, vocab)
+    reward_fn = task_reward(problem, task, vocab)
     traj = random_terminated_trajectory(pol, problem, 2)
     pol.register([(problem.prompt_tokens, trajectory_body(traj))])
     pol.params = rng.normal(0, 0.5, size=pol.params.size)
@@ -193,89 +182,78 @@ def test_sft_loss_is_mean_token_nll():
     assert got == pytest.approx(-total / count)
 
 
-def test_nonpositive_reward_rejected():
-    cfg, vocab, problem = sumpath_setup()
-    pol = Policy.tabular(vocab, window=4)
-    traj = random_terminated_trajectory(pol, problem, 0)
-    with pytest.raises(NonPositiveReward):
-        replayed(lambda pre: 0.0, traj)
+def recorded_training(monkeypatch, problems, task, vocab, gfn):
+    """train_gflownet with its draws (problem, body), replay entries and replayed batches recorded in order."""
+    draws, pushed, batches = [], [], []
+    sample, loss = gflownet._sample_with_rng, gflownet.replay_loss_var
+
+    def recorded_sample(policy, problem, *args):
+        traj = sample(policy, problem, *args)
+        draws.append((problem, trajectory_body(traj)))
+        return traj
+
+    def recorded_entry(*args):
+        pushed.append(BufferEntry(*args))
+        return pushed[-1]
+
+    def recorded_loss(policy, theta, batch, *args):
+        batches.append(batch)
+        return loss(policy, theta, batch, *args)
+
+    monkeypatch.setattr(gflownet, "_sample_with_rng", recorded_sample)
+    monkeypatch.setattr(gflownet, "BufferEntry", recorded_entry)
+    monkeypatch.setattr(gflownet, "replay_loss_var", recorded_loss)
+    report = train_gflownet(Policy.tabular(vocab, window=4), TrainSet.build(problems, task, vocab), gfn)
+    return report, draws, pushed, batches
 
 
-def test_replay_buffer_fifo_oracle():
-    cfg, vocab, problem = sumpath_setup()
-    pol = Policy.tabular(vocab, window=4)
-    reward_fn = make_reward_fn(problem, cfg, vocab)
-    buf = ReplayBuffer(capacity=5)
-    pushed = []
-    for seed in range(9):
-        traj = random_terminated_trajectory(pol, problem, seed)
-        buffer_push(buf, traj, reward_fn)
-        pushed.append(trajectory_body(traj))
-    # a deque of maxlen 5 holds exactly the last five pushes in order
-    assert [e.body for e in buf.entries] == pushed[-5:]
-    assert len(buf) == 5
+def test_replay_draws_uniformly_from_a_fifo_of_the_last_capacity_draws(monkeypatch):
+    task, vocab, _ = sumpath_setup()
+    problems = [make_problem(task, seed=s) for s in range(3)]
+    k, capacity, steps = 3, 10, 80
+    gfn = GfnConfig(steps=steps, batch_size=8, samples_per_problem=k, buffer_capacity=capacity, sft_coeff=0.0,
+                    decode=DecodeCfg(temperature=2.0, top_p=1.0), seed=1)
+    report, draws, pushed, batches = recorded_training(monkeypatch, problems, task, vocab, gfn)
+    assert [r["buffer_size"] for r in report.rows] == [min(k * step, capacity) for step in range(1, steps + 1)]
+    assert [(e.prompt_tokens, e.body) for e in pushed] == [(p.prompt_tokens, body) for p, body in draws]
+    for e, (problem, _) in zip(pushed, draws):
+        assert e.at_horizon == (len(e.body) == problem.max_solution_len)
+        assert e.log_rewards.tolist() == prefix_log_rewards(problem, task, vocab, e.body).tolist()
+    # each step replays entries of the last `capacity` pushes, and each slot of a full deque as often
+    counts = np.zeros(capacity)
+    for step, batch in enumerate(batches, start=1):
+        held = [id(e) for e in pushed[max(0, k * step - capacity): k * step]]
+        slots = [held.index(id(e)) for e in batch]
+        if len(held) == capacity:
+            counts += np.bincount(slots, minlength=capacity)
+    n, p = counts.sum(), 1.0 / capacity
+    assert np.all(np.abs(counts - n * p) < 4 * np.sqrt(n * p * (1 - p))), counts
 
 
-def test_buffer_push_cache_scores_each_body_once():
-    cfg, vocab, problem = sumpath_setup(RewardMode.SHAPED)
-    pol = Policy.tabular(vocab, window=4)
-    reward_fn = make_reward_fn(problem, cfg, vocab)
+def test_training_scores_each_distinct_body_of_a_problem_once(monkeypatch):
+    task, vocab, _ = sumpath_setup(RewardMode.SHAPED)
+    problems = [make_problem(task, seed=s) for s in range(2)]
     calls = []
+    real_reward = gflownet.reward
 
-    def counted(prefix):
-        calls.append(prefix)
-        return reward_fn(prefix)
+    def counted(*args):
+        calls.append(args)
+        return real_reward(*args)
 
-    trajs = [random_terminated_trajectory(pol, problem, seed) for seed in range(12)]
-    plain, cached, cache = ReplayBuffer(50), ReplayBuffer(50), {}
-    for t in trajs + trajs:
-        buffer_push(plain, t, reward_fn)
-        buffer_push(cached, t, counted, cache=cache)
-    assert [(e.body, e.log_rewards.tolist()) for e in cached.entries] == \
-        [(e.body, e.log_rewards.tolist()) for e in plain.entries]
-    bodies = {trajectory_body(t) for t in trajs}
-    assert set(cache) == bodies
-    assert len(calls) == sum(len(b) + 1 for b in bodies)
-    # a body met for the first time is still checked
-    with pytest.raises(NonPositiveReward):
-        buffer_push(ReplayBuffer(3), trajs[0], lambda prefix: 0.0, cache={})
+    monkeypatch.setattr(gflownet, "reward", counted)
+    gfn = GfnConfig(steps=40, batch_size=4, samples_per_problem=6, sft_coeff=0.0,
+                    decode=DecodeCfg(temperature=2.0, top_p=1.0), seed=0)
+    _, draws, _, _ = recorded_training(monkeypatch, problems, task, vocab, gfn)
+    distinct = {(id(p), body) for p, body in draws}
+    assert len(distinct) < len(draws)  # some body is drawn twice, so a second scoring would show
+    assert len(calls) == sum(len(body) + 1 for _, body in distinct)
 
 
-def test_replay_buffer_rejects_unterminated():
-    cfg, vocab, problem = sumpath_setup()
-    reward_fn = make_reward_fn(problem, cfg, vocab)
-    t = Trajectory(prompt_len=len(problem.prompt_tokens),
-                   tokens=problem.prompt_tokens + (2,), logprobs=(-0.5,), terminated=False)
-    with pytest.raises(ValueError):
-        buffer_push(ReplayBuffer(3), t, reward_fn)
-
-
-def test_buffer_sample_uniformity():
-    cfg, vocab, problem = sumpath_setup()
-    pol = Policy.tabular(vocab, window=4)
-    reward_fn = make_reward_fn(problem, cfg, vocab)
-    buf = ReplayBuffer(capacity=50)
-    bodies = set()
-    seed = 0
-    while len(bodies) < 4:
-        traj = random_terminated_trajectory(pol, problem, seed)
-        body = trajectory_body(traj)
-        if body not in bodies:
-            bodies.add(body)
-            buffer_push(buf, traj, reward_fn)
-        seed += 1
-    rng = np.random.default_rng(0)
-    n = 4000
-    picks = buffer_sample(buf, n, rng)
-    counts = np.zeros(len(buf))
-    index_of = {e.body: i for i, e in enumerate(buf.entries)}
-    for e in picks:
-        counts[index_of[e.body]] += 1
-    p = 1.0 / len(buf)
-    sigma = np.sqrt(n * p * (1 - p))
-    assert np.all(np.abs(counts - n * p) < 4 * sigma)
-    with pytest.raises(EmptyBuffer):
-        buffer_sample(ReplayBuffer(3), 1, rng)
+def test_training_rejects_a_non_positive_reward(monkeypatch):
+    task, vocab, problem = sumpath_setup()
+    monkeypatch.setattr(gflownet, "reward", lambda *args: 0.0)
+    with pytest.raises(NonPositiveReward, match="reward 0.0 at prefix length 0"):
+        train_gflownet(Policy.tabular(vocab, window=4), TrainSet.build([problem], task, vocab), GfnConfig(steps=1))
 
 
 def test_train_zero_steps_leaves_policy_unchanged():
@@ -388,6 +366,12 @@ def training_outputs(pol: Policy, report) -> tuple:
     return pol.params.tobytes(), list(pol.contexts.items()), report.rows
 
 
+def fresh_force_stop(policy: Policy, traj: Trajectory, memo) -> Trajectory:
+    """_force_stop on a memo of the horizon context alone, scored by a one-row forward."""
+    fresh = _proposals(np.asarray([next_log_probs(policy, traj.tokens)]), None)[0]
+    return _force_stop(policy, traj, {policy.context_of(traj.tokens): fresh})
+
+
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
 def test_memo_prefill_leaves_training_bit_identical(kind, monkeypatch):
     """With _prefill_memo a no-op every draw scores its own new contexts one forward at a time, and
@@ -411,6 +395,7 @@ def test_memo_prefill_leaves_training_bit_identical(kind, monkeypatch):
     prefilled = training_outputs(pol, train_gflownet(pol, ds, gfn))
     n_prefilled = len(forwards)
     monkeypatch.setattr(gflownet, "_prefill_memo", lambda *args: None)
+    monkeypatch.setattr(gflownet, "_force_stop", fresh_force_stop)
     assert training_outputs(plain, train_gflownet(plain, ds, gfn)) == prefilled
     assert n_prefilled < len(forwards) - n_prefilled
 
@@ -425,13 +410,13 @@ def test_forced_stop_from_the_memo_equals_a_fresh_forward_bit_for_bit():
     stop, forced = vocab.stop_id, 0
     for seed in range(20):
         draws, memo = np.random.default_rng(seed), {}
-        gflownet._prefill_memo(pol, problem, cfg, 8, draws, np.random.default_rng(), memo, {})
+        gflownet._prefill_memo(pol, problem, cfg, 8, draws, memo, {})
         for _ in range(8):
             traj = _sample_with_rng(pol, problem, cfg, draws, memo)
             if not traj.terminated:
                 forced += 1
-                assert memo[pol.context_of(traj.tokens)].logprobs[stop] == pol.next_log_probs(traj.tokens)[stop]
-                assert gflownet._force_stop(pol, traj, memo) == gflownet._force_stop(pol, traj, {})
+                assert memo[pol.context_of(traj.tokens)].logprobs[stop] == next_log_probs(pol, traj.tokens)[stop]
+                assert _force_stop(pol, traj, memo) == fresh_force_stop(pol, traj, memo)
     assert forced > 20
 
 

@@ -21,7 +21,7 @@ from flowseq.evaluation import (
     evaluate,
     solution_from_body,
 )
-from flowseq.gflownet import TrainSet, _force_stop
+from flowseq.gflownet import TrainSet
 from flowseq.policy import (
     DecodeCfg,
     DecodeRow,
@@ -71,7 +71,7 @@ def reference_decode(policy: Policy, problem, max_new_tokens, cfg: DecodeCfg | N
     budget = problem.max_solution_len + 1 if max_new_tokens is None else max_new_tokens
     tokens, logprobs = list(problem.prompt_tokens), []
     for _ in range(budget):
-        lp = policy.next_log_probs(tokens)
+        lp = policy.batch_log_probs(np.asarray([policy.context_of(tokens)], dtype=np.int64))[0]
         tok = int(np.argmax(lp)) if rng is None else reference_draw(lp, cfg, rng)
         tokens.append(tok)
         logprobs.append(float(lp[tok]))
@@ -176,6 +176,17 @@ def test_lockstep_rejects_a_temperature_with_no_finite_scaled_logit():
         _decode(pol, rows, DecodeCfg(temperature=1e-310, top_p=1.0))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_proposals_give_no_mass_to_an_entry_that_its_temperature_overflows():
+    # every row maximum scales to a finite value, and -1e10 / 1e-300 overflows to -inf
+    lp = np.array([[0.0, -1e10, -5.0], [-2e-300, -1e10, -3e-300], [-0.5, -1.0, -3.0]])
+    cfg = DecodeCfg(temperature=1e-300, top_p=1.0)
+    got = [(p.kept, p.cum) for p in _proposals(lp, cfg)]
+    assert [kept[:2] for kept, _ in got] == [[0], [0, 2], [0]]
+    with np.errstate(over="ignore"):
+        assert got == [reference_nucleus(row, cfg) for row in lp]
+
+
 def test_sampled_rows_need_a_decode_cfg():
     pol, problems = arith_policy("tabular")
     with pytest.raises(ValueError, match="DecodeCfg"):
@@ -204,7 +215,7 @@ def step_draws(pol: Policy, problem, seed: int, draft: dict | None) -> tuple[lis
     cfg = replace(STEP_CFG, max_new_tokens=problem.max_solution_len)
     rng, memo = np.random.default_rng(seed), {}
     if draft is not None:
-        _prefill_memo(pol, problem, cfg, STEP_K, rng, np.random.default_rng(), memo, draft)
+        _prefill_memo(pol, problem, cfg, STEP_K, rng, memo, draft)
     return [_sample_with_rng(pol, problem, cfg, rng, memo) for _ in range(STEP_K)], memo
 
 
@@ -227,7 +238,7 @@ def test_prefill_with_a_wrong_draft_leaves_every_draw_unchanged(kind):
     used = 0
     for i, p in enumerate(problems[:8]):
         _, wrong = step_draws(other, p, 100 + i, {})
-        got, memo = step_draws(pol, p, i, wrong)
+        got, memo = step_draws(pol, p, i, dict(wrong))  # the walk updates its draft
         want, _ = step_draws(pol, p, i, None)
         for g, w in zip(got, want, strict=True):
             # a batch of two or more neural rows may round a log-probability's last bit otherwise
@@ -237,16 +248,23 @@ def test_prefill_with_a_wrong_draft_leaves_every_draw_unchanged(kind):
     assert used > 0
 
 
-def test_prefill_leaves_the_generator_where_it_was():
+def test_prefill_leaves_the_generator_where_it_was_and_drafts_its_memo():
     pol, problems = arith_policy("tabular")
     cfg = replace(STEP_CFG, max_new_tokens=problems[0].max_solution_len)
     rng = np.random.default_rng(4)
     rng.random(3)
     before = rng.bit_generator.state
-    memo = {}
-    _prefill_memo(pol, problems[0], cfg, STEP_K, rng, np.random.default_rng(9), memo, {})
+    memo, draft = {}, {}
+    _prefill_memo(pol, problems[0], cfg, STEP_K, rng, memo, draft)
     assert memo
     assert rng.bit_generator.state == before
+    # the draft holds every proposal of the memo, without its log-probabilities
+    assert draft == {c: p._replace(logprobs=None) for c, p in memo.items()}
+    # and the draws, from the same generator, find every context they visit already scored
+    scored = dict(memo)
+    for _ in range(STEP_K):
+        _sample_with_rng(pol, problems[0], cfg, rng, memo)
+    assert memo == scored
 
 
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
@@ -257,10 +275,10 @@ def test_prefill_without_a_draft_makes_no_more_forwards_than_one_context_at_a_ti
     calls = counting_forwards(pol)
     for i, p in enumerate(problems):
         calls.clear()
-        trajs, memo = step_draws(pol, p, i, None)
+        trajs, _ = step_draws(pol, p, i, None)
         for t in trajs:
-            if not t.terminated:
-                _force_stop(pol, t, memo)
+            if not t.terminated:  # the one-row forward a forced stop would make without the walk
+                pol.batch_log_probs(np.asarray([pol.context_of(t.tokens)], dtype=np.int64))
         sequential = len(calls)
         calls.clear()
         step_draws(pol, p, i, {})

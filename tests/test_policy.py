@@ -62,22 +62,27 @@ def seeded_tabular(vocab: Vocab, window: int = 2, scale: float = 1.0, seed: int 
     return pol
 
 
-def test_next_log_probs_normalized_many_contexts():
+def next_log_probs(pol: Policy, prefix) -> np.ndarray:
+    """The one-row oracle: log-probabilities of the token after prefix."""
+    return pol.batch_log_probs(np.asarray([pol.context_of(prefix)], dtype=np.int64))[0]
+
+
+def test_log_probs_normalized_many_contexts():
     vocab = tiny_vocab()
     for kind_seed in range(3):
         pol = seeded_tabular(vocab, seed=kind_seed)
         for ctx in list(pol.contexts)[:100]:
-            lp = pol.next_log_probs(ctx)
+            lp = next_log_probs(pol, ctx)
             assert np.isclose(np.exp(lp).sum(), 1.0)
     net = Policy.neural(vocab, window=3, embed_dim=4, hidden_dim=8, seed=1)
     for prefix in [(0,), (0, 1), (0, 1, 2)]:
-        assert np.isclose(np.exp(net.next_log_probs(prefix)).sum(), 1.0)
+        assert np.isclose(np.exp(next_log_probs(net, prefix)).sum(), 1.0)
 
 
 def test_unregistered_context_is_uniform():
     vocab = tiny_vocab()
     pol = Policy.tabular(vocab, window=2)
-    lp = pol.next_log_probs((0, 1, 2))
+    lp = next_log_probs(pol, (0, 1, 2))
     assert np.allclose(lp, -np.log(vocab.size))
 
 
@@ -94,7 +99,7 @@ def test_generation_log_probs_step_by_step_oracle():
     prefix = list(problem.prompt_tokens)
     want = []
     for tok in traj.generated:
-        want.append(pol.next_log_probs(tuple(prefix))[tok])
+        want.append(next_log_probs(pol, tuple(prefix))[tok])
         prefix.append(tok)
     assert np.allclose(lp, want)
     assert len(lp) == len(traj.generated)
@@ -110,7 +115,7 @@ def test_sampled_logprobs_are_unmodified_policy_values():
     traj = _sample_with_rng(pol, problem, cfg, np.random.default_rng(0))
     prefix = list(problem.prompt_tokens)
     for tok, lp in zip(traj.generated, traj.logprobs):
-        assert np.isclose(lp, pol.next_log_probs(tuple(prefix))[tok])
+        assert np.isclose(lp, next_log_probs(pol, tuple(prefix))[tok])
         prefix.append(tok)
 
 
@@ -119,7 +124,7 @@ def test_nucleus_sampling_chi_square():
     vocab = tiny_vocab()
     pol = seeded_tabular(vocab, scale=0.8, seed=9)
     ctx = pol.context_of((0,))
-    p = np.exp(pol.next_log_probs((0,)))
+    p = np.exp(next_log_probs(pol, (0,)))
     rng = np.random.default_rng(42)
     n = 4000
     problem = tiny_problem(vocab, max_len=1)
@@ -229,7 +234,7 @@ def test_terminal_distribution_matches_monte_carlo():
 @pytest.mark.parametrize("score_rows", [None, 4])
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
 def test_terminal_distribution_matches_per_step_products(kind, score_rows, monkeypatch):
-    # brute force: each terminal's probability is the product of its per-step next_log_probs
+    # brute force: each terminal's probability is the product of its one-row per-step log-probabilities
     if score_rows is not None:
         # levels of 9 and 27 bodies then span several slices, the last one partial
         monkeypatch.setattr(policy_module, "SCORE_ROWS", score_rows)
@@ -247,8 +252,8 @@ def test_terminal_distribution_matches_per_step_products(kind, score_rows, monke
     for body, got in zip(bodies, dist.probs.tolist()):
         mass = 1.0
         for t, tok in enumerate(body):
-            mass *= np.exp(pol.next_log_probs(problem.prompt_tokens + body[:t])[tok])
-        p_stop = np.exp(pol.next_log_probs(problem.prompt_tokens + body)[vocab.stop_id])
+            mass *= np.exp(next_log_probs(pol, problem.prompt_tokens + body[:t])[tok])
+        p_stop = np.exp(next_log_probs(pol, problem.prompt_tokens + body)[vocab.stop_id])
         assert got == pytest.approx(mass * p_stop, rel=1e-12, abs=0.0), body
         if len(body) == problem.max_solution_len:
             overflow += mass * (1.0 - p_stop)
@@ -306,9 +311,9 @@ def test_generation_log_probs_match_sequential_queries():
     body = (1, 2)
     lp_tok, lp_stop = generation_log_probs(pol, prompt, body)
     assert lp_tok.shape == (2,) and lp_stop.shape == (3,)
-    assert np.isclose(lp_tok[0], pol.next_log_probs(prompt)[1])
-    assert np.isclose(lp_tok[1], pol.next_log_probs(prompt + (1,))[2])
-    assert np.isclose(lp_stop[2], pol.next_log_probs(prompt + body)[vocab.stop_id])
+    assert np.isclose(lp_tok[0], next_log_probs(pol, prompt)[1])
+    assert np.isclose(lp_tok[1], next_log_probs(pol, prompt + (1,))[2])
+    assert np.isclose(lp_stop[2], next_log_probs(pol, prompt + body)[vocab.stop_id])
 
 
 def test_checkpoint_round_trip_tabular(tmp_path):
@@ -321,7 +326,7 @@ def test_checkpoint_round_trip_tabular(tmp_path):
     assert back.window == pol.window
     assert back.contexts == pol.contexts
     assert np.array_equal(back.params, pol.params)
-    assert np.allclose(back.next_log_probs((0, 1)), pol.next_log_probs((0, 1)))
+    assert np.allclose(next_log_probs(back, (0, 1)), next_log_probs(pol, (0, 1)))
 
 
 def test_checkpoint_round_trip_neural(tmp_path):

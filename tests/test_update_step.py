@@ -257,7 +257,6 @@ NAN, INF = float("nan"), float("inf")
     (lambda: GfnConfig(steps=1, diag_every=-1), "diag_every"),
     (lambda: GfnConfig(steps=1, lr=0.0), "lr"),
     (lambda: GfnConfig(steps=1, buffer_capacity=0), "buffer_capacity"),
-    (lambda: GfnConfig(steps=1, stop_placement="sideways"), "stop_placement"),
     # and the fitted trainers accepted zero epochs
     (lambda: SftConfig(epochs=0), "epochs"),
     (lambda: RftConfig(epochs=0), "epochs"),
