@@ -207,27 +207,65 @@ def recorded_training(monkeypatch, problems, task, vocab, gfn):
     return report, draws, pushed, batches
 
 
-def test_replay_draws_uniformly_from_a_fifo_of_the_last_capacity_draws(monkeypatch):
+def fifo_training(monkeypatch):
+    """A recorded training whose deque fills after a few steps and then holds only its last pushes."""
     task, vocab, _ = sumpath_setup()
     problems = [make_problem(task, seed=s) for s in range(3)]
     k, capacity, steps = 3, 10, 80
     gfn = GfnConfig(steps=steps, batch_size=8, samples_per_problem=k, buffer_capacity=capacity, sft_coeff=0.0,
                     decode=DecodeCfg(temperature=2.0, top_p=1.0), seed=1)
     report, draws, pushed, batches = recorded_training(monkeypatch, problems, task, vocab, gfn)
-    assert [r["buffer_size"] for r in report.rows] == [min(k * step, capacity) for step in range(1, steps + 1)]
+    # the entries each step can replay: those of the last `capacity` pushes, oldest first
+    held = [pushed[max(0, k * step - capacity): k * step] for step in range(1, steps + 1)]
+    return task, vocab, report, draws, pushed, batches, held, capacity
+
+
+def test_replay_buffer_fifo_oracle(monkeypatch):
+    task, vocab, report, draws, pushed, batches, held, capacity = fifo_training(monkeypatch)
+    assert [r["buffer_size"] for r in report.rows] == [len(h) for h in held]
+    assert [len(h) for h in held][-1] == capacity
     assert [(e.prompt_tokens, e.body) for e in pushed] == [(p.prompt_tokens, body) for p, body in draws]
     for e, (problem, _) in zip(pushed, draws):
         assert e.at_horizon == (len(e.body) == problem.max_solution_len)
         assert e.log_rewards.tolist() == prefix_log_rewards(problem, task, vocab, e.body).tolist()
-    # each step replays entries of the last `capacity` pushes, and each slot of a full deque as often
+    for batch, h in zip(batches, held, strict=True):
+        assert {id(e) for e in batch} <= {id(e) for e in h}
+
+
+def test_buffer_sample_uniformity(monkeypatch):
+    *_, batches, held, capacity = fifo_training(monkeypatch)
+    # each slot of a full deque is replayed as often as any other
     counts = np.zeros(capacity)
-    for step, batch in enumerate(batches, start=1):
-        held = [id(e) for e in pushed[max(0, k * step - capacity): k * step]]
-        slots = [held.index(id(e)) for e in batch]
-        if len(held) == capacity:
-            counts += np.bincount(slots, minlength=capacity)
+    for batch, h in zip(batches, held, strict=True):
+        if len(h) == capacity:
+            ids = [id(e) for e in h]
+            counts += np.bincount([ids.index(id(e)) for e in batch], minlength=capacity)
     n, p = counts.sum(), 1.0 / capacity
+    assert n > 0
     assert np.all(np.abs(counts - n * p) < 4 * np.sqrt(n * p * (1 - p))), counts
+
+
+def test_an_unterminated_draw_enters_the_replay_stopped_at_the_horizon(monkeypatch):
+    task, vocab, _ = sumpath_setup()
+    problems = [make_problem(task, seed=s) for s in range(3)]
+    forced = []
+    force_stop = gflownet._force_stop
+
+    def recorded_force_stop(policy, traj, memo):
+        forced.append((traj, force_stop(policy, traj, memo)))
+        return forced[-1][1]
+
+    monkeypatch.setattr(gflownet, "_force_stop", recorded_force_stop)
+    gfn = GfnConfig(steps=40, batch_size=4, samples_per_problem=4, sft_coeff=0.0,
+                    decode=DecodeCfg(temperature=2.0, top_p=1.0), seed=2)
+    _, draws, pushed, _ = recorded_training(monkeypatch, problems, task, vocab, gfn)
+    assert forced
+    for traj, out in forced:
+        assert not traj.terminated and out.terminated
+        assert out.tokens == traj.tokens + (vocab.stop_id,)
+    # a draw has at most max_solution_len tokens, so only a forced stop replays a body at the horizon
+    assert [e.body for e in pushed if e.at_horizon] == [trajectory_body(t) for t, _ in forced]
+    assert all(len(e.body) == p.max_solution_len for e, (p, _) in zip(pushed, draws) if e.at_horizon)
 
 
 def test_training_scores_each_distinct_body_of_a_problem_once(monkeypatch):
@@ -247,6 +285,17 @@ def test_training_scores_each_distinct_body_of_a_problem_once(monkeypatch):
     distinct = {(id(p), body) for p, body in draws}
     assert len(distinct) < len(draws)  # some body is drawn twice, so a second scoring would show
     assert len(calls) == sum(len(body) + 1 for _, body in distinct)
+
+
+def test_nonpositive_reward_rejected(monkeypatch):
+    task, vocab, problem = sumpath_setup()
+    body = (2, 2)
+    # positive on every shorter prefix, so the check must reach the full body
+    full = len(problem.prompt_tokens) + len(body)
+    monkeypatch.setattr(gflownet, "reward", lambda _p, prefix, *_: -1.0 if len(prefix) == full else 2.0)
+    with pytest.raises(NonPositiveReward, match="reward -1.0 at prefix length 2"):
+        prefix_log_rewards(problem, task, vocab, body)
+    assert prefix_log_rewards(problem, task, vocab, body[:1]).tolist() == [np.log(2.0)] * 2
 
 
 def test_training_rejects_a_non_positive_reward(monkeypatch):

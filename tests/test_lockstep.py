@@ -248,22 +248,32 @@ def test_prefill_with_a_wrong_draft_leaves_every_draw_unchanged(kind):
     assert used > 0
 
 
-def test_prefill_leaves_the_generator_where_it_was_and_drafts_its_memo():
+def prefilled(seed: int):
+    """One problem's walk from a fresh memo and draft, with the generator it drew from."""
     pol, problems = arith_policy("tabular")
     cfg = replace(STEP_CFG, max_new_tokens=problems[0].max_solution_len)
-    rng = np.random.default_rng(4)
+    rng = np.random.default_rng(seed)
     rng.random(3)
     before = rng.bit_generator.state
     memo, draft = {}, {}
     _prefill_memo(pol, problems[0], cfg, STEP_K, rng, memo, draft)
+    return pol, problems[0], cfg, rng, before, memo, draft
+
+
+def test_prefill_leaves_the_generator_where_it_was():
+    _, _, _, rng, before, memo, _ = prefilled(4)
     assert memo
     assert rng.bit_generator.state == before
+
+
+def test_prefill_drafts_its_memo_without_logprobs():
+    pol, problem, cfg, rng, _, memo, draft = prefilled(4)
     # the draft holds every proposal of the memo, without its log-probabilities
     assert draft == {c: p._replace(logprobs=None) for c, p in memo.items()}
     # and the draws, from the same generator, find every context they visit already scored
     scored = dict(memo)
     for _ in range(STEP_K):
-        _sample_with_rng(pol, problems[0], cfg, rng, memo)
+        _sample_with_rng(pol, problem, cfg, rng, memo)
     assert memo == scored
 
 

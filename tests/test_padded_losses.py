@@ -118,14 +118,18 @@ def test_padded_forward_layout():
 
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("lam", LAMBDAS)
+@pytest.mark.parametrize("redrawn", (False, True), ids=("once", "redrawn"))
 @pytest.mark.parametrize("horizon", (False, True))
-def test_replay_loss_equals_b1_oracle(kind, lam, horizon):
-    pol, problem, bodies, _ = setup(kind, seed=int(lam * 10))
+def test_replay_loss_equals_b1_oracle(kind, lam, redrawn, horizon):
+    pol, problem, bodies, rng = setup(kind, seed=int(lam * 10))
     entries = [
         BufferEntry(problem.prompt_tokens, b, log_rewards(problem.prompt_tokens, b),
                     at_horizon=horizon and len(b) >= MAX_LEN - 1)
         for b in bodies
     ]
+    if redrawn:
+        # training replays a uniform draw with replacement, so one batch may hold an entry several times
+        entries += [entries[int(i)] for i in rng.integers(0, len(entries), size=len(entries))]
     cfg = GfnConfig(steps=1, subtb_lambda=lam, horizon_coeff=0.7)
 
     def batched(p, th):
