@@ -15,11 +15,12 @@ weight matrix holds lambda^(j-i) and masks pairs past each body's end. At the
 optimum the terminal distribution is proportional to the reward, which exact
 enumeration verifies.
 
-Training follows the sample / score / replay / update loop: draw solutions for
-a problem (closing horizon-capped draws with a forced stop), append them to a
-FIFO replay deque with their prefix log-rewards (scored once per distinct
-body), then minimize mean subtb over a replayed batch plus a weighted
+Training follows the sample / score / replay / update loop: draw the bodies of
+a problem's solutions (closing horizon-capped draws with a forced stop), append
+them to a FIFO replay deque with their prefix log-rewards (scored once per
+distinct body), then minimize mean subtb over a replayed batch plus a weighted
 reference log-likelihood term that anchors the policy to readable solutions.
+The draws carry no log-probabilities: the loss's forward computes every one.
 """
 
 from __future__ import annotations
@@ -41,14 +42,14 @@ from .policy import (
     Memo,
     Policy,
     TerminalDistribution,
-    _prefill_memo,
-    _sample_with_rng,
+    _walk_draws,
     batched_generation_log_vars,
     pad_rows,
     sequence_log_prob_vars,
     terminal_distribution,
-    trajectory_body,
 )
+# not called here (the walk draws): perfbench/layers.py wraps the name where gflownet binds it
+from .policy import _sample_with_rng  # noqa: F401
 
 class NonPositiveReward(ValueError):
     """A reward evaluation returned a non-positive value; its log is undefined."""
@@ -318,13 +319,15 @@ def replay_loss_var(
 
 
 def _force_stop(policy: Policy, traj: Trajectory, memo: Memo) -> Trajectory:
-    """Close a horizon-capped trajectory with the stop symbol at its true log-probability.
+    """Close a horizon-capped trajectory with the stop symbol at its true log-probability, read from memo.
 
     The horizon is part of the environment: a sequence that reaches the
     maximum solution length has no continuation, so training treats the cap
     as a forced stop. Without this, mass pushed past the horizon never
-    receives gradient signal and lingers as unterminated overflow. The
-    log-probability comes from memo, where _prefill_memo puts every horizon context.
+    receives gradient signal and lingers as unterminated overflow. Training
+    closes its draws inside the walk, with the stop id alone; this function
+    stays as the name perfbench/layers.py wraps and as the tests' reference
+    for what the walk appends.
     """
     lp = memo[policy.context_of(traj.tokens)].logprobs
     return Trajectory(
@@ -374,13 +377,7 @@ def train_gflownet(
         problem = dataset.problems[p_idx]
         decode = _horizon_decode(cfg.decode, problem)
         rewards_step: list[float] = []
-        memo: Memo = {}
-        _prefill_memo(policy, problem, decode, cfg.samples_per_problem, rng, memo, drafts[p_idx])
-        for _ in range(cfg.samples_per_problem):
-            traj = _sample_with_rng(policy, problem, decode, rng, memo)
-            if not traj.terminated:
-                traj = _force_stop(policy, traj, memo)
-            body = trajectory_body(traj)
+        for body in _walk_draws(policy, problem, decode, cfg.samples_per_problem, rng, drafts[p_idx]):
             log_rewards = scored[p_idx].get(body)
             if log_rewards is None:
                 log_rewards = scored[p_idx][body] = prefix_log_rewards(problem, dataset.task, dataset.vocab, body)

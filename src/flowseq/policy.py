@@ -8,8 +8,9 @@ concatenated token embeddings. The PPO critic (ValueNet) is the same
 parameterisation with one output per context instead of one per token.
 
 Log-probabilities always come from a fused log-softmax, and sampling records
-the unmodified policy log-probabilities rather than the truncated proposal, so
-losses evaluated on replayed trajectories see the true policy.
+the unmodified policy log-probabilities rather than the truncated proposal.
+Only PPO reads them, as its old policy's values; subTB training walks its draws
+to bodies alone (_walk_draws) and its loss recomputes every log-probability.
 """
 
 from __future__ import annotations
@@ -386,40 +387,50 @@ def _decode(
             for row, toks, lps in zip(rows, tokens, logprobs)]
 
 
-def _prefill_memo(policy: Policy, problem: Problem, cfg: DecodeCfg, k: int, rng: np.random.Generator,
-                  memo: Memo, draft: Memo) -> None:
-    """Put in memo the exact Proposal of every context that k _sample_with_rng draws from rng visit.
+def _walk_draws(policy: Policy, problem: Problem, cfg: DecodeCfg, k: int, rng: np.random.Generator,
+                draft: Memo) -> list[tuple[int, ...]]:
+    """The bodies of k _sample_with_rng draws from rng, each closed with the stop id at its budget.
 
-    A walk replays the draws on uniforms taken from rng, whose state is then restored, so rng stays put.
-    It guesses with draft where memo has no proposal, scores the guessed contexts and the first unknown
-    one in one forward, and resumes at the first of them until it walks on exact proposals alone: guesses
-    only choose what is scored. The horizon context of a draw that does not stop is scored for
-    _force_stop. The draws then add nothing to memo, so draft takes its proposals, without logprobs, for
-    the next walk on this problem.
+    The walk draws on uniforms taken from rng ahead of time. It guesses with draft where it has no exact
+    proposal, scores the guessed contexts and the first unknown one in one forward, and resumes at the
+    first of them, with its tokens cut back there, until it walks on exact proposals alone: guesses only
+    choose what is scored. rng then stands where the k draws leave it, one uniform per drawn token, and
+    draft takes the exact proposals, without their log-probabilities, for the next walk on this problem.
     """
     budget = problem.max_solution_len + 1 if cfg.max_new_tokens is None else cfg.max_new_tokens
     state = rng.bit_generator.state
     u = rng.random(k * budget).tolist()
-    rng.bit_generator.state = state
     stop, start = policy.vocab.stop_id, policy.context_of(problem.prompt_tokens)
-    at = (0, 0, 0, start)  # the walk's state: draw, its tokens so far, uniforms used, context
+    memo: Memo = {}
+    tokens: list[int] = []  # the draws laid end to end, each ending in the stop id
+    at = (0, 0, 0, start, 0)  # the walk's state: draw, its tokens so far, uniforms used, context, len(tokens)
     while at is not None:
-        (i, t, j, ctx), guessed, resume = at, {}, None
+        (i, t, j, ctx, n), guessed, resume = at, {}, None
+        del tokens[n:]
         while i < k:
-            prop = memo.get(ctx)
-            if prop is None:
-                resume = resume or (i, t, j, ctx)
-                guessed[ctx] = prop = draft.get(ctx)
-                if prop is None and t < budget:
-                    break
-            tok = stop if t == budget else prop.draw(u[j])  # at its budget _force_stop closes a draw
-            j += t < budget
+            if t == budget:  # the forced stop: a draw cut at its budget is closed without a forward
+                tok = stop
+            else:
+                prop = memo.get(ctx)
+                if prop is None:
+                    resume = resume or (i, t, j, ctx, len(tokens))
+                    guessed[ctx] = prop = draft.get(ctx)
+                    if prop is None:
+                        break
+                tok = prop.draw(u[j])
+                j += 1
+            tokens.append(tok)
             i, t, ctx = (i + 1, 0, start) if tok == stop else (i, t + 1, ctx[1:] + (tok,))
         if guessed:
             lp = policy.batch_log_probs(np.asarray(list(guessed), dtype=np.int64))
-            memo.update(zip(guessed, _proposals(lp, cfg)))
+            # the drafts outlive the step, so they keep what a draw reads and not the log-probability rows
+            memo.update(zip(guessed, (p._replace(logprobs=None) for p in _proposals(lp, cfg))))
         at = resume
-    draft.update((c, p._replace(logprobs=None)) for c, p in memo.items())
+    rng.bit_generator.state = state
+    rng.random(j)
+    draft.update(memo)
+    ends = [n for n, tok in enumerate(tokens) if tok == stop]
+    return [tuple(tokens[a + 1 : b]) for a, b in zip([-1] + ends, ends)]
 
 
 def _proposals(lp: np.ndarray, cfg: DecodeCfg | None) -> list[Proposal]:

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import dataclasses
+from copy import deepcopy
 
 import numpy as np
 import pytest
 
 from flowseq import autodiff as ad
-from flowseq import gflownet
+from flowseq import gflownet, policy
 from flowseq.core import Problem, TaskKind, Trajectory, encode, make_vocab
 from flowseq.env import RewardMode, TaskConfig, build_vocab, enumerate_terminals, make_problem, reward
 from flowseq.gflownet import (
@@ -185,12 +186,12 @@ def test_sft_loss_is_mean_token_nll():
 def recorded_training(monkeypatch, problems, task, vocab, gfn):
     """train_gflownet with its draws (problem, body), replay entries and replayed batches recorded in order."""
     draws, pushed, batches = [], [], []
-    sample, loss = gflownet._sample_with_rng, gflownet.replay_loss_var
+    walk, loss = gflownet._walk_draws, gflownet.replay_loss_var
 
-    def recorded_sample(policy, problem, *args):
-        traj = sample(policy, problem, *args)
-        draws.append((problem, trajectory_body(traj)))
-        return traj
+    def recorded_walk(policy, problem, *args):
+        bodies = walk(policy, problem, *args)
+        draws.extend((problem, body) for body in bodies)
+        return bodies
 
     def recorded_entry(*args):
         pushed.append(BufferEntry(*args))
@@ -200,7 +201,7 @@ def recorded_training(monkeypatch, problems, task, vocab, gfn):
         batches.append(batch)
         return loss(policy, theta, batch, *args)
 
-    monkeypatch.setattr(gflownet, "_sample_with_rng", recorded_sample)
+    monkeypatch.setattr(gflownet, "_walk_draws", recorded_walk)
     monkeypatch.setattr(gflownet, "BufferEntry", recorded_entry)
     monkeypatch.setattr(gflownet, "replay_loss_var", recorded_loss)
     report = train_gflownet(Policy.tabular(vocab, window=4), TrainSet.build(problems, task, vocab), gfn)
@@ -248,23 +249,23 @@ def test_buffer_sample_uniformity(monkeypatch):
 def test_an_unterminated_draw_enters_the_replay_stopped_at_the_horizon(monkeypatch):
     task, vocab, _ = sumpath_setup()
     problems = [make_problem(task, seed=s) for s in range(3)]
-    forced = []
-    force_stop = gflownet._force_stop
+    unterminated = []
+    walk = gflownet._walk_draws
 
-    def recorded_force_stop(policy, traj, memo):
-        forced.append((traj, force_stop(policy, traj, memo)))
-        return forced[-1][1]
+    def observed_walk(policy, problem, cfg, k, rng, draft):
+        # the same k draws one at a time, from a copy of the generator the walk draws from
+        copy = deepcopy(rng)
+        trajs = [_sample_with_rng(policy, problem, cfg, copy) for _ in range(k)]
+        unterminated.extend(t for t in trajs if not t.terminated)
+        return walk(policy, problem, cfg, k, rng, draft)
 
-    monkeypatch.setattr(gflownet, "_force_stop", recorded_force_stop)
+    monkeypatch.setattr(gflownet, "_walk_draws", observed_walk)
     gfn = GfnConfig(steps=40, batch_size=4, samples_per_problem=4, sft_coeff=0.0,
                     decode=DecodeCfg(temperature=2.0, top_p=1.0), seed=2)
     _, draws, pushed, _ = recorded_training(monkeypatch, problems, task, vocab, gfn)
-    assert forced
-    for traj, out in forced:
-        assert not traj.terminated and out.terminated
-        assert out.tokens == traj.tokens + (vocab.stop_id,)
+    assert unterminated
     # a draw has at most max_solution_len tokens, so only a forced stop replays a body at the horizon
-    assert [e.body for e in pushed if e.at_horizon] == [trajectory_body(t) for t, _ in forced]
+    assert [e.body for e in pushed if e.at_horizon] == [t.generated for t in unterminated]
     assert all(len(e.body) == p.max_solution_len for e, (p, _) in zip(pushed, draws) if e.at_horizon)
 
 
@@ -415,16 +416,23 @@ def training_outputs(pol: Policy, report) -> tuple:
     return pol.params.tobytes(), list(pol.contexts.items()), report.rows
 
 
-def fresh_force_stop(policy: Policy, traj: Trajectory, memo) -> Trajectory:
+def fresh_force_stop(policy: Policy, traj: Trajectory) -> Trajectory:
     """_force_stop on a memo of the horizon context alone, scored by a one-row forward."""
     fresh = _proposals(np.asarray([next_log_probs(policy, traj.tokens)]), None)[0]
     return _force_stop(policy, traj, {policy.context_of(traj.tokens): fresh})
 
 
+def draws_one_at_a_time(policy: Policy, problem, cfg: DecodeCfg, k: int, rng, draft) -> list[tuple[int, ...]]:
+    """The walk's oracle: k _sample_with_rng draws sharing one memo, each forced stop on its own forward."""
+    memo = {}
+    trajs = [_sample_with_rng(policy, problem, cfg, rng, memo) for _ in range(k)]
+    return [trajectory_body(t if t.terminated else fresh_force_stop(policy, t)) for t in trajs]
+
+
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
 def test_memo_prefill_leaves_training_bit_identical(kind, monkeypatch):
-    """With _prefill_memo a no-op every draw scores its own new contexts one forward at a time, and
-    every forced stop makes its own forward: the same parameters, context table and report rows."""
+    """With the walk replaced by k draws that score their new contexts one forward at a time, and a
+    forced stop's own forward: the same parameters, context table and report rows."""
     if kind == "tabular":
         task, vocab, problem, pol = criterion_1_setup(max_parts=4)
         problems = [problem]
@@ -441,32 +449,29 @@ def test_memo_prefill_leaves_training_bit_identical(kind, monkeypatch):
     forwards = []
     inner = Policy.batch_log_probs
     monkeypatch.setattr(Policy, "batch_log_probs", lambda self, ctx: forwards.append(len(ctx)) or inner(self, ctx))
-    prefilled = training_outputs(pol, train_gflownet(pol, ds, gfn))
-    n_prefilled = len(forwards)
-    monkeypatch.setattr(gflownet, "_prefill_memo", lambda *args: None)
-    monkeypatch.setattr(gflownet, "_force_stop", fresh_force_stop)
-    assert training_outputs(plain, train_gflownet(plain, ds, gfn)) == prefilled
-    assert n_prefilled < len(forwards) - n_prefilled
+    walked = training_outputs(pol, train_gflownet(pol, ds, gfn))
+    n_walked = len(forwards)
+    monkeypatch.setattr(gflownet, "_walk_draws", draws_one_at_a_time)
+    assert training_outputs(plain, train_gflownet(plain, ds, gfn)) == walked
+    assert n_walked < len(forwards) - n_walked
 
 
-def test_forced_stop_from_the_memo_equals_a_fresh_forward_bit_for_bit():
+def test_training_draws_each_token_once_and_scores_no_horizon_context(monkeypatch):
+    # criterion 1's settings, shortened: the walk's draws are the training's, with no decode replay after
+    # them, and a draw cut at the horizon is closed without scoring the context that follows it
     task, vocab, problem, pol = criterion_1_setup(max_parts=4)
-    rng = np.random.default_rng(2)
-    for _ in range(40):
-        pol.register([(problem.prompt_tokens, tuple(rng.choice(vocab.body_ids, size=problem.max_solution_len)))])
-    pol.params = rng.normal(0.0, 2.0, size=pol.params.size)
-    cfg = DecodeCfg(temperature=2.0, top_p=1.0, max_new_tokens=problem.max_solution_len)
-    stop, forced = vocab.stop_id, 0
-    for seed in range(20):
-        draws, memo = np.random.default_rng(seed), {}
-        gflownet._prefill_memo(pol, problem, cfg, 8, draws, memo, {})
-        for _ in range(8):
-            traj = _sample_with_rng(pol, problem, cfg, draws, memo)
-            if not traj.terminated:
-                forced += 1
-                assert memo[pol.context_of(traj.tokens)].logprobs[stop] == next_log_probs(pol, traj.tokens)[stop]
-                assert _force_stop(pol, traj, memo) == fresh_force_stop(pol, traj, memo)
-    assert forced > 20
+    decodes, scored = [], []
+    decode, inner = policy._decode, Policy.batch_log_probs
+    monkeypatch.setattr(policy, "_decode", lambda *args: decodes.append(args) or decode(*args))
+    monkeypatch.setattr(Policy, "batch_log_probs", lambda self, ctx: scored.extend(ctx.tolist()) or inner(self, ctx))
+    train_gflownet(pol, TrainSet.build([problem], task, vocab), GfnConfig(
+        steps=200, batch_size=16, samples_per_problem=8, sft_coeff=0.0,
+        lr=0.08, decode=DecodeCfg(temperature=2.0, top_p=1.0), seed=0))
+    assert decodes == []
+    assert scored
+    # the window holds the prompt and every body token, so PAD fills what the body has not reached
+    body_lengths = {pol.window - len(problem.prompt_tokens) - ctx.count(pol.pad_id) for ctx in scored}
+    assert max(body_lengths) == problem.max_solution_len - 1
 
 
 def test_terminal_l1_gap_rejects_the_law_of_another_problem():

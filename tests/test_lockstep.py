@@ -21,15 +21,15 @@ from flowseq.evaluation import (
     evaluate,
     solution_from_body,
 )
-from flowseq.gflownet import TrainSet
+from flowseq.gflownet import TrainSet, _force_stop
 from flowseq.policy import (
     DecodeCfg,
     DecodeRow,
     Policy,
     _decode,
-    _prefill_memo,
     _proposals,
     _sample_with_rng,
+    _walk_draws,
     greedy_decode,
     trajectory_body,
 )
@@ -210,13 +210,33 @@ STEP_K = 8
 STEP_CFG = DecodeCfg(temperature=2.0, top_p=0.9)
 
 
-def step_draws(pol: Policy, problem, seed: int, draft: dict | None) -> tuple[list[Trajectory], dict]:
-    """A step's STEP_K draws from one generator, and their memo; draft None skips the prefill walk."""
-    cfg = replace(STEP_CFG, max_new_tokens=problem.max_solution_len)
-    rng, memo = np.random.default_rng(seed), {}
-    if draft is not None:
-        _prefill_memo(pol, problem, cfg, STEP_K, rng, memo, draft)
-    return [_sample_with_rng(pol, problem, cfg, rng, memo) for _ in range(STEP_K)], memo
+def step_cfg(problem) -> DecodeCfg:
+    return replace(STEP_CFG, max_new_tokens=problem.max_solution_len)
+
+
+def step_draws(pol: Policy, problem, rng: np.random.Generator) -> tuple[list[Trajectory], dict]:
+    """A step's STEP_K _sample_with_rng draws from rng, sharing one memo, and that memo."""
+    memo = {}
+    return [_sample_with_rng(pol, problem, step_cfg(problem), rng, memo) for _ in range(STEP_K)], memo
+
+
+def closed_bodies(pol: Policy, trajs: list[Trajectory]) -> list[tuple[int, ...]]:
+    """The body of each draw, a draw cut at its budget first closed by _force_stop on a one-row forward."""
+    stop, bodies = pol.vocab.stop_id, []
+    for traj in trajs:
+        if not traj.terminated:
+            ctx = pol.context_of(traj.tokens)
+            lp = pol.batch_log_probs(np.asarray([ctx], dtype=np.int64))
+            closed = _force_stop(pol, traj, {ctx: _proposals(lp, None)[0]})
+            assert closed.terminated and closed.tokens == traj.tokens + (stop,)
+            assert closed.logprobs == traj.logprobs + (float(lp[0, stop]),)
+            traj = closed
+        bodies.append(trajectory_body(traj))
+    return bodies
+
+
+def walk(pol: Policy, problem, seed: int, draft: dict) -> list[tuple[int, ...]]:
+    return _walk_draws(pol, problem, step_cfg(problem), STEP_K, np.random.default_rng(seed), draft)
 
 
 def counting_forwards(pol: Policy) -> list[int]:
@@ -231,77 +251,53 @@ def counting_forwards(pol: Policy) -> list[int]:
 
 
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
-def test_prefill_with_a_wrong_draft_leaves_every_draw_unchanged(kind):
-    # the draft holds another policy's proposals: the walk guesses wrong, yet scores exactly
+@pytest.mark.parametrize("draft", ["none", "exact", "wrong"])
+def test_walk_equals_k_draws_closed_at_their_budget(kind, draft):
+    # a wrong draft holds another policy's proposals: the walk guesses wrong, yet draws exactly
     pol, problems = arith_policy(kind)
     other, _ = arith_policy(kind, seed=5)
-    used = 0
+    forced = guessed_wrong = 0
     for i, p in enumerate(problems[:8]):
-        _, wrong = step_draws(other, p, 100 + i, {})
-        got, memo = step_draws(pol, p, i, dict(wrong))  # the walk updates its draft
-        want, _ = step_draws(pol, p, i, None)
-        for g, w in zip(got, want, strict=True):
-            # a batch of two or more neural rows may round a log-probability's last bit otherwise
-            assert_same(g, w, exact=kind == "tabular")
-        used += len(set(wrong) & set(memo))
-        assert any(memo[c].logprobs != wrong[c].logprobs for c in set(wrong) & set(memo))
-    assert used > 0
-
-
-def prefilled(seed: int):
-    """One problem's walk from a fresh memo and draft, with the generator it drew from."""
-    pol, problems = arith_policy("tabular")
-    cfg = replace(STEP_CFG, max_new_tokens=problems[0].max_solution_len)
-    rng = np.random.default_rng(seed)
-    rng.random(3)
-    before = rng.bit_generator.state
-    memo, draft = {}, {}
-    _prefill_memo(pol, problems[0], cfg, STEP_K, rng, memo, draft)
-    return pol, problems[0], cfg, rng, before, memo, draft
-
-
-def test_prefill_leaves_the_generator_where_it_was():
-    _, _, _, rng, before, memo, _ = prefilled(4)
-    assert memo
-    assert rng.bit_generator.state == before
-
-
-def test_prefill_drafts_its_memo_without_logprobs():
-    pol, problem, cfg, rng, _, memo, draft = prefilled(4)
-    # the draft holds every proposal of the memo, without its log-probabilities
-    assert draft == {c: p._replace(logprobs=None) for c, p in memo.items()}
-    # and the draws, from the same generator, find every context they visit already scored
-    scored = dict(memo)
-    for _ in range(STEP_K):
-        _sample_with_rng(pol, problem, cfg, rng, memo)
-    assert memo == scored
+        guide = {}
+        if draft == "exact":
+            walk(pol, p, i, guide)
+        elif draft == "wrong":
+            walk(other, p, 100 + i, guide)
+        before = dict(guide)
+        rng, copy = np.random.default_rng(i), np.random.default_rng(i)
+        got = _walk_draws(pol, p, step_cfg(p), STEP_K, rng, guide)
+        trajs, memo = step_draws(pol, p, copy)
+        assert got == closed_bodies(pol, trajs)
+        assert rng.bit_generator.state == copy.bit_generator.state
+        forced += sum(not t.terminated for t in trajs)
+        # the walk leaves in its draft a proposal of every context the draws score
+        assert set(memo) <= set(guide)
+        guessed_wrong += sum(guide[c].kept != before[c].kept for c in set(before) & set(memo))
+    assert forced > 0
+    assert (guessed_wrong > 0) == (draft == "wrong")
 
 
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
-def test_prefill_without_a_draft_makes_no_more_forwards_than_one_context_at_a_time(kind):
-    # a problem no earlier step drew from: the walk scores each new context as the sequential draws would,
-    # and also the horizon contexts that the forced stops would score one by one
+def test_walk_without_a_draft_makes_no_more_forwards_than_one_context_at_a_time(kind):
+    # a problem no earlier step drew from: the walk scores each new context as the sequential draws would
     pol, problems = arith_policy(kind)
     calls = counting_forwards(pol)
     for i, p in enumerate(problems):
         calls.clear()
-        trajs, _ = step_draws(pol, p, i, None)
-        for t in trajs:
-            if not t.terminated:  # the one-row forward a forced stop would make without the walk
-                pol.batch_log_probs(np.asarray([pol.context_of(t.tokens)], dtype=np.int64))
+        step_draws(pol, p, np.random.default_rng(i))
         sequential = len(calls)
         calls.clear()
-        step_draws(pol, p, i, {})
+        walk(pol, p, i, {})
         assert 0 < len(calls) <= sequential, (i, calls, sequential)
 
 
-def test_prefill_with_an_exact_draft_makes_one_forward():
+def test_walk_with_an_exact_draft_makes_one_forward():
     pol, problems = arith_policy("tabular")
     calls = counting_forwards(pol)
     for i, p in enumerate(problems):
-        _, exact = step_draws(pol, p, i, None)
+        _, exact = step_draws(pol, p, np.random.default_rng(i))
         calls.clear()
-        step_draws(pol, p, i, exact)
+        walk(pol, p, i, exact)
         assert len(calls) == 1
 
 
