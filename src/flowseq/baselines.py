@@ -349,6 +349,11 @@ def ppo_surrogate_var(policy: Policy, theta: Var, items: list[PpoItem], clip: fl
     return -(ad.vsum(ad.minimum(unclipped, clipped)) / float(max(count, 1)))
 
 
+def _generated_log_probs(forward: tuple, trajs: list[Trajectory]) -> list[np.ndarray]:
+    """Each trajectory's generated-token log-probabilities, stop symbol included, from an array forward's rows."""
+    return [np.append(tok[:n], stop[n]) if t.terminated else tok[:n] for tok, stop, n, t in zip(*forward, trajs)]
+
+
 def ppo_train(
     policy: Policy,
     critic: ValueNet,
@@ -374,28 +379,29 @@ def ppo_train(
         problem = dataset.problems[int(rng.integers(0, len(dataset.problems)))]
         trajs, env_rewards = _draw_scored(policy, dataset, problem, cfg.decode, cfg.trajs_per_step, rng)
 
-        # the frozen reference scores all of the step's draws in one forward
-        ref_tok, ref_stop, lengths = batched_generation_log_vars(ref_policy, ref_policy.params,
-                                                                 [trajectory_item(t) for t in trajs])
+        # the policy, its frozen reference and the critic each score all of the step's draws in one forward;
+        # the policy's is the surrogate's tape forward on the same items, so every ratio starts at exactly 1
+        step_items = [trajectory_item(t) for t in trajs]
+        old_lps = _generated_log_probs(batched_generation_log_vars(policy, policy.params, step_items), trajs)
+        ref_lps = _generated_log_probs(batched_generation_log_vars(ref_policy, ref_policy.params, step_items), trajs)
+        ctx = critic.windows(step_items)
+        # a draw's contexts, one before each of its positions, follow those of the draws before it;
+        # an unregistered critic context reads 0, the value its new row starts at
+        cuts = np.cumsum([len(body) + 1 for _, body in step_items])[:-1]
         items: list[PpoItem] = []
         value_rows: list[np.ndarray] = []
         value_targets: list[np.ndarray] = []
-        for traj, env_r, tok, stop, n in zip(trajs, env_rewards, ref_tok, ref_stop, lengths):
-            prompt, body = trajectory_item(traj)
-            old_lp = np.asarray(traj.logprobs)
-            ref_lp = np.append(tok[:n], stop[n]) if traj.terminated else tok[:n]
+        for traj, env_r, (prompt, body), old_lp, ref_lp, rows, states in zip(
+                trajs, env_rewards, step_items, old_lps, ref_lps,
+                np.split(ctx, cuts), np.split(critic.values(ctx), cuts)):
             token_rewards = -cfg.kl_beta * (old_lp - ref_lp)
             if traj.terminated:
                 token_rewards[-1] += env_r
-
-            ctx = critic.windows([(prompt, body)])
-            # an unregistered critic context reads 0, the value its new row starts at
-            states = critic.values(ctx)
             # truncated rollouts bootstrap from the critic, finished ones see zero beyond stop
             values = np.concatenate([states, [0.0]]) if traj.terminated else states
             adv = gae_advantages(token_rewards, values, cfg.gamma, cfg.gae_lambda)
             items.append(PpoItem(prompt, body, traj.terminated, old_lp, adv))
-            value_rows.append(ctx if traj.terminated else ctx[: old_lp.size])
+            value_rows.append(rows[: old_lp.size])
             value_targets.append(adv + values[:-1])
 
         theta = actor_fit.theta(items_of(items))

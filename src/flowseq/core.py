@@ -165,26 +165,20 @@ class Problem:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """A full token sequence (prompt + generated + stop) with generation log-probabilities.
+    """A full token sequence: prompt, generated tokens, and the stop symbol when `terminated`.
 
-    `logprobs[t]` is the policy log-probability of generated token t, in order,
-    including the stop symbol when `terminated`. All entries are <= 0.
+    A draw carries tokens only: code that needs its log-probabilities scores
+    it with the batched forward, policy.batched_generation_log_vars.
     """
 
     prompt_len: int
     tokens: tuple[int, ...]
-    logprobs: tuple[float, ...]
     terminated: bool
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "tokens", tuple(self.tokens))
-        object.__setattr__(self, "logprobs", tuple(float(x) for x in self.logprobs))
         if not 0 < self.prompt_len <= len(self.tokens):
             raise ValueError("prompt_len must lie within the token sequence")
-        if len(self.logprobs) != len(self.tokens) - self.prompt_len:
-            raise ValueError("one log-probability per generated token is required")
-        if any(lp > 0.0 for lp in self.logprobs):
-            raise ValueError("log-probabilities must be non-positive")
 
     @property
     def generated(self) -> tuple[int, ...]:

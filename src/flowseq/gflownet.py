@@ -318,24 +318,15 @@ def replay_loss_var(
     return total, mean_subtb, sft_term
 
 
-def _force_stop(policy: Policy, traj: Trajectory, memo: Memo) -> Trajectory:
-    """Close a horizon-capped trajectory with the stop symbol at its true log-probability, read from memo.
+def _force_stop(policy: Policy, traj: Trajectory) -> Trajectory:
+    """Close a horizon-capped trajectory by appending the stop symbol.
 
-    The horizon is part of the environment: a sequence that reaches the
-    maximum solution length has no continuation, so training treats the cap
-    as a forced stop. Without this, mass pushed past the horizon never
-    receives gradient signal and lingers as unterminated overflow. Training
-    closes its draws inside the walk, with the stop id alone; this function
-    stays as the name perfbench/layers.py wraps and as the tests' reference
-    for what the walk appends.
+    Training treats the horizon as a forced stop, so that mass pushed past it
+    receives gradient signal instead of lingering as unterminated overflow.
+    The walk closes its draws with the stop id itself; this function stays as
+    the name perfbench/layers.py wraps and as the tests' reference for it.
     """
-    lp = memo[policy.context_of(traj.tokens)].logprobs
-    return Trajectory(
-        prompt_len=traj.prompt_len,
-        tokens=traj.tokens + (policy.vocab.stop_id,),
-        logprobs=traj.logprobs + (float(lp[policy.vocab.stop_id]),),
-        terminated=True,
-    )
+    return Trajectory(prompt_len=traj.prompt_len, tokens=traj.tokens + (policy.vocab.stop_id,), terminated=True)
 
 
 def _horizon_decode(decode: DecodeCfg, problem: Problem) -> DecodeCfg:

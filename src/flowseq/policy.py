@@ -7,10 +7,10 @@ over short horizons exactly; the neural kind is a one-hidden-layer MLP over
 concatenated token embeddings. The PPO critic (ValueNet) is the same
 parameterisation with one output per context instead of one per token.
 
-Log-probabilities always come from a fused log-softmax, and sampling records
-the unmodified policy log-probabilities rather than the truncated proposal.
-Only PPO reads them, as its old policy's values; subTB training walks its draws
-to bodies alone (_walk_draws) and its loss recomputes every log-probability.
+Log-probabilities always come from a fused log-softmax. Draws carry tokens
+only: every log-probability a loss or PPO's old policy reads comes from the
+batched forward (batched_generation_log_vars), and subTB training walks its
+draws to bodies alone (_walk_draws).
 """
 
 from __future__ import annotations
@@ -310,13 +310,12 @@ class DecodeRow:
 
 
 class Proposal(NamedTuple):
-    """What decoding needs from one context: its log-probabilities and the proposal drawn from.
+    """What decoding needs from one context: its argmax and the proposal drawn from.
 
     kept lists the nucleus tokens, most probable first, and cum their
     renormalised cumulative probabilities; both are None for an argmax-only decode.
     """
 
-    logprobs: list[float]
     argmax: int
     kept: list[int] | None
     cum: list[float] | None
@@ -335,9 +334,8 @@ def _sample_with_rng(
 ) -> Trajectory:
     """Autoregressive draw: temperature scaling, then nucleus truncation, one rng.random() per token.
 
-    Recorded log-probabilities are the unmodified policy values, not the
-    truncated proposal's. Draws that share `memo` (same parameters, same cfg)
-    score each context once.
+    The draw carries its tokens only. Draws that share `memo` (same
+    parameters, same cfg) score each context once.
     """
     return _decode(policy, [DecodeRow(problem, cfg.max_new_tokens, rng)], cfg, memo)[0]
 
@@ -354,15 +352,14 @@ def _decode(
 
     A row stops after the stop symbol or after its budget. Contexts already in
     `memo` are not scored again; a call without one keeps its own. Each row's
-    tokens and log-probabilities equal those of decoding it alone, because
-    every operation on a context's scores runs along its own row.
+    tokens equal those of decoding it alone, because every operation on a
+    context's scores runs along its own row.
     """
     if cfg is None and any(row.rng is not None for row in rows):
         raise ValueError("sampled rows need a DecodeCfg")
     memo = {} if memo is None else memo
     stop = policy.vocab.stop_id
     tokens = [list(row.problem.prompt_tokens) for row in rows]
-    logprobs: list[list[float]] = [[] for _ in rows]
     contexts = [policy.context_of(row.problem.prompt_tokens) for row in rows]
     left = [row.problem.max_solution_len + 1 if row.max_new_tokens is None else row.max_new_tokens
             for row in rows]
@@ -376,15 +373,14 @@ def _decode(
             prop, rng = memo[contexts[i]], rows[i].rng
             tok = prop.argmax if rng is None else prop.draw(rng.random())
             tokens[i].append(tok)
-            logprobs[i].append(prop.logprobs[tok])
             contexts[i] = contexts[i][1:] + (tok,)
             left[i] -= 1
             if tok != stop and left[i]:
                 still.append(i)
         live = still
-    return [Trajectory(prompt_len=row.problem.prompt_len, tokens=tuple(toks), logprobs=tuple(lps),
-                       terminated=bool(lps) and toks[-1] == stop)
-            for row, toks, lps in zip(rows, tokens, logprobs)]
+    return [Trajectory(prompt_len=row.problem.prompt_len, tokens=tuple(toks),
+                       terminated=len(toks) > row.problem.prompt_len and toks[-1] == stop)
+            for row, toks in zip(rows, tokens)]
 
 
 def _walk_draws(policy: Policy, problem: Problem, cfg: DecodeCfg, k: int, rng: np.random.Generator,
@@ -395,7 +391,7 @@ def _walk_draws(policy: Policy, problem: Problem, cfg: DecodeCfg, k: int, rng: n
     proposal, scores the guessed contexts and the first unknown one in one forward, and resumes at the
     first of them, with its tokens cut back there, until it walks on exact proposals alone: guesses only
     choose what is scored. rng then stands where the k draws leave it, one uniform per drawn token, and
-    draft takes the exact proposals, without their log-probabilities, for the next walk on this problem.
+    draft takes the exact proposals for the next walk on this problem.
     """
     budget = problem.max_solution_len + 1 if cfg.max_new_tokens is None else cfg.max_new_tokens
     state = rng.bit_generator.state
@@ -423,8 +419,7 @@ def _walk_draws(policy: Policy, problem: Problem, cfg: DecodeCfg, k: int, rng: n
             i, t, ctx = (i + 1, 0, start) if tok == stop else (i, t + 1, ctx[1:] + (tok,))
         if guessed:
             lp = policy.batch_log_probs(np.asarray(list(guessed), dtype=np.int64))
-            # the drafts outlive the step, so they keep what a draw reads and not the log-probability rows
-            memo.update(zip(guessed, (p._replace(logprobs=None) for p in _proposals(lp, cfg))))
+            memo.update(zip(guessed, _proposals(lp, cfg)))
         at = resume
     rng.bit_generator.state = state
     rng.random(j)
@@ -441,9 +436,9 @@ def _proposals(lp: np.ndarray, cfg: DecodeCfg | None) -> list[Proposal]:
     kept slice, grouped by kept count. (A sum over a zero-masked full row
     would not do: from 8 entries on, numpy sums pairwise, in another order.)
     """
-    rows, argmax = lp.tolist(), lp.argmax(axis=1).tolist()
+    argmax = lp.argmax(axis=1).tolist()
     if cfg is None:
-        return [Proposal(r, a, None, None) for r, a in zip(rows, argmax)]
+        return [Proposal(a, None, None) for a in argmax]
     m, v = lp.shape
     add = np.add  # add.reduce / add.accumulate: ndarray.sum / cumsum without their Python wrappers
     # dividing keeps order and every entry is <= 0, so the least entry, or the least row maximum, decides
@@ -473,7 +468,7 @@ def _proposals(lp: np.ndarray, cfg: DecodeCfg | None) -> list[Proposal]:
         renormed = part / add.reduce(part, axis=1, keepdims=True)
         for i, k, c in zip(sel, order[which, :n].tolist(), add.accumulate(renormed, axis=1).tolist()):
             kept[i], cum[i] = k, c
-    return [Proposal(*p) for p in zip(rows, argmax, kept, cum)]
+    return [Proposal(*p) for p in zip(argmax, kept, cum)]
 
 
 @dataclass(frozen=True, eq=False)  # a law equals only itself: compare probs with numpy

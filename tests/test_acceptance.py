@@ -54,6 +54,7 @@ from flowseq.policy import (
     ValueNet,
     _sample_with_rng,
     batched_generation_log_vars,
+    generation_log_probs,
     sequence_log_prob_vars,
     terminal_distribution,
     trajectory_body,
@@ -151,6 +152,13 @@ def _fd_instance(seed: int):
     return problem, pol, (traj_a, traj_b), reward_fn, rng
 
 
+def _sampler_log_probs(pol, problem, traj) -> np.ndarray:
+    """A terminated draw's token and stop log-probabilities under the empty (uniform) table that drew it."""
+    lp_tok, lp_stop = generation_log_probs(Policy.tabular(pol.vocab, pol.window), problem.prompt_tokens,
+                                           trajectory_body(traj))
+    return np.append(lp_tok, lp_stop[-1])
+
+
 def _loss_at(pol, vec, make_loss) -> float:
     saved = pol.params
     pol.params = vec
@@ -194,9 +202,7 @@ def test_criterion_2_balance_loss_correctness():
     pol = _toy_policy(vocab, problem, p_tok=0.5)
     from flowseq.core import Trajectory
 
-    traj = Trajectory(prompt_len=1, tokens=(0, 0, 1),
-                      logprobs=(float(np.log(0.5)), float(np.log(1 - 1e-12))),
-                      terminated=True)
+    traj = Trajectory(prompt_len=1, tokens=(0, 0, 1), terminated=True)
     hand = ad.loss_value(lambda th: replay_loss_var(pol, th, _replayed(reward_fn, traj), [], cfg)[1], pol.params)
     assert hand == pytest.approx(float(np.log(3.0)) ** 2, abs=1e-9)
 
@@ -237,11 +243,11 @@ def test_criterion_2_balance_loss_correctness():
         record("dpo", _max_grad_rel_err(
             pol, lambda p, th: dpo_mean_loss_var(p, th, ref_pol, [pair], beta)))
 
+        olds = [_sampler_log_probs(pol, problem, t) for t in (ta, tb)]
         items = [
-            PpoItem(problem.prompt_tokens, trajectory_body(t), t.terminated,
-                    np.asarray(t.logprobs),
-                    rng.normal(0.0, 1.0, size=len(t.logprobs)))
-            for t in (ta, tb)
+            PpoItem(problem.prompt_tokens, trajectory_body(t), t.terminated, old,
+                    rng.normal(0.0, 1.0, size=old.size))
+            for t, old in zip((ta, tb), olds)
         ]
         record("ppo", _max_grad_rel_err(
             pol, lambda p, th: ppo_surrogate_var(p, th, items, clip=0.2)))

@@ -63,8 +63,8 @@ def one_step_pair():
     vocab = make_vocab(["g"])
     problem = Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=(0,),
                       target=1, operands=(1,), max_solution_len=1)
-    chosen = Trajectory(prompt_len=1, tokens=(0, 0, 1), logprobs=(-0.7, -0.7), terminated=True)
-    rejected = Trajectory(prompt_len=1, tokens=(0, 1), logprobs=(-0.7,), terminated=True)
+    chosen = Trajectory(prompt_len=1, tokens=(0, 0, 1), terminated=True)
+    rejected = Trajectory(prompt_len=1, tokens=(0, 1), terminated=True)
     pair = PreferencePair(problem_id=0, chosen=chosen, rejected=rejected,
                           chosen_reward=1.0, rejected_reward=0.5)
     pol = Policy.tabular(vocab, window=2)
@@ -73,22 +73,21 @@ def one_step_pair():
 
 
 def test_preference_pair_orders_rewards():
-    t = Trajectory(prompt_len=1, tokens=(0, 1), logprobs=(-0.7,), terminated=True)
+    t = Trajectory(prompt_len=1, tokens=(0, 1), terminated=True)
     with pytest.raises(ValueError):
         PreferencePair(problem_id=0, chosen=t, rejected=t, chosen_reward=0.1, rejected_reward=0.9)
 
 
 def test_preference_pair_requires_shared_prompt():
-    a = Trajectory(prompt_len=1, tokens=(0, 1), logprobs=(-0.7,), terminated=True)
-    b = Trajectory(prompt_len=1, tokens=(1, 1), logprobs=(-0.7,), terminated=True)
+    a = Trajectory(prompt_len=1, tokens=(0, 1), terminated=True)
+    b = Trajectory(prompt_len=1, tokens=(1, 1), terminated=True)
     with pytest.raises(ValueError):
         PreferencePair(problem_id=0, chosen=a, rejected=b, chosen_reward=1.0, rejected_reward=0.5)
 
 
 def test_rft_select_matches_argmax_oracle():
     rng = np.random.default_rng(0)
-    samples = [Trajectory(prompt_len=1, tokens=(0, 1), logprobs=(-float(i + 1),), terminated=True)
-               for i in range(8)]
+    samples = [Trajectory(prompt_len=1, tokens=(0, 1), terminated=True) for _ in range(8)]
     for _ in range(20):
         rewards = list(rng.integers(0, 4, size=8).astype(float))
         want = max(range(8), key=lambda i: (rewards[i], -i))
@@ -96,7 +95,7 @@ def test_rft_select_matches_argmax_oracle():
 
 
 def test_rft_select_rejects_length_mismatch():
-    t = Trajectory(prompt_len=1, tokens=(0, 1), logprobs=(-0.7,), terminated=True)
+    t = Trajectory(prompt_len=1, tokens=(0, 1), terminated=True)
     with pytest.raises(LengthMismatch):
         rft_select([t, t], [1.0])
     with pytest.raises(LengthMismatch):
@@ -293,7 +292,8 @@ def dpo_mean_loss_oracle(policy, theta, ref_policy, pairs, beta):
 
 
 def ppo_train_oracle(policy: Policy, critic: ValueNet, dataset: TrainSet, cfg: PpoConfig) -> None:
-    """ppo_train's update loop as it was with one reference forward per trajectory."""
+    """ppo_train's update loop one trajectory at a time: a forward each for its old and reference
+    log-probabilities, and one critic.windows / critic.values pair for its values."""
     ref_policy = policy.clone()
     rng = np.random.default_rng(cfg.seed)
     actor_fit = Fitter(policy, cfg.actor_lr)
@@ -304,7 +304,7 @@ def ppo_train_oracle(policy: Policy, critic: ValueNet, dataset: TrainSet, cfg: P
         items, value_rows, value_targets = [], [], []
         for traj, env_r in zip(trajs, env_rewards):
             prompt, body = trajectory_item(traj)
-            old_lp = np.asarray(traj.logprobs)
+            old_lp = logprob_oracle(policy, traj)
             token_rewards = -cfg.kl_beta * (old_lp - logprob_oracle(ref_policy, traj))
             if traj.terminated:
                 token_rewards[-1] += env_r
@@ -328,8 +328,7 @@ def mixed_pairs(problem: Problem, stop: int, rng: np.random.Generator, n: int = 
     def draw(terminated: bool) -> Trajectory:
         body = tuple(int(t) for t in rng.integers(0, stop, size=int(rng.integers(0 if terminated else 1, 4))))
         gen = body + ((stop,) if terminated else ())
-        return Trajectory(prompt_len=problem.prompt_len, tokens=problem.prompt_tokens + gen,
-                          logprobs=(-1.0,) * len(gen), terminated=terminated)
+        return Trajectory(prompt_len=problem.prompt_len, tokens=problem.prompt_tokens + gen, terminated=terminated)
     return [PreferencePair(i, draw(i % 2 == 0), draw(i % 3 == 0), 1.0, 0.5) for i in range(n)]
 
 
@@ -389,7 +388,7 @@ def test_ppo_with_a_batched_reference_ends_where_the_per_trajectory_loop_does():
     assert not np.array_equal(pol.params, start.params)
 
 
-def test_the_reference_is_scored_once_per_ppo_step_and_once_per_dpo_minibatch(monkeypatch):
+def test_a_ppo_step_scores_its_draws_once_per_model_and_a_dpo_minibatch_its_reference_once(monkeypatch):
     array_calls = []
     inner = baselines.batched_generation_log_vars
 
@@ -402,12 +401,50 @@ def test_the_reference_is_scored_once_per_ppo_step_and_once_per_dpo_minibatch(mo
     ds = TrainSet.build([problem, make_problem(cfg, seed=2), make_problem(cfg, seed=3)], cfg, vocab)
     pol = Policy.tabular(vocab, window=5)
     sft_train(pol, ds, cfg=SftConfig(epochs=10, lr=0.05))
-    ppo_train(pol.clone(), ValueNet.for_policy(pol), ds, PpoConfig(steps=3, trajs_per_step=4))
-    assert array_calls == [4, 4, 4]
+    critic, critic_calls = ValueNet.for_policy(pol), []
+    values = critic.values
+    critic.values = lambda ctx: critic_calls.append(len(ctx)) or values(ctx)
+    ppo_train(pol.clone(), critic, ds, PpoConfig(steps=3, trajs_per_step=4))
+    # per step: the policy's old log-probabilities and the reference's, each over the step's 4 draws
+    assert array_calls == [4] * 6
+    assert len(critic_calls) == 3
     array_calls.clear()
     report = dpo_train(pol.clone(), pol, ds, DpoConfig(samples_per_problem=8, epochs=2, batch_size=2,
                                                       decode=DecodeCfg(temperature=1.0, top_p=1.0)))
     assert len(report.rows) >= 2 and len(array_calls) == len(report.rows)
+
+
+def test_ppo_old_log_probs_equal_the_surrogate_forward_bit_for_bit_on_a_neural_policy(monkeypatch):
+    # every ratio is then exactly 1 at the parameters the step drew with
+    tape_forwards, surrogate_items = [], []
+    forward, surrogate = baselines.batched_generation_log_vars, baselines.ppo_surrogate_var
+
+    def recorded_forward(policy, theta, items):
+        out = forward(policy, theta, items)
+        if not isinstance(theta, np.ndarray):
+            tape_forwards.append((out[0].value, out[1].value, out[2]))
+        return out
+
+    def recorded_surrogate(policy, theta, items, clip):
+        surrogate_items.append(items)
+        return surrogate(policy, theta, items, clip)
+    monkeypatch.setattr(baselines, "batched_generation_log_vars", recorded_forward)
+    monkeypatch.setattr(baselines, "ppo_surrogate_var", recorded_surrogate)
+    cfg = TaskConfig(task_kind=TaskKind.ARITH, value_range=(2, 12), max_parts=2)
+    vocab = build_vocab(cfg)
+    ds = TrainSet.build([make_problem(cfg, seed=s) for s in range(4)], cfg, vocab)
+    pol = Policy.neural(vocab, window=10, embed_dim=16, hidden_dim=64, seed=0)
+    # a short budget cuts some draws, so unterminated items are checked too
+    ppo_train(pol, ValueNet.for_policy(pol), ds, PpoConfig(
+        steps=6, trajs_per_step=8, decode=DecodeCfg(temperature=1.0, top_p=1.0, max_new_tokens=6)))
+    assert len(tape_forwards) == len(surrogate_items) == 6
+    checked = set()
+    for (lp_tok, lp_stop, lengths), items in zip(tape_forwards, surrogate_items):
+        for tok, stop, n, it in zip(lp_tok, lp_stop, lengths, items):
+            want = np.append(tok[:n], stop[n]) if it.terminated else tok[:n]
+            assert it.old_logprobs.tobytes() == want.tobytes()
+            checked.add(it.terminated)
+    assert checked == {True, False}
 
 
 def test_dpo_without_preference_pairs_leaves_the_policy_untouched():

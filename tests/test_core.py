@@ -89,13 +89,13 @@ def test_problem_validation():
 
 
 def test_trajectory_invariants():
-    # logprobs must pair one-to-one with generated tokens and be non-positive
-    t = Trajectory(prompt_len=2, tokens=(0, 1, 2, 5), logprobs=(-0.5, -0.1), terminated=True)
+    # the prompt is a non-empty part of the token sequence
+    t = Trajectory(prompt_len=2, tokens=(0, 1, 2, 5), terminated=True)
     assert t.generated == (2, 5)
-    with pytest.raises(ValueError):
-        Trajectory(prompt_len=2, tokens=(0, 1, 2), logprobs=(), terminated=False)
-    with pytest.raises(ValueError):
-        Trajectory(prompt_len=2, tokens=(0, 1, 2), logprobs=(0.1,), terminated=False)
+    assert Trajectory(prompt_len=3, tokens=[0, 1, 2], terminated=False).generated == ()
+    for prompt_len in (0, 4):
+        with pytest.raises(ValueError, match="prompt_len"):
+            Trajectory(prompt_len=prompt_len, tokens=(0, 1, 2), terminated=False)
 
 
 def test_jsonl_round_trip_and_key_order(tmp_path):

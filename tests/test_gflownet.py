@@ -27,7 +27,6 @@ from flowseq.gflownet import Reference
 from flowseq.policy import (
     DecodeCfg,
     Policy,
-    _proposals,
     _sample_with_rng,
     generation_log_probs,
     terminal_distribution,
@@ -143,9 +142,7 @@ def test_subtb_hand_derived_single_step_case():
     pol = fitted_policy(vocab, problem, p_tok=0.5)
     rewards = {(): 1.0, (0,): 3.0}
     reward_fn = lambda prefix: rewards[prefix[1:]]
-    traj = Trajectory(prompt_len=1, tokens=(0, 0, 1),
-                      logprobs=(float(np.log(0.5)), float(np.log(1 - 1e-12))),
-                      terminated=True)
+    traj = Trajectory(prompt_len=1, tokens=(0, 0, 1), terminated=True)
     cfg = GfnConfig(steps=1, subtb_lambda=1.0)
     loss = ad.loss_value(lambda th: replay_loss_var(pol, th, replayed(reward_fn, traj), [], cfg)[1], pol.params)
     assert loss == pytest.approx(float(np.log(3.0)) ** 2, abs=1e-9)
@@ -416,23 +413,17 @@ def training_outputs(pol: Policy, report) -> tuple:
     return pol.params.tobytes(), list(pol.contexts.items()), report.rows
 
 
-def fresh_force_stop(policy: Policy, traj: Trajectory) -> Trajectory:
-    """_force_stop on a memo of the horizon context alone, scored by a one-row forward."""
-    fresh = _proposals(np.asarray([next_log_probs(policy, traj.tokens)]), None)[0]
-    return _force_stop(policy, traj, {policy.context_of(traj.tokens): fresh})
-
-
 def draws_one_at_a_time(policy: Policy, problem, cfg: DecodeCfg, k: int, rng, draft) -> list[tuple[int, ...]]:
-    """The walk's oracle: k _sample_with_rng draws sharing one memo, each forced stop on its own forward."""
+    """The walk's oracle: k _sample_with_rng draws sharing one memo, each cut draw closed by _force_stop."""
     memo = {}
     trajs = [_sample_with_rng(policy, problem, cfg, rng, memo) for _ in range(k)]
-    return [trajectory_body(t if t.terminated else fresh_force_stop(policy, t)) for t in trajs]
+    return [trajectory_body(t if t.terminated else _force_stop(policy, t)) for t in trajs]
 
 
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
 def test_memo_prefill_leaves_training_bit_identical(kind, monkeypatch):
-    """With the walk replaced by k draws that score their new contexts one forward at a time, and a
-    forced stop's own forward: the same parameters, context table and report rows."""
+    """With the walk replaced by k draws that score their new contexts one forward at a time, each cut
+    draw closed by _force_stop: the same parameters, context table and report rows."""
     if kind == "tabular":
         task, vocab, problem, pol = criterion_1_setup(max_parts=4)
         problems = [problem]

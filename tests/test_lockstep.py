@@ -69,16 +69,15 @@ def reference_decode(policy: Policy, problem, max_new_tokens, cfg: DecodeCfg | N
                      rng: np.random.Generator | None) -> Trajectory:
     """Row-at-a-time decoding: argmax when rng is None, else reference_draw."""
     budget = problem.max_solution_len + 1 if max_new_tokens is None else max_new_tokens
-    tokens, logprobs = list(problem.prompt_tokens), []
+    tokens = list(problem.prompt_tokens)
     for _ in range(budget):
         lp = policy.batch_log_probs(np.asarray([policy.context_of(tokens)], dtype=np.int64))[0]
         tok = int(np.argmax(lp)) if rng is None else reference_draw(lp, cfg, rng)
         tokens.append(tok)
-        logprobs.append(float(lp[tok]))
         if tok == policy.vocab.stop_id:
             break
-    return Trajectory(prompt_len=problem.prompt_len, tokens=tuple(tokens), logprobs=tuple(logprobs),
-                      terminated=bool(logprobs) and tokens[-1] == policy.vocab.stop_id)
+    return Trajectory(prompt_len=problem.prompt_len, tokens=tuple(tokens),
+                      terminated=len(tokens) > problem.prompt_len and tokens[-1] == policy.vocab.stop_id)
 
 
 def arith_policy(kind: str, seed: int = 0) -> tuple[Policy, list]:
@@ -99,15 +98,11 @@ def arith_policy(kind: str, seed: int = 0) -> tuple[Policy, list]:
     return pol, problems
 
 
-def assert_same(got: Trajectory, want: Trajectory, exact: bool = True) -> None:
-    """Equal tokens; log-probabilities bit for bit, or within 1e-12 relative (a B-row matmul's rounding)."""
+def assert_same(got: Trajectory, want: Trajectory) -> None:
+    """Equal tokens, stop and prompt length: a draw carries nothing else."""
     assert got.tokens == want.tokens
     assert got.terminated == want.terminated
     assert got.prompt_len == want.prompt_len
-    if exact:
-        assert got.logprobs == want.logprobs
-    else:
-        np.testing.assert_allclose(got.logprobs, want.logprobs, rtol=1e-12, atol=0.0)
 
 
 # WIDE_NUCLEUS truncates, and keeps 8 or more of the 22 tokens on some contexts of both policies
@@ -122,7 +117,7 @@ def test_one_row_calls_equal_the_row_at_a_time_reference(kind, cfg):
     for i, p in enumerate(problems):
         budget = [None, 1, 3, 40][i % 4]
         got = _sample_with_rng(pol, p, replace(cfg, max_new_tokens=budget), np.random.default_rng(i))
-        # one-row forwards on both sides: every value is bit-identical, neural ones included
+        # one-row forwards on both sides
         want = reference_decode(pol, p, budget, cfg, np.random.default_rng(i))
         assert_same(got, want)
         assert_same(greedy_decode(pol, p, budget), reference_decode(pol, p, budget, None, None))
@@ -145,7 +140,7 @@ def test_lockstep_rows_equal_one_row_calls(kind, n_rows, cfg):
         else:
             want = _sample_with_rng(pol, row.problem, replace(cfg, max_new_tokens=row.max_new_tokens),
                                     np.random.default_rng([7, i]))
-        assert_same(traj, want, exact=kind == "tabular")
+        assert_same(traj, want)
     if cfg is WIDE_NUCLEUS:
         # the truncation really cut, and some nucleus was long enough for numpy's pairwise sum
         sizes = {len(p.kept) for p in memo.values()}
@@ -165,7 +160,6 @@ def test_proposals_reproduce_the_row_at_a_time_nucleus_bit_for_bit(cfg):
             assert prop.kept == kept
             assert prop.cum == cum  # exact float equality, every entry
             assert prop.argmax == int(np.argmax(row))
-            assert prop.logprobs == row.tolist()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -221,15 +215,12 @@ def step_draws(pol: Policy, problem, rng: np.random.Generator) -> tuple[list[Tra
 
 
 def closed_bodies(pol: Policy, trajs: list[Trajectory]) -> list[tuple[int, ...]]:
-    """The body of each draw, a draw cut at its budget first closed by _force_stop on a one-row forward."""
+    """The body of each draw, a draw cut at its budget first closed by _force_stop."""
     stop, bodies = pol.vocab.stop_id, []
     for traj in trajs:
         if not traj.terminated:
-            ctx = pol.context_of(traj.tokens)
-            lp = pol.batch_log_probs(np.asarray([ctx], dtype=np.int64))
-            closed = _force_stop(pol, traj, {ctx: _proposals(lp, None)[0]})
+            closed = _force_stop(pol, traj)
             assert closed.terminated and closed.tokens == traj.tokens + (stop,)
-            assert closed.logprobs == traj.logprobs + (float(lp[0, stop]),)
             traj = closed
         bodies.append(trajectory_body(traj))
     return bodies

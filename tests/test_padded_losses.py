@@ -62,8 +62,7 @@ def setup(kind: str, seed: int = 0):
 
 def trajectory(problem, body, stop_id, terminated=True) -> Trajectory:
     gen = body + (stop_id,) if terminated else body
-    return Trajectory(prompt_len=problem.prompt_len, tokens=problem.prompt_tokens + gen,
-                      logprobs=(-0.1,) * len(gen), terminated=terminated)
+    return Trajectory(prompt_len=problem.prompt_len, tokens=problem.prompt_tokens + gen, terminated=terminated)
 
 
 def assert_matches(pol, batched, oracle):

@@ -105,20 +105,6 @@ def test_generation_log_probs_step_by_step_oracle():
     assert len(lp) == len(traj.generated)
 
 
-def test_sampled_logprobs_are_unmodified_policy_values():
-    # recorded logprobs come from the untempered distribution even when
-    # temperature and nucleus truncation reshape the draw itself
-    vocab = tiny_vocab()
-    pol = seeded_tabular(vocab, scale=2.0, seed=3)
-    problem = tiny_problem(vocab)
-    cfg = DecodeCfg(temperature=0.3, top_p=0.7)
-    traj = _sample_with_rng(pol, problem, cfg, np.random.default_rng(0))
-    prefix = list(problem.prompt_tokens)
-    for tok, lp in zip(traj.generated, traj.logprobs):
-        assert np.isclose(lp, next_log_probs(pol, tuple(prefix))[tok])
-        prefix.append(tok)
-
-
 def test_nucleus_sampling_chi_square():
     # with temperature 1 and top_p 1 draw frequencies must match the policy
     vocab = tiny_vocab()
