@@ -564,4 +564,8 @@ def write_problems(path: str | Path, problems: list[Problem], vocab: Vocab) -> N
 
 
 def read_problems(path: str | Path, vocab: Vocab) -> list[Problem]:
-    return [problem_from_record(rec, vocab) for rec in read_jsonl(path)]
+    """The problems of a file that write_problems wrote; a file that holds none raises ValueError."""
+    problems = [problem_from_record(rec, vocab) for rec in read_jsonl(path)]
+    if not problems:
+        raise ValueError(f"{path} holds no problem")
+    return problems

@@ -4,7 +4,8 @@ Two solutions count as distinct when the ROUGE-L F1 over their reasoning-step
 tokens falls below 0.7; the final-answer segment is excluded from similarity
 so diversity reflects the derivation, not the shared answer. Distinct counting
 keeps solutions greedily in sampling order, which makes the count order
-dependent; the report records that rule.
+dependent; the report records that rule. Every solution is drawn by the one
+decoder, policy._walk_draws.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from .core import Problem, Solution, TaskKind, Vocab
 from .env import AnswerState, verify_prefix
-from .policy import DecodeCfg, DecodeRow, Policy, _decode, trajectory_body
+from .policy import DecodeCfg, Policy, _walk_draws
 # not called here: perfbench/layers.py wraps these names where evaluation binds them
 from .policy import _sample_with_rng, greedy_decode  # noqa: F401
 
@@ -183,20 +184,18 @@ def _eval_problems(
     start: int,
     prepend_greedy: bool,
 ) -> list[ProblemEval]:
-    """Rows for problems start, start+1, ...: one lockstep greedy decode, then one per draw index.
+    """Rows for problems start, start+1, ...: one greedy walk over the problems, then one per draw index.
 
     Problem start+i draws from its own generator seeded by (seed, start+i),
     in the order a problem-at-a-time loop would, so the rows do not depend on
     how the problems are split.
     """
-    budget = decode_cfg.max_new_tokens
-    rngs = [np.random.default_rng([seed, start + i]) for i in range(len(problems))]
-    greedy = _decode(policy, [DecodeRow(p, budget) for p in problems])
-    solutions = [[solution_from_body(p, trajectory_body(t), vocab)] for p, t in zip(problems, greedy)]
+    draw_rows = [(p, np.random.default_rng([seed, start + i])) for i, p in enumerate(problems)]
+    greedy = _walk_draws(policy, [(p, None) for p in problems], decode_cfg)
+    solutions = [[solution_from_body(p, body, vocab)] for p, (body,) in zip(problems, greedy)]
     for _ in range(k - 1 if prepend_greedy else k):
-        drawn = _decode(policy, [DecodeRow(p, budget, rng) for p, rng in zip(problems, rngs)], decode_cfg)
-        for sols, p, t in zip(solutions, problems, drawn):
-            sols.append(solution_from_body(p, trajectory_body(t), vocab))
+        for sols, p, (body,) in zip(solutions, problems, _walk_draws(policy, draw_rows, decode_cfg)):
+            sols.append(solution_from_body(p, body, vocab))
     rows = []
     for i, (greedy_sol, *sampled) in enumerate(solutions):
         scored = [greedy_sol] + sampled if prepend_greedy else sampled
@@ -221,9 +220,10 @@ def evaluate(
 ) -> EvalReport:
     """Greedy decode plus k stochastic samples per problem.
 
-    Problems decode in lockstep, and each draws from its own generator seeded
-    by (seed, index), so the report is identical for any worker count: with
-    workers > 1 each worker evaluates one contiguous chunk of the problems.
+    The problems walk together through one decoder, and each draws from its
+    own generator seeded by (seed, index), so the report is identical for
+    any worker count: with workers > 1 each worker evaluates one contiguous
+    chunk of the problems.
     With prepend_greedy the greedy solution stands in as sample 0, which
     makes greedy accuracy a lower bound on every pass@k.
     """

@@ -368,7 +368,7 @@ def train_gflownet(
         problem = dataset.problems[p_idx]
         decode = _horizon_decode(cfg.decode, problem)
         rewards_step: list[float] = []
-        for body in _walk_draws(policy, problem, decode, cfg.samples_per_problem, rng, drafts[p_idx]):
+        for body in _walk_draws(policy, [(problem, rng)], decode, cfg.samples_per_problem, draft=drafts[p_idx])[0]:
             log_rewards = scored[p_idx].get(body)
             if log_rewards is None:
                 log_rewards = scored[p_idx][body] = prefix_log_rewards(problem, dataset.task, dataset.vocab, body)

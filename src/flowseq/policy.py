@@ -9,8 +9,10 @@ parameterisation with one output per context instead of one per token.
 
 Log-probabilities always come from a fused log-softmax. Draws carry tokens
 only: every log-probability a loss or PPO's old policy reads comes from the
-batched forward (batched_generation_log_vars), and subTB training walks its
-draws to bodies alone (_walk_draws).
+batched forward (batched_generation_log_vars). One decoder draws every token:
+_walk_draws walks rows of (problem, generator) in batched forwards, and
+evaluation, greedy decoding, the baselines and subTB training all draw
+through it.
 """
 
 from __future__ import annotations
@@ -295,20 +297,6 @@ def trajectory_item(traj: Trajectory) -> tuple[tuple[int, ...], tuple[int, ...]]
     return traj.tokens[: traj.prompt_len], trajectory_body(traj)
 
 
-@dataclass(frozen=True)
-class DecodeRow:
-    """One trajectory of a lockstep decode.
-
-    max_new_tokens counts every draw including the stop symbol (None:
-    DecodeCfg's default budget); rng None means argmax, otherwise the row
-    draws one rng.random() per token from its own generator.
-    """
-
-    problem: Problem
-    max_new_tokens: int | None = None
-    rng: np.random.Generator | None = None
-
-
 class Proposal(NamedTuple):
     """What decoding needs from one context: its argmax and the proposal drawn from.
 
@@ -337,95 +325,96 @@ def _sample_with_rng(
     The draw carries its tokens only. Draws that share `memo` (same
     parameters, same cfg) score each context once.
     """
-    return _decode(policy, [DecodeRow(problem, cfg.max_new_tokens, rng)], cfg, memo)[0]
+    return _trajectory(policy, problem, cfg, _walk_draws(policy, [(problem, rng)], cfg, memo=memo)[0][0])
 
 
 def greedy_decode(policy: Policy, problem: Problem, max_new_tokens: int | None = None) -> Trajectory:
     """Argmax decoding; ties break toward the lowest token id."""
-    return _decode(policy, [DecodeRow(problem, max_new_tokens)])[0]
+    cfg = DecodeCfg(max_new_tokens=max_new_tokens)
+    return _trajectory(policy, problem, cfg, _walk_draws(policy, [(problem, None)], cfg)[0][0])
 
 
-def _decode(
-    policy: Policy, rows: list[DecodeRow], cfg: DecodeCfg | None = None, memo: Memo | None = None
-) -> list[Trajectory]:
-    """The decode loop, in lockstep over rows: one batch_log_probs per position on the new contexts.
+def _budget(problem: Problem, cfg: DecodeCfg) -> int:
+    """Tokens a draw may take, its stop symbol included."""
+    return problem.max_solution_len + 1 if cfg.max_new_tokens is None else cfg.max_new_tokens
 
-    A row stops after the stop symbol or after its budget. Contexts already in
-    `memo` are not scored again; a call without one keeps its own. Each row's
-    tokens equal those of decoding it alone, because every operation on a
-    context's scores runs along its own row.
+
+def _trajectory(policy: Policy, problem: Problem, cfg: DecodeCfg, body: tuple[int, ...]) -> Trajectory:
+    """The draw of a walked body: it drew the stop symbol unless it was cut at its budget."""
+    terminated = len(body) < _budget(problem, cfg)
+    return Trajectory(prompt_len=problem.prompt_len, terminated=terminated,
+                      tokens=problem.prompt_tokens + body + (policy.vocab.stop_id,) * terminated)
+
+
+def _walk_draws(policy: Policy, rows: list[tuple[Problem, np.random.Generator | None]], cfg: DecodeCfg,
+                k: int = 1, memo: Memo | None = None, draft: Memo | None = None) -> list[list[tuple[int, ...]]]:
+    """The decoder: the bodies of k draws per (problem, rng) row, each closed with the stop id at its budget.
+
+    A row with rng None takes the argmax; a sampled row draws one rng.random() per token, in the order
+    of k one-draw calls. Every round walks each unfinished row until it needs a context it has no exact
+    proposal for, and then scores the contexts all rows need in one batch_log_probs call: a row's
+    tokens equal those of walking it alone, because every operation on a context's scores runs along
+    its own row. `memo` holds exact proposals at the current parameters, and the walk adds the ones it
+    scores; a call whose rows all take the argmax scores argmax-only proposals.
+
+    With a non-empty `draft` the walk guesses ahead: it takes a row's k * budget uniforms from rng at
+    once, guesses with draft where it has no exact proposal, scores the guessed contexts and the first
+    unknown one in one forward, and resumes at the first of them, with its tokens cut back there, until
+    it walks on exact proposals alone: guesses only choose what is scored. rng is then rewound to where
+    the draws leave it, and draft takes the exact proposals for the next walk on these problems.
     """
-    if cfg is None and any(row.rng is not None for row in rows):
-        raise ValueError("sampled rows need a DecodeCfg")
     memo = {} if memo is None else memo
-    stop = policy.vocab.stop_id
-    tokens = [list(row.problem.prompt_tokens) for row in rows]
-    contexts = [policy.context_of(row.problem.prompt_tokens) for row in rows]
-    left = [row.problem.max_solution_len + 1 if row.max_new_tokens is None else row.max_new_tokens
-            for row in rows]
-    live = [i for i in range(len(rows)) if left[i] > 0]
+    scores = cfg if any(rng is not None for _, rng in rows) else None
+    stop, guess = policy.vocab.stop_id, bool(draft)
+    # per row: start context, budget, rng, saved state, uniforms, tokens (its draws end to end, each ending
+    # in the stop id) and the state to resume at: draw, its tokens so far, uniforms used, context, len(tokens)
+    walks = []
+    for problem, rng in rows:
+        start, budget = policy.context_of(problem.prompt_tokens), _budget(problem, cfg)
+        saved = rng.bit_generator.state if guess and rng is not None else None
+        u = [] if saved is None else rng.random(k * budget).tolist()
+        walks.append([start, budget, rng, saved, u, [], (0, 0, 0, start, 0)])
+    live = walks
     while live:
-        new = list(dict.fromkeys(contexts[i] for i in live if contexts[i] not in memo))
-        if new:
-            memo.update(zip(new, _proposals(policy.batch_log_probs(np.asarray(new, dtype=np.int64)), cfg)))
-        still = []
-        for i in live:
-            prop, rng = memo[contexts[i]], rows[i].rng
-            tok = prop.argmax if rng is None else prop.draw(rng.random())
-            tokens[i].append(tok)
-            contexts[i] = contexts[i][1:] + (tok,)
-            left[i] -= 1
-            if tok != stop and left[i]:
-                still.append(i)
-        live = still
-    return [Trajectory(prompt_len=row.problem.prompt_len, tokens=tuple(toks),
-                       terminated=len(toks) > row.problem.prompt_len and toks[-1] == stop)
-            for row, toks in zip(rows, tokens)]
-
-
-def _walk_draws(policy: Policy, problem: Problem, cfg: DecodeCfg, k: int, rng: np.random.Generator,
-                draft: Memo) -> list[tuple[int, ...]]:
-    """The bodies of k _sample_with_rng draws from rng, each closed with the stop id at its budget.
-
-    The walk draws on uniforms taken from rng ahead of time. It guesses with draft where it has no exact
-    proposal, scores the guessed contexts and the first unknown one in one forward, and resumes at the
-    first of them, with its tokens cut back there, until it walks on exact proposals alone: guesses only
-    choose what is scored. rng then stands where the k draws leave it, one uniform per drawn token, and
-    draft takes the exact proposals for the next walk on this problem.
-    """
-    budget = problem.max_solution_len + 1 if cfg.max_new_tokens is None else cfg.max_new_tokens
-    state = rng.bit_generator.state
-    u = rng.random(k * budget).tolist()
-    stop, start = policy.vocab.stop_id, policy.context_of(problem.prompt_tokens)
-    memo: Memo = {}
-    tokens: list[int] = []  # the draws laid end to end, each ending in the stop id
-    at = (0, 0, 0, start, 0)  # the walk's state: draw, its tokens so far, uniforms used, context, len(tokens)
-    while at is not None:
-        (i, t, j, ctx, n), guessed, resume = at, {}, None
-        del tokens[n:]
-        while i < k:
-            if t == budget:  # the forced stop: a draw cut at its budget is closed without a forward
-                tok = stop
-            else:
-                prop = memo.get(ctx)
-                if prop is None:
-                    resume = resume or (i, t, j, ctx, len(tokens))
-                    guessed[ctx] = prop = draft.get(ctx)
+        guessed: dict = {}
+        for w in live:
+            start, budget, rng, _, u, tokens, (i, t, j, ctx, n) = w
+            resume = None
+            del tokens[n:]
+            while i < k:
+                if t == budget:  # the forced stop: a draw cut at its budget is closed without a forward
+                    tok = stop
+                else:
+                    prop = memo.get(ctx)
                     if prop is None:
-                        break
-                tok = prop.draw(u[j])
-                j += 1
-            tokens.append(tok)
-            i, t, ctx = (i + 1, 0, start) if tok == stop else (i, t + 1, ctx[1:] + (tok,))
+                        resume = resume or (i, t, j, ctx, len(tokens))
+                        guessed[ctx] = prop = draft.get(ctx) if guess else None
+                        if prop is None:
+                            break
+                    if rng is None:
+                        tok = prop.argmax
+                    else:
+                        if j == len(u):  # without a draft each uniform is taken when first needed
+                            u.append(rng.random())
+                        tok = prop.draw(u[j])
+                        j += 1
+                tokens.append(tok)
+                i, t, ctx = (i + 1, 0, start) if tok == stop else (i, t + 1, ctx[1:] + (tok,))
+            w[6] = resume or (i, t, j, ctx, len(tokens))
         if guessed:
             lp = policy.batch_log_probs(np.asarray(list(guessed), dtype=np.int64))
-            memo.update(zip(guessed, _proposals(lp, cfg)))
-        at = resume
-    rng.bit_generator.state = state
-    rng.random(j)
-    draft.update(memo)
-    ends = [n for n, tok in enumerate(tokens) if tok == stop]
-    return [tuple(tokens[a + 1 : b]) for a, b in zip([-1] + ends, ends)]
+            memo.update(zip(guessed, _proposals(lp, scores)))
+        live = [w for w in live if w[6][0] < k]
+    bodies = []
+    for _, _, rng, saved, _, tokens, (_, _, j, _, _) in walks:
+        if saved is not None:  # one uniform per drawn token
+            rng.bit_generator.state = saved
+            rng.random(j)
+        ends = [n for n, tok in enumerate(tokens) if tok == stop]
+        bodies.append([tuple(tokens[a + 1 : b]) for a, b in zip([-1] + ends, ends)])
+    if draft is not None:
+        draft.update(memo)
+    return bodies
 
 
 def _proposals(lp: np.ndarray, cfg: DecodeCfg | None) -> list[Proposal]:

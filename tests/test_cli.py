@@ -232,6 +232,19 @@ def test_missing_problems_file_exits_1(tmp_path):
     assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
 
 
+@pytest.mark.parametrize("command, method, extra", [
+    ("train", "gflownet", "diag_every = 1\n"), ("train", "sft", ""), ("eval", "gflownet", ""),
+    ("enumerate", "gflownet", "")])
+def test_an_empty_problems_file_exits_1_naming_it(tmp_path, capsys, command, method, extra):
+    cfg = write_config(tmp_path, PIPELINE_CONFIG.replace("method = gflownet", f"method = {method}")
+                       .replace("[train]\n", "[train]\n" + extra))
+    out = tmp_path / "o"
+    out.mkdir()
+    (out / "problems.jsonl").write_text("\n")
+    assert run_cli([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {out / 'problems.jsonl'} holds no problem\n"
+
+
 def test_dpo_train_without_preference_pairs_exits_1_naming_the_counts(tmp_path, capsys):
     # an SFT-peaked warm start decoded almost greedily draws one body over and over on each problem
     text = PIPELINE_CONFIG.replace("method = gflownet", "method = dpo").split("[train]")[0] + (

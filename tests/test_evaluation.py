@@ -223,7 +223,7 @@ def test_evaluate_rejects_k_below_one_before_decoding(monkeypatch, k, prepend_gr
     def no_decode(*args, **kwargs):
         raise AssertionError("evaluate decoded before checking k")
 
-    monkeypatch.setattr(evaluation, "_decode", no_decode)
+    monkeypatch.setattr(evaluation, "_walk_draws", no_decode)
     with pytest.raises(KTooLarge, match="k must be at least 1"):
         evaluate(Policy.tabular(vocab, window=5), [make_problem(cfg, seed=0)], vocab, k=k,
                  prepend_greedy=prepend_greedy)

@@ -33,6 +33,7 @@ from flowseq.policy import (
     trajectory_body,
     trajectory_item,
 )
+from test_lockstep import reference_decode
 
 
 def brute_subtb(lp_tok: np.ndarray, lp_stop: np.ndarray, log_r: np.ndarray, lam: float) -> float:
@@ -185,9 +186,9 @@ def recorded_training(monkeypatch, problems, task, vocab, gfn):
     draws, pushed, batches = [], [], []
     walk, loss = gflownet._walk_draws, gflownet.replay_loss_var
 
-    def recorded_walk(policy, problem, *args):
-        bodies = walk(policy, problem, *args)
-        draws.extend((problem, body) for body in bodies)
+    def recorded_walk(policy, rows, *args, **kwargs):
+        bodies = walk(policy, rows, *args, **kwargs)
+        draws.extend((problem, body) for (problem, _), row in zip(rows, bodies) for body in row)
         return bodies
 
     def recorded_entry(*args):
@@ -249,12 +250,13 @@ def test_an_unterminated_draw_enters_the_replay_stopped_at_the_horizon(monkeypat
     unterminated = []
     walk = gflownet._walk_draws
 
-    def observed_walk(policy, problem, cfg, k, rng, draft):
-        # the same k draws one at a time, from a copy of the generator the walk draws from
+    def observed_walk(policy, rows, cfg, k=1, memo=None, draft=None):
+        # the same k draws by the row-at-a-time reference, from a copy of the generator the walk draws from
+        [(problem, rng)] = rows
         copy = deepcopy(rng)
-        trajs = [_sample_with_rng(policy, problem, cfg, copy) for _ in range(k)]
+        trajs = [reference_decode(policy, problem, cfg.max_new_tokens, cfg, copy) for _ in range(k)]
         unterminated.extend(t for t in trajs if not t.terminated)
-        return walk(policy, problem, cfg, k, rng, draft)
+        return walk(policy, rows, cfg, k, memo, draft)
 
     monkeypatch.setattr(gflownet, "_walk_draws", observed_walk)
     gfn = GfnConfig(steps=40, batch_size=4, samples_per_problem=4, sft_coeff=0.0,
@@ -413,17 +415,18 @@ def training_outputs(pol: Policy, report) -> tuple:
     return pol.params.tobytes(), list(pol.contexts.items()), report.rows
 
 
-def draws_one_at_a_time(policy: Policy, problem, cfg: DecodeCfg, k: int, rng, draft) -> list[tuple[int, ...]]:
-    """The walk's oracle: k _sample_with_rng draws sharing one memo, each cut draw closed by _force_stop."""
-    memo = {}
-    trajs = [_sample_with_rng(policy, problem, cfg, rng, memo) for _ in range(k)]
-    return [trajectory_body(t if t.terminated else _force_stop(policy, t)) for t in trajs]
+def draws_one_at_a_time(policy: Policy, rows, cfg: DecodeCfg, k: int = 1, memo=None,
+                        draft=None) -> list[list[tuple[int, ...]]]:
+    """The walk's oracle: k row-at-a-time reference draws per row, each cut draw closed by _force_stop."""
+    trajs = [[reference_decode(policy, problem, cfg.max_new_tokens, cfg, rng) for _ in range(k)]
+             for problem, rng in rows]
+    return [[trajectory_body(t if t.terminated else _force_stop(policy, t)) for t in row] for row in trajs]
 
 
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
 def test_memo_prefill_leaves_training_bit_identical(kind, monkeypatch):
-    """With the walk replaced by k draws that score their new contexts one forward at a time, each cut
-    draw closed by _force_stop: the same parameters, context table and report rows."""
+    """With the walk replaced by k reference draws that score one context per forward, each cut draw
+    closed by _force_stop: the same parameters, context table and report rows."""
     if kind == "tabular":
         task, vocab, problem, pol = criterion_1_setup(max_parts=4)
         problems = [problem]
@@ -451,14 +454,20 @@ def test_training_draws_each_token_once_and_scores_no_horizon_context(monkeypatc
     # criterion 1's settings, shortened: the walk's draws are the training's, with no decode replay after
     # them, and a draw cut at the horizon is closed without scoring the context that follows it
     task, vocab, problem, pol = criterion_1_setup(max_parts=4)
-    decodes, scored = [], []
-    decode, inner = policy._decode, Policy.batch_log_probs
-    monkeypatch.setattr(policy, "_decode", lambda *args: decodes.append(args) or decode(*args))
+    walks, scored = [], []
+    walk, inner = policy._walk_draws, Policy.batch_log_probs
+
+    def counted_walk(pol, rows, *args, **kwargs):
+        walks.append(len(rows))
+        return walk(pol, rows, *args, **kwargs)
+    # the name gflownet binds, and the one every other draw goes through
+    monkeypatch.setattr(gflownet, "_walk_draws", counted_walk)
+    monkeypatch.setattr(policy, "_walk_draws", counted_walk)
     monkeypatch.setattr(Policy, "batch_log_probs", lambda self, ctx: scored.extend(ctx.tolist()) or inner(self, ctx))
     train_gflownet(pol, TrainSet.build([problem], task, vocab), GfnConfig(
         steps=200, batch_size=16, samples_per_problem=8, sft_coeff=0.0,
         lr=0.08, decode=DecodeCfg(temperature=2.0, top_p=1.0), seed=0))
-    assert decodes == []
+    assert walks == [1] * 200  # one walk of one row per step
     assert scored
     # the window holds the prompt and every body token, so PAD fills what the body has not reached
     body_lengths = {pol.window - len(problem.prompt_tokens) - ctx.count(pol.pad_id) for ctx in scored}

@@ -1,8 +1,10 @@
-"""Oracles for the lockstep decoder: many rows at once equal one row at a time.
+"""Oracles for the decoder: the walk over many rows equals a row-at-a-time reference.
 
-The reference below is the row-at-a-time sampler the lockstep loop replaced:
-one forward and one temperature / top-p truncation per token. The lockstep
-loop must reproduce its tokens exactly, and its truncation bit for bit.
+The reference below samples one row at a time: one forward and one
+temperature / top-p truncation per token, with its own nucleus. The walk
+(_walk_draws), through every caller that wraps it, must reproduce its tokens
+exactly, and its truncation bit for bit, whatever rows, draw counts, budgets
+and drafts it is given.
 """
 
 from __future__ import annotations
@@ -24,9 +26,7 @@ from flowseq.evaluation import (
 from flowseq.gflownet import TrainSet, _force_stop
 from flowseq.policy import (
     DecodeCfg,
-    DecodeRow,
     Policy,
-    _decode,
     _proposals,
     _sample_with_rng,
     _walk_draws,
@@ -80,6 +80,28 @@ def reference_decode(policy: Policy, problem, max_new_tokens, cfg: DecodeCfg | N
                       terminated=len(tokens) > problem.prompt_len and tokens[-1] == policy.vocab.stop_id)
 
 
+def reference_bodies(policy: Policy, problem, cfg: DecodeCfg, k: int,
+                     rng: np.random.Generator | None) -> tuple[list[tuple[int, ...]], list[bool]]:
+    """The bodies of k reference draws from rng (argmax when None) at cfg's budget, and which of them were cut."""
+    trajs = [reference_decode(policy, problem, cfg.max_new_tokens, cfg, rng) for _ in range(k)]
+    return [trajectory_body(t) for t in trajs], [not t.terminated for t in trajs]
+
+
+def budget_of(problem, cfg: DecodeCfg) -> int:
+    return problem.max_solution_len + 1 if cfg.max_new_tokens is None else cfg.max_new_tokens
+
+
+def visited(policy: Policy, problem, bodies, budget: int) -> set[tuple[int, ...]]:
+    """The contexts draws of these bodies score: one before each drawn token, none before a forced stop."""
+    return {policy.context_of(problem.prompt_tokens + body[:t])
+            for body in bodies for t in range(min(len(body) + 1, budget))}
+
+
+def mixed_rows(problems, n_rows: int, salt: int) -> list:
+    """(problem, rng) rows over the first n_rows problems, every third taking the argmax; equal salts, equal rows."""
+    return [(problems[i], None if i % 3 == 2 else np.random.default_rng([salt, i])) for i in range(n_rows)]
+
+
 def arith_policy(kind: str, seed: int = 0) -> tuple[Policy, list]:
     """A sharp random policy over the 22-token ARITH vocabulary, and problems with varied prompts."""
     vocab = build_vocab(ARITH)
@@ -123,28 +145,73 @@ def test_one_row_calls_equal_the_row_at_a_time_reference(kind, cfg):
         assert_same(greedy_decode(pol, p, budget), reference_decode(pol, p, budget, None, None))
 
 
+# (budget, cfg) pairs: every budget, every cfg, and WIDE_NUCLEUS on the long draws
+BUDGET_CFGS = [(None, WIDE_NUCLEUS), (1, CFGS[1]), (2, CFGS[0]), (5, CFGS[1]), (30, WIDE_NUCLEUS)]
+
+
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
 @pytest.mark.parametrize("n_rows", [1, 3, 17])
-@pytest.mark.parametrize("cfg", CFGS)
-def test_lockstep_rows_equal_one_row_calls(kind, n_rows, cfg):
+@pytest.mark.parametrize("k", [1, 8])
+@pytest.mark.parametrize("draft", ["none", "exact", "wrong"])
+def test_walk_rows_equal_the_row_at_a_time_reference(kind, n_rows, k, draft):
+    # argmax and sampled rows in one call; a wrong draft holds another policy's proposals
     pol, problems = arith_policy(kind, seed=n_rows)
-    budgets = [None, 2, 5, None, 1, 30]
-    rows = [DecodeRow(problems[i], budgets[i % len(budgets)],
-                      None if i % 3 == 2 else np.random.default_rng([7, i]))
-            for i in range(n_rows)]
-    memo = {}
-    got = _decode(pol, rows, cfg, memo)
-    for i, (row, traj) in enumerate(zip(rows, got)):
-        if row.rng is None:
-            want = greedy_decode(pol, row.problem, row.max_new_tokens)
-        else:
-            want = _sample_with_rng(pol, row.problem, replace(cfg, max_new_tokens=row.max_new_tokens),
-                                    np.random.default_rng([7, i]))
-        assert_same(traj, want)
-    if cfg is WIDE_NUCLEUS:
-        # the truncation really cut, and some nucleus was long enough for numpy's pairwise sum
-        sizes = {len(p.kept) for p in memo.values()}
-        assert any(8 <= s < pol.vocab.size for s in sizes), sizes
+    other, _ = arith_policy(kind, seed=n_rows + 5)
+    nuclei = set()
+    for b, (budget, base) in enumerate(BUDGET_CFGS):
+        cfg = replace(base, max_new_tokens=budget)
+        guide = None if draft == "none" else {}
+        if guide is not None:
+            _walk_draws(pol if draft == "exact" else other, mixed_rows(problems, n_rows, 100 + b), cfg, k, draft=guide)
+        memo = {}
+        rows = mixed_rows(problems, n_rows, b)
+        got = _walk_draws(pol, rows, cfg, k, memo, guide)
+        seen = set()
+        for (problem, rng), (_, copy), bodies in zip(rows, mixed_rows(problems, n_rows, b), got, strict=True):
+            want, cut = reference_bodies(pol, problem, cfg, k, copy)
+            assert bodies == want
+            # a draw cut at its budget has exactly budget tokens
+            assert [len(body) == budget_of(problem, cfg) for body in bodies] == cut
+            if rng is not None:
+                assert rng.bit_generator.state == copy.bit_generator.state
+            seen |= visited(pol, problem, bodies, budget_of(problem, cfg))
+        # the memo holds every context the draws score, and without a draft nothing else
+        assert seen <= set(memo) and (draft != "none" or set(memo) == seen)
+        if guide is not None:
+            assert seen <= set(guide)
+        if base is WIDE_NUCLEUS:
+            nuclei |= {len(p.kept) for p in memo.values()}
+    # the truncation really cut, and some nucleus was long enough for numpy's pairwise sum
+    assert any(8 <= n < pol.vocab.size for n in nuclei), nuclei
+
+
+def recording_forwards(pol: Policy) -> list[list[tuple[int, ...]]]:
+    """Wrap the policy's batch_log_probs; the returned list gets the contexts of each call."""
+    calls, inner = [], pol.batch_log_probs
+
+    def recorded(ctx_mat):
+        calls.append(list(map(tuple, ctx_mat.tolist())))
+        return inner(ctx_mat)
+    pol.batch_log_probs = recorded
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["tabular", "neural"])
+@pytest.mark.parametrize("budget", [None, 5])
+def test_a_walk_without_a_draft_scores_each_context_its_draws_visit_once(kind, budget):
+    pol, problems = arith_policy(kind)
+    cfg = replace(WIDE_NUCLEUS, max_new_tokens=budget)
+    calls = recording_forwards(pol)
+    rows = mixed_rows(problems, 17, 1)
+    got = _walk_draws(pol, rows, cfg, 8)
+    seen = set().union(*(visited(pol, p, bodies, budget_of(p, cfg)) for (p, _), bodies in zip(rows, got)))
+    assert sorted(ctx for call in calls for ctx in call) == sorted(seen)
+    # k one-draw calls that share a memo draw the same bodies and score the same contexts, each once
+    calls.clear()
+    memo, rows = {}, mixed_rows(problems, 17, 1)
+    one_at_a_time = [_walk_draws(pol, rows, cfg, memo=memo) for _ in range(8)]
+    assert [[body for (body,) in draws] for draws in zip(*one_at_a_time)] == got
+    assert sorted(ctx for call in calls for ctx in call) == sorted(seen)
 
 
 @pytest.mark.parametrize("cfg", CFGS + [DecodeCfg(temperature=0.05, top_p=0.5),
@@ -163,11 +230,11 @@ def test_proposals_reproduce_the_row_at_a_time_nucleus_bit_for_bit(cfg):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_lockstep_rejects_a_temperature_with_no_finite_scaled_logit():
+def test_walk_rejects_a_temperature_with_no_finite_scaled_logit():
     pol, problems = arith_policy("tabular")
-    rows = [DecodeRow(p, None, np.random.default_rng(i)) for i, p in enumerate(problems[:3])]
+    rows = [(p, np.random.default_rng(i)) for i, p in enumerate(problems[:3])]
     with pytest.raises(ValueError, match="temperature 1e-310"):
-        _decode(pol, rows, DecodeCfg(temperature=1e-310, top_p=1.0))
+        _walk_draws(pol, rows, DecodeCfg(temperature=1e-310, top_p=1.0))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -179,12 +246,6 @@ def test_proposals_give_no_mass_to_an_entry_that_its_temperature_overflows():
     assert [kept[:2] for kept, _ in got] == [[0], [0, 2], [0]]
     with np.errstate(over="ignore"):
         assert got == [reference_nucleus(row, cfg) for row in lp]
-
-
-def test_sampled_rows_need_a_decode_cfg():
-    pol, problems = arith_policy("tabular")
-    with pytest.raises(ValueError, match="DecodeCfg"):
-        _decode(pol, [DecodeRow(problems[0], None, np.random.default_rng(0))])
 
 
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
@@ -227,18 +288,7 @@ def closed_bodies(pol: Policy, trajs: list[Trajectory]) -> list[tuple[int, ...]]
 
 
 def walk(pol: Policy, problem, seed: int, draft: dict) -> list[tuple[int, ...]]:
-    return _walk_draws(pol, problem, step_cfg(problem), STEP_K, np.random.default_rng(seed), draft)
-
-
-def counting_forwards(pol: Policy) -> list[int]:
-    """Wrap the policy's batch_log_probs; the returned list gets one entry (the row count) per call."""
-    calls, inner = [], pol.batch_log_probs
-
-    def counted(ctx_mat):
-        calls.append(len(ctx_mat))
-        return inner(ctx_mat)
-    pol.batch_log_probs = counted
-    return calls
+    return _walk_draws(pol, [(problem, np.random.default_rng(seed))], step_cfg(problem), STEP_K, draft=draft)[0]
 
 
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
@@ -256,35 +306,22 @@ def test_walk_equals_k_draws_closed_at_their_budget(kind, draft):
             walk(other, p, 100 + i, guide)
         before = dict(guide)
         rng, copy = np.random.default_rng(i), np.random.default_rng(i)
-        got = _walk_draws(pol, p, step_cfg(p), STEP_K, rng, guide)
-        trajs, memo = step_draws(pol, p, copy)
+        got = _walk_draws(pol, [(p, rng)], step_cfg(p), STEP_K, draft=guide)[0]
+        trajs = [reference_decode(pol, p, p.max_solution_len, STEP_CFG, copy) for _ in range(STEP_K)]
         assert got == closed_bodies(pol, trajs)
         assert rng.bit_generator.state == copy.bit_generator.state
         forced += sum(not t.terminated for t in trajs)
         # the walk leaves in its draft a proposal of every context the draws score
-        assert set(memo) <= set(guide)
-        guessed_wrong += sum(guide[c].kept != before[c].kept for c in set(before) & set(memo))
+        seen = visited(pol, p, got, p.max_solution_len)
+        assert seen <= set(guide)
+        guessed_wrong += sum(guide[c].kept != before[c].kept for c in set(before) & seen)
     assert forced > 0
     assert (guessed_wrong > 0) == (draft == "wrong")
 
 
-@pytest.mark.parametrize("kind", ["tabular", "neural"])
-def test_walk_without_a_draft_makes_no_more_forwards_than_one_context_at_a_time(kind):
-    # a problem no earlier step drew from: the walk scores each new context as the sequential draws would
-    pol, problems = arith_policy(kind)
-    calls = counting_forwards(pol)
-    for i, p in enumerate(problems):
-        calls.clear()
-        step_draws(pol, p, np.random.default_rng(i))
-        sequential = len(calls)
-        calls.clear()
-        walk(pol, p, i, {})
-        assert 0 < len(calls) <= sequential, (i, calls, sequential)
-
-
 def test_walk_with_an_exact_draft_makes_one_forward():
     pol, problems = arith_policy("tabular")
-    calls = counting_forwards(pol)
+    calls = recording_forwards(pol)
     for i, p in enumerate(problems):
         _, exact = step_draws(pol, p, np.random.default_rng(i))
         calls.clear()
@@ -296,9 +333,9 @@ def reference_evaluate(policy, problems, vocab, k, cfg, seed, prepend_greedy) ->
     """evaluate one problem at a time: greedy, then k draws from the (seed, index) generator."""
     rows = []
     for i, p in enumerate(problems):
-        rng = np.random.default_rng([seed, i])
-        greedy = solution_from_body(p, trajectory_body(greedy_decode(policy, p, cfg.max_new_tokens)), vocab)
-        sampled = [solution_from_body(p, trajectory_body(_sample_with_rng(policy, p, cfg, rng)), vocab)
+        rng, budget = np.random.default_rng([seed, i]), cfg.max_new_tokens
+        greedy = solution_from_body(p, trajectory_body(reference_decode(policy, p, budget, None, None)), vocab)
+        sampled = [solution_from_body(p, trajectory_body(reference_decode(policy, p, budget, cfg, rng)), vocab)
                    for _ in range(k - 1 if prepend_greedy else k)]
         solutions = [greedy] + sampled if prepend_greedy else sampled
         rows.append(ProblemEval(i, greedy.correct, [s.correct for s in solutions],
