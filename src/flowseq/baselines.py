@@ -30,6 +30,8 @@ from .policy import (
     Policy,
     ValueNet,
     _sample_with_rng,
+    _trajectory,
+    _walk_draws,
     batched_generation_log_vars,
     pad_rows,
     sequence_log_prob_vars,
@@ -122,8 +124,13 @@ def _draw_scored(
     """k draws for one problem sharing one context memo, and the reward of each."""
     memo: Memo = {}
     samples = [_sample_with_rng(policy, problem, decode, rng, memo) for _ in range(k)]
-    return samples, [env.reward(problem, problem.prompt_tokens + trajectory_body(s), dataset.task, dataset.vocab)
-                     for s in samples]
+    return samples, _rewards(dataset, problem, samples)
+
+
+def _rewards(dataset: TrainSet, problem: Problem, samples: list[Trajectory]) -> list[float]:
+    """The environment reward of each draw for problem, called through env so traced runs count every call."""
+    return [env.reward(problem, problem.prompt_tokens + trajectory_body(s), dataset.task, dataset.vocab)
+            for s in samples]
 
 
 def sft_train(
@@ -332,9 +339,12 @@ class PpoItem:
     advantages: np.ndarray
 
 
-def ppo_surrogate_var(policy: Policy, theta: Var, items: list[PpoItem], clip: float) -> Var:
-    """Negative mean clipped surrogate over all generated tokens of the batch."""
-    lp_tok, lp_stop, lengths = batched_generation_log_vars(policy, theta, items_of(items))
+def ppo_surrogate_var(forward: tuple[Var, Var, np.ndarray], items: list[PpoItem], clip: float) -> Var:
+    """Negative mean clipped surrogate over all generated tokens of the batch.
+
+    forward is the items' tape forward, batched_generation_log_vars(policy, theta, items_of(items)).
+    """
+    lp_tok, lp_stop, lengths = forward
     width = lp_stop.value.shape[1]
     # one row per item: its body tokens, then the stop symbol where it terminated
     stops = np.zeros((len(items), width))
@@ -349,9 +359,11 @@ def ppo_surrogate_var(policy: Policy, theta: Var, items: list[PpoItem], clip: fl
     return -(ad.vsum(ad.minimum(unclipped, clipped)) / float(max(count, 1)))
 
 
-def _generated_log_probs(forward: tuple, trajs: list[Trajectory]) -> list[np.ndarray]:
-    """Each trajectory's generated-token log-probabilities, stop symbol included, from an array forward's rows."""
-    return [np.append(tok[:n], stop[n]) if t.terminated else tok[:n] for tok, stop, n, t in zip(*forward, trajs)]
+def _generated_log_probs(lp_tok: np.ndarray, lp_stop: np.ndarray, lengths: np.ndarray,
+                         trajs: list[Trajectory]) -> list[np.ndarray]:
+    """Each trajectory's generated-token log-probabilities, stop symbol included, from a forward's arrays."""
+    return [np.append(tok[:n], stop[n]) if t.terminated else tok[:n]
+            for tok, stop, n, t in zip(lp_tok, lp_stop, lengths, trajs)]
 
 
 def ppo_train(
@@ -365,6 +377,9 @@ def ppo_train(
     Per-token reward is -kl_beta * (log pi - log pi_ref), with the environment
     reward added on the stop symbol. The critic regresses to GAE returns with
     its own optimizer and disjoint parameters; one inner epoch per batch.
+    The seed's generator picks each step's problem. Draw d of step s is a row
+    of one walk over the step's draws, with its own generator seeded
+    (cfg.seed, s, d), so the step's new contexts are scored together.
     """
     cfg = cfg or PpoConfig()
     if not dataset.problems:
@@ -377,13 +392,17 @@ def ppo_train(
 
     for step in range(1, cfg.steps + 1):
         problem = dataset.problems[int(rng.integers(0, len(dataset.problems)))]
-        trajs, env_rewards = _draw_scored(policy, dataset, problem, cfg.decode, cfg.trajs_per_step, rng)
+        draws = [(problem, np.random.default_rng([cfg.seed, step, d])) for d in range(cfg.trajs_per_step)]
+        trajs = [_trajectory(policy, problem, cfg.decode, body) for (body,) in _walk_draws(policy, draws, cfg.decode)]
+        env_rewards = _rewards(dataset, problem, trajs)
 
         # the policy, its frozen reference and the critic each score all of the step's draws in one forward;
-        # the policy's is the surrogate's tape forward on the same items, so every ratio starts at exactly 1
+        # the policy's is the surrogate's own tape forward, so every ratio starts at exactly 1
         step_items = [trajectory_item(t) for t in trajs]
-        old_lps = _generated_log_probs(batched_generation_log_vars(policy, policy.params, step_items), trajs)
-        ref_lps = _generated_log_probs(batched_generation_log_vars(ref_policy, ref_policy.params, step_items), trajs)
+        theta = actor_fit.theta(step_items)
+        forward = batched_generation_log_vars(policy, theta, step_items)
+        old_lps = _generated_log_probs(forward[0].value, forward[1].value, forward[2], trajs)
+        ref_lps = _generated_log_probs(*batched_generation_log_vars(ref_policy, ref_policy.params, step_items), trajs)
         ctx = critic.windows(step_items)
         # a draw's contexts, one before each of its positions, follow those of the draws before it;
         # an unregistered critic context reads 0, the value its new row starts at
@@ -404,10 +423,9 @@ def ppo_train(
             value_rows.append(rows[: old_lp.size])
             value_targets.append(adv + values[:-1])
 
-        theta = actor_fit.theta(items_of(items))
-        actor_loss = actor_fit.step(ppo_surrogate_var(policy, theta, items, cfg.clip), theta)
+        actor_loss = actor_fit.step(ppo_surrogate_var(forward, items, cfg.clip), theta)
 
-        ctheta = critic_fit.theta(items_of(items))
+        ctheta = critic_fit.theta(step_items)
         all_targets = np.concatenate(value_targets)
         resid = critic.values_var(ctheta, np.concatenate(value_rows, axis=0)) - ctheta.tape.const(all_targets)
         critic_fit.step(ad.vsum(ad.square(resid)) / float(all_targets.size), ctheta)

@@ -43,6 +43,7 @@ from flowseq.gflownet import (
     GfnConfig,
     Reference,
     TrainSet,
+    items_of,
     replay_loss_var,
     sft_loss_var,
     terminal_l1_gap,
@@ -250,7 +251,8 @@ def test_criterion_2_balance_loss_correctness():
             for t, old in zip((ta, tb), olds)
         ]
         record("ppo", _max_grad_rel_err(
-            pol, lambda p, th: ppo_surrogate_var(p, th, items, clip=0.2)))
+            pol, lambda p, th: ppo_surrogate_var(
+                batched_generation_log_vars(p, th, items_of(items)), items, clip=0.2)))
 
     detail = ", ".join(f"{k}={v:.1e}" for k, v in worst.items())
     print(f"criterion 2: PASS (zero-residual {flow_loss:.1e}, "

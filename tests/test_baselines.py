@@ -15,7 +15,6 @@ from flowseq.baselines import (
     PreferencePair,
     RftConfig,
     SftConfig,
-    _draw_scored,
     build_preference_pairs,
     dpo_mean_loss_var,
     dpo_train,
@@ -27,12 +26,13 @@ from flowseq.baselines import (
     sft_train,
 )
 from flowseq.core import Problem, TaskKind, Trajectory, make_vocab
-from flowseq.env import RewardMode, TaskConfig, build_vocab, enumerate_terminals, make_problem
+from flowseq.env import RewardMode, TaskConfig, build_vocab, enumerate_terminals, make_problem, reward
 from flowseq.gflownet import Fitter, TrainSet, items_of
 from flowseq.policy import (
     DecodeCfg,
     Policy,
     ValueNet,
+    _sample_with_rng,
     batched_generation_log_vars,
     generation_log_probs,
     sequence_log_prob_vars,
@@ -191,7 +191,7 @@ def test_ppo_surrogate_zero_advantages():
     item = PpoItem(problem.prompt_tokens, body, True, np.full(3, -1.0), np.zeros(3))
     tape = GradTape()
     theta = tape.input(pol.params)
-    assert ppo_surrogate_var(pol, theta, [item], clip=0.2).value == 0.0
+    assert ppo_surrogate_var(batched_generation_log_vars(pol, theta, items_of([item])), [item], clip=0.2).value == 0.0
 
 
 def test_ppo_surrogate_matches_clipped_oracle():
@@ -210,7 +210,7 @@ def test_ppo_surrogate_matches_clipped_oracle():
     item = PpoItem(problem.prompt_tokens, body, True, old, adv)
     tape = GradTape()
     theta = tape.input(pol.params)
-    got = ppo_surrogate_var(pol, theta, [item], clip=0.2).value
+    got = ppo_surrogate_var(batched_generation_log_vars(pol, theta, items_of([item])), [item], clip=0.2).value
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -291,23 +291,27 @@ def dpo_mean_loss_oracle(policy, theta, ref_policy, pairs, beta):
     return ad.vsum(ad.softplus(-(margin * beta))) / float(n)
 
 
-def ppo_train_oracle(policy: Policy, critic: ValueNet, dataset: TrainSet, cfg: PpoConfig) -> None:
-    """ppo_train's update loop one trajectory at a time: a forward each for its old and reference
-    log-probabilities, and one critic.windows / critic.values pair for its values."""
+def ppo_train_oracle(policy: Policy, critic: ValueNet, dataset: TrainSet, cfg: PpoConfig) -> list[Trajectory]:
+    """ppo_train's update loop one trajectory at a time: each draw alone from its own (seed, step, index)
+    generator, a forward each for its old and reference log-probabilities, and one critic.windows /
+    critic.values pair for its values. Returns every draw, in order."""
     ref_policy = policy.clone()
     rng = np.random.default_rng(cfg.seed)
     actor_fit = Fitter(policy, cfg.actor_lr)
     critic_fit = Fitter(critic, cfg.critic_lr)
-    for _ in range(cfg.steps):
+    drawn = []
+    for step in range(1, cfg.steps + 1):
         problem = dataset.problems[int(rng.integers(0, len(dataset.problems)))]
-        trajs, env_rewards = _draw_scored(policy, dataset, problem, cfg.decode, cfg.trajs_per_step, rng)
+        trajs = [_sample_with_rng(policy, problem, cfg.decode, np.random.default_rng([cfg.seed, step, d]))
+                 for d in range(cfg.trajs_per_step)]
+        drawn += trajs
         items, value_rows, value_targets = [], [], []
-        for traj, env_r in zip(trajs, env_rewards):
+        for traj in trajs:
             prompt, body = trajectory_item(traj)
             old_lp = logprob_oracle(policy, traj)
             token_rewards = -cfg.kl_beta * (old_lp - logprob_oracle(ref_policy, traj))
             if traj.terminated:
-                token_rewards[-1] += env_r
+                token_rewards[-1] += reward(problem, prompt + body, dataset.task, dataset.vocab)
             ctx = critic.windows([(prompt, body)])
             states = critic.values(ctx)
             values = np.concatenate([states, [0.0]]) if traj.terminated else states
@@ -316,11 +320,24 @@ def ppo_train_oracle(policy: Policy, critic: ValueNet, dataset: TrainSet, cfg: P
             value_rows.append(ctx if traj.terminated else ctx[: old_lp.size])
             value_targets.append(adv + values[:-1])
         theta = actor_fit.theta(items_of(items))
-        actor_fit.step(ppo_surrogate_var(policy, theta, items, cfg.clip), theta)
+        actor_fit.step(ppo_surrogate_var(batched_generation_log_vars(policy, theta, items_of(items)), items, cfg.clip),
+                       theta)
         ctheta = critic_fit.theta(items_of(items))
         all_targets = np.concatenate(value_targets)
         resid = critic.values_var(ctheta, np.concatenate(value_rows, axis=0)) - ctheta.tape.const(all_targets)
         critic_fit.step(ad.vsum(ad.square(resid)) / float(all_targets.size), ctheta)
+    return drawn
+
+
+def recorded_draws(monkeypatch) -> list[Trajectory]:
+    """Every draw ppo_train makes, in order, recorded where baselines builds it."""
+    drawn, trajectory = [], baselines._trajectory
+
+    def recorded(*args):
+        drawn.append(trajectory(*args))
+        return drawn[-1]
+    monkeypatch.setattr(baselines, "_trajectory", recorded)
+    return drawn
 
 
 def mixed_pairs(problem: Problem, stop: int, rng: np.random.Generator, n: int = 6) -> list[PreferencePair]:
@@ -368,24 +385,73 @@ def test_dpo_reference_margins_match_the_per_pair_oracle_on_a_neural_policy():
     assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
 
 
-def test_ppo_with_a_batched_reference_ends_where_the_per_trajectory_loop_does():
-    cfg = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 3), max_parts=2,
-                     max_part=2, reward_mode=RewardMode.TERMINAL)
-    vocab = build_vocab(cfg)
-    ds = TrainSet.build([make_problem(cfg, seed=s) for s in (1, 2)], cfg, vocab)
-    start = Policy.tabular(vocab, window=3)
+def ppo_oracle_case(neural: bool):
+    """A start policy, a dataset and PPO settings whose short budget leaves some draws unterminated."""
+    if neural:
+        cfg = TaskConfig(task_kind=TaskKind.ARITH, value_range=(2, 12), max_parts=2)
+        vocab = build_vocab(cfg)
+        ds = TrainSet.build([make_problem(cfg, seed=s) for s in range(4)], cfg, vocab)
+        start = Policy.neural(vocab, window=10, embed_dim=16, hidden_dim=64, seed=0)
+        decode = DecodeCfg(temperature=1.0, top_p=1.0, max_new_tokens=6)
+    else:
+        cfg = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 3), max_parts=2,
+                         max_part=2, reward_mode=RewardMode.TERMINAL)
+        vocab = build_vocab(cfg)
+        ds = TrainSet.build([make_problem(cfg, seed=s) for s in (1, 2)], cfg, vocab)
+        start = Policy.tabular(vocab, window=3)
+        decode = DecodeCfg(temperature=1.0, top_p=1.0, max_new_tokens=2)
     sft_train(start, ds, cfg=SftConfig(epochs=5, lr=0.05))
-    # a two-token budget leaves some draws unterminated
-    pcfg = PpoConfig(steps=6, trajs_per_step=8, actor_lr=0.05, critic_lr=0.1, kl_beta=0.5,
-                     decode=DecodeCfg(temperature=1.0, top_p=1.0, max_new_tokens=2), seed=3)
+    pcfg = PpoConfig(steps=6, trajs_per_step=8, actor_lr=0.05, critic_lr=0.1, kl_beta=0.5, decode=decode, seed=3)
+    return start, ds, pcfg
+
+
+def test_ppo_with_a_batched_reference_ends_where_the_per_trajectory_loop_does(monkeypatch):
+    start, ds, pcfg = ppo_oracle_case(neural=False)
     pol, critic = start.clone(), ValueNet.for_policy(start)
     want_pol, want_critic = start.clone(), ValueNet.for_policy(start)
+    got_draws = recorded_draws(monkeypatch)
     ppo_train(pol, critic, ds, pcfg)
-    ppo_train_oracle(want_pol, want_critic, ds, pcfg)
+    want_draws = ppo_train_oracle(want_pol, want_critic, ds, pcfg)
+    assert got_draws == want_draws
+    assert {t.terminated for t in got_draws} == {True, False}
     assert pol.contexts == want_pol.contexts and critic.contexts == want_critic.contexts
     assert pol.params.tobytes() == want_pol.params.tobytes()
     assert critic.params.tobytes() == want_critic.params.tobytes()
     assert not np.array_equal(pol.params, start.params)
+
+
+def test_ppo_draws_the_per_draw_oracle_tokens_on_a_neural_policy(monkeypatch):
+    # a one-row forward may differ from a batched one in the last bit (ROADMAP item 15), so the
+    # parameters are compared to a tolerance; every draw's tokens must still be the oracle's
+    start, ds, pcfg = ppo_oracle_case(neural=True)
+    pol, want_pol = start.clone(), start.clone()
+    got_draws = recorded_draws(monkeypatch)
+    ppo_train(pol, ValueNet.for_policy(start), ds, pcfg)
+    want_draws = ppo_train_oracle(want_pol, ValueNet.for_policy(start), ds, pcfg)
+    assert [t.tokens for t in got_draws] == [t.tokens for t in want_draws]
+    assert {t.terminated for t in got_draws} == {True, False}
+    np.testing.assert_allclose(pol.params, want_pol.params, rtol=0.0, atol=1e-9)
+    assert not np.array_equal(pol.params, start.params)
+
+
+def test_a_ppo_step_draws_its_samples_as_the_rows_of_one_walk(monkeypatch):
+    walks = []
+    walk = baselines._walk_draws
+
+    def counted_walk(policy, rows, cfg, *args, **kwargs):
+        walks.append((len(rows), len({id(rng) for _, rng in rows}), args, kwargs))
+        return walk(policy, rows, cfg, *args, **kwargs)
+
+    def no_sample(*args, **kwargs):
+        raise AssertionError("a PPO step drew through _sample_with_rng")
+    monkeypatch.setattr(baselines, "_walk_draws", counted_walk)
+    monkeypatch.setattr(baselines, "_sample_with_rng", no_sample)
+    cfg, vocab, problem = tiny_setup()
+    ds = TrainSet.build([problem, make_problem(cfg, seed=2)], cfg, vocab)
+    pol = Policy.tabular(vocab, window=5)
+    ppo_train(pol, ValueNet.for_policy(pol), ds, PpoConfig(steps=4, trajs_per_step=5))
+    # one draw per row, each row with a generator of its own
+    assert walks == [(5, 5, (), {})] * 4
 
 
 def test_a_ppo_step_scores_its_draws_once_per_model_and_a_dpo_minibatch_its_reference_once(monkeypatch):
@@ -405,8 +471,9 @@ def test_a_ppo_step_scores_its_draws_once_per_model_and_a_dpo_minibatch_its_refe
     values = critic.values
     critic.values = lambda ctx: critic_calls.append(len(ctx)) or values(ctx)
     ppo_train(pol.clone(), critic, ds, PpoConfig(steps=3, trajs_per_step=4))
-    # per step: the policy's old log-probabilities and the reference's, each over the step's 4 draws
-    assert array_calls == [4] * 6
+    # per step: the reference's log-probabilities over the step's 4 draws; the policy's old ones
+    # are read off the surrogate's tape forward
+    assert array_calls == [4] * 3
     assert len(critic_calls) == 3
     array_calls.clear()
     report = dpo_train(pol.clone(), pol, ds, DpoConfig(samples_per_problem=8, epochs=2, batch_size=2,
@@ -425,9 +492,10 @@ def test_ppo_old_log_probs_equal_the_surrogate_forward_bit_for_bit_on_a_neural_p
             tape_forwards.append((out[0].value, out[1].value, out[2]))
         return out
 
-    def recorded_surrogate(policy, theta, items, clip):
+    def recorded_surrogate(forward, items, clip):
+        assert forward[2] is tape_forwards[-1][2]
         surrogate_items.append(items)
-        return surrogate(policy, theta, items, clip)
+        return surrogate(forward, items, clip)
     monkeypatch.setattr(baselines, "batched_generation_log_vars", recorded_forward)
     monkeypatch.setattr(baselines, "ppo_surrogate_var", recorded_surrogate)
     cfg = TaskConfig(task_kind=TaskKind.ARITH, value_range=(2, 12), max_parts=2)

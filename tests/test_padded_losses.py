@@ -15,7 +15,7 @@ from flowseq import autodiff as ad
 from flowseq.baselines import PpoItem, PreferencePair, dpo_mean_loss_var, ppo_surrogate_var
 from flowseq.core import TaskKind, Trajectory
 from flowseq.env import TaskConfig, build_vocab, make_problem
-from flowseq.gflownet import BufferEntry, GfnConfig, Reference, replay_loss_var, sft_loss_var
+from flowseq.gflownet import BufferEntry, GfnConfig, Reference, items_of, replay_loss_var, sft_loss_var
 from flowseq.policy import Policy, batched_generation_log_vars
 
 MAX_LEN = 5
@@ -203,10 +203,11 @@ def test_ppo_surrogate_equals_b1_oracle(kind):
     count = float(sum(it.old_logprobs.size for it in items))
 
     def batched(p, th):
-        return ppo_surrogate_var(p, th, items, clip=0.2)
+        return ppo_surrogate_var(batched_generation_log_vars(p, th, items_of(items)), items, clip=0.2)
 
     def oracle(p, th):
-        return sum_vars([ppo_surrogate_var(p, th, [it], clip=0.2) * float(it.old_logprobs.size)
+        return sum_vars([ppo_surrogate_var(batched_generation_log_vars(p, th, items_of([it])), [it], clip=0.2)
+                         * float(it.old_logprobs.size)
                          for it in items]) / count
 
     assert_matches(pol, batched, oracle)
