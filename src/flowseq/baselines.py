@@ -23,17 +23,17 @@ from .autodiff import Var
 # not called here (Fitter calls gflownet's): perfbench/layers.py wraps the name where baselines binds it
 from .autodiff import adam_step  # noqa: F401
 from .core import Problem, SettingError, Trajectory, check_fields
-from .gflownet import Fitter, Reference, TrainReport, TrainSet, check_learning_rate, items_of, sft_loss_var
+from .gflownet import Fitter, TrainReport, TrainSet, check_learning_rate, sft_loss_var
 from .policy import (
     DecodeCfg,
     Memo,
     Policy,
     ValueNet,
+    _budget,
+    _padded_layout,
     _sample_with_rng,
-    _trajectory,
     _walk_draws,
     batched_generation_log_vars,
-    pad_rows,
     sequence_log_prob_vars,
     trajectory_body,
     trajectory_item,
@@ -124,13 +124,12 @@ def _draw_scored(
     """k draws for one problem sharing one context memo, and the reward of each."""
     memo: Memo = {}
     samples = [_sample_with_rng(policy, problem, decode, rng, memo) for _ in range(k)]
-    return samples, _rewards(dataset, problem, samples)
+    return samples, _rewards(dataset, problem, [trajectory_body(s) for s in samples])
 
 
-def _rewards(dataset: TrainSet, problem: Problem, samples: list[Trajectory]) -> list[float]:
-    """The environment reward of each draw for problem, called through env so traced runs count every call."""
-    return [env.reward(problem, problem.prompt_tokens + trajectory_body(s), dataset.task, dataset.vocab)
-            for s in samples]
+def _rewards(dataset: TrainSet, problem: Problem, bodies: list[tuple[int, ...]]) -> list[float]:
+    """The environment reward of each body drawn for problem, called through env so traced runs count every call."""
+    return [env.reward(problem, problem.prompt_tokens + body, dataset.task, dataset.vocab) for body in bodies]
 
 
 def sft_train(
@@ -149,7 +148,7 @@ def sft_train(
     refs = dataset.all_references()
     if not refs:
         raise EmptyDataset("no reference solutions to fit")
-    return _fit(policy, refs, items_of, sft_loss_var, cfg, np.random.default_rng(cfg.seed),
+    return _fit(policy, refs, list, sft_loss_var, cfg, np.random.default_rng(cfg.seed),
                 TrainReport(loss_column="mean_sft_loss"))
 
 
@@ -186,12 +185,12 @@ def rft_train(
     if not dataset.problems:
         raise EmptyDataset("no problems to sample from")
     rng = np.random.default_rng(cfg.seed)
-    kept: list[Reference] = []
+    kept = []
     for problem in dataset.problems:
         samples, rewards = _draw_scored(policy, dataset, problem, cfg.decode, cfg.k, rng)
-        kept.append(Reference(*trajectory_item(rft_select(samples, rewards))))
+        kept.append(trajectory_item(rft_select(samples, rewards)))
     # the fit shuffles with a fresh generator of the same seed
-    return _fit(policy, kept, items_of, sft_loss_var, cfg, np.random.default_rng(cfg.seed),
+    return _fit(policy, kept, list, sft_loss_var, cfg, np.random.default_rng(cfg.seed),
                 TrainReport(loss_column="mean_rft_loss"))
 
 
@@ -283,22 +282,27 @@ def gae_advantages(
     values: np.ndarray | list[float],
     gamma: float,
     lam: float,
+    lengths: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Generalized advantage estimation.
+    """Generalized advantage estimation along the last axis.
 
     delta_t = r_t + gamma * v_{t+1} - v_t, A_t = sum_l (gamma*lam)^l delta_{t+l};
-    values carries one bootstrap entry beyond the rewards.
+    values carries one bootstrap entry beyond the rewards. On a (B, T) batch,
+    row b has lengths[b] rewards, values[b, lengths[b]] is its bootstrap, and its
+    advantages past them are 0, so each row equals its own 1-D call.
     """
     rewards = np.asarray(rewards, dtype=np.float64)
     values = np.asarray(values, dtype=np.float64)
-    if values.size != rewards.size + 1:
-        raise LengthMismatch(f"{values.size} values for {rewards.size} rewards")
-    deltas = rewards + gamma * values[1:] - values[:-1]
+    if values.shape[-1] != rewards.shape[-1] + 1:
+        raise LengthMismatch(f"{values.shape[-1]} values for {rewards.shape[-1]} rewards")
+    deltas = rewards + gamma * values[..., 1:] - values[..., :-1]
+    if lengths is not None:
+        deltas = np.where(np.arange(deltas.shape[-1]) < lengths[:, None], deltas, 0.0)
     out = np.empty_like(deltas)
-    acc = 0.0
-    for t in range(deltas.size - 1, -1, -1):
-        acc = deltas[t] + gamma * lam * acc
-        out[t] = acc
+    acc = np.zeros(deltas.shape[:-1])
+    for t in range(deltas.shape[-1] - 1, -1, -1):
+        acc = deltas[..., t] + gamma * lam * acc
+        out[..., t] = acc
     return out
 
 
@@ -328,42 +332,31 @@ class PpoConfig:
         check_learning_rate(self.critic_lr, "critic learning rate", "critic_lr")
 
 
-@dataclass(frozen=True)
-class PpoItem:
-    """One trajectory prepared for the surrogate: constants only, besides theta."""
+def _generated(lp_tok: Var | np.ndarray, lp_stop: Var | np.ndarray, lengths: np.ndarray,
+               stopped: np.ndarray) -> Var | np.ndarray:
+    """(B, L+1) log-probabilities of each row's generated tokens: its body's, then its stop symbol's where it stopped.
 
-    prompt_tokens: tuple[int, ...]
-    body: tuple[int, ...]
-    terminated: bool
-    old_logprobs: np.ndarray
-    advantages: np.ndarray
+    Reads a forward's variables or its arrays; the slots past a row's generated tokens are 0 or -0.0.
+    """
+    width = int(lengths.max()) + 1
+    stops = np.zeros((lengths.size, width))
+    stops[np.arange(lengths.size), lengths] = stopped
+    return lp_tok @ np.eye(width - 1, width) + lp_stop * stops
 
 
-def ppo_surrogate_var(forward: tuple[Var, Var, np.ndarray], items: list[PpoItem], clip: float) -> Var:
+def ppo_surrogate_var(forward: tuple[Var, Var, np.ndarray], stopped: np.ndarray, old: np.ndarray, adv: np.ndarray,
+                      clip: float) -> Var:
     """Negative mean clipped surrogate over all generated tokens of the batch.
 
-    forward is the items' tape forward, batched_generation_log_vars(policy, theta, items_of(items)).
+    forward is the batch's tape forward, batched_generation_log_vars(policy, theta, items), and stopped (B,) marks
+    the rows that drew the stop symbol. old and adv are (B, L+1) on the forward's layout, zero past each row's
+    generated tokens.
     """
-    lp_tok, lp_stop, lengths = forward
-    width = lp_stop.value.shape[1]
-    # one row per item: its body tokens, then the stop symbol where it terminated
-    stops = np.zeros((len(items), width))
-    stops[np.arange(len(items)), lengths] = [it.terminated for it in items]
-    lp = lp_tok @ np.eye(width - 1, width) + lp_stop * stops
-    adv = pad_rows([it.advantages for it in items], width)
     # padded slots have ratio exp(0) = 1 and advantage 0, so they add nothing
-    ratio = ad.exp(lp - pad_rows([it.old_logprobs for it in items], width))
+    ratio = ad.exp(_generated(*forward, stopped) - old)
     unclipped = ratio * adv
     clipped = ad.clamp(ratio, 1.0 - clip, 1.0 + clip) * adv
-    count = sum(it.old_logprobs.size for it in items)
-    return -(ad.vsum(ad.minimum(unclipped, clipped)) / float(max(count, 1)))
-
-
-def _generated_log_probs(lp_tok: np.ndarray, lp_stop: np.ndarray, lengths: np.ndarray,
-                         trajs: list[Trajectory]) -> list[np.ndarray]:
-    """Each trajectory's generated-token log-probabilities, stop symbol included, from a forward's arrays."""
-    return [np.append(tok[:n], stop[n]) if t.terminated else tok[:n]
-            for tok, stop, n, t in zip(lp_tok, lp_stop, lengths, trajs)]
+    return -(ad.vsum(ad.minimum(unclipped, clipped)) / float(max(forward[2].sum() + stopped.sum(), 1)))
 
 
 def ppo_train(
@@ -393,42 +386,36 @@ def ppo_train(
     for step in range(1, cfg.steps + 1):
         problem = dataset.problems[int(rng.integers(0, len(dataset.problems)))]
         draws = [(problem, np.random.default_rng([cfg.seed, step, d])) for d in range(cfg.trajs_per_step)]
-        trajs = [_trajectory(policy, problem, cfg.decode, body) for (body,) in _walk_draws(policy, draws, cfg.decode)]
-        env_rewards = _rewards(dataset, problem, trajs)
+        items = [(problem.prompt_tokens, body) for (body,) in _walk_draws(policy, draws, cfg.decode)]
+        env_rewards = np.asarray(_rewards(dataset, problem, [body for _, body in items]))
 
         # the policy, its frozen reference and the critic each score all of the step's draws in one forward;
-        # the policy's is the surrogate's own tape forward, so every ratio starts at exactly 1
-        step_items = [trajectory_item(t) for t in trajs]
-        theta = actor_fit.theta(step_items)
-        forward = batched_generation_log_vars(policy, theta, step_items)
-        old_lps = _generated_log_probs(forward[0].value, forward[1].value, forward[2], trajs)
-        ref_lps = _generated_log_probs(*batched_generation_log_vars(ref_policy, ref_policy.params, step_items), trajs)
-        ctx = critic.windows(step_items)
-        # a draw's contexts, one before each of its positions, follow those of the draws before it;
-        # an unregistered critic context reads 0, the value its new row starts at
-        cuts = np.cumsum([len(body) + 1 for _, body in step_items])[:-1]
-        items: list[PpoItem] = []
-        value_rows: list[np.ndarray] = []
-        value_targets: list[np.ndarray] = []
-        for traj, env_r, (prompt, body), old_lp, ref_lp, rows, states in zip(
-                trajs, env_rewards, step_items, old_lps, ref_lps,
-                np.split(ctx, cuts), np.split(critic.values(ctx), cuts)):
-            token_rewards = -cfg.kl_beta * (old_lp - ref_lp)
-            if traj.terminated:
-                token_rewards[-1] += env_r
-            # truncated rollouts bootstrap from the critic, finished ones see zero beyond stop
-            values = np.concatenate([states, [0.0]]) if traj.terminated else states
-            adv = gae_advantages(token_rewards, values, cfg.gamma, cfg.gae_lambda)
-            items.append(PpoItem(prompt, body, traj.terminated, old_lp, adv))
-            value_rows.append(rows[: old_lp.size])
-            value_targets.append(adv + values[:-1])
+        # the policy's is the surrogate's own tape forward, so every ratio starts at exactly 1.
+        # Each per-token array is (B, L+1) on the forward's layout, zero past a row's generated tokens.
+        lengths, row, _ = _padded_layout(tuple(len(body) for _, body in items))
+        stopped = lengths < _budget(problem, cfg.decode)
+        n_gen = lengths + stopped  # generated tokens per row, the stop symbol included
+        t = np.arange(row.shape[1] + 1)
+        generated = t[:-1] < n_gen[:, None]
+        theta = actor_fit.theta(items)
+        forward = batched_generation_log_vars(policy, theta, items)
+        old = np.where(generated, _generated(forward[0].value, forward[1].value, lengths, stopped), 0.0)
+        ref = _generated(*batched_generation_log_vars(ref_policy, ref_policy.params, items), stopped)
+        token_rewards = -cfg.kl_beta * (old - ref)
+        token_rewards[stopped, lengths[stopped]] += env_rewards[stopped]
+        # an unregistered critic context reads 0, the value its new row starts at; a truncated rollout
+        # bootstraps from the critic at its cut, a finished one sees zero beyond stop
+        ctx = critic.windows(items)
+        values = np.where(t <= lengths[:, None], np.pad(critic.values(ctx)[row], ((0, 0), (0, 1))), 0.0)
+        adv = gae_advantages(token_rewards, values, cfg.gamma, cfg.gae_lambda, n_gen)
 
-        actor_loss = actor_fit.step(ppo_surrogate_var(forward, items, cfg.clip), theta)
+        actor_loss = actor_fit.step(ppo_surrogate_var(forward, stopped, old, adv, cfg.clip), theta)
 
-        ctheta = critic_fit.theta(step_items)
-        all_targets = np.concatenate(value_targets)
-        resid = critic.values_var(ctheta, np.concatenate(value_rows, axis=0)) - ctheta.tape.const(all_targets)
-        critic_fit.step(ad.vsum(ad.square(resid)) / float(all_targets.size), ctheta)
+        # the critic's rows and targets in draw-then-position order
+        ctheta = critic_fit.theta(items)
+        targets = (adv + values[:, :-1])[generated]
+        resid = critic.values_var(ctheta, ctx[row[generated]]) - ctheta.tape.const(targets)
+        critic_fit.step(ad.vsum(ad.square(resid)) / float(targets.size), ctheta)
 
         report.add(step, actor_loss, reward_mean=float(np.mean(env_rewards)))
     return report

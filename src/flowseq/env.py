@@ -70,7 +70,8 @@ class TaskConfig:
     Attributes:
         task_kind: SUMPATH or ARITH.
         value_range: inclusive bounds for targets and operands.
-        max_parts: maximum addend count (SUMPATH) or derivation lines (ARITH).
+        max_parts: maximum addend count of SUMPATH solutions. ARITH does not
+            read it: its problems take 2-3 operands whatever it is set to.
         max_part: largest addend value allowed in SUMPATH solutions.
         reward_floor: strictly positive reward paid to every terminal.
         reward_mode: TERMINAL scores the final answer only; SHAPED also scales

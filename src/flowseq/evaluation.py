@@ -56,10 +56,11 @@ def rouge_l(a, b) -> float:
 def distinct_correct_count(solutions: list[Solution], threshold: float = DISTINCT_THRESHOLD) -> int:
     """Correct solutions kept greedily in order; a newcomer must differ from every kept one.
 
-    A correct solution whose non-empty steps repeat an earlier correct one's
-    is skipped without comparing: it scores 1.0 against that one, and as much
-    as it does against every kept solution, so at any threshold up to 1.0 it
-    is dropped whether or not that one was kept.
+    A correct solution whose steps repeat an earlier correct one's is skipped
+    without comparing at any threshold up to 1.0, whether or not that one was
+    kept. Non-empty steps score 1.0 against their repeat and as much as it does
+    against every kept solution; empty steps (a bare answer) score 0 against
+    everything, but a second bare answer is the same solution again.
     """
     kept: list[tuple[int, ...]] = []
     seen: set[tuple[int, ...]] = set()
@@ -67,7 +68,7 @@ def distinct_correct_count(solutions: list[Solution], threshold: float = DISTINC
         steps = sol.step_tokens
         if not sol.correct or steps in seen:
             continue
-        if steps and threshold <= 1.0:
+        if threshold <= 1.0:
             seen.add(steps)
         if all(rouge_l(steps, other) < threshold for other in kept):
             kept.append(steps)

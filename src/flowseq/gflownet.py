@@ -39,6 +39,7 @@ from .core import RULES, Problem, SettingError, Trajectory, Vocab, check_fields
 from .env import TaskConfig, enumerate_solutions, enumerate_terminals, left_sum, reward
 from .policy import (
     DecodeCfg,
+    Item,
     Memo,
     Policy,
     TerminalDistribution,
@@ -57,14 +58,6 @@ class NonPositiveReward(ValueError):
 
 class NonFiniteLoss(FloatingPointError):
     """A training loss or its gradient is not finite; the update step moved no parameter."""
-
-
-@dataclass(frozen=True)
-class Reference:
-    """A reference solution: prompt tokens plus the generated body (no stop symbol)."""
-
-    prompt_tokens: tuple[int, ...]
-    body: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -121,8 +114,8 @@ def subtb_sum_var(lp_tok: Var, lp_stop: Var, lengths: np.ndarray, log_rewards: l
     return ad.vsum(ad.square(d @ pairs) * weights[lengths])
 
 
-def items_of(entries: list) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(prompt_tokens, body) of each entry (a Reference, BufferEntry or PpoItem), in order."""
+def items_of(entries: list[BufferEntry]) -> list[Item]:
+    """(prompt_tokens, body) of each replayed entry, in order."""
     return [(e.prompt_tokens, e.body) for e in entries]
 
 
@@ -132,9 +125,9 @@ def sft_from_vars(lp_tok: Var, lp_stop: Var, lengths: np.ndarray) -> Var:
     return -(seq / float(lengths.sum() + lengths.size))
 
 
-def sft_loss_var(policy: Policy, theta: Var, refs: list[Reference]) -> Var:
-    """Mean per-token negative log-likelihood of reference bodies, stop symbol included."""
-    return sft_from_vars(*batched_generation_log_vars(policy, theta, items_of(refs)))
+def sft_loss_var(policy: Policy, theta: Var, refs: list[Item]) -> Var:
+    """Mean per-token negative log-likelihood of (prompt_tokens, body) references, stop symbol included."""
+    return sft_from_vars(*batched_generation_log_vars(policy, theta, refs))
 
 
 def check_learning_rate(lr: float, name: str = "learning rate", field: str = "lr") -> None:
@@ -150,7 +143,7 @@ class Fitter:
         self.model = model
         self.adam = AdamState.init(model.params.size, lr)
 
-    def theta(self, items: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> Var:
+    def theta(self, items: list[Item]) -> Var:
         """Register the (prompt_tokens, body) items' contexts, grow the Adam state, open a tape on the parameters."""
         self.model.register(items)
         self.adam = self.adam.resized(self.model.params.size)
@@ -281,22 +274,20 @@ class TrainSet:
         refs = [enumerate_solutions(p, task, vocab)[: max_refs or None] for p in problems]
         return cls(problems=problems, references=refs, task=task, vocab=vocab)
 
-    def all_references(self) -> list[Reference]:
-        out = []
-        for p, bodies in zip(self.problems, self.references):
-            out.extend(Reference(p.prompt_tokens, b) for b in bodies)
-        return out
+    def all_references(self) -> list[Item]:
+        """Every reference solution as a (prompt_tokens, body) item, problem by problem."""
+        return [(p.prompt_tokens, b) for p, bodies in zip(self.problems, self.references) for b in bodies]
 
 
 def replay_loss_var(
-    policy: Policy, theta: Var, batch: list[BufferEntry], refs: list[Reference], cfg: GfnConfig
+    policy: Policy, theta: Var, batch: list[BufferEntry], refs: list[Item], cfg: GfnConfig
 ) -> tuple[Var, Var, Var | None]:
     """(total, mean subtb, sft term or None) of one replayed batch, from one forward pass.
 
     total = mean subtb + horizon_coeff * mean stop NLL of the at-horizon
     bodies + sft_coeff * reference NLL.
     """
-    lp_tok, lp_stop, lengths = batched_generation_log_vars(policy, theta, items_of(batch + refs))
+    lp_tok, lp_stop, lengths = batched_generation_log_vars(policy, theta, items_of(batch) + refs)
     nb = len(batch)
     if refs:
         # the reference rows follow the replayed ones
@@ -376,12 +367,9 @@ def train_gflownet(
             rewards_step.append(float(np.exp(log_rewards[-1])))
 
         batch = [buf[int(i)] for i in rng.integers(0, len(buf), size=cfg.batch_size)]
-        ref_batch: list[Reference] = []
-        if use_sft:
-            ridx = rng.integers(0, len(refs_all), size=cfg.batch_size)
-            ref_batch = [refs_all[int(i)] for i in ridx]
+        ref_batch = [refs_all[int(i)] for i in rng.integers(0, len(refs_all), size=cfg.batch_size)] if use_sft else []
 
-        theta = fit.theta(items_of(batch + ref_batch))
+        theta = fit.theta(items_of(batch) + ref_batch)
         total, mean_subtb, sft_term = replay_loss_var(policy, theta, batch, ref_batch, cfg)
         fit.step(total, theta)
 

@@ -36,6 +36,8 @@ from .env import left_sum, level_rows, terminal_levels
 MAGIC = b"FSEQPOL1"
 # contexts per batch_log_probs call in terminal_distribution, which bounds its temporaries
 SCORE_ROWS = 4096
+# one sequence as the forward takes it: (prompt_tokens, body), the body without its stop symbol
+Item = tuple[tuple[int, ...], tuple[int, ...]]
 
 
 class CheckpointMismatch(ValueError):
@@ -151,7 +153,7 @@ class Policy:
         tail = tuple(prefix[-self.window:]) if self.window <= len(prefix) else tuple(prefix)
         return (self.pad_id,) * (self.window - len(tail)) + tail
 
-    def windows(self, items: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> np.ndarray:
+    def windows(self, items: list[Item]) -> np.ndarray:
         """Contexts before positions 0..len(body) of each (prompt_tokens, body) item, in item order.
 
         One gather over the items' PAD-prefixed sequences laid end to end: the
@@ -180,7 +182,7 @@ class Policy:
         """Register one trajectory's contexts; kept as the name perfbench/layers.py wraps."""
         self.register([(prompt_tokens, gen_body)])
 
-    def register(self, items: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> None:
+    def register(self, items: list[Item]) -> None:
         """Register the contexts of every (prompt_tokens, body) item in item order; a no-op when neural."""
         if self.kind is PolicyKind.TABULAR:
             self._rows(self.windows(items), grow=True)
@@ -230,7 +232,7 @@ def generation_log_probs(
 
 
 def batched_generation_log_vars(
-    policy: Policy, theta: Var | np.ndarray, items: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    policy: Policy, theta: Var | np.ndarray, items: list[Item]
 ) -> tuple[Var | np.ndarray, Var | np.ndarray, np.ndarray]:
     """The forward pass: one rows_var over every (prompt_tokens, gen_body) item.
 
@@ -292,7 +294,7 @@ def trajectory_body(traj: Trajectory) -> tuple[int, ...]:
     return gen
 
 
-def trajectory_item(traj: Trajectory) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def trajectory_item(traj: Trajectory) -> Item:
     """(prompt_tokens, body) of a trajectory: one item for Policy.register and the batched forward."""
     return traj.tokens[: traj.prompt_len], trajectory_body(traj)
 

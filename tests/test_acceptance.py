@@ -22,7 +22,6 @@ from flowseq.autodiff import GradTape
 from flowseq.baselines import (
     DpoConfig,
     PpoConfig,
-    PpoItem,
     PreferencePair,
     RftConfig,
     SftConfig,
@@ -41,9 +40,7 @@ from flowseq.evaluation import evaluate
 from flowseq.gflownet import (
     BufferEntry,
     GfnConfig,
-    Reference,
     TrainSet,
-    items_of,
     replay_loss_var,
     sft_loss_var,
     terminal_l1_gap,
@@ -56,6 +53,7 @@ from flowseq.policy import (
     _sample_with_rng,
     batched_generation_log_vars,
     generation_log_probs,
+    pad_rows,
     sequence_log_prob_vars,
     terminal_distribution,
     trajectory_body,
@@ -232,7 +230,7 @@ def test_criterion_2_balance_loss_correctness():
 
         record("tb", _max_grad_rel_err(pol, trajectory_balance))
 
-        refs = [Reference(problem.prompt_tokens, trajectory_body(t)) for t in (ta, tb)]
+        refs = [trajectory_item(t) for t in (ta, tb)]
         record("sft", _max_grad_rel_err(
             pol, lambda p, th: sft_loss_var(p, th, refs)))
 
@@ -245,14 +243,15 @@ def test_criterion_2_balance_loss_correctness():
             pol, lambda p, th: dpo_mean_loss_var(p, th, ref_pol, [pair], beta)))
 
         olds = [_sampler_log_probs(pol, problem, t) for t in (ta, tb)]
-        items = [
-            PpoItem(problem.prompt_tokens, trajectory_body(t), t.terminated, old,
-                    rng.normal(0.0, 1.0, size=old.size))
-            for t, old in zip((ta, tb), olds)
-        ]
-        record("ppo", _max_grad_rel_err(
-            pol, lambda p, th: ppo_surrogate_var(
-                batched_generation_log_vars(p, th, items_of(items)), items, clip=0.2)))
+        advs = [rng.normal(0.0, 1.0, size=old.size) for old in olds]
+
+        def ppo_surrogate(p, th):
+            forward = batched_generation_log_vars(p, th, [trajectory_item(t) for t in (ta, tb)])
+            width = forward[1].value.shape[1]
+            stopped = np.array([t.terminated for t in (ta, tb)])
+            return ppo_surrogate_var(forward, stopped, pad_rows(olds, width), pad_rows(advs, width), clip=0.2)
+
+        record("ppo", _max_grad_rel_err(pol, ppo_surrogate))
 
     detail = ", ".join(f"{k}={v:.1e}" for k, v in worst.items())
     print(f"criterion 2: PASS (zero-residual {flow_loss:.1e}, "

@@ -11,7 +11,6 @@ from flowseq.baselines import (
     EmptyDataset,
     LengthMismatch,
     PpoConfig,
-    PpoItem,
     PreferencePair,
     RftConfig,
     SftConfig,
@@ -27,14 +26,16 @@ from flowseq.baselines import (
 )
 from flowseq.core import Problem, TaskKind, Trajectory, make_vocab
 from flowseq.env import RewardMode, TaskConfig, build_vocab, enumerate_terminals, make_problem, reward
-from flowseq.gflownet import Fitter, TrainSet, items_of
+from flowseq.gflownet import Fitter, TrainSet
 from flowseq.policy import (
     DecodeCfg,
     Policy,
     ValueNet,
     _sample_with_rng,
+    _trajectory,
     batched_generation_log_vars,
     generation_log_probs,
+    pad_rows,
     sequence_log_prob_vars,
     terminal_distribution,
     trajectory_body,
@@ -178,6 +179,21 @@ def test_gae_undiscounted_full_lambda_is_return_to_go_minus_value():
     np.testing.assert_allclose(got, rtg - v[:-1], rtol=1e-10)
 
 
+def test_gae_on_a_padded_batch_equals_the_per_row_calls_bit_for_bit():
+    rng = np.random.default_rng(5)
+    # rows of 4, 0, 2 and 3 rewards: stopped rows bootstrap from 0 one slot past their stop symbol,
+    # cut rows from the value at their cut; slots past a row's rewards hold noise
+    lengths = np.array([4, 0, 2, 3])
+    rewards = rng.normal(size=(4, 5))
+    values = rng.normal(size=(4, 6))
+    values[0, 4] = values[2, 2] = 0.0
+    got = gae_advantages(rewards, values, gamma=0.9, lam=0.95, lengths=lengths)
+    for b, n in enumerate(lengths):
+        want = np.zeros(5)
+        want[:n] = gae_advantages(rewards[b, :n], values[b, : n + 1], gamma=0.9, lam=0.95)
+        assert got[b].tobytes() == want.tobytes()
+
+
 def test_gae_rejects_length_mismatch():
     with pytest.raises(LengthMismatch):
         gae_advantages(np.zeros(3), np.zeros(3), gamma=1.0, lam=1.0)
@@ -188,10 +204,10 @@ def test_ppo_surrogate_zero_advantages():
     pol = Policy.tabular(vocab, window=5)
     body = (2, 3)
     pol.register([(problem.prompt_tokens, body)])
-    item = PpoItem(problem.prompt_tokens, body, True, np.full(3, -1.0), np.zeros(3))
     tape = GradTape()
     theta = tape.input(pol.params)
-    assert ppo_surrogate_var(batched_generation_log_vars(pol, theta, items_of([item])), [item], clip=0.2).value == 0.0
+    forward = batched_generation_log_vars(pol, theta, [(problem.prompt_tokens, body)])
+    assert ppo_surrogate_var(forward, np.array([True]), np.full((1, 3), -1.0), np.zeros((1, 3)), clip=0.2).value == 0.0
 
 
 def test_ppo_surrogate_matches_clipped_oracle():
@@ -207,10 +223,10 @@ def test_ppo_surrogate_matches_clipped_oracle():
     adv = np.array([1.0, 1.0, -1.0])
     ratios = np.exp(lp - old)
     want = -np.mean(np.minimum(ratios * adv, np.clip(ratios, 0.8, 1.2) * adv))
-    item = PpoItem(problem.prompt_tokens, body, True, old, adv)
     tape = GradTape()
     theta = tape.input(pol.params)
-    got = ppo_surrogate_var(batched_generation_log_vars(pol, theta, items_of([item])), [item], clip=0.2).value
+    forward = batched_generation_log_vars(pol, theta, [(problem.prompt_tokens, body)])
+    got = ppo_surrogate_var(forward, np.array([True]), old[None], adv[None], clip=0.2).value
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -305,7 +321,7 @@ def ppo_train_oracle(policy: Policy, critic: ValueNet, dataset: TrainSet, cfg: P
         trajs = [_sample_with_rng(policy, problem, cfg.decode, np.random.default_rng([cfg.seed, step, d]))
                  for d in range(cfg.trajs_per_step)]
         drawn += trajs
-        items, value_rows, value_targets = [], [], []
+        items, olds, advs, value_rows, value_targets = [], [], [], [], []
         for traj in trajs:
             prompt, body = trajectory_item(traj)
             old_lp = logprob_oracle(policy, traj)
@@ -316,13 +332,18 @@ def ppo_train_oracle(policy: Policy, critic: ValueNet, dataset: TrainSet, cfg: P
             states = critic.values(ctx)
             values = np.concatenate([states, [0.0]]) if traj.terminated else states
             adv = gae_advantages(token_rewards, values, cfg.gamma, cfg.gae_lambda)
-            items.append(PpoItem(prompt, body, traj.terminated, old_lp, adv))
+            items.append((prompt, body))
+            olds.append(old_lp)
+            advs.append(adv)
             value_rows.append(ctx if traj.terminated else ctx[: old_lp.size])
             value_targets.append(adv + values[:-1])
-        theta = actor_fit.theta(items_of(items))
-        actor_fit.step(ppo_surrogate_var(batched_generation_log_vars(policy, theta, items_of(items)), items, cfg.clip),
+        theta = actor_fit.theta(items)
+        forward = batched_generation_log_vars(policy, theta, items)
+        width = forward[1].value.shape[1]
+        stopped = np.array([t.terminated for t in trajs])
+        actor_fit.step(ppo_surrogate_var(forward, stopped, pad_rows(olds, width), pad_rows(advs, width), cfg.clip),
                        theta)
-        ctheta = critic_fit.theta(items_of(items))
+        ctheta = critic_fit.theta(items)
         all_targets = np.concatenate(value_targets)
         resid = critic.values_var(ctheta, np.concatenate(value_rows, axis=0)) - ctheta.tape.const(all_targets)
         critic_fit.step(ad.vsum(ad.square(resid)) / float(all_targets.size), ctheta)
@@ -330,13 +351,14 @@ def ppo_train_oracle(policy: Policy, critic: ValueNet, dataset: TrainSet, cfg: P
 
 
 def recorded_draws(monkeypatch) -> list[Trajectory]:
-    """Every draw ppo_train makes, in order, recorded where baselines builds it."""
-    drawn, trajectory = [], baselines._trajectory
+    """Every draw ppo_train makes, in order, recorded where baselines walks it."""
+    drawn, walk = [], baselines._walk_draws
 
-    def recorded(*args):
-        drawn.append(trajectory(*args))
-        return drawn[-1]
-    monkeypatch.setattr(baselines, "_trajectory", recorded)
+    def recorded(policy, rows, cfg, *args, **kwargs):
+        bodies = walk(policy, rows, cfg, *args, **kwargs)
+        drawn.extend(_trajectory(policy, problem, cfg, body) for (problem, _), row in zip(rows, bodies) for body in row)
+        return bodies
+    monkeypatch.setattr(baselines, "_walk_draws", recorded)
     return drawn
 
 
@@ -483,7 +505,7 @@ def test_a_ppo_step_scores_its_draws_once_per_model_and_a_dpo_minibatch_its_refe
 
 def test_ppo_old_log_probs_equal_the_surrogate_forward_bit_for_bit_on_a_neural_policy(monkeypatch):
     # every ratio is then exactly 1 at the parameters the step drew with
-    tape_forwards, surrogate_items = [], []
+    tape_forwards, surrogate_args = [], []
     forward, surrogate = baselines.batched_generation_log_vars, baselines.ppo_surrogate_var
 
     def recorded_forward(policy, theta, items):
@@ -492,26 +514,28 @@ def test_ppo_old_log_probs_equal_the_surrogate_forward_bit_for_bit_on_a_neural_p
             tape_forwards.append((out[0].value, out[1].value, out[2]))
         return out
 
-    def recorded_surrogate(forward, items, clip):
+    def recorded_surrogate(forward, stopped, old, adv, clip):
         assert forward[2] is tape_forwards[-1][2]
-        surrogate_items.append(items)
-        return surrogate(forward, items, clip)
+        surrogate_args.append((stopped, old))
+        return surrogate(forward, stopped, old, adv, clip)
     monkeypatch.setattr(baselines, "batched_generation_log_vars", recorded_forward)
     monkeypatch.setattr(baselines, "ppo_surrogate_var", recorded_surrogate)
     cfg = TaskConfig(task_kind=TaskKind.ARITH, value_range=(2, 12), max_parts=2)
     vocab = build_vocab(cfg)
     ds = TrainSet.build([make_problem(cfg, seed=s) for s in range(4)], cfg, vocab)
     pol = Policy.neural(vocab, window=10, embed_dim=16, hidden_dim=64, seed=0)
-    # a short budget cuts some draws, so unterminated items are checked too
+    # a short budget cuts some draws, so unterminated rows are checked too
     ppo_train(pol, ValueNet.for_policy(pol), ds, PpoConfig(
         steps=6, trajs_per_step=8, decode=DecodeCfg(temperature=1.0, top_p=1.0, max_new_tokens=6)))
-    assert len(tape_forwards) == len(surrogate_items) == 6
+    assert len(tape_forwards) == len(surrogate_args) == 6
     checked = set()
-    for (lp_tok, lp_stop, lengths), items in zip(tape_forwards, surrogate_items):
-        for tok, stop, n, it in zip(lp_tok, lp_stop, lengths, items):
-            want = np.append(tok[:n], stop[n]) if it.terminated else tok[:n]
-            assert it.old_logprobs.tobytes() == want.tobytes()
-            checked.add(it.terminated)
+    for (lp_tok, lp_stop, lengths), (stopped, old) in zip(tape_forwards, surrogate_args):
+        # each row's generated tokens, then zeros to the forward's width
+        want = pad_rows([np.append(tok[:n], stop[n]) if s else tok[:n]
+                         for tok, stop, n, s in zip(lp_tok, lp_stop, lengths, stopped)], lp_stop.shape[1])
+        assert old.tobytes() == want.tobytes()
+        assert stopped.tolist() == (lengths < 6).tolist()  # a draw stopped unless cut at its 6-token budget
+        checked.update(stopped.tolist())
     assert checked == {True, False}
 
 

@@ -93,6 +93,14 @@ def test_distinct_count_collapses_duplicates():
     assert distinct_correct_count([]) == 0
 
 
+def test_distinct_count_counts_bare_correct_answers_once():
+    # on ARITH a bare `ANSWER t` has no derivation steps; a second one is no new solution
+    assert distinct_correct_count([make_solution(()), make_solution(())]) == 1
+    assert distinct_correct_count([make_solution(()), make_solution((4, 5)), make_solution(())]) == 2
+    # above 1.0 every correct solution is kept, repeats included
+    assert distinct_correct_count([make_solution(()), make_solution(())], threshold=1.5) == 2
+
+
 def test_distinct_count_respects_threshold():
     a = make_solution((0, 1, 2, 3))
     near = make_solution((0, 1, 2, 4))  # rouge 0.75 vs a
@@ -115,10 +123,15 @@ def numpy_rouge_l(a, b) -> float:
 
 
 def pairwise_distinct_count(solutions, threshold) -> int:
-    """The earlier distinct_correct_count: every correct solution compared with every kept one."""
+    """The earlier distinct_correct_count: every correct solution compared with every kept one.
+
+    Equal step lists score 1.0, so two bare answers (empty steps) are one solution, as two equal derivations are.
+    """
+    def similarity(a, b):
+        return 1.0 if a == b else numpy_rouge_l(a, b)
     kept = []
     for sol in solutions:
-        if sol.correct and all(numpy_rouge_l(sol.step_tokens, k.step_tokens) < threshold for k in kept):
+        if sol.correct and all(similarity(sol.step_tokens, k.step_tokens) < threshold for k in kept):
             kept.append(sol)
     return len(kept)
 

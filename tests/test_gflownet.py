@@ -23,7 +23,6 @@ from flowseq.gflownet import (
     terminal_l1_gap,
     train_gflownet,
 )
-from flowseq.gflownet import Reference
 from flowseq.policy import (
     DecodeCfg,
     Policy,
@@ -168,16 +167,14 @@ def test_subtb_reward_scale_invariance():
 def test_sft_loss_is_mean_token_nll():
     cfg, vocab, problem = sumpath_setup()
     pol = Policy.tabular(vocab, window=4)
-    refs = [Reference(problem.prompt_tokens, (2, 2)),
-            Reference(problem.prompt_tokens, (2,))]
-    for r in refs:
-        pol.register([(r.prompt_tokens, r.body)])
+    refs = [(problem.prompt_tokens, (2, 2)), (problem.prompt_tokens, (2,))]
+    pol.register(refs)
     got = ad.loss_value(lambda th: sft_loss_var(pol, th, refs), pol.params)
     total, count = 0.0, 0
-    for r in refs:
-        lp_tok, lp_stop = generation_log_probs(pol, r.prompt_tokens, r.body)
-        total += float(lp_tok.sum() + lp_stop[len(r.body)])
-        count += len(r.body) + 1
+    for prompt, body in refs:
+        lp_tok, lp_stop = generation_log_probs(pol, prompt, body)
+        total += float(lp_tok.sum() + lp_stop[len(body)])
+        count += len(body) + 1
     assert got == pytest.approx(-total / count)
 
 

@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from flowseq import autodiff as ad
-from flowseq.baselines import PpoItem, PreferencePair, dpo_mean_loss_var, ppo_surrogate_var
+from flowseq.baselines import PreferencePair, dpo_mean_loss_var, ppo_surrogate_var
 from flowseq.core import TaskKind, Trajectory
 from flowseq.env import TaskConfig, build_vocab, make_problem
-from flowseq.gflownet import BufferEntry, GfnConfig, Reference, items_of, replay_loss_var, sft_loss_var
-from flowseq.policy import Policy, batched_generation_log_vars
+from flowseq.gflownet import BufferEntry, GfnConfig, replay_loss_var, sft_loss_var
+from flowseq.policy import Policy, batched_generation_log_vars, pad_rows
 
 MAX_LEN = 5
 LAMBDAS = (0.1, 0.9, 1.0, 1.7)
@@ -91,8 +91,8 @@ def sum_vars(terms):
 
 def sft_oracle(p, th, refs):
     # each B=1 loss is a per-token mean; weight it back to a token sum
-    count = float(sum(len(r.body) + 1 for r in refs))
-    return sum_vars([sft_loss_var(p, th, [r]) * float(len(r.body) + 1) for r in refs]) / count
+    count = float(sum(len(body) + 1 for _, body in refs))
+    return sum_vars([sft_loss_var(p, th, [(prompt, body)]) * float(len(body) + 1) for prompt, body in refs]) / count
 
 
 def test_padded_forward_layout():
@@ -155,7 +155,7 @@ def test_replay_loss_with_references_equals_b1_oracle(kind):
     pol, problem, bodies, _ = setup(kind, seed=3)
     entries = [BufferEntry(problem.prompt_tokens, b, log_rewards(problem.prompt_tokens, b)) for b in bodies[:5]]
     # references longer than any replayed body widen the shared padding
-    refs = [Reference(problem.prompt_tokens, b) for b in sorted(bodies, key=len)[-4:]]
+    refs = [(problem.prompt_tokens, b) for b in sorted(bodies, key=len)[-4:]]
     cfg = GfnConfig(steps=1, subtb_lambda=0.9, sft_coeff=3.0)
 
     def batched(p, th):
@@ -172,7 +172,7 @@ def test_replay_loss_with_references_equals_b1_oracle(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_sft_loss_equals_b1_oracle(kind):
     pol, problem, bodies, _ = setup(kind, seed=4)
-    refs = [Reference(problem.prompt_tokens, b) for b in bodies]
+    refs = [(problem.prompt_tokens, b) for b in bodies]
 
     def batched(p, th):
         return sft_loss_var(p, th, refs)
@@ -184,7 +184,7 @@ def test_sft_loss_equals_b1_oracle(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_ppo_surrogate_equals_b1_oracle(kind):
     pol, problem, bodies, rng = setup(kind, seed=5)
-    items = []
+    items, stopped, olds, advs = [], [], [], []
     for i, b in enumerate(bodies):
         terminated = i % 3 != 1
         n = len(b) + int(terminated)
@@ -198,17 +198,23 @@ def test_ppo_surrogate_equals_b1_oracle(kind):
             stop.append(lp[pol.vocab.stop_id])
             if t < len(b):
                 tok.append(lp[b[t]])
-        old_lp = np.asarray(tok + stop[-1:] if terminated else tok)
-        items.append(PpoItem(problem.prompt_tokens, b, terminated, old_lp, rng.normal(0.0, 1.0, size=n)))
-    count = float(sum(it.old_logprobs.size for it in items))
+        items.append((problem.prompt_tokens, b))
+        stopped.append(terminated)
+        olds.append(np.asarray(tok + stop[-1:] if terminated else tok))
+        advs.append(rng.normal(0.0, 1.0, size=n))
+    count = float(sum(old.size for old in olds))
+
+    def surrogate(p, th, rows):
+        forward = batched_generation_log_vars(p, th, [items[b] for b in rows])
+        width = forward[1].value.shape[1]
+        return ppo_surrogate_var(forward, np.array([stopped[b] for b in rows]), pad_rows([olds[b] for b in rows], width),
+                                 pad_rows([advs[b] for b in rows], width), clip=0.2)
 
     def batched(p, th):
-        return ppo_surrogate_var(batched_generation_log_vars(p, th, items_of(items)), items, clip=0.2)
+        return surrogate(p, th, range(len(items)))
 
     def oracle(p, th):
-        return sum_vars([ppo_surrogate_var(batched_generation_log_vars(p, th, items_of([it])), [it], clip=0.2)
-                         * float(it.old_logprobs.size)
-                         for it in items]) / count
+        return sum_vars([surrogate(p, th, [b]) * float(olds[b].size) for b in range(len(items))]) / count
 
     assert_matches(pol, batched, oracle)
     assert_finite_diff(pol, batched)

@@ -7,6 +7,7 @@ when it is next invoked; these tests find the break at once.
 from __future__ import annotations
 
 import importlib
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -19,6 +20,7 @@ from flowseq.env import TaskConfig, build_vocab, make_problem
 from flowseq.policy import Policy, ValueNet
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(__file__).resolve().parents[1] / "src" / "flowseq"
 
 
 def _import(name: str):
@@ -35,6 +37,20 @@ def test_every_traced_site_resolves():
                for owners, attr, _, _ in layers.SITES for owner in owners if not hasattr(owner, attr)]
     assert layers.SITES
     assert not missing, missing
+
+
+def test_every_unused_import_in_src_is_a_name_the_benchmark_wraps_there():
+    # such an import exists only so that perfbench/layers.py can wrap the name where the module binds it;
+    # a hook dropped from SITES must take its import with it
+    wrapped = {(getattr(owner, "__name__", None), attr) for owners, attr, _, _ in _import("layers").SITES
+               for owner in owners}
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        imports = re.findall(r"^from \S+ import (.+?)\s+# noqa: F401$", text, re.MULTILINE)
+        assert len(imports) == text.count("# noqa: F401"), f"{path.name}: a noqa F401 this test cannot read"
+        unused += [(f"flowseq.{path.stem}", name.strip()) for names in imports for name in names.split(",")]
+    assert [u for u in unused if u not in wrapped] == []
 
 
 def test_workloads_import():

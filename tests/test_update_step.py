@@ -25,7 +25,7 @@ from flowseq.baselines import (
 )
 from flowseq.core import SettingError, TaskKind
 from flowseq.env import RewardMode, TaskConfig, build_vocab, make_problem
-from flowseq.gflownet import Fitter, GfnConfig, NonFiniteLoss, TrainSet, items_of, sft_loss_var
+from flowseq.gflownet import Fitter, GfnConfig, NonFiniteLoss, TrainSet, sft_loss_var
 from flowseq.policy import DecodeCfg, Policy, ValueNet
 
 HOT = DecodeCfg(temperature=1.0, top_p=1.0)
@@ -56,11 +56,11 @@ def test_nan_loss_raises_and_leaves_params_untouched():
     ds = tiny_dataset()
     pol = Policy.tabular(ds.vocab, window=5)
     refs = ds.all_references()
-    pol.register(items_of(refs))
+    pol.register(refs)
     pol.params = np.random.default_rng(0).normal(size=pol.params.size)
     before = pol.params.copy()
     fit = Fitter(pol, lr=0.1)
-    theta = fit.theta(items_of(refs))
+    theta = fit.theta(refs)
     with pytest.raises(NonFiniteLoss):
         fit.step(sft_loss_var(pol, theta, refs) * float("nan"), theta)
     assert pol.params.tobytes() == before.tobytes()
@@ -72,7 +72,7 @@ def test_non_finite_gradient_raises_before_adam(monkeypatch, adam_calls):
     pol = Policy.tabular(ds.vocab, window=5)
     fit = Fitter(pol, lr=0.1)
     refs = ds.all_references()
-    theta = fit.theta(items_of(refs))
+    theta = fit.theta(refs)
     before = pol.params.copy()
 
     def poisoned(loss, wrt):
@@ -110,7 +110,7 @@ def test_one_update_step_equals_the_inline_sequence_bitwise():
     # the sequence every trainer used to repeat inline
     adam = AdamState.init(old.params.size, 0.05)
     for batch in batches:
-        old.register(items_of(batch))
+        old.register(batch)
         adam = adam.resized(old.params.size)
         tape = GradTape()
         theta = tape.input(old.params)
@@ -120,7 +120,7 @@ def test_one_update_step_equals_the_inline_sequence_bitwise():
 
     fit = Fitter(new, 0.05)
     for batch in batches:
-        theta = fit.theta(items_of(batch))
+        theta = fit.theta(batch)
         fit.step(sft_loss_var(new, theta, batch), theta)
 
     assert new.contexts == old.contexts
@@ -135,7 +135,7 @@ def test_an_update_step_frees_its_graph_without_the_cyclic_collector():
     pol = Policy.tabular(ds.vocab, window=5)
     refs = ds.all_references()
     fit = Fitter(pol, 0.05)
-    theta = fit.theta(items_of(refs))
+    theta = fit.theta(refs)
     tape = weakref.ref(theta.tape)
     fit.step(sft_loss_var(pol, theta, refs), theta)
     gc.disable()
