@@ -38,29 +38,27 @@ class GradTape:
 
     def input(self, value: np.ndarray | float) -> "Var":
         """A differentiable leaf (parameters)."""
-        return Var(self, np.asarray(value, dtype=np.float64), op="input", track=True)
+        return Var(self, np.asarray(value, dtype=np.float64), track=True)
 
     def const(self, value: np.ndarray | float) -> "Var":
         """A non-differentiable leaf (data, rewards, old log-probabilities)."""
-        return Var(self, np.asarray(value, dtype=np.float64), op="const", track=False)
+        return Var(self, np.asarray(value, dtype=np.float64), track=False)
 
 
 class Var:
     """A node in the computation graph: cached value plus backward links."""
 
-    __slots__ = ("tape", "value", "op", "track", "links", "grad", "index")
+    __slots__ = ("tape", "value", "track", "links", "grad", "index")
 
     def __init__(
         self,
         tape: GradTape,
         value: np.ndarray,
-        op: str,
         track: bool,
         links: tuple[tuple["Var", Callable[[np.ndarray], np.ndarray]], ...] = (),
     ) -> None:
         self.tape = tape
         self.value = value
-        self.op = op
         self.track = track
         self.links = links
         self.grad: np.ndarray | None = None
@@ -78,31 +76,27 @@ class Var:
 
     def __add__(self, other):
         o = self._lift(other)
-        return _binary(self, o, self.value + o.value, "add",
-                       lambda g: g, lambda g: g)
+        return _binary(self, o, self.value + o.value, lambda g: g, lambda g: g)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._lift(other)
-        return _binary(self, o, self.value - o.value, "sub",
-                       lambda g: g, lambda g: -g)
+        return _binary(self, o, self.value - o.value, lambda g: g, lambda g: -g)
 
     def __rsub__(self, other):
         o = self._lift(other)
-        return _binary(o, self, o.value - self.value, "sub",
-                       lambda g: g, lambda g: -g)
+        return _binary(o, self, o.value - self.value, lambda g: g, lambda g: -g)
 
     def __mul__(self, other):
         o = self._lift(other)
-        return _binary(self, o, self.value * o.value, "mul",
-                       lambda g, ov=o.value: g * ov, lambda g, sv=self.value: g * sv)
+        return _binary(self, o, self.value * o.value, lambda g, ov=o.value: g * ov, lambda g, sv=self.value: g * sv)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         o = self._lift(other)
-        return _binary(self, o, self.value / o.value, "div",
+        return _binary(self, o, self.value / o.value,
                        lambda g, ov=o.value: g / ov,
                        lambda g, sv=self.value, ov=o.value: -g * sv / (ov * ov))
 
@@ -110,7 +104,7 @@ class Var:
         return self._lift(other).__truediv__(self)
 
     def __neg__(self):
-        return _unary(self, -self.value, "neg", lambda g: -g)
+        return _unary(self, -self.value, lambda g: -g)
 
     def __pow__(self, other):
         raise UnsupportedPrimitive("power is not a supported primitive; use square()")
@@ -138,8 +132,7 @@ class Var:
 
     def reshape(self, *shape) -> "Var":
         """The value reshaped as ndarray.reshape would: reshape(2, 3) or reshape((2, 3))."""
-        return _unary(self, self.value.reshape(*shape), "reshape",
-                      lambda g, sh=self.value.shape: np.asarray(g).reshape(sh))
+        return _unary(self, self.value.reshape(*shape), lambda g, sh=self.value.shape: np.asarray(g).reshape(sh))
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -153,24 +146,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.reshape(shape)
 
 
-def _binary(a: Var, b: Var, value: np.ndarray, op: str, da, db) -> Var:
+def _binary(a: Var, b: Var, value: np.ndarray, da, db) -> Var:
     links = []
     if a.track:
         links.append((a, lambda g, f=da, sh=a.value.shape: _unbroadcast(np.asarray(f(g)), sh)))
     if b.track:
         links.append((b, lambda g, f=db, sh=b.value.shape: _unbroadcast(np.asarray(f(g)), sh)))
     track = a.track or b.track
-    return Var(a.tape, np.asarray(value, dtype=np.float64), op, track, tuple(links))
+    return Var(a.tape, np.asarray(value, dtype=np.float64), track, tuple(links))
 
 
-def _unary(x: Var, value: np.ndarray, op: str, dx) -> Var:
+def _unary(x: Var, value: np.ndarray, dx) -> Var:
     links = ((x, dx),) if x.track else ()
-    return Var(x.tape, np.asarray(value, dtype=np.float64), op, x.track, links)
+    return Var(x.tape, np.asarray(value, dtype=np.float64), x.track, links)
 
 
 def exp(x: Var) -> Var:
     out = np.exp(x.value)
-    return _unary(x, out, "exp", lambda g, ov=out: g * ov)
+    return _unary(x, out, lambda g, ov=out: g * ov)
 
 
 def tanh(x: Var | np.ndarray) -> Var | np.ndarray:
@@ -178,11 +171,11 @@ def tanh(x: Var | np.ndarray) -> Var | np.ndarray:
     if not isinstance(x, Var):
         return np.tanh(x)
     out = np.tanh(x.value)
-    return _unary(x, out, "tanh", lambda g, ov=out: g * (1.0 - ov * ov))
+    return _unary(x, out, lambda g, ov=out: g * (1.0 - ov * ov))
 
 
 def square(x: Var) -> Var:
-    return _unary(x, x.value * x.value, "square", lambda g, xv=x.value: 2.0 * g * xv)
+    return _unary(x, x.value * x.value, lambda g, xv=x.value: 2.0 * g * xv)
 
 
 def softplus(x: Var) -> Var:
@@ -190,12 +183,11 @@ def softplus(x: Var) -> Var:
     xv = x.value
     out = np.logaddexp(0.0, xv)
     sig = 1.0 / (1.0 + np.exp(-xv))
-    return _unary(x, out, "softplus", lambda g, s=sig: g * s)
+    return _unary(x, out, lambda g, s=sig: g * s)
 
 
 def vsum(x: Var) -> Var:
-    return _unary(x, np.sum(x.value), "sum",
-                  lambda g, sh=x.value.shape: np.broadcast_to(g, sh).copy())
+    return _unary(x, np.sum(x.value), lambda g, sh=x.value.shape: np.broadcast_to(g, sh).copy())
 
 
 def take(x: Var, idx: np.ndarray) -> Var:
@@ -209,7 +201,7 @@ def take(x: Var, idx: np.ndarray) -> Var:
         weights = np.asarray(g, dtype=np.float64).reshape(-1)
         return np.bincount(ix, weights=weights, minlength=n).reshape(sh)
 
-    return _unary(x, value, "take", dx)
+    return _unary(x, value, dx)
 
 
 def matmul(a: Var, b: Var) -> Var:
@@ -221,7 +213,7 @@ def matmul(a: Var, b: Var) -> Var:
         links.append((a, lambda g, bv=b.value: np.asarray(g) @ bv.T))
     if b.track:
         links.append((b, lambda g, av=a.value: av.T @ np.asarray(g)))
-    return Var(a.tape, value, "matmul", a.track or b.track, tuple(links))
+    return Var(a.tape, value, a.track or b.track, tuple(links))
 
 
 def log_softmax(x: Var | np.ndarray) -> Var | np.ndarray:
@@ -234,13 +226,13 @@ def log_softmax(x: Var | np.ndarray) -> Var | np.ndarray:
     out = shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
     if not isinstance(x, Var):
         return out
-    return _unary(x, out, "log_softmax", lambda g, p=np.exp(out): g - p * np.asarray(g).sum(axis=1, keepdims=True))
+    return _unary(x, out, lambda g, p=np.exp(out): g - p * np.asarray(g).sum(axis=1, keepdims=True))
 
 
 def clamp(x: Var, lo: float, hi: float) -> Var:
     value = np.clip(x.value, lo, hi)
     inside = (x.value >= lo) & (x.value <= hi)
-    return _unary(x, value, "clamp", lambda g, m=inside: np.asarray(g) * m)
+    return _unary(x, value, lambda g, m=inside: np.asarray(g) * m)
 
 
 def minimum(a: Var, b: Var) -> Var:
@@ -251,7 +243,7 @@ def minimum(a: Var, b: Var) -> Var:
         links.append((a, lambda g, m=pick_a: np.asarray(g) * m))
     if b.track:
         links.append((b, lambda g, m=pick_a: np.asarray(g) * ~m))
-    return Var(a.tape, value, "minimum", a.track or b.track, tuple(links))
+    return Var(a.tape, value, a.track or b.track, tuple(links))
 
 
 def backward(out: Var, wrt: Var) -> np.ndarray:

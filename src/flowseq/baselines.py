@@ -406,7 +406,7 @@ def ppo_train(
         # an unregistered critic context reads 0, the value its new row starts at; a truncated rollout
         # bootstraps from the critic at its cut, a finished one sees zero beyond stop
         ctx = critic.windows(items)
-        values = np.where(t <= lengths[:, None], np.pad(critic.values(ctx)[row], ((0, 0), (0, 1))), 0.0)
+        values = np.where(t <= lengths[:, None], np.pad(critic.forward(critic.params, ctx)[row], ((0, 0), (0, 1))), 0.0)
         adv = gae_advantages(token_rewards, values, cfg.gamma, cfg.gae_lambda, n_gen)
 
         actor_loss = actor_fit.step(ppo_surrogate_var(forward, stopped, old, adv, cfg.clip), theta)
@@ -414,7 +414,7 @@ def ppo_train(
         # the critic's rows and targets in draw-then-position order
         ctheta = critic_fit.theta(items)
         targets = (adv + values[:, :-1])[generated]
-        resid = critic.values_var(ctheta, ctx[row[generated]]) - ctheta.tape.const(targets)
+        resid = critic.forward(ctheta, ctx[row[generated]]) - ctheta.tape.const(targets)
         critic_fit.step(ad.vsum(ad.square(resid)) / float(targets.size), ctheta)
 
         report.add(step, actor_loss, reward_mean=float(np.mean(env_rewards)))

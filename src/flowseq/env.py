@@ -95,7 +95,7 @@ class TaskConfig:
             raise SettingError("value_range[0]", bad)
         if not 0.0 < self.reward_floor <= 0.01:
             raise SettingError("reward_floor", f"reward_floor must lie in (0, 0.01], got {self.reward_floor}")
-        if self.max_parts < 2:
+        if self.task_kind is TaskKind.SUMPATH and self.max_parts < 2:
             raise SettingError("max_parts", f"max_parts must be at least 2, got {self.max_parts}")
         if self.max_part < 1 or (self.task_kind is TaskKind.SUMPATH and self.max_part > hi):
             raise SettingError("max_part", f"max_part must lie in [1, value_range hi], got {self.max_part}")

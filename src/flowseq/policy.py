@@ -5,7 +5,9 @@ left-padded with a reserved PAD id (= vocab.size). The tabular kind keeps one
 logit row per observed context and can represent any conditional distribution
 over short horizons exactly; the neural kind is a one-hidden-layer MLP over
 concatenated token embeddings. The PPO critic (ValueNet) is the same
-parameterisation with one output per context instead of one per token.
+parameterisation with one output per context instead of one per token. Both
+are evaluated through one method, forward(theta, ctx_mat), on the parameter
+array or on a tape variable; only the output head differs.
 
 Log-probabilities always come from a fused log-softmax. Draws carry tokens
 only: every log-probability a loss or PPO's old policy reads comes from the
@@ -34,7 +36,7 @@ from .core import Problem, Trajectory, Vocab, check_fields
 from .env import left_sum, level_rows, terminal_levels
 
 MAGIC = b"FSEQPOL1"
-# contexts per batch_log_probs call in terminal_distribution, which bounds its temporaries
+# contexts per forward in terminal_distribution, which bounds its temporaries
 SCORE_ROWS = 4096
 # one sequence as the forward takes it: (prompt_tokens, body), the body without its stop symbol
 Item = tuple[tuple[int, ...], tuple[int, ...]]
@@ -189,19 +191,13 @@ class Policy:
 
     # the forward, on the parameter array or on a tape variable
 
-    def batch_log_probs(self, ctx_mat: np.ndarray) -> np.ndarray:
-        return self.rows_var(self.params, ctx_mat)
+    def forward(self, theta: Var | np.ndarray, ctx_mat: np.ndarray) -> Var | np.ndarray:
+        """The output head's rows, one per context, of theta: a tape variable, or an array (then an array).
 
-    def rows_var(self, theta: Var | np.ndarray, ctx_mat: np.ndarray) -> Var | np.ndarray:
-        """Log-softmax rows, one per context, of theta: a tape variable, or an array (then an array)."""
-        return ad.log_softmax(self._outputs(theta, ctx_mat))
-
-    def _outputs(self, theta: Var | np.ndarray, ctx_mat: np.ndarray) -> Var | np.ndarray:
-        """Pre-softmax outputs, one row of `width` per context.
-
-        An unregistered tabular context reads a zero row from a parameter
-        array and raises KeyError on a tape: tabular contexts must be
-        registered before the tape is built so the parameters do not grow
+        The head gives log-softmax rows for a Policy and one value per context
+        for a ValueNet. An unregistered tabular context reads a zero row from
+        a parameter array and raises KeyError on a tape: tabular contexts must
+        be registered before the tape is built so the parameters do not grow
         mid-evaluation.
         """
         if self.kind is PolicyKind.TABULAR:
@@ -212,11 +208,14 @@ class Policy:
                     raise KeyError(f"unregistered tabular context {tuple(ctx_mat[rows.index(-1)].tolist())}")
                 # row -1 is then a zero row appended to a copy of the table
                 table = np.concatenate([table, np.zeros((1, self.width))])
-            return table[rows] if isinstance(theta, Var) else table.take(rows, axis=0)
+            return self._head(table[rows] if isinstance(theta, Var) else table.take(rows, axis=0))
         emb, w1, b1, w2, b2 = (theta[start:end].reshape(shape) for start, end, shape in self._neural_blocks)
         x = emb[ctx_mat].reshape(ctx_mat.shape[0], -1)
         hidden = ad.tanh(x @ w1 + b1)
-        return hidden @ w2 + b2
+        return self._head(hidden @ w2 + b2)
+
+    # the output head of the `width` outputs per context; ValueNet has its own
+    _head = staticmethod(ad.log_softmax)
 
 
 def generation_log_probs(
@@ -234,7 +233,7 @@ def generation_log_probs(
 def batched_generation_log_vars(
     policy: Policy, theta: Var | np.ndarray, items: list[Item]
 ) -> tuple[Var | np.ndarray, Var | np.ndarray, np.ndarray]:
-    """The forward pass: one rows_var over every (prompt_tokens, gen_body) item.
+    """The forward pass: one policy.forward over every (prompt_tokens, gen_body) item.
 
     Returns (lp_tok, lp_stop, lengths) for B items whose longest body has L
     tokens: lp_tok[b, t] (B, L) scores token t of body b, lp_stop[b, t]
@@ -244,7 +243,7 @@ def batched_generation_log_vars(
     """
     lengths, row, valid = _padded_layout(tuple(len(body) for _, body in items))
     ctx = policy.windows(items)
-    rows = policy.rows_var(theta, ctx)
+    rows = policy.forward(theta, ctx)
     # the token at position t is the last one of the context before position t + 1
     lp_tok, lp_stop = rows[row[:, :-1], ctx[row[:, 1:], -1]], rows[row, policy.vocab.stop_id]
     if valid is not None:
@@ -354,16 +353,18 @@ def _walk_draws(policy: Policy, rows: list[tuple[Problem, np.random.Generator | 
 
     A row with rng None takes the argmax; a sampled row draws one rng.random() per token, in the order
     of k one-draw calls. Every round walks each unfinished row until it needs a context it has no exact
-    proposal for, and then scores the contexts all rows need in one batch_log_probs call: a row's
+    proposal for, and then scores the contexts all rows need in one forward: a row's
     tokens equal those of walking it alone, because every operation on a context's scores runs along
     its own row. `memo` holds exact proposals at the current parameters, and the walk adds the ones it
     scores; a call whose rows all take the argmax scores argmax-only proposals.
 
-    With a non-empty `draft` the walk guesses ahead: it takes a row's k * budget uniforms from rng at
-    once, guesses with draft where it has no exact proposal, scores the guessed contexts and the first
-    unknown one in one forward, and resumes at the first of them, with its tokens cut back there, until
-    it walks on exact proposals alone: guesses only choose what is scored. rng is then rewound to where
-    the draws leave it, and draft takes the exact proposals for the next walk on these problems.
+    Each uniform is taken from rng when first needed and kept, so a walk resumed at an earlier token
+    reads the same ones again. With a non-empty `draft` the walk guesses ahead: it guesses with draft
+    where it has no exact proposal, scores the guessed contexts and the first unknown one in one
+    forward, and resumes at the first of them, with its tokens cut back there, until it walks on exact
+    proposals alone: guesses only choose what is scored. A guessed walk can take more uniforms than its
+    draws use, so rng is then rewound to where the draws leave it, and draft takes the exact proposals
+    for the next walk on these problems.
     """
     memo = {} if memo is None else memo
     scores = cfg if any(rng is not None for _, rng in rows) else None
@@ -374,8 +375,7 @@ def _walk_draws(policy: Policy, rows: list[tuple[Problem, np.random.Generator | 
     for problem, rng in rows:
         start, budget = policy.context_of(problem.prompt_tokens), _budget(problem, cfg)
         saved = rng.bit_generator.state if guess and rng is not None else None
-        u = [] if saved is None else rng.random(k * budget).tolist()
-        walks.append([start, budget, rng, saved, u, [], (0, 0, 0, start, 0)])
+        walks.append([start, budget, rng, saved, [], [], (0, 0, 0, start, 0)])
     live = walks
     while live:
         guessed: dict = {}
@@ -396,7 +396,7 @@ def _walk_draws(policy: Policy, rows: list[tuple[Problem, np.random.Generator | 
                     if rng is None:
                         tok = prop.argmax
                     else:
-                        if j == len(u):  # without a draft each uniform is taken when first needed
+                        if j == len(u):
                             u.append(rng.random())
                         tok = prop.draw(u[j])
                         j += 1
@@ -404,7 +404,7 @@ def _walk_draws(policy: Policy, rows: list[tuple[Problem, np.random.Generator | 
                 i, t, ctx = (i + 1, 0, start) if tok == stop else (i, t + 1, ctx[1:] + (tok,))
             w[6] = resume or (i, t, j, ctx, len(tokens))
         if guessed:
-            lp = policy.batch_log_probs(np.asarray(list(guessed), dtype=np.int64))
+            lp = policy.forward(policy.params, np.asarray(list(guessed), dtype=np.int64))
             memo.update(zip(guessed, _proposals(lp, scores)))
         live = [w for w in live if w[6][0] < k]
     bodies = []
@@ -492,7 +492,7 @@ def terminal_distribution(policy: Policy, problem: Problem) -> TerminalDistribut
             m = mass[start : start + SCORE_ROWS]
             seqs = np.concatenate([np.broadcast_to(prompt_pad, (m.size, prompt_pad.size)),
                                    level_rows(body_ids, length, start, m.size)], axis=1)
-            p = np.exp(policy.batch_log_probs(seqs[:, -policy.window:]))
+            p = np.exp(policy.forward(policy.params, seqs[:, -policy.window:]))
             probs.append(m * p[:, stop])
             children.append(m * (1.0 - p[:, stop]) if last else (m[:, None] * p[:, body_ids]).reshape(-1))
         mass = np.concatenate(children)
@@ -515,12 +515,10 @@ class ValueNet(Policy):
             return cls.tabular(policy.vocab, policy.window)
         return cls.neural(policy.vocab, policy.window, policy.embed_dim, policy.hidden_dim, seed)
 
-    def values(self, ctx_mat: np.ndarray) -> np.ndarray:
-        return self.values_var(self.params, ctx_mat)
-
-    def values_var(self, theta: Var | np.ndarray, ctx_mat: np.ndarray) -> Var | np.ndarray:
-        """One value per context, of theta: a tape variable, or an array (then an array)."""
-        return self._outputs(theta, ctx_mat)[:, 0]
+    @staticmethod
+    def _head(out: Var | np.ndarray) -> Var | np.ndarray:
+        """A critic's head: one value per context."""
+        return out[:, 0]
 
 
 def save_policy(path: str, policy: Policy) -> None:

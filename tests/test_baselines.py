@@ -310,7 +310,7 @@ def dpo_mean_loss_oracle(policy, theta, ref_policy, pairs, beta):
 def ppo_train_oracle(policy: Policy, critic: ValueNet, dataset: TrainSet, cfg: PpoConfig) -> list[Trajectory]:
     """ppo_train's update loop one trajectory at a time: each draw alone from its own (seed, step, index)
     generator, a forward each for its old and reference log-probabilities, and one critic.windows /
-    critic.values pair for its values. Returns every draw, in order."""
+    critic.forward pair for its values. Returns every draw, in order."""
     ref_policy = policy.clone()
     rng = np.random.default_rng(cfg.seed)
     actor_fit = Fitter(policy, cfg.actor_lr)
@@ -329,7 +329,7 @@ def ppo_train_oracle(policy: Policy, critic: ValueNet, dataset: TrainSet, cfg: P
             if traj.terminated:
                 token_rewards[-1] += reward(problem, prompt + body, dataset.task, dataset.vocab)
             ctx = critic.windows([(prompt, body)])
-            states = critic.values(ctx)
+            states = critic.forward(critic.params, ctx)
             values = np.concatenate([states, [0.0]]) if traj.terminated else states
             adv = gae_advantages(token_rewards, values, cfg.gamma, cfg.gae_lambda)
             items.append((prompt, body))
@@ -345,7 +345,7 @@ def ppo_train_oracle(policy: Policy, critic: ValueNet, dataset: TrainSet, cfg: P
                        theta)
         ctheta = critic_fit.theta(items)
         all_targets = np.concatenate(value_targets)
-        resid = critic.values_var(ctheta, np.concatenate(value_rows, axis=0)) - ctheta.tape.const(all_targets)
+        resid = critic.forward(ctheta, np.concatenate(value_rows, axis=0)) - ctheta.tape.const(all_targets)
         critic_fit.step(ad.vsum(ad.square(resid)) / float(all_targets.size), ctheta)
     return drawn
 
@@ -490,8 +490,13 @@ def test_a_ppo_step_scores_its_draws_once_per_model_and_a_dpo_minibatch_its_refe
     pol = Policy.tabular(vocab, window=5)
     sft_train(pol, ds, cfg=SftConfig(epochs=10, lr=0.05))
     critic, critic_calls = ValueNet.for_policy(pol), []
-    values = critic.values
-    critic.values = lambda ctx: critic_calls.append(len(ctx)) or values(ctx)
+    critic_forward = critic.forward
+
+    def counted_critic(theta, ctx):
+        if isinstance(theta, np.ndarray):
+            critic_calls.append(len(ctx))
+        return critic_forward(theta, ctx)
+    critic.forward = counted_critic
     ppo_train(pol.clone(), critic, ds, PpoConfig(steps=3, trajs_per_step=4))
     # per step: the reference's log-probabilities over the step's 4 draws; the policy's old ones
     # are read off the surrogate's tape forward

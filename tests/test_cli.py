@@ -152,6 +152,13 @@ def test_a_cross_key_range_error_names_the_key(tmp_path, capsys, text, key):
     assert f"config error: {key}:" in capsys.readouterr().err
 
 
+def test_an_arith_config_with_max_parts_1_is_accepted(tmp_path):
+    cfg = write_config(tmp_path, "[task]\nkind = arith\nmax_parts = 1\n[data]\nn_problems = 2\n")
+    assert run_cli(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    vocab = build_vocab(TaskConfig(task_kind=TaskKind.ARITH))
+    assert len(read_problems(tmp_path / "o" / "problems.jsonl", vocab)) == 2
+
+
 def test_every_parse_error_is_reported_before_any_range_error(tmp_path, capsys):
     cfg = write_config(tmp_path, "[train]\nlr = -1\nsteps = many\n")
     assert run_cli(["train", "--config", cfg, "--out", str(tmp_path / "o")]) == 2

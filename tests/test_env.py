@@ -71,6 +71,13 @@ def test_config_validation():
         TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 4), max_part=9)
 
 
+def test_arith_accepts_a_max_parts_it_does_not_read():
+    # only SUMPATH solutions are bounded by max_parts; ARITH problems take 2-3 operands whatever it is
+    cfg = TaskConfig(task_kind=TaskKind.ARITH, max_parts=1)
+    assert cfg.max_parts == 1
+    assert make_problem(cfg, seed=0) == make_problem(TaskConfig(task_kind=TaskKind.ARITH), seed=0)
+
+
 def test_sumpath_solution_count_matches_composition_oracle():
     for target in (2, 3, 4, 5):
         for max_part in (2, 3):
@@ -188,7 +195,7 @@ def test_space_too_large_guard(monkeypatch):
 
     # the budget check comes before any verifier state is built or any context is scored
     monkeypatch.setattr(env, "verifier", no_state)
-    monkeypatch.setattr(Policy, "batch_log_probs", no_forward)
+    monkeypatch.setattr(Policy, "forward", no_forward)
     with pytest.raises(SpaceTooLarge):
         enumerate_terminals(problem, cfg, vocab)
     with pytest.raises(SpaceTooLarge):

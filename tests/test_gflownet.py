@@ -60,7 +60,7 @@ def task_reward(problem, task, vocab):
 
 def next_log_probs(pol: Policy, prefix: tuple[int, ...]) -> np.ndarray:
     """The one-row oracle: log-probabilities of the token after prefix."""
-    return pol.batch_log_probs(np.asarray([pol.context_of(prefix)], dtype=np.int64))[0]
+    return pol.forward(pol.params, np.asarray([pol.context_of(prefix)], dtype=np.int64))[0]
 
 
 def two_token_setup():
@@ -412,6 +412,17 @@ def training_outputs(pol: Policy, report) -> tuple:
     return pol.params.tobytes(), list(pol.contexts.items()), report.rows
 
 
+def count_array_forwards(monkeypatch, seen) -> None:
+    """Patch Policy.forward so that seen(ctx_mat) gets the contexts of every forward on a parameter array."""
+    inner = Policy.forward
+
+    def counted(self, theta, ctx_mat):
+        if isinstance(theta, np.ndarray):
+            seen(ctx_mat)
+        return inner(self, theta, ctx_mat)
+    monkeypatch.setattr(Policy, "forward", counted)
+
+
 def draws_one_at_a_time(policy: Policy, rows, cfg: DecodeCfg, k: int = 1, memo=None,
                         draft=None) -> list[list[tuple[int, ...]]]:
     """The walk's oracle: k row-at-a-time reference draws per row, each cut draw closed by _force_stop."""
@@ -438,8 +449,7 @@ def test_memo_prefill_leaves_training_bit_identical(kind, monkeypatch):
     ds = TrainSet.build(problems, task, vocab)
     plain = pol.clone()
     forwards = []
-    inner = Policy.batch_log_probs
-    monkeypatch.setattr(Policy, "batch_log_probs", lambda self, ctx: forwards.append(len(ctx)) or inner(self, ctx))
+    count_array_forwards(monkeypatch, lambda ctx: forwards.append(len(ctx)))
     walked = training_outputs(pol, train_gflownet(pol, ds, gfn))
     n_walked = len(forwards)
     monkeypatch.setattr(gflownet, "_walk_draws", draws_one_at_a_time)
@@ -452,7 +462,7 @@ def test_training_draws_each_token_once_and_scores_no_horizon_context(monkeypatc
     # them, and a draw cut at the horizon is closed without scoring the context that follows it
     task, vocab, problem, pol = criterion_1_setup(max_parts=4)
     walks, scored = [], []
-    walk, inner = policy._walk_draws, Policy.batch_log_probs
+    walk = policy._walk_draws
 
     def counted_walk(pol, rows, *args, **kwargs):
         walks.append(len(rows))
@@ -460,7 +470,7 @@ def test_training_draws_each_token_once_and_scores_no_horizon_context(monkeypatc
     # the name gflownet binds, and the one every other draw goes through
     monkeypatch.setattr(gflownet, "_walk_draws", counted_walk)
     monkeypatch.setattr(policy, "_walk_draws", counted_walk)
-    monkeypatch.setattr(Policy, "batch_log_probs", lambda self, ctx: scored.extend(ctx.tolist()) or inner(self, ctx))
+    count_array_forwards(monkeypatch, lambda ctx: scored.extend(ctx.tolist()))
     train_gflownet(pol, TrainSet.build([problem], task, vocab), GfnConfig(
         steps=200, batch_size=16, samples_per_problem=8, sft_coeff=0.0,
         lr=0.08, decode=DecodeCfg(temperature=2.0, top_p=1.0), seed=0))

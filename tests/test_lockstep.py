@@ -71,7 +71,7 @@ def reference_decode(policy: Policy, problem, max_new_tokens, cfg: DecodeCfg | N
     budget = problem.max_solution_len + 1 if max_new_tokens is None else max_new_tokens
     tokens = list(problem.prompt_tokens)
     for _ in range(budget):
-        lp = policy.batch_log_probs(np.asarray([policy.context_of(tokens)], dtype=np.int64))[0]
+        lp = policy.forward(policy.params, np.asarray([policy.context_of(tokens)], dtype=np.int64))[0]
         tok = int(np.argmax(lp)) if rng is None else reference_draw(lp, cfg, rng)
         tokens.append(tok)
         if tok == policy.vocab.stop_id:
@@ -186,13 +186,14 @@ def test_walk_rows_equal_the_row_at_a_time_reference(kind, n_rows, k, draft):
 
 
 def recording_forwards(pol: Policy) -> list[list[tuple[int, ...]]]:
-    """Wrap the policy's batch_log_probs; the returned list gets the contexts of each call."""
-    calls, inner = [], pol.batch_log_probs
+    """Wrap the policy's forward; the returned list gets the contexts of each call on its parameter array."""
+    calls, inner = [], pol.forward
 
-    def recorded(ctx_mat):
-        calls.append(list(map(tuple, ctx_mat.tolist())))
-        return inner(ctx_mat)
-    pol.batch_log_probs = recorded
+    def recorded(theta, ctx_mat):
+        if isinstance(theta, np.ndarray):
+            calls.append(list(map(tuple, ctx_mat.tolist())))
+        return inner(theta, ctx_mat)
+    pol.forward = recorded
     return calls
 
 

@@ -31,7 +31,7 @@ def log_rewards(prompt, body) -> np.ndarray:
 
 def next_log_probs(pol, prefix) -> np.ndarray:
     """The one-row oracle: log-probabilities of the token after prefix."""
-    return pol.batch_log_probs(np.asarray([pol.context_of(prefix)], dtype=np.int64))[0]
+    return pol.forward(pol.params, np.asarray([pol.context_of(prefix)], dtype=np.int64))[0]
 
 
 def setup(kind: str, seed: int = 0):

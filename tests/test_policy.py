@@ -64,7 +64,7 @@ def seeded_tabular(vocab: Vocab, window: int = 2, scale: float = 1.0, seed: int 
 
 def next_log_probs(pol: Policy, prefix) -> np.ndarray:
     """The one-row oracle: log-probabilities of the token after prefix."""
-    return pol.batch_log_probs(np.asarray([pol.context_of(prefix)], dtype=np.int64))[0]
+    return pol.forward(pol.params, np.asarray([pol.context_of(prefix)], dtype=np.int64))[0]
 
 
 def test_log_probs_normalized_many_contexts():
@@ -351,10 +351,10 @@ def test_value_net_shapes_and_registration():
     net = ValueNet.for_policy(pol)
     net.register([(problem.prompt_tokens, (2, 2))])
     ctx = pol.windows([(problem.prompt_tokens, (2, 2))])
-    vals = net.values(ctx)
+    vals = net.forward(net.params, ctx)
     assert vals.shape == (3,)
     netn = ValueNet.for_policy(Policy.neural(vocab, window=3, embed_dim=4, hidden_dim=6))
-    vals2 = netn.values(ctx[:, -3:])
+    vals2 = netn.forward(netn.params, ctx[:, -3:])
     assert vals2.shape == (3,)
 
 
@@ -475,16 +475,6 @@ def _critics(vocab: Vocab):
     return tab, neural
 
 
-def test_critic_values_match_tape_values_bitwise():
-    vocab = tiny_vocab()
-    ctx = Policy.tabular(vocab, window=2).windows([((0,), (1, 2)), ((0,), (2,))])
-    for critic in _critics(vocab):
-        tape = GradTape()
-        got = critic.values_var(tape.input(critic.params), ctx).value
-        assert got.shape == (ctx.shape[0],)
-        assert np.array_equal(critic.values(ctx), got)
-
-
 def _policies(vocab: Vocab):
     """A tabular and a neural policy of window 2 at random parameters."""
     neural = Policy.neural(vocab, window=2, embed_dim=3, hidden_dim=5)
@@ -492,14 +482,16 @@ def _policies(vocab: Vocab):
     return seeded_tabular(vocab), neural
 
 
-def test_policy_rows_match_tape_rows_bitwise():
-    # sampling and enumeration score with the array forward, training with the tape one
+def test_forward_on_the_array_matches_the_tape_bitwise():
+    # sampling, enumeration and the critic's values read the array forward, training the tape one
     vocab = tiny_vocab()
     items = [((0,), (1, 2)), ((0,), (2,)), ((0,), ())]
+    for model in _policies(vocab) + _critics(vocab):
+        ctx = model.windows(items)
+        got = model.forward(GradTape().input(model.params), ctx).value
+        assert got.shape == ((ctx.shape[0],) if isinstance(model, ValueNet) else (ctx.shape[0], model.width))
+        assert model.forward(model.params, ctx).tobytes() == got.tobytes()
     for pol in _policies(vocab):
-        ctx = pol.windows(items)
-        got = pol.rows_var(GradTape().input(pol.params), ctx).value
-        assert pol.batch_log_probs(ctx).tobytes() == got.tobytes()
         # and so does the padded batch, masks included
         arrays = batched_generation_log_vars(pol, pol.params, items)
         tape = batched_generation_log_vars(pol, GradTape().input(pol.params), items)
@@ -513,7 +505,7 @@ def test_critic_squared_error_gradient_matches_finite_differences():
     targets = np.array([0.3, -1.2, 2.0])
     for critic in _critics(vocab):
         def loss(theta, critic=critic):
-            resid = critic.values_var(theta, ctx) - theta.tape.const(targets)
+            resid = critic.forward(theta, ctx) - theta.tape.const(targets)
             return ad.vsum(ad.square(resid)) / float(targets.size)
 
         assert finite_diff_check(loss, critic.params) < 1e-6
@@ -597,8 +589,8 @@ def test_tape_rows_of_an_unregistered_context_name_it():
     pol.params = np.random.default_rng(0).normal(size=pol.params.size)
     ctx = pol.windows([((0,), (1, 2))])  # its last context, (1, 2), is new
     with pytest.raises(KeyError, match=r"unregistered tabular context \(1, 2\)"):
-        pol.rows_var(GradTape().input(pol.params), ctx)
+        pol.forward(GradTape().input(pol.params), ctx)
     # the same forward on the parameter array reads a zero, so uniform, row there
-    lp = pol.batch_log_probs(ctx)
+    lp = pol.forward(pol.params, ctx)
     assert np.array_equal(lp[-1], np.full(vocab.size, -np.log(vocab.size)))
-    assert lp[:-1].tobytes() == pol.rows_var(GradTape().input(pol.params), ctx[:-1]).value.tobytes()
+    assert lp[:-1].tobytes() == pol.forward(GradTape().input(pol.params), ctx[:-1]).value.tobytes()
