@@ -214,6 +214,8 @@ def _cmd_compare(cfg: RunConfig, workers: int, reports: list[str]) -> int:
         label, sep, path = spec.partition("=")
         if not sep or not label or not path:
             raise ConfigError(f"expected LABEL=PATH, got {spec!r}")
+        if label in (seen for seen, _ in parsed):
+            raise ConfigError(f"compare label {label!r} is given twice")
         with open(path, "r", encoding="utf-8") as fh:
             parsed.append((label, json.load(fh)))
     parsed.sort(key=lambda item: item[0])

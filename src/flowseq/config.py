@@ -225,9 +225,9 @@ def read_config(path: str | Path) -> RunConfig:
             if not line or line.startswith("#"):
                 continue
             if line.startswith("["):
-                if not line.endswith("]") or len(line) < 3:
-                    raise ParseError(f"line {line_no}: malformed section header: {line}")
                 section = line[1:-1].strip()
+                if not line.endswith("]") or not section:
+                    raise ParseError(f"line {line_no}: malformed section header: {line}")
                 if section not in _KEYS:
                     raise ParseError(f"unknown key: [{section}]")
                 continue

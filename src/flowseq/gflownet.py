@@ -145,7 +145,7 @@ class Fitter:
 
     def theta(self, items: list[Item]) -> Var:
         """Register the (prompt_tokens, body) items' contexts, grow the Adam state, open a tape on the parameters."""
-        self.model.register(items)
+        self.model.register_prefixes(items)
         self.adam = self.adam.resized(self.model.params.size)
         return GradTape().input(self.model.params)
 

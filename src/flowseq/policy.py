@@ -180,11 +180,7 @@ class Policy:
         get = self.contexts.get
         return [get(k, -1) for k in keys]
 
-    def register_prefixes(self, prompt_tokens: tuple[int, ...], gen_body: tuple[int, ...]) -> None:
-        """Register one trajectory's contexts; kept as the name perfbench/layers.py wraps."""
-        self.register([(prompt_tokens, gen_body)])
-
-    def register(self, items: list[Item]) -> None:
+    def register_prefixes(self, items: list[Item]) -> None:
         """Register the contexts of every (prompt_tokens, body) item in item order; a no-op when neural."""
         if self.kind is PolicyKind.TABULAR:
             self._rows(self.windows(items), grow=True)
@@ -294,7 +290,7 @@ def trajectory_body(traj: Trajectory) -> tuple[int, ...]:
 
 
 def trajectory_item(traj: Trajectory) -> Item:
-    """(prompt_tokens, body) of a trajectory: one item for Policy.register and the batched forward."""
+    """(prompt_tokens, body) of a trajectory: one item for Policy.register_prefixes and the batched forward."""
     return traj.tokens[: traj.prompt_len], trajectory_body(traj)
 
 

@@ -106,7 +106,7 @@ def _two_terminal_toy():
 
 def _toy_policy(vocab, problem, p_tok: float):
     pol = Policy.tabular(vocab, window=2)
-    pol.register([(problem.prompt_tokens, (0,))])
+    pol.register_prefixes([(problem.prompt_tokens, (0,))])
     i0 = pol.contexts[pol.context_of(problem.prompt_tokens)]
     i1 = pol.contexts[pol.context_of(problem.prompt_tokens + (0,))]
     pol.params = np.zeros(pol.params.size)
@@ -144,7 +144,7 @@ def _fd_instance(seed: int):
         if trajectory_body(traj_b) != trajectory_body(traj_a):
             break
     for t in (traj_a, traj_b):
-        pol.register([(problem.prompt_tokens, trajectory_body(t))])
+        pol.register_prefixes([(problem.prompt_tokens, trajectory_body(t))])
     rng = np.random.default_rng(seed + 1)
     pol.params = rng.normal(0.0, 0.5, size=pol.params.size)
     reward_fn = lambda prefix: reward(problem, prefix, task, vocab)
@@ -274,7 +274,7 @@ def test_criterion_3_reward_scale_invariance():
     worst = 0.0
     for seed in range(5):
         traj = _random_terminated(pol, problem, seed)
-        pol.register([(problem.prompt_tokens, trajectory_body(traj))])
+        pol.register_prefixes([(problem.prompt_tokens, trajectory_body(traj))])
         pol.params = rng.normal(0.0, 0.5, size=pol.params.size)
         base = ad.loss_value(lambda th: replay_loss_var(pol, th, _replayed(reward_fn, traj), [], cfg)[1],
                              pol.params)

@@ -69,7 +69,7 @@ def one_step_pair():
     pair = PreferencePair(problem_id=0, chosen=chosen, rejected=rejected,
                           chosen_reward=1.0, rejected_reward=0.5)
     pol = Policy.tabular(vocab, window=2)
-    pol.register([((0,), (0,))])
+    pol.register_prefixes([((0,), (0,))])
     return vocab, problem, pair, pol
 
 
@@ -138,7 +138,7 @@ def test_dpo_zero_margin_is_log_two():
 def test_dpo_loss_follows_margin():
     vocab, problem, pair, pol = one_step_pair()
     ref = pol.clone()
-    pol.register([((0,), ())])
+    pol.register_prefixes([((0,), ())])
     row = pol.contexts[pol.context_of((0,))]
     up = pol.clone()
     up.params = pol.params.copy()
@@ -203,7 +203,7 @@ def test_ppo_surrogate_zero_advantages():
     cfg, vocab, problem = tiny_setup()
     pol = Policy.tabular(vocab, window=5)
     body = (2, 3)
-    pol.register([(problem.prompt_tokens, body)])
+    pol.register_prefixes([(problem.prompt_tokens, body)])
     tape = GradTape()
     theta = tape.input(pol.params)
     forward = batched_generation_log_vars(pol, theta, [(problem.prompt_tokens, body)])
@@ -214,7 +214,7 @@ def test_ppo_surrogate_matches_clipped_oracle():
     cfg, vocab, problem = tiny_setup()
     pol = Policy.tabular(vocab, window=5)
     body = (2, 3)
-    pol.register([(problem.prompt_tokens, body)])
+    pol.register_prefixes([(problem.prompt_tokens, body)])
     pol.params = np.random.default_rng(4).normal(0, 0.5, size=pol.params.size)
     lp_tok, lp_stop = generation_log_probs(pol, problem.prompt_tokens, body)
     lp = np.concatenate([lp_tok, [lp_stop[len(body)]]])
@@ -381,10 +381,10 @@ def dpo_pair_case(neural: bool):
         ref = Policy.neural(vocab, window=3, embed_dim=4, hidden_dim=8, seed=2)
         return pol, ref, pairs
     ref = Policy.tabular(vocab, window=2)
-    ref.register(items[::3])  # the reference reads some contexts as unregistered zero rows
+    ref.register_prefixes(items[::3])  # the reference reads some contexts as unregistered zero rows
     ref.params = rng.normal(0.0, 1.0, size=ref.params.size)
     pol = ref.clone()
-    pol.register(items)
+    pol.register_prefixes(items)
     pol.params = rng.normal(0.0, 1.0, size=pol.params.size)
     return pol, ref, pairs
 

@@ -90,6 +90,13 @@ def test_unknown_section_exits_2(tmp_path):
     assert run_cli(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+def test_a_blank_section_header_exits_2(tmp_path, capsys):
+    # "[ ]" names no section: it must not switch back to the top-level keys
+    cfg = write_config(tmp_path, "[train]\nlr = 0.1\n[ ]\nseed = 5\n")
+    assert run_cli(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "line 3: malformed section header: [ ]" in capsys.readouterr().err
+
+
 def test_range_violation_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "[train]\nlr = -0.5\n")
     assert run_cli(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -397,6 +404,18 @@ def test_compare_sorts_labels_and_blanks_missing_k(tmp_path, capsys):
 
 def test_compare_rejects_malformed_spec(tmp_path):
     assert run_cli(["compare", "--out", str(tmp_path / "o"), "nolabel", "x=y"]) == 2
+
+
+def test_compare_rejects_a_repeated_label(tmp_path, capsys):
+    reports = []
+    for name in ("a", "b"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"greedy_accuracy": 0.5, "mean_distinct_correct": 1.0, "pass_at": {}}))
+        reports.append(f"x={path}")
+    out = tmp_path / "o"
+    assert run_cli(["compare", "--out", str(out), *reports]) == 2
+    assert "compare label 'x' is given twice" in capsys.readouterr().err
+    assert not (out / "compare.csv").exists()
 
 
 def product_bodies(problem, vocab) -> list[tuple[int, ...]]:

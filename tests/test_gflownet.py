@@ -73,7 +73,7 @@ def two_token_setup():
 def fitted_policy(vocab, problem, p_tok: float, p_stop_after: float = None):
     """Tabular policy over the two contexts of the one-step space."""
     pol = Policy.tabular(vocab, window=2)
-    pol.register([(problem.prompt_tokens, (0,))])
+    pol.register_prefixes([(problem.prompt_tokens, (0,))])
     i0 = pol.contexts[pol.context_of(problem.prompt_tokens)]
     i1 = pol.contexts[pol.context_of(problem.prompt_tokens + (0,))]
     pol.params = np.zeros(pol.params.size)
@@ -108,7 +108,7 @@ def test_subtb_matches_brute_force_double_sum():
     for seed in range(6):
         traj = random_terminated_trajectory(pol, problem, seed)
         body = trajectory_body(traj)
-        pol.register([(problem.prompt_tokens, body)])
+        pol.register_prefixes([(problem.prompt_tokens, body)])
         pol.params = rng.normal(0, 0.5, size=pol.params.size)
         for lam in (0.5, 1.0, 1.7):
             cfg = GfnConfig(steps=1, subtb_lambda=lam)
@@ -154,7 +154,7 @@ def test_subtb_reward_scale_invariance():
     rng = np.random.default_rng(9)
     reward_fn = task_reward(problem, task, vocab)
     traj = random_terminated_trajectory(pol, problem, 2)
-    pol.register([(problem.prompt_tokens, trajectory_body(traj))])
+    pol.register_prefixes([(problem.prompt_tokens, trajectory_body(traj))])
     pol.params = rng.normal(0, 0.5, size=pol.params.size)
     cfg = GfnConfig(steps=1, subtb_lambda=0.9)
     base = ad.loss_value(lambda th: replay_loss_var(pol, th, replayed(reward_fn, traj), [], cfg)[1], pol.params)
@@ -168,7 +168,7 @@ def test_sft_loss_is_mean_token_nll():
     cfg, vocab, problem = sumpath_setup()
     pol = Policy.tabular(vocab, window=4)
     refs = [(problem.prompt_tokens, (2, 2)), (problem.prompt_tokens, (2,))]
-    pol.register(refs)
+    pol.register_prefixes(refs)
     got = ad.loss_value(lambda th: sft_loss_var(pol, th, refs), pol.params)
     total, count = 0.0, 0
     for prompt, body in refs:

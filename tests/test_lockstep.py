@@ -115,7 +115,7 @@ def arith_policy(kind: str, seed: int = 0) -> tuple[Policy, list]:
     # register the contexts of some uniform draws, then give every row random logits
     for p in problems:
         for _ in range(6):
-            pol.register([(p.prompt_tokens, tuple(rng.integers(0, vocab.size - 1, size=p.max_solution_len)))])
+            pol.register_prefixes([(p.prompt_tokens, tuple(rng.integers(0, vocab.size - 1, size=p.max_solution_len)))])
     pol.params = rng.normal(0.0, 2.5, size=pol.params.size)
     return pol, problems
 

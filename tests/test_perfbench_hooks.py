@@ -125,6 +125,7 @@ def test_a_traced_run_counts_through_every_hooked_signature():
     for name in ("policy.batched_generation_log_vars.rows", "autodiff.backward.tape_nodes",
                  "policy.sample.tokens", "policy.terminal_distribution.nodes"):
         assert tracer.counts[name] > 0, name
+    assert tracer.calls()["policy.register_prefixes"] > 0
 
 
 @pytest.mark.parametrize("seed", [15, 49])

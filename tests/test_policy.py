@@ -53,11 +53,11 @@ def seeded_tabular(vocab: Vocab, window: int = 2, scale: float = 1.0, seed: int 
     pol = Policy.tabular(vocab, window=window)
     rng = np.random.default_rng(seed)
     prob = tiny_problem(vocab)
-    pol.register([(prob.prompt_tokens, tuple())])
+    pol.register_prefixes([(prob.prompt_tokens, tuple())])
     for a in range(vocab.size - 1):
-        pol.register([(prob.prompt_tokens, (a,))])
+        pol.register_prefixes([(prob.prompt_tokens, (a,))])
         for b in range(vocab.size - 1):
-            pol.register([(prob.prompt_tokens, (a, b))])
+            pol.register_prefixes([(prob.prompt_tokens, (a, b))])
     pol.params = rng.normal(0.0, scale, size=pol.params.size)
     return pol
 
@@ -129,7 +129,7 @@ def test_top_p_truncates_tail():
     pol = Policy.tabular(vocab, window=1)
     problem = Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=(0,),
                       target=1, operands=(1,), max_solution_len=1)
-    pol.register([((0,), ())])
+    pol.register_prefixes([((0,), ())])
     idx = pol.contexts[pol.context_of((0,))]
     # p approx [0.6, 0.25, 0.1, 0.05] over x,y,z,eos
     pol.params = np.zeros(pol.params.size)
@@ -182,7 +182,7 @@ def test_terminal_distribution_hand_case():
     pol = Policy.tabular(vocab, window=2)
     problem = Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=(0,),
                       target=1, operands=(1,), max_solution_len=1)
-    pol.register([((0,), (0,))])
+    pol.register_prefixes([((0,), (0,))])
     i0, i1 = pol.contexts[pol.context_of((0,))], pol.contexts[pol.context_of((0, 0))]
     pol.params = np.zeros(pol.params.size)
     pol.params[i0 * 2:(i0 + 1) * 2] = np.log([0.4, 0.6])
@@ -349,7 +349,7 @@ def test_value_net_shapes_and_registration():
     problem = make_problem(cfg, seed=0)
     pol = Policy.tabular(vocab, window=4)
     net = ValueNet.for_policy(pol)
-    net.register([(problem.prompt_tokens, (2, 2))])
+    net.register_prefixes([(problem.prompt_tokens, (2, 2))])
     ctx = pol.windows([(problem.prompt_tokens, (2, 2))])
     vals = net.forward(net.params, ctx)
     assert vals.shape == (3,)
@@ -467,7 +467,7 @@ def test_subnormal_temperature_raises_instead_of_sampling_garbage():
 
 def _critics(vocab: Vocab):
     tab = ValueNet.for_policy(Policy.tabular(vocab, window=2))
-    tab.register([((0,), (1, 2)), ((0,), (2,))])
+    tab.register_prefixes([((0,), (1, 2)), ((0,), (2,))])
     tab.params = np.random.default_rng(3).normal(size=tab.params.size)
     neural = ValueNet.for_policy(Policy.neural(vocab, window=2, embed_dim=3, hidden_dim=5), seed=4)
     # at the 0.02 init scale the smallest gradients sit at the central-difference noise floor
@@ -514,7 +514,7 @@ def test_critic_squared_error_gradient_matches_finite_differences():
 def test_register_assigns_rows_in_item_order():
     vocab = tiny_vocab()
     pol = Policy.tabular(vocab, window=2)
-    pol.register([((0,), (1,)), ((0,), (2, 1))])
+    pol.register_prefixes([((0,), (1,)), ((0,), (2, 1))])
     # the first item's prefixes, then the second's new ones
     order = [(pol.pad_id, 0), (0, 1), (0, 2), (2, 1)]
     assert list(pol.contexts) == order
@@ -522,7 +522,7 @@ def test_register_assigns_rows_in_item_order():
     assert pol.params.size == len(order) * vocab.size
     neural = Policy.neural(vocab, window=2, embed_dim=3, hidden_dim=5)
     before = neural.params.copy()
-    neural.register([((0,), (1,)), ((0,), (2, 1))])
+    neural.register_prefixes([((0,), (1,)), ((0,), (2, 1))])
     assert np.array_equal(neural.params, before) and not neural.contexts
 
 
@@ -555,7 +555,7 @@ def test_register_keys_are_python_int_tuples_in_item_order():
     vocab = tiny_vocab()
     pol = Policy.tabular(vocab, window=3)
     items = [((0, 1), (2,)), ((1,), ()), ((0, 1), (2, 0, 1))]
-    pol.register(items)
+    pol.register_prefixes(items)
     want = list(dict.fromkeys(pol.context_of(p + b[:t]) for p, b in items for t in range(len(b) + 1)))
     assert list(pol.contexts.items()) == [(ctx, row) for row, ctx in enumerate(want)]
     # numpy integers compare equal to ints but repr differently, which would move checkpoint digests
@@ -576,16 +576,16 @@ def test_register_replaces_params_once_per_call():
     vocab = tiny_vocab()
     pol = Counted(PolicyKind.TABULAR, vocab, 2, np.zeros(0))
     pol.sets = 0
-    pol.register([((0,), (1, 2)), ((0,), (2, 1, 0))])
+    pol.register_prefixes([((0,), (1, 2)), ((0,), (2, 1, 0))])
     assert pol.sets == 1 and len(pol.contexts) == 6 and pol.params.size == 6 * vocab.size
-    pol.register([((0,), (1,))])  # nothing new
+    pol.register_prefixes([((0,), (1,))])  # nothing new
     assert pol.sets == 1
 
 
 def test_tape_rows_of_an_unregistered_context_name_it():
     vocab = tiny_vocab()
     pol = Policy.tabular(vocab, window=2)
-    pol.register([((0,), (1,))])
+    pol.register_prefixes([((0,), (1,))])
     pol.params = np.random.default_rng(0).normal(size=pol.params.size)
     ctx = pol.windows([((0,), (1, 2))])  # its last context, (1, 2), is new
     with pytest.raises(KeyError, match=r"unregistered tabular context \(1, 2\)"):

@@ -1,10 +1,9 @@
 """Every function, class and method in src/flowseq is used by the program itself.
 
 A definition counts as used when a src/ module references its name outside
-the definition itself (the package's re-exports in __init__.py do not count),
-or when perfbench/ or pyproject.toml names it. Tests alone keep nothing alive:
-a check that needs a loss or a helper the program never runs calls what the
-program does run, on inputs the test builds.
+the definition itself, or when perfbench/ or pyproject.toml names it. Tests
+alone keep nothing alive: a check that needs a loss or a helper the program
+never runs calls what the program does run, on inputs the test builds.
 """
 
 from __future__ import annotations
@@ -62,9 +61,7 @@ def _unused() -> list[str]:
     outside += (ROOT / "pyproject.toml").read_text()
     # every name referenced by some unit other than the one that defines it
     used: set[str] = set()
-    for name, tree in modules.items():
-        if name == "__init__.py":
-            continue
+    for tree in modules.values():
         for defined, unit in _units(tree):
             used |= _referenced(unit) - {defined}
     unused = []
@@ -87,3 +84,28 @@ def test_the_allowlist_names_only_definitions_the_program_does_not_use():
     finally:
         ALLOWED.update(saved)
     assert unused == set(saved)
+
+
+def test_the_package_root_binds_only_its_version():
+    # every name has one import path, its defining module: the package root re-exports nothing
+    bound = set()
+    for node in ast.parse((SRC / "__init__.py").read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {alias.asname or alias.name for alias in node.names}
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        else:
+            bound |= {sub.id for sub in ast.walk(node) if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store)}
+    assert bound == {"__version__"}
+
+
+def test_every_import_from_the_package_root_names_a_module():
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+    named = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "tests").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module, node.level) in {("flowseq", 0), (None, 1)}:
+                named |= {alias.name for alias in node.names}
+    for line in re.findall(r"^from flowseq import (.+)$", (ROOT / "README.md").read_text(), re.M):
+        named |= {name.split(" as ")[0].strip() for name in line.split(",")}
+    assert named and named <= modules, named - modules

@@ -56,7 +56,7 @@ def test_nan_loss_raises_and_leaves_params_untouched():
     ds = tiny_dataset()
     pol = Policy.tabular(ds.vocab, window=5)
     refs = ds.all_references()
-    pol.register(refs)
+    pol.register_prefixes(refs)
     pol.params = np.random.default_rng(0).normal(size=pol.params.size)
     before = pol.params.copy()
     fit = Fitter(pol, lr=0.1)
@@ -110,7 +110,7 @@ def test_one_update_step_equals_the_inline_sequence_bitwise():
     # the sequence every trainer used to repeat inline
     adam = AdamState.init(old.params.size, 0.05)
     for batch in batches:
-        old.register(batch)
+        old.register_prefixes(batch)
         adam = adam.resized(old.params.size)
         tape = GradTape()
         theta = tape.input(old.params)
