@@ -22,7 +22,7 @@ from . import env
 from .autodiff import Var
 # not called here (Fitter calls gflownet's): perfbench/layers.py wraps the name where baselines binds it
 from .autodiff import adam_step  # noqa: F401
-from .core import Problem, SettingError, Trajectory, check_fields
+from .core import Problem, SettingError, check_fields
 from .gflownet import Fitter, TrainReport, TrainSet, check_learning_rate, sft_loss_var
 from .policy import (
     DecodeCfg,
@@ -36,7 +36,6 @@ from .policy import (
     batched_generation_log_vars,
     sequence_log_prob_vars,
     trajectory_body,
-    trajectory_item,
 )
 
 
@@ -54,19 +53,18 @@ class EmptyBatch(SettingError):
 
 @dataclass(frozen=True)
 class PreferencePair:
-    """Highest- vs lowest-reward solution for one problem."""
+    """One problem's highest- and lowest-reward draws from the frozen reference, and that reference's margin.
 
-    problem_id: int
-    chosen: Trajectory
-    rejected: Trajectory
-    chosen_reward: float
-    rejected_reward: float
+    chosen and rejected are bodies without the stop symbol, and a *_stopped flag marks a draw that drew it.
+    ref_margin is the reference's sequence log-probability of chosen minus that of rejected.
+    """
 
-    def __post_init__(self) -> None:
-        if self.chosen_reward < self.rejected_reward:
-            raise ValueError("chosen reward must be at least the rejected reward")
-        if self.chosen.tokens[: self.chosen.prompt_len] != self.rejected.tokens[: self.rejected.prompt_len]:
-            raise ValueError("pair members must share one problem prompt")
+    prompt: tuple[int, ...]
+    chosen: tuple[int, ...]
+    rejected: tuple[int, ...]
+    chosen_stopped: bool
+    rejected_stopped: bool
+    ref_margin: float
 
 
 def _check_fit(epochs: int, batch_size: int | None) -> None:
@@ -120,11 +118,12 @@ def _fit(policy: Policy, data: list, items: Callable[[list], list], loss_var: Ca
 
 def _draw_scored(
     policy: Policy, dataset: TrainSet, problem: Problem, decode: DecodeCfg, k: int, rng: np.random.Generator
-) -> tuple[list[Trajectory], list[float]]:
-    """k draws for one problem sharing one context memo, and the reward of each."""
+) -> tuple[list[tuple[int, ...]], list[bool], list[float]]:
+    """k draws for one problem sharing one context memo: each draw's body, whether it stopped, and its reward."""
     memo: Memo = {}
-    samples = [_sample_with_rng(policy, problem, decode, rng, memo) for _ in range(k)]
-    return samples, _rewards(dataset, problem, [trajectory_body(s) for s in samples])
+    draws = [_sample_with_rng(policy, problem, decode, rng, memo) for _ in range(k)]
+    bodies = [trajectory_body(d) for d in draws]
+    return bodies, [d.terminated for d in draws], _rewards(dataset, problem, bodies)
 
 
 def _rewards(dataset: TrainSet, problem: Problem, bodies: list[tuple[int, ...]]) -> list[float]:
@@ -152,13 +151,6 @@ def sft_train(
                 TrainReport(loss_column="mean_sft_loss"))
 
 
-def rft_select(samples: list[Trajectory], rewards: list[float]) -> Trajectory:
-    """Best-reward sample; ties break to the earliest index."""
-    if len(samples) != len(rewards) or not samples:
-        raise LengthMismatch(f"{len(samples)} samples vs {len(rewards)} rewards")
-    return samples[int(np.argmax(np.asarray(rewards)))]
-
-
 @dataclass(frozen=True)
 class RftConfig:
     k: int = 4
@@ -180,39 +172,28 @@ def rft_train(
     dataset: TrainSet,
     cfg: RftConfig | None = None,
 ) -> TrainReport:
-    """Rejection sampling: keep the best of k samples per problem, then fit the kept set."""
+    """Rejection sampling: keep the best of k samples per problem (ties go to the earliest), then fit the kept set."""
     cfg = cfg or RftConfig()
     if not dataset.problems:
         raise EmptyDataset("no problems to sample from")
     rng = np.random.default_rng(cfg.seed)
     kept = []
     for problem in dataset.problems:
-        samples, rewards = _draw_scored(policy, dataset, problem, cfg.decode, cfg.k, rng)
-        kept.append(trajectory_item(rft_select(samples, rewards)))
+        bodies, _, rewards = _draw_scored(policy, dataset, problem, cfg.decode, cfg.k, rng)
+        kept.append((problem.prompt_tokens, bodies[int(np.argmax(rewards))]))
     # the fit shuffles with a fresh generator of the same seed
     return _fit(policy, kept, list, sft_loss_var, cfg, np.random.default_rng(cfg.seed),
                 TrainReport(loss_column="mean_rft_loss"))
 
 
-def dpo_mean_loss_var(
-    policy: Policy, theta: Var, ref_policy: Policy, pairs: list[PreferencePair], beta: float = 0.01
-) -> Var:
-    """Mean DPO loss over pairs; one forward pass each scores every chosen and rejected body.
-
-    The policy's pass is on theta, the frozen reference's on its parameter array.
-    """
-    trajs = [p.chosen for p in pairs] + [p.rejected for p in pairs]
-    items = [trajectory_item(t) for t in trajs]
-    lp = batched_generation_log_vars(policy, theta, items)
-    seq = sequence_log_prob_vars(*lp, np.asarray([t.terminated for t in trajs]))
-    # a row's tokens summed alone, then its stop where it stopped (sequence_log_prob_vars sums in another order)
-    ref_tok, ref_stop, lengths = batched_generation_log_vars(ref_policy, ref_policy.params, items)
-    ref = [float(tok[:k].sum()) + (float(stop[k]) if t.terminated else 0.0)
-           for tok, stop, k, t in zip(ref_tok, ref_stop, lengths, trajs)]
+def dpo_mean_loss_var(policy: Policy, theta: Var, pairs: list[PreferencePair], beta: float = 0.01) -> Var:
+    """Mean DPO loss over pairs; one forward pass on theta scores every chosen and rejected body."""
+    items = [(p.prompt, p.chosen) for p in pairs] + [(p.prompt, p.rejected) for p in pairs]
+    stopped = np.asarray([p.chosen_stopped for p in pairs] + [p.rejected_stopped for p in pairs])
+    seq = sequence_log_prob_vars(*batched_generation_log_vars(policy, theta, items), stopped)
     n = len(pairs)
-    margin_ref = np.subtract(ref[:n], ref[n:])[:, None]
     # chosen minus rejected sequence log-probability, one row per pair
-    margin = theta.tape.const(np.hstack([np.eye(n), -np.eye(n)])) @ seq - margin_ref
+    margin = theta.tape.const(np.hstack([np.eye(n), -np.eye(n)])) @ seq - np.asarray([[p.ref_margin] for p in pairs])
     return ad.vsum(ad.softplus(-(margin * beta))) / float(n)
 
 
@@ -239,15 +220,22 @@ class DpoConfig:
 def build_preference_pairs(
     ref_policy: Policy, dataset: TrainSet, cfg: DpoConfig, rng: np.random.Generator
 ) -> list[PreferencePair]:
-    """Sample from the frozen reference and pair extremes; reward ties are skipped."""
-    pairs: list[PreferencePair] = []
-    for pid, problem in enumerate(dataset.problems):
-        samples, rewards = _draw_scored(ref_policy, dataset, problem, cfg.decode, cfg.samples_per_problem, rng)
-        hi = int(np.argmax(rewards))
-        lo = int(np.argmin(rewards))
+    """Sample from the frozen reference and pair extremes, skipping reward ties; one forward scores every pair."""
+    drawn = []  # (prompt, chosen, rejected, chosen stopped, rejected stopped)
+    for problem in dataset.problems:
+        bodies, stopped, rewards = _draw_scored(ref_policy, dataset, problem, cfg.decode, cfg.samples_per_problem, rng)
+        hi, lo = int(np.argmax(rewards)), int(np.argmin(rewards))
         if rewards[hi] > rewards[lo]:
-            pairs.append(PreferencePair(pid, samples[hi], samples[lo], float(rewards[hi]), float(rewards[lo])))
-    return pairs
+            drawn.append((problem.prompt_tokens, bodies[hi], bodies[lo], stopped[hi], stopped[lo]))
+    if not drawn:
+        return []
+    n = len(drawn)
+    items = [(d[0], d[1]) for d in drawn] + [(d[0], d[2]) for d in drawn]
+    stopped = [d[3] for d in drawn] + [d[4] for d in drawn]
+    # a row's tokens summed alone, then its stop where it stopped (sequence_log_prob_vars sums in another order)
+    tok, stop, lengths = batched_generation_log_vars(ref_policy, ref_policy.params, items)
+    seq = [float(t[:k].sum()) + (float(s[k]) if st else 0.0) for t, s, k, st in zip(tok, stop, lengths, stopped)]
+    return [PreferencePair(*d, seq[i] - seq[n + i]) for i, d in enumerate(drawn)]
 
 
 def dpo_train(
@@ -271,8 +259,8 @@ def dpo_train(
         return report
     return _fit(
         policy, pairs,
-        lambda batch: [trajectory_item(t) for p in batch for t in (p.chosen, p.rejected)],
-        lambda pol, theta, batch: dpo_mean_loss_var(pol, theta, ref_policy, batch, cfg.beta),
+        lambda batch: [(p.prompt, body) for p in batch for body in (p.chosen, p.rejected)],
+        lambda pol, theta, batch: dpo_mean_loss_var(pol, theta, batch, cfg.beta),
         cfg, rng, report,
     )
 

@@ -229,14 +229,14 @@ def read_config(path: str | Path) -> RunConfig:
                 if not line.endswith("]") or not section:
                     raise ParseError(f"line {line_no}: malformed section header: {line}")
                 if section not in _KEYS:
-                    raise ParseError(f"unknown key: [{section}]")
+                    raise ParseError(f"line {line_no}: unknown key: [{section}]")
                 continue
             if "=" not in line:
                 raise ParseError(f"line {line_no}: expected 'key = value': {line}")
             key, _, value = (part.strip() for part in line.partition("="))
             dotted = f"{section}.{key}" if section else key
             if key not in _KEYS[section]:
-                raise ParseError(f"unknown key: {dotted}")
+                raise ParseError(f"line {line_no}: unknown key: {dotted}")
             if dotted in first_line:
                 raise ParseError(f"line {line_no}: {dotted} is set again; line {first_line[dotted]} set it first")
             first_line[dotted] = line_no

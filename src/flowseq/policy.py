@@ -289,11 +289,6 @@ def trajectory_body(traj: Trajectory) -> tuple[int, ...]:
     return gen
 
 
-def trajectory_item(traj: Trajectory) -> Item:
-    """(prompt_tokens, body) of a trajectory: one item for Policy.register_prefixes and the batched forward."""
-    return traj.tokens[: traj.prompt_len], trajectory_body(traj)
-
-
 class Proposal(NamedTuple):
     """What decoding needs from one context: its argmax and the proposal drawn from.
 

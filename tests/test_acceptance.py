@@ -57,8 +57,9 @@ from flowseq.policy import (
     sequence_log_prob_vars,
     terminal_distribution,
     trajectory_body,
-    trajectory_item,
 )
+from test_baselines import with_ref_margins
+from test_lockstep import trajectory_item
 
 HOT = DecodeCfg(temperature=1.0, top_p=1.0)
 COOL = DecodeCfg(temperature=0.7, top_p=0.95)
@@ -236,11 +237,11 @@ def test_criterion_2_balance_loss_correctness():
 
         ref_pol = pol.clone()
         ref_pol.params = rng.normal(0.0, 0.5, size=ref_pol.params.size)
-        pair = PreferencePair(problem_id=0, chosen=ta, rejected=tb,
-                              chosen_reward=1.0, rejected_reward=0.5)
+        pairs = with_ref_margins(ref_pol, [PreferencePair(
+            problem.prompt_tokens, trajectory_body(ta), trajectory_body(tb), ta.terminated, tb.terminated, 0.0)])
         beta = (0.01, 0.1, 0.5)[i % 3]
         record("dpo", _max_grad_rel_err(
-            pol, lambda p, th: dpo_mean_loss_var(p, th, ref_pol, [pair], beta)))
+            pol, lambda p, th: dpo_mean_loss_var(p, th, pairs, beta)))
 
         olds = [_sampler_log_probs(pol, problem, t) for t in (ta, tb)]
         advs = [rng.normal(0.0, 1.0, size=old.size) for old in olds]

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,6 @@ from flowseq.baselines import (
     gae_advantages,
     ppo_surrogate_var,
     ppo_train,
-    rft_select,
     rft_train,
     sft_train,
 )
@@ -39,8 +40,8 @@ from flowseq.policy import (
     sequence_log_prob_vars,
     terminal_distribution,
     trajectory_body,
-    trajectory_item,
 )
+from test_lockstep import trajectory_item
 
 
 def tiny_setup():
@@ -59,48 +60,57 @@ def solution_mass(pol, problem, cfg, vocab) -> float:
     return sum(p for p, r in zip(probs, rewards, strict=True) if r > 0.5)
 
 
+def minibatch_ref_margins(ref_policy: Policy, pairs: list[PreferencePair]) -> np.ndarray:
+    """The reference margins as dpo_mean_loss_var computed them in every minibatch before the pairs stored them.
+
+    One forward of the reference's parameter array over the minibatch's chosen, then rejected, bodies; a row's
+    tokens summed alone, then its stop where it stopped.
+    """
+    items = [(p.prompt, p.chosen) for p in pairs] + [(p.prompt, p.rejected) for p in pairs]
+    stopped = [p.chosen_stopped for p in pairs] + [p.rejected_stopped for p in pairs]
+    ref_tok, ref_stop, lengths = batched_generation_log_vars(ref_policy, ref_policy.params, items)
+    ref = [float(tok[:k].sum()) + (float(stop[k]) if s else 0.0)
+           for tok, stop, k, s in zip(ref_tok, ref_stop, lengths, stopped)]
+    n = len(pairs)
+    return np.subtract(ref[:n], ref[n:])
+
+
+def with_ref_margins(ref_policy: Policy, pairs: list[PreferencePair]) -> list[PreferencePair]:
+    """pairs, each with the margin ref_policy gives it when they form one minibatch."""
+    return [replace(p, ref_margin=float(m)) for p, m in zip(pairs, minibatch_ref_margins(ref_policy, pairs))]
+
+
 def one_step_pair():
-    """Chosen generates one token then stops; rejected stops immediately."""
+    """Chosen generates one token then stops; rejected stops immediately. The pair's margin is 0 until scored."""
     vocab = make_vocab(["g"])
     problem = Problem(task_kind=TaskKind.SUMPATH, prompt_tokens=(0,),
                       target=1, operands=(1,), max_solution_len=1)
-    chosen = Trajectory(prompt_len=1, tokens=(0, 0, 1), terminated=True)
-    rejected = Trajectory(prompt_len=1, tokens=(0, 1), terminated=True)
-    pair = PreferencePair(problem_id=0, chosen=chosen, rejected=rejected,
-                          chosen_reward=1.0, rejected_reward=0.5)
+    pair = PreferencePair(prompt=(0,), chosen=(0,), rejected=(), chosen_stopped=True, rejected_stopped=True,
+                          ref_margin=0.0)
     pol = Policy.tabular(vocab, window=2)
     pol.register_prefixes([((0,), (0,))])
     return vocab, problem, pair, pol
 
 
-def test_preference_pair_orders_rewards():
-    t = Trajectory(prompt_len=1, tokens=(0, 1), terminated=True)
-    with pytest.raises(ValueError):
-        PreferencePair(problem_id=0, chosen=t, rejected=t, chosen_reward=0.1, rejected_reward=0.9)
-
-
-def test_preference_pair_requires_shared_prompt():
-    a = Trajectory(prompt_len=1, tokens=(0, 1), terminated=True)
-    b = Trajectory(prompt_len=1, tokens=(1, 1), terminated=True)
-    with pytest.raises(ValueError):
-        PreferencePair(problem_id=0, chosen=a, rejected=b, chosen_reward=1.0, rejected_reward=0.5)
-
-
-def test_rft_select_matches_argmax_oracle():
+def test_rft_keeps_the_earliest_of_the_best_draws(monkeypatch):
+    # draw d of the run gets the body (d,), and rewards with ties: RFT must keep each problem's first best draw
+    cfg, vocab, problem = tiny_setup()
     rng = np.random.default_rng(0)
-    samples = [Trajectory(prompt_len=1, tokens=(0, 1), terminated=True) for _ in range(8)]
-    for _ in range(20):
-        rewards = list(rng.integers(0, 4, size=8).astype(float))
-        want = max(range(8), key=lambda i: (rewards[i], -i))
-        assert rft_select(samples, rewards) is samples[want]
+    table = [rng.integers(0, 4, size=8).astype(float).tolist() for _ in range(20)]
+    assert sum(r.count(max(r)) > 1 for r in table) == 17  # most problems tie at the top
+    rewards, drawn = iter(table), []
 
-
-def test_rft_select_rejects_length_mismatch():
-    t = Trajectory(prompt_len=1, tokens=(0, 1), terminated=True)
-    with pytest.raises(LengthMismatch):
-        rft_select([t, t], [1.0])
-    with pytest.raises(LengthMismatch):
-        rft_select([], [])
+    def numbered_draw(policy, problem, decode, rng, memo):
+        drawn.append(None)
+        return Trajectory(prompt_len=problem.prompt_len, tokens=problem.prompt_tokens + (len(drawn) - 1,),
+                          terminated=False)
+    kept = []
+    monkeypatch.setattr(baselines, "_sample_with_rng", numbered_draw)
+    monkeypatch.setattr(baselines, "_rewards", lambda dataset, problem, bodies: next(rewards))
+    monkeypatch.setattr(baselines, "_fit", lambda policy, data, *args: kept.extend(data))
+    rft_train(Policy.tabular(vocab, window=5), TrainSet.build([problem] * 20, cfg, vocab), RftConfig(k=8))
+    want = [max(range(8), key=lambda i: (r[i], -i)) for r in table]
+    assert kept == [(problem.prompt_tokens, (8 * p + i,)) for p, i in enumerate(want)]
 
 
 def test_sft_reduces_reference_nll():
@@ -131,7 +141,9 @@ def test_dpo_zero_margin_is_log_two():
     # identical policy and reference cancel exactly, leaving softplus(0)
     vocab, problem, pair, pol = one_step_pair()
     ref = pol.clone()
-    loss = ad.loss_value(lambda th: dpo_mean_loss_var(pol, th, ref, [pair], beta=0.7), pol.params)
+    pairs = with_ref_margins(ref, [pair])
+    assert pairs[0].ref_margin != 0.0
+    loss = ad.loss_value(lambda th: dpo_mean_loss_var(pol, th, pairs, beta=0.7), pol.params)
     assert loss == pytest.approx(np.log(2.0), rel=1e-12)
 
 
@@ -146,8 +158,9 @@ def test_dpo_loss_follows_margin():
     down = pol.clone()
     down.params = pol.params.copy()
     down.params[row * 2] -= 1.0
-    assert ad.loss_value(lambda th: dpo_mean_loss_var(up, th, ref, [pair], beta=0.7), up.params) < np.log(2.0)
-    assert ad.loss_value(lambda th: dpo_mean_loss_var(down, th, ref, [pair], beta=0.7), down.params) > np.log(2.0)
+    pairs = with_ref_margins(ref, [pair])
+    assert ad.loss_value(lambda th: dpo_mean_loss_var(up, th, pairs, beta=0.7), up.params) < np.log(2.0)
+    assert ad.loss_value(lambda th: dpo_mean_loss_var(down, th, pairs, beta=0.7), down.params) > np.log(2.0)
 
 
 def test_preference_pairs_skip_reward_ties():
@@ -290,18 +303,20 @@ def logprob_oracle(policy: Policy, traj: Trajectory) -> np.ndarray:
     return np.concatenate([lp_tok, [lp_stop[len(body)]]]) if traj.terminated else lp_tok
 
 
-def pair_logprob_oracle(policy: Policy, traj: Trajectory) -> float:
-    body = trajectory_body(traj)
-    lp_tok, lp_stop = generation_log_probs(policy, traj.tokens[: traj.prompt_len], body)
-    return float(lp_tok.sum()) + (float(lp_stop[len(body)]) if traj.terminated else 0.0)
+def pair_logprob_oracle(policy: Policy, prompt: tuple[int, ...], body: tuple[int, ...], stopped: bool) -> float:
+    lp_tok, lp_stop = generation_log_probs(policy, prompt, body)
+    return float(lp_tok.sum()) + (float(lp_stop[len(body)]) if stopped else 0.0)
 
 
 def dpo_mean_loss_oracle(policy, theta, ref_policy, pairs, beta):
-    trajs = [p.chosen for p in pairs] + [p.rejected for p in pairs]
-    lp = batched_generation_log_vars(policy, theta, [trajectory_item(t) for t in trajs])
-    seq = sequence_log_prob_vars(*lp, np.asarray([t.terminated for t in trajs]))
+    """The DPO loss with each pair's reference margin scored alone, one generation_log_probs call per body."""
+    items = [(p.prompt, p.chosen) for p in pairs] + [(p.prompt, p.rejected) for p in pairs]
+    lp = batched_generation_log_vars(policy, theta, items)
+    seq = sequence_log_prob_vars(*lp, np.asarray([p.chosen_stopped for p in pairs] +
+                                                 [p.rejected_stopped for p in pairs]))
     n = len(pairs)
-    margin_ref = np.asarray([[pair_logprob_oracle(ref_policy, p.chosen) - pair_logprob_oracle(ref_policy, p.rejected)]
+    margin_ref = np.asarray([[pair_logprob_oracle(ref_policy, p.prompt, p.chosen, p.chosen_stopped)
+                              - pair_logprob_oracle(ref_policy, p.prompt, p.rejected, p.rejected_stopped)]
                              for p in pairs])
     margin = theta.tape.const(np.hstack([np.eye(n), -np.eye(n)])) @ seq - margin_ref
     return ad.vsum(ad.softplus(-(margin * beta))) / float(n)
@@ -363,36 +378,36 @@ def recorded_draws(monkeypatch) -> list[Trajectory]:
 
 
 def mixed_pairs(problem: Problem, stop: int, rng: np.random.Generator, n: int = 6) -> list[PreferencePair]:
-    """Pairs of random bodies, terminated and unterminated draws mixed on both sides."""
-    def draw(terminated: bool) -> Trajectory:
-        body = tuple(int(t) for t in rng.integers(0, stop, size=int(rng.integers(0 if terminated else 1, 4))))
-        gen = body + ((stop,) if terminated else ())
-        return Trajectory(prompt_len=problem.prompt_len, tokens=problem.prompt_tokens + gen, terminated=terminated)
-    return [PreferencePair(i, draw(i % 2 == 0), draw(i % 3 == 0), 1.0, 0.5) for i in range(n)]
+    """Pairs of random bodies, stopped and cut draws mixed on both sides; their margins are 0 until scored."""
+    def body(stopped: bool) -> tuple[int, ...]:
+        return tuple(int(t) for t in rng.integers(0, stop, size=int(rng.integers(0 if stopped else 1, 4))))
+    return [PreferencePair(problem.prompt_tokens, body(i % 2 == 0), body(i % 3 == 0), i % 2 == 0, i % 3 == 0, 0.0)
+            for i in range(n)]
 
 
 def dpo_pair_case(neural: bool):
+    """A policy, its reference, and mixed pairs carrying the reference's margins."""
     cfg, vocab, problem = tiny_setup()
     rng = np.random.default_rng(11)
     pairs = mixed_pairs(problem, vocab.stop_id, rng)
-    items = [trajectory_item(t) for p in pairs for t in (p.chosen, p.rejected)]
+    items = [(p.prompt, body) for p in pairs for body in (p.chosen, p.rejected)]
     if neural:
         pol = Policy.neural(vocab, window=3, embed_dim=4, hidden_dim=8, seed=1)
         ref = Policy.neural(vocab, window=3, embed_dim=4, hidden_dim=8, seed=2)
-        return pol, ref, pairs
+        return pol, ref, with_ref_margins(ref, pairs)
     ref = Policy.tabular(vocab, window=2)
     ref.register_prefixes(items[::3])  # the reference reads some contexts as unregistered zero rows
     ref.params = rng.normal(0.0, 1.0, size=ref.params.size)
     pol = ref.clone()
     pol.register_prefixes(items)
     pol.params = rng.normal(0.0, 1.0, size=pol.params.size)
-    return pol, ref, pairs
+    return pol, ref, with_ref_margins(ref, pairs)
 
 
 def test_dpo_reference_margins_equal_the_per_pair_oracle_bit_for_bit_on_a_tabular_policy():
     pol, ref, pairs = dpo_pair_case(neural=False)
-    assert {p.chosen.terminated for p in pairs} == {p.rejected.terminated for p in pairs} == {True, False}
-    got = lambda th: dpo_mean_loss_var(pol, th, ref, pairs, 0.3)  # noqa: E731
+    assert {p.chosen_stopped for p in pairs} == {p.rejected_stopped for p in pairs} == {True, False}
+    got = lambda th: dpo_mean_loss_var(pol, th, pairs, 0.3)  # noqa: E731
     want = lambda th: dpo_mean_loss_oracle(pol, th, ref, pairs, 0.3)  # noqa: E731
     assert ad.loss_value(got, pol.params) == ad.loss_value(want, pol.params)
     assert ad.grad(got, pol.params).tobytes() == ad.grad(want, pol.params).tobytes()
@@ -400,7 +415,7 @@ def test_dpo_reference_margins_equal_the_per_pair_oracle_bit_for_bit_on_a_tabula
 
 def test_dpo_reference_margins_match_the_per_pair_oracle_on_a_neural_policy():
     pol, ref, pairs = dpo_pair_case(neural=True)
-    got = lambda th: dpo_mean_loss_var(pol, th, ref, pairs, 0.3)  # noqa: E731
+    got = lambda th: dpo_mean_loss_var(pol, th, pairs, 0.3)  # noqa: E731
     want = lambda th: dpo_mean_loss_oracle(pol, th, ref, pairs, 0.3)  # noqa: E731
     assert ad.loss_value(got, pol.params) == pytest.approx(ad.loss_value(want, pol.params), rel=1e-12, abs=0.0)
     g, w = ad.grad(got, pol.params), ad.grad(want, pol.params)
@@ -476,7 +491,7 @@ def test_a_ppo_step_draws_its_samples_as_the_rows_of_one_walk(monkeypatch):
     assert walks == [(5, 5, (), {})] * 4
 
 
-def test_a_ppo_step_scores_its_draws_once_per_model_and_a_dpo_minibatch_its_reference_once(monkeypatch):
+def test_a_ppo_step_scores_its_draws_once_per_model_and_dpo_its_reference_once_per_call(monkeypatch):
     array_calls = []
     inner = baselines.batched_generation_log_vars
 
@@ -505,7 +520,8 @@ def test_a_ppo_step_scores_its_draws_once_per_model_and_a_dpo_minibatch_its_refe
     array_calls.clear()
     report = dpo_train(pol.clone(), pol, ds, DpoConfig(samples_per_problem=8, epochs=2, batch_size=2,
                                                       decode=DecodeCfg(temperature=1.0, top_p=1.0)))
-    assert len(report.rows) >= 2 and len(array_calls) == len(report.rows)
+    # the reference's margins are scored when the pairs are built, not in each of the minibatches
+    assert len(report.rows) >= 2 and len(array_calls) == 1
 
 
 def test_ppo_old_log_probs_equal_the_surrogate_forward_bit_for_bit_on_a_neural_policy(monkeypatch):
@@ -559,3 +575,74 @@ def test_dpo_without_preference_pairs_leaves_the_policy_untouched():
     assert report.loss_column == "mean_dpo_loss"
     assert trained.params.tobytes() == params
     assert trained.contexts == contexts
+
+
+def test_dpo_scores_its_frozen_reference_once_per_call_and_never_in_the_loss(monkeypatch):
+    # array forwards of the reference outside its own sampling, counted as count_array_forwards counts them
+    ref_forwards, in_loss, sampling = [], [], []
+    forward, sample, loss = Policy.forward, baselines._sample_with_rng, baselines.dpo_mean_loss_var
+
+    def counted(self, theta, ctx_mat):
+        if self is ref and isinstance(theta, np.ndarray) and not sampling:
+            ref_forwards.append(len(ctx_mat))
+        return forward(self, theta, ctx_mat)
+
+    def flagged_sample(*args, **kwargs):
+        sampling.append(True)
+        try:
+            return sample(*args, **kwargs)
+        finally:
+            sampling.pop()
+
+    def counted_loss(*args, **kwargs):
+        before = len(ref_forwards)
+        out = loss(*args, **kwargs)
+        in_loss.append(len(ref_forwards) - before)
+        return out
+    monkeypatch.setattr(Policy, "forward", counted)
+    monkeypatch.setattr(baselines, "_sample_with_rng", flagged_sample)
+    monkeypatch.setattr(baselines, "dpo_mean_loss_var", counted_loss)
+    cfg, vocab, problem = tiny_setup()
+    ds = TrainSet.build([problem, make_problem(cfg, seed=2), make_problem(cfg, seed=3)], cfg, vocab)
+    ref = Policy.tabular(vocab, window=5)
+    sft_train(ref, ds, cfg=SftConfig(epochs=10, lr=0.05))
+    dcfg = DpoConfig(samples_per_problem=8, epochs=3, batch_size=1, decode=DecodeCfg(temperature=1.0, top_p=1.0))
+    for _ in range(2):
+        report = dpo_train(ref.clone(), ref, ds, dcfg)
+        assert len(ref_forwards) == 1 and len(report.rows) == len(in_loss) >= 3
+        assert set(in_loss) == {0}
+        ref_forwards.clear(), in_loss.clear()
+
+
+def margin_case(neural: bool) -> tuple[Policy, TrainSet, DpoConfig]:
+    """A warm-started reference whose hot, short draws pair bodies of many lengths, stopped and cut on both sides."""
+    cfg = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 4), max_parts=3, max_part=2,
+                     reward_mode=RewardMode.TERMINAL)
+    vocab = build_vocab(cfg)
+    ds = TrainSet.build([make_problem(cfg, seed=s) for s in range(12)], cfg, vocab)
+    if neural:
+        ref = Policy.neural(vocab, window=3, embed_dim=4, hidden_dim=8, seed=1)
+        sft_train(ref, ds, cfg=SftConfig(epochs=20, lr=0.05))
+    else:
+        # the table has rows for the references' contexts and reads zero rows for the rest
+        ref = Policy.tabular(vocab, window=3)
+        sft_train(ref, ds, cfg=SftConfig(epochs=20, lr=0.1))
+    return ref, ds, DpoConfig(samples_per_problem=8, decode=DecodeCfg(temperature=1.5, top_p=1.0, max_new_tokens=3))
+
+
+@pytest.mark.parametrize("neural", [False, True])
+def test_stored_reference_margins_equal_the_per_minibatch_computation_bit_for_bit(neural):
+    ref, ds, dcfg = margin_case(neural)
+    pairs = build_preference_pairs(ref, ds, dcfg, np.random.default_rng(0))
+    assert len(pairs) >= 5
+    assert {p.chosen_stopped for p in pairs} == {p.rejected_stopped for p in pairs} == {True, False}
+    assert len({len(p.chosen) for p in pairs} | {len(p.rejected) for p in pairs}) >= 3
+    stored = np.array([p.ref_margin for p in pairs])
+    rng = np.random.default_rng(1)
+    for size in (1, 2, 3, len(pairs)):
+        for _ in range(3):
+            order = rng.permutation(len(pairs))
+            for a in range(0, len(order), size):
+                batch = order[a : a + size]
+                got = minibatch_ref_margins(ref, [pairs[int(i)] for i in batch])
+                assert got.tobytes() == stored[batch].tobytes()

@@ -90,6 +90,16 @@ def test_unknown_section_exits_2(tmp_path):
     assert run_cli(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("text, want", [
+    ("[nope]\nkind = sumpath\n", "line 1: unknown key: [nope]"),
+    ("[train]\nlr = 0.1\nbogus = 1\n", "line 3: unknown key: train.bogus"),
+])
+def test_an_unknown_section_or_key_exits_2_naming_its_line(tmp_path, capsys, text, want):
+    cfg = write_config(tmp_path, text)
+    assert run_cli(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert want in capsys.readouterr().err
+
+
 def test_a_blank_section_header_exits_2(tmp_path, capsys):
     # "[ ]" names no section: it must not switch back to the top-level keys
     cfg = write_config(tmp_path, "[train]\nlr = 0.1\n[ ]\nseed = 5\n")

@@ -30,9 +30,8 @@ from flowseq.policy import (
     generation_log_probs,
     terminal_distribution,
     trajectory_body,
-    trajectory_item,
 )
-from test_lockstep import reference_decode
+from test_lockstep import reference_decode, trajectory_item
 
 
 def brute_subtb(lp_tok: np.ndarray, lp_stop: np.ndarray, log_r: np.ndarray, lam: float) -> float:

@@ -80,6 +80,11 @@ def reference_decode(policy: Policy, problem, max_new_tokens, cfg: DecodeCfg | N
                       terminated=len(tokens) > problem.prompt_len and tokens[-1] == policy.vocab.stop_id)
 
 
+def trajectory_item(traj: Trajectory) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(prompt_tokens, body) of a trajectory, the item the batched forward and register_prefixes take."""
+    return traj.tokens[: traj.prompt_len], trajectory_body(traj)
+
+
 def reference_bodies(policy: Policy, problem, cfg: DecodeCfg, k: int,
                      rng: np.random.Generator | None) -> tuple[list[tuple[int, ...]], list[bool]]:
     """The bodies of k reference draws from rng (argmax when None) at cfg's budget, and which of them were cut."""

@@ -13,10 +13,11 @@ import pytest
 
 from flowseq import autodiff as ad
 from flowseq.baselines import PreferencePair, dpo_mean_loss_var, ppo_surrogate_var
-from flowseq.core import TaskKind, Trajectory
+from flowseq.core import TaskKind
 from flowseq.env import TaskConfig, build_vocab, make_problem
 from flowseq.gflownet import BufferEntry, GfnConfig, replay_loss_var, sft_loss_var
 from flowseq.policy import Policy, batched_generation_log_vars, pad_rows
+from test_baselines import with_ref_margins
 
 MAX_LEN = 5
 LAMBDAS = (0.1, 0.9, 1.0, 1.7)
@@ -58,11 +59,6 @@ def setup(kind: str, seed: int = 0):
         pol = Policy.neural(vocab, window=3, embed_dim=3, hidden_dim=4, seed=seed)
     pol.params = rng.normal(0.0, 0.5, size=pol.params.size)
     return pol, problem, bodies, rng
-
-
-def trajectory(problem, body, stop_id, terminated=True) -> Trajectory:
-    gen = body + (stop_id,) if terminated else body
-    return Trajectory(prompt_len=problem.prompt_len, tokens=problem.prompt_tokens + gen, terminated=terminated)
 
 
 def assert_matches(pol, batched, oracle):
@@ -223,23 +219,18 @@ def test_ppo_surrogate_equals_b1_oracle(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_dpo_loss_equals_b1_oracle(kind):
     pol, problem, bodies, rng = setup(kind, seed=6)
-    stop = pol.vocab.stop_id
     ref = pol.clone()
     ref.params = rng.normal(0.0, 0.5, size=pol.params.size)
-    pairs = []
-    for i in range(len(bodies)):
-        chosen, rejected = bodies[i], bodies[(i + 1) % len(bodies)]
-        pairs.append(PreferencePair(
-            problem_id=0,
-            chosen=trajectory(problem, chosen, stop, terminated=i % 4 != 3),
-            rejected=trajectory(problem, rejected, stop, terminated=i % 3 != 2),
-            chosen_reward=1.0, rejected_reward=0.5))
+    pairs = with_ref_margins(ref, [
+        PreferencePair(problem.prompt_tokens, bodies[i], bodies[(i + 1) % len(bodies)],
+                       chosen_stopped=i % 4 != 3, rejected_stopped=i % 3 != 2, ref_margin=0.0)
+        for i in range(len(bodies))])
 
     def batched(p, th):
-        return dpo_mean_loss_var(p, th, ref, pairs, beta=0.5)
+        return dpo_mean_loss_var(p, th, pairs, beta=0.5)
 
     def oracle(p, th):
-        return sum_vars([dpo_mean_loss_var(p, th, ref, [pair], beta=0.5) for pair in pairs]) / float(len(pairs))
+        return sum_vars([dpo_mean_loss_var(p, th, [pair], beta=0.5) for pair in pairs]) / float(len(pairs))
 
     assert_matches(pol, batched, oracle)
     assert_finite_diff(pol, batched)
