@@ -5,7 +5,9 @@ tokens falls below 0.7; the final-answer segment is excluded from similarity
 so diversity reflects the derivation, not the shared answer. Distinct counting
 keeps solutions greedily in sampling order, which makes the count order
 dependent; the report records that rule. Every solution is drawn by the one
-decoder, policy._walk_draws.
+decoder, policy._walk_draws: one greedy walk over the problems, then one
+walk that draws every problem's k samples, each problem from its own
+generator.
 """
 
 from __future__ import annotations
@@ -185,24 +187,23 @@ def _eval_problems(
     start: int,
     prepend_greedy: bool,
 ) -> list[ProblemEval]:
-    """Rows for problems start, start+1, ...: one greedy walk over the problems, then one per draw index.
+    """Rows for problems start, start+1, ...: one greedy walk over the problems, then one walk of all samples.
 
-    Problem start+i draws from its own generator seeded by (seed, start+i),
-    in the order a problem-at-a-time loop would, so the rows do not depend on
-    how the problems are split.
+    Problem start+i draws its samples from its own generator seeded by
+    (seed, start+i), in the order a problem-at-a-time loop would, so the rows
+    do not depend on how the problems are split. Each distinct body of a
+    problem is graded once.
     """
     draw_rows = [(p, np.random.default_rng([seed, start + i])) for i, p in enumerate(problems)]
     greedy = _walk_draws(policy, [(p, None) for p in problems], decode_cfg)
-    solutions = [[solution_from_body(p, body, vocab)] for p, (body,) in zip(problems, greedy)]
-    for _ in range(k - 1 if prepend_greedy else k):
-        for sols, p, (body,) in zip(solutions, problems, _walk_draws(policy, draw_rows, decode_cfg)):
-            sols.append(solution_from_body(p, body, vocab))
+    sampled = _walk_draws(policy, draw_rows, decode_cfg, k - 1 if prepend_greedy else k)
     rows = []
-    for i, (greedy_sol, *sampled) in enumerate(solutions):
-        scored = [greedy_sol] + sampled if prepend_greedy else sampled
+    for i, (p, head, tail) in enumerate(zip(problems, greedy, sampled)):
+        graded = {body: solution_from_body(p, body, vocab) for body in dict.fromkeys(head + tail)}
+        scored = [graded[body] for body in (head + tail if prepend_greedy else tail)]
         rows.append(ProblemEval(
             problem_id=start + i,
-            greedy_correct=greedy_sol.correct,
+            greedy_correct=graded[head[0]].correct,
             sample_correctness=[s.correct for s in scored],
             distinct_correct=distinct_correct_count(scored),
         ))
@@ -232,8 +233,10 @@ def evaluate(
         raise ValueError("no problems to evaluate")
     if k < 1:
         raise KTooLarge(f"k must be at least 1, got {k}")
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     decode_cfg = decode_cfg or DecodeCfg()
-    bounds = np.linspace(0, len(problems), min(max(workers, 1), len(problems)) + 1).astype(int).tolist()
+    bounds = np.linspace(0, len(problems), min(workers, len(problems)) + 1).astype(int).tolist()
     chunks = [(policy, problems[a:b], vocab, k, decode_cfg, seed, a, prepend_greedy)
               for a, b in zip(bounds, bounds[1:])]
     if len(chunks) == 1:

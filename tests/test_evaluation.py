@@ -242,6 +242,19 @@ def test_evaluate_rejects_k_below_one_before_decoding(monkeypatch, k, prepend_gr
                  prepend_greedy=prepend_greedy)
 
 
+@pytest.mark.parametrize("workers", (0, -3))
+def test_evaluate_rejects_workers_below_one_before_decoding(monkeypatch, workers):
+    cfg = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 3), max_parts=2, max_part=2)
+    vocab = build_vocab(cfg)
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("evaluate decoded before checking workers")
+
+    monkeypatch.setattr(evaluation, "_walk_draws", no_decode)
+    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
+        evaluate(Policy.tabular(vocab, window=5), [make_problem(cfg, seed=0)], vocab, workers=workers)
+
+
 def test_report_files_round_trip(tmp_path):
     vocab, problems, pol = fitted_eval_setup()
     report = evaluate(pol, problems, vocab, k=3,

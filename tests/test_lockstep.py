@@ -9,11 +9,14 @@ and drafts it is given.
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
+from flowseq import evaluation
 from flowseq.baselines import SftConfig, sft_train
 from flowseq.core import TaskKind, Trajectory
 from flowseq.env import RewardMode, TaskConfig, build_vocab, make_problem
@@ -230,9 +233,25 @@ def test_proposals_reproduce_the_row_at_a_time_nucleus_bit_for_bit(cfg):
         lp = np.log(np.stack([rng.dirichlet(np.full(22, c)) for c in conc]) + 1e-300)
         for row, prop in zip(lp, _proposals(lp, cfg)):
             kept, cum = reference_nucleus(row, cfg)
-            assert prop.kept == kept
-            assert prop.cum == cum  # exact float equality, every entry
+            assert list(prop.kept) == kept
+            assert list(prop.cum) == cum  # exact float equality, every entry
             assert prop.argmax == int(np.argmax(row))
+
+
+def test_proposals_keep_a_full_nucleus_compact():
+    # T = 1, top-p 1 keeps all 22 tokens of every row; two lists of them took about 1,060 bytes per row
+    lp = np.log(np.random.default_rng(4).dirichlet(np.ones(22), size=200))
+    cfg = DecodeCfg(temperature=1.0, top_p=1.0)
+    _proposals(lp, cfg)  # first-call allocations are not the proposals'
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        props = _proposals(lp, cfg)
+        kept_bytes = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert all(len(p.kept) == len(p.cum) == 22 for p in props)
+    assert kept_bytes / len(props) < 600, kept_bytes / len(props)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -248,7 +267,7 @@ def test_proposals_give_no_mass_to_an_entry_that_its_temperature_overflows():
     # every row maximum scales to a finite value, and -1e10 / 1e-300 overflows to -inf
     lp = np.array([[0.0, -1e10, -5.0], [-2e-300, -1e10, -3e-300], [-0.5, -1.0, -3.0]])
     cfg = DecodeCfg(temperature=1e-300, top_p=1.0)
-    got = [(p.kept, p.cum) for p in _proposals(lp, cfg)]
+    got = [(list(p.kept), list(p.cum)) for p in _proposals(lp, cfg)]
     assert [kept[:2] for kept, _ in got] == [[0], [0, 2], [0]]
     with np.errstate(over="ignore"):
         assert got == [reference_nucleus(row, cfg) for row in lp]
@@ -349,6 +368,7 @@ def reference_evaluate(policy, problems, vocab, k, cfg, seed, prepend_greedy) ->
     return rows
 
 
+@lru_cache(maxsize=None)  # no caller changes the policy or the problems
 def fitted_sumpath(kind: str) -> tuple[Policy, list]:
     """A briefly fitted policy whose samples are right on some draws and wrong on others."""
     task = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 5), max_parts=3, max_part=2,
@@ -379,3 +399,53 @@ def test_evaluate_splits_uneven_chunks_across_workers():
     assert any(0 < r.n_correct < 4 for r in one.rows)
     assert [r.problem_id for r in three.rows] == list(range(len(problems)))
     assert three.rows == one.rows
+
+
+def per_index_evaluate(policy, problems, vocab, k, cfg, seed, prepend_greedy) -> list[ProblemEval]:
+    """The earlier evaluation: one greedy walk, then one walk per draw index, each with a fresh memo."""
+    draw_rows = [(p, np.random.default_rng([seed, i])) for i, p in enumerate(problems)]
+    greedy = _walk_draws(policy, [(p, None) for p in problems], cfg)
+    solutions = [[solution_from_body(p, body, vocab)] for p, (body,) in zip(problems, greedy)]
+    for _ in range(k - 1 if prepend_greedy else k):
+        for sols, p, (body,) in zip(solutions, problems, _walk_draws(policy, draw_rows, cfg)):
+            sols.append(solution_from_body(p, body, vocab))
+    rows = []
+    for i, (greedy_sol, *sampled) in enumerate(solutions):
+        scored = [greedy_sol] + sampled if prepend_greedy else sampled
+        rows.append(ProblemEval(i, greedy_sol.correct, [s.correct for s in scored],
+                                distinct_correct_count(scored)))
+    return rows
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("prepend_greedy", [False, True])
+@pytest.mark.parametrize("k", [1, 3, 8])
+@pytest.mark.parametrize("kind", ["tabular", "neural"])
+def test_one_walk_evaluation_equals_a_walk_per_draw_index(kind, k, prepend_greedy, workers):
+    # k = 1 with prepend_greedy walks zero sampled draws
+    pol, problems = fitted_sumpath(kind)
+    cfg = DecodeCfg(temperature=1.0, top_p=0.95, max_new_tokens=5)
+    report = evaluate(pol, problems, pol.vocab, k=k, decode_cfg=cfg, seed=3, prepend_greedy=prepend_greedy,
+                      workers=workers)
+    assert report.rows == per_index_evaluate(pol, problems, pol.vocab, k, cfg, 3, prepend_greedy)
+    if k == 8:  # the comparison can tell draws apart
+        assert any(0 < r.n_correct < k for r in report.rows)
+
+
+@pytest.mark.parametrize("prepend_greedy", [False, True])
+@pytest.mark.parametrize("kind", ["tabular", "neural"])
+def test_eval_problems_draws_every_sample_in_one_walk(monkeypatch, kind, prepend_greedy):
+    pol, problems = fitted_sumpath(kind)
+    cfg, n = DecodeCfg(temperature=1.0, top_p=0.95, max_new_tokens=5), 7 if prepend_greedy else 8
+    walks = []
+
+    def recording(policy, rows, decode_cfg, k=1, **kw):
+        walks.append(_walk_draws(policy, rows, decode_cfg, k, **kw))
+        return walks[-1]
+
+    monkeypatch.setattr(evaluation, "_walk_draws", recording)
+    evaluation._eval_problems(pol, problems, pol.vocab, 8, cfg, 3, 0, prepend_greedy)
+    assert len(walks) == 2  # greedy, then sampled
+    draw_rows = [(p, np.random.default_rng([3, i])) for i, p in enumerate(problems)]
+    per_index = [_walk_draws(pol, draw_rows, cfg) for _ in range(n)]
+    assert walks[1] == [[body for (body,) in draws] for draws in zip(*per_index)]
