@@ -182,6 +182,7 @@ def _cmd_enumerate(cfg: RunConfig, workers: int) -> int:
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     gaps: dict[str, dict] = {}
+    texts: dict[int, list[str]] = {}  # a problem's terminal texts depend on its max_solution_len alone
     with open(out / "enumeration.csv", "w", encoding="utf-8", newline="") as fh:
         # the bytes csv.writer would write: no token holds a comma, quote or line break to quote
         fh.write("problem_id,sequence,policy_prob,target_prob\r\n")
@@ -193,8 +194,10 @@ def _cmd_enumerate(cfg: RunConfig, workers: int) -> int:
             # a problem has a few distinct rewards, and a tabular policy few distinct probabilities:
             # repr each value once (none is -0.0, the one float whose repr differs from an equal one's)
             shown = {v: repr(v) for v in {*targets, *probs}}
+            if problem.max_solution_len not in texts:
+                texts[problem.max_solution_len] = list(_terminal_texts(problem, vocab))
             fh.write("".join([f"{pid},{text},{shown[p]},{shown[t]}\r\n" for text, p, t in zip(
-                _terminal_texts(problem, vocab), probs, targets, strict=True)]))
+                texts[problem.max_solution_len], probs, targets, strict=True)]))
             gaps[str(pid)] = {"l1": gap, "overflow": dist.overflow}
             log.info("problem %d: %d terminals, l1 %r, overflow %r", pid, len(probs), gap, dist.overflow)
     with open(out / "enumeration.json", "w", encoding="utf-8", newline="") as fh:

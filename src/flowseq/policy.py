@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import accumulate, count
+from itertools import accumulate, chain, count, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -39,6 +39,9 @@ from .env import left_sum, level_rows, terminal_levels
 MAGIC = b"FSEQPOL1"
 # contexts per forward in terminal_distribution, which bounds its temporaries
 SCORE_ROWS = 4096
+# contexts per tabular lookup from which one sorted search of their codes replaces a dict probe per context:
+# a plain lookup breaks even near 24 contexts, a registration that adds contexts and merges their codes near 100
+BULK_ROWS = 128
 # one sequence as the forward takes it: (prompt_tokens, body), the body without its stop symbol
 Item = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -101,6 +104,8 @@ class Policy:
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
         self.contexts: dict[tuple[int, ...], int] = dict(contexts or {})
+        # (the contexts dict indexed, its sorted codes, their rows): see _code_index
+        self._indexed: tuple[dict, np.ndarray, np.ndarray] | None = None
 
     @property
     def pad_id(self) -> int:
@@ -170,8 +175,15 @@ class Policy:
             starts += range(start, start + len(body) + 1)
         return np.array(flat, dtype=np.int64)[np.array(starts, dtype=np.int64)[:, None] + np.arange(self.window)]
 
-    def _rows(self, ctx_mat: np.ndarray, grow: bool = False) -> list[int]:
-        """Table row of each context, -1 when unregistered; grow appends new contexts in first-appearance order."""
+    def _rows(self, ctx_mat: np.ndarray, grow: bool = False) -> list[int] | np.ndarray:
+        """Table row of each context, -1 when unregistered; grow appends new contexts in first-appearance order.
+
+        A batch of BULK_ROWS or more contexts whose codes fit in an int64 takes
+        one sorted search (_bulk_rows); a smaller or wider one probes the
+        contexts dict once per context. Both give the same rows and keys.
+        """
+        if len(ctx_mat) >= BULK_ROWS and self._code_weights is not None:
+            return self._bulk_rows(ctx_mat, grow)
         keys = list(map(tuple, ctx_mat.tolist()))
         if grow:
             new = dict.fromkeys(k for k in keys if k not in self.contexts)
@@ -180,6 +192,56 @@ class Policy:
                 self.params = np.concatenate([self.params, np.zeros(len(new) * self.width)])
         get = self.contexts.get
         return [get(k, -1) for k in keys]
+
+    @cached_property
+    def _code_weights(self) -> np.ndarray | None:
+        """Place values that read a context as one base-(pad_id + 1) integer; None when its largest overflows an int64."""
+        base = self.pad_id + 1
+        if base**self.window - 1 > np.iinfo(np.int64).max:
+            return None
+        return base ** np.arange(self.window - 1, -1, -1, dtype=np.int64)
+
+    def _code_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(codes, rows): the sorted codes of the registered contexts and their rows, each after a -1 sentinel.
+
+        Derived from self.contexts: rebuilt when contexts is another dict, and
+        extended by the contexts appended since it was last brought up to date.
+        """
+        if self._indexed is None or self._indexed[0] is not self.contexts:
+            self._indexed = (self.contexts, np.full(1, -1, dtype=np.int64), np.full(1, -1, dtype=np.int64))
+        _, codes, rows = self._indexed
+        if len(codes) <= len(self.contexts):
+            added = list(islice(self.contexts.items(), len(codes) - 1, None))
+            keys = np.fromiter(chain.from_iterable(k for k, _ in added), np.int64, len(added) * self.window)
+            codes, rows = self._extend_index(keys.reshape(-1, self.window) @ self._code_weights,
+                                             np.fromiter((r for _, r in added), np.int64, len(added)))
+        return codes, rows
+
+    def _extend_index(self, new_codes: np.ndarray, new_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Merge the codes and rows of the contexts last appended to self.contexts into the index."""
+        _, codes, rows = self._indexed
+        codes, rows = np.concatenate([codes, new_codes]), np.concatenate([rows, new_rows])
+        order = codes.argsort(kind="stable")  # a merge: the sorted index, then the new codes
+        self._indexed = (self.contexts, codes[order], rows[order])
+        return self._indexed[1:]
+
+    def _bulk_rows(self, ctx_mat: np.ndarray, grow: bool) -> np.ndarray:
+        """_rows by one searchsorted of the contexts' codes over _code_index."""
+        want = ctx_mat @ self._code_weights
+        codes, rows = self._code_index()
+        at = codes.searchsorted(want, side="right") - 1  # the sentinel keeps it >= 0
+        found = np.where(codes[at] == want, rows[at], -1)
+        missing = np.flatnonzero(found < 0) if grow else ()
+        if len(missing):
+            # each new context with its code, in first-appearance order
+            new = dict(zip(map(tuple, ctx_mat[missing].tolist()), want[missing].tolist()))
+            n = len(self.contexts)
+            self.contexts.update(zip(new, count(n)))
+            self.params = np.concatenate([self.params, np.zeros(len(new) * self.width)])
+            codes, rows = self._extend_index(np.fromiter(new.values(), np.int64, len(new)),
+                                             np.arange(n, len(self.contexts)))
+            found[missing] = rows[codes.searchsorted(want[missing])]
+        return found
 
     def register_prefixes(self, items: list[Item]) -> None:
         """Register the contexts of every (prompt_tokens, body) item in item order; a no-op when neural."""
@@ -202,7 +264,7 @@ class Policy:
             table = theta.reshape(-1, self.width)
             if -1 in rows:
                 if isinstance(theta, Var):
-                    raise KeyError(f"unregistered tabular context {tuple(ctx_mat[rows.index(-1)].tolist())}")
+                    raise KeyError(f"unregistered tabular context {tuple(ctx_mat[list(rows).index(-1)].tolist())}")
                 # row -1 is then a zero row appended to a copy of the table
                 table = np.concatenate([table, np.zeros((1, self.width))])
             return self._head(table[rows] if isinstance(theta, Var) else table.take(rows, axis=0))

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from flowseq import cli
 from flowseq.cli import run_cli
 from flowseq.config import ParseError, RunConfig, load_config, read_config
 from flowseq.core import TaskKind, decode
@@ -473,12 +474,18 @@ def loop_enumeration(cfg_path: str, out: Path) -> tuple[bytes, bytes]:
 
 
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
-def test_enumeration_files_equal_the_csv_writer_loop(tmp_path, kind):
+def test_enumeration_files_equal_the_csv_writer_loop(tmp_path, kind, bulk_rows_one, monkeypatch):
     text = PIPELINE_CONFIG.replace("kind = tabular", f"kind = {kind}\nembed_dim = 4\nhidden_dim = 8")
     cfg = write_config(tmp_path, text.replace("steps = 60", "steps = 20"))
     out = tmp_path / "run"
+    rendered, render = [], cli._terminal_texts
+    monkeypatch.setattr(cli, "_terminal_texts", lambda p, v: rendered.append(p.max_solution_len) or render(p, v))
     for command in ("gen-data", "train", "enumerate"):
         assert run_cli([command, "--config", cfg, "--out", str(out)]) == 0, command
+    # the texts of a length are rendered once per run
+    vocab = build_vocab(load_config(cfg).task_config())
+    lengths = [p.max_solution_len for p in read_problems(out / "problems.jsonl", vocab)]
+    assert sorted(rendered) == sorted(set(lengths)) and len(rendered) < len(lengths)
     want_csv, want_json = loop_enumeration(cfg, out)
     # enumerate renders each distinct value once: within a problem the tabular policy repeats its
     # probabilities (every unvisited context is uniform), the neural one gives every terminal its own

@@ -511,7 +511,7 @@ def test_critic_squared_error_gradient_matches_finite_differences():
         assert finite_diff_check(loss, critic.params) < 1e-6
 
 
-def test_register_assigns_rows_in_item_order():
+def test_register_assigns_rows_in_item_order(bulk_rows_one):
     vocab = tiny_vocab()
     pol = Policy.tabular(vocab, window=2)
     pol.register_prefixes([((0,), (1,)), ((0,), (2, 1))])
@@ -551,7 +551,7 @@ def test_windows_match_per_prefix_contexts(window):
     assert pol.windows([]).shape == (0, window)
 
 
-def test_register_keys_are_python_int_tuples_in_item_order():
+def test_register_keys_are_python_int_tuples_in_item_order(bulk_rows_one):
     vocab = tiny_vocab()
     pol = Policy.tabular(vocab, window=3)
     items = [((0, 1), (2,)), ((1,), ()), ((0, 1), (2, 0, 1))]
@@ -562,7 +562,7 @@ def test_register_keys_are_python_int_tuples_in_item_order():
     assert all(type(ctx) is tuple and all(type(t) is int for t in ctx) for ctx in pol.contexts)
 
 
-def test_register_replaces_params_once_per_call():
+def test_register_replaces_params_once_per_call(bulk_rows_one):
     class Counted(Policy):
         @property
         def params(self):
@@ -582,7 +582,7 @@ def test_register_replaces_params_once_per_call():
     assert pol.sets == 1
 
 
-def test_tape_rows_of_an_unregistered_context_name_it():
+def test_tape_rows_of_an_unregistered_context_name_it(bulk_rows_one):
     vocab = tiny_vocab()
     pol = Policy.tabular(vocab, window=2)
     pol.register_prefixes([((0,), (1,))])
@@ -594,3 +594,88 @@ def test_tape_rows_of_an_unregistered_context_name_it():
     lp = pol.forward(pol.params, ctx)
     assert np.array_equal(lp[-1], np.full(vocab.size, -np.log(vocab.size)))
     assert lp[:-1].tobytes() == pol.forward(GradTape().input(pol.params), ctx[:-1]).value.tobytes()
+
+
+def dict_rows(contexts: dict, ctx_mat: np.ndarray, grow: bool) -> list[int]:
+    """The lookup's oracle on a dict: row of each context, -1 when absent; grow first appends new ones in order."""
+    keys = [tuple(row) for row in ctx_mat.tolist()]
+    if grow:
+        for key in keys:
+            contexts.setdefault(key, len(contexts))
+    return [contexts.get(key, -1) for key in keys]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_bulk_lookup_returns_the_dict_rows(data):
+    vocab = make_vocab(["a", "b", "c", "d"])
+    window = data.draw(st.integers(1, 5), label="window")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    pol, want = Policy.tabular(vocab, window=window), {}
+    pool = rng.integers(0, pol.pad_id + 1, size=(40, window))  # contexts that recur across batches
+    bulk = policy_module.BULK_ROWS
+    for n, grow in data.draw(st.lists(st.tuples(st.sampled_from([1, 3, bulk - 1, bulk, bulk + 5, 300]),
+                                                st.booleans()), min_size=1, max_size=6), label="batches"):
+        fresh = rng.integers(0, pol.pad_id + 1, size=(n, window))
+        ctx = np.where(rng.random((n, 1)) < 0.5, pool[rng.integers(0, len(pool), size=n)], fresh)
+        params = pol.params
+        got = pol._rows(ctx, grow=grow)
+        assert list(got) == dict_rows(want, ctx, grow)
+        # registration: rows in first-appearance order, int-tuple keys, one parameter array per call
+        assert list(pol.contexts.items()) == list(want.items())
+        assert all(type(k) is tuple and all(type(t) is int for t in k) for k in pol.contexts)
+        assert pol.params.size == len(want) * vocab.size
+        assert (pol.params is params) == (not grow or pol.params.size == params.size)
+
+
+def test_bulk_lookup_follows_clone_load_and_a_replaced_dict(tmp_path, bulk_rows_one):
+    vocab = make_vocab(["a", "b", "c", "d"])
+    pol = Policy.tabular(vocab, window=3)
+    rng = np.random.default_rng(7)
+    seen = rng.integers(0, pol.pad_id + 1, size=(60, 3))
+    pol._rows(seen, grow=True)
+    pol.params = rng.normal(size=pol.params.size)
+    probe = np.concatenate([seen, rng.integers(0, pol.pad_id + 1, size=(60, 3))])
+    assert list(pol._rows(probe)) == dict_rows(dict(pol.contexts), probe, False)  # builds the index
+    copy = pol.clone()
+    copy._rows(probe[60:], grow=True)
+    assert (copy._rows(probe) >= 0).all()
+    assert list(pol._rows(probe)) == dict_rows(dict(pol.contexts), probe, False)
+    path = str(tmp_path / "p.bin")
+    save_policy(path, copy)
+    loaded = load_policy(path, vocab)
+    assert list(loaded._rows(probe)) == list(copy._rows(probe))
+    # an equal-length dict of other rows: the index is rebuilt, not read by the dict's length
+    pol.contexts = dict(zip(pol.contexts, reversed(range(len(pol.contexts)))))
+    assert list(pol._rows(probe)) == dict_rows(dict(pol.contexts), probe, False)
+
+
+def test_a_window_too_wide_for_int64_codes_keeps_the_dict(bulk_rows_one):
+    vocab = build_vocab(TaskConfig(task_kind=TaskKind.ARITH, value_range=(2, 12)))
+    base = vocab.size + 1
+    assert base**13 - 1 <= np.iinfo(np.int64).max < base**14 - 1
+    widest = Policy.tabular(vocab, window=13)
+    all_pad = np.full((1, 13), widest.pad_id)
+    assert int((all_pad @ widest._code_weights)[0]) == base**13 - 1
+    wide = Policy.tabular(vocab, window=14)
+    assert wide._code_weights is None
+    rng = np.random.default_rng(3)
+    ctx = rng.integers(0, wide.pad_id + 1, size=(100, 14))
+    assert wide._rows(ctx[:50], grow=True) == list(range(50))
+    assert wide._rows(ctx) == dict_rows(dict(wide.contexts), ctx, False)
+
+
+def test_terminal_distribution_of_a_full_sumpath_problem_is_the_dict_paths(monkeypatch):
+    task = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 9), max_parts=4, max_part=3)
+    vocab = build_vocab(task)
+    problem = make_problem(task, seed=0)
+    assert sum(terminal_levels(problem, vocab)) == 16105
+    pol = Policy.tabular(vocab, window=8)
+    rng = np.random.default_rng(0)
+    pol.register_prefixes([(problem.prompt_tokens, tuple(rng.choice(vocab.body_ids, size=4).tolist()))
+                           for _ in range(400)])
+    pol.params = rng.normal(size=pol.params.size)
+    bulk = terminal_distribution(pol, problem)
+    monkeypatch.setattr(policy_module, "BULK_ROWS", np.inf)
+    looked_up = terminal_distribution(pol, problem)
+    assert bulk.probs.tobytes() == looked_up.probs.tobytes() and bulk.overflow == looked_up.overflow
