@@ -50,7 +50,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--out", type=str, default=None)
         if name == "compare":
             p.add_argument("reports", nargs="*", metavar="LABEL=PATH")
@@ -69,14 +68,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         cfg.seed = args.seed
     if args.out is not None:
         cfg.out = args.out
-    if args.workers < 1:
-        raise ConfigError("--workers must be at least 1")
     cfg.check()
     return cfg
 
 
-def _write_meta(cfg: RunConfig, command: str, workers: int) -> None:
-    meta = {"command": command, "config": cfg.to_dict(), "workers": workers}
+def _write_meta(cfg: RunConfig, command: str) -> None:
+    meta = {"command": command, "config": cfg.to_dict()}
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "run_meta.json").write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n", encoding="utf-8", newline="")
@@ -86,14 +83,14 @@ def _problem_seed(run_seed: int, index: int) -> int:
     return int(np.random.SeedSequence((run_seed, index)).generate_state(1)[0])
 
 
-def _cmd_gen_data(cfg: RunConfig, workers: int) -> int:
+def _cmd_gen_data(cfg: RunConfig) -> int:
     task = cfg.task_config()
     vocab = build_vocab(task)
     problems = [make_problem(task, seed=_problem_seed(cfg.seed, i)) for i in range(cfg.data.n_problems)]
     path = cfg.resolve_path(cfg.data.problems)
     path.parent.mkdir(parents=True, exist_ok=True)
     write_problems(path, problems, vocab)
-    _write_meta(cfg, "gen-data", workers)
+    _write_meta(cfg, "gen-data")
     log.info("generated %d problems", len(problems))
     print(f"wrote {path}")
     return 0
@@ -106,7 +103,7 @@ def _build_policy(cfg: RunConfig, vocab) -> Policy:
     return Policy.neural(vocab, window=p.window, embed_dim=p.embed_dim, hidden_dim=p.hidden_dim, seed=cfg.seed)
 
 
-def _cmd_train(cfg: RunConfig, workers: int) -> int:
+def _cmd_train(cfg: RunConfig) -> int:
     task = cfg.task_config()
     vocab = build_vocab(task)
     problems = read_problems(cfg.resolve_path(cfg.data.problems), vocab)
@@ -138,25 +135,25 @@ def _cmd_train(cfg: RunConfig, workers: int) -> int:
     ckpt.parent.mkdir(parents=True, exist_ok=True)
     save_policy(str(ckpt), policy)
     report.write_csv(out / "train_report.csv")
-    _write_meta(cfg, "train", workers)
+    _write_meta(cfg, "train")
     log.info("trained %s for %d report rows", cfg.method.value, len(report.rows))
     print(f"wrote {ckpt}")
     print(f"wrote {out / 'train_report.csv'}")
     return 0
 
 
-def _cmd_eval(cfg: RunConfig, workers: int) -> int:
+def _cmd_eval(cfg: RunConfig) -> int:
     task = cfg.task_config()
     vocab = build_vocab(task)
     problems = read_problems(cfg.resolve_path(cfg.data.problems), vocab)
     policy = load_policy(str(cfg.resolve_path(cfg.data.checkpoint)), vocab)
     report = evaluate(policy, problems, vocab, k=cfg.eval.k, decode_cfg=cfg.decode("eval"),
-                      seed=cfg.seed, prepend_greedy=cfg.eval.prepend_greedy, workers=workers)
+                      seed=cfg.seed, prepend_greedy=cfg.eval.prepend_greedy)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     report.write_json(out / "eval_aggregate.json")
     report.write_csv(out / "eval_rows.csv")
-    _write_meta(cfg, "eval", workers)
+    _write_meta(cfg, "eval")
     log.info("evaluated %d problems", len(report.rows))
     print(f"wrote {out / 'eval_aggregate.json'}")
     print(f"wrote {out / 'eval_rows.csv'}")
@@ -174,7 +171,7 @@ def _terminal_texts(problem, vocab) -> Iterator[str]:
         yield from level
 
 
-def _cmd_enumerate(cfg: RunConfig, workers: int) -> int:
+def _cmd_enumerate(cfg: RunConfig) -> int:
     task = cfg.task_config()
     vocab = build_vocab(task)
     problems = read_problems(cfg.resolve_path(cfg.data.problems), vocab)
@@ -203,13 +200,13 @@ def _cmd_enumerate(cfg: RunConfig, workers: int) -> int:
     with open(out / "enumeration.json", "w", encoding="utf-8", newline="") as fh:
         json.dump({"problems": gaps}, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    _write_meta(cfg, "enumerate", workers)
+    _write_meta(cfg, "enumerate")
     print(f"wrote {out / 'enumeration.csv'}")
     print(f"wrote {out / 'enumeration.json'}")
     return 0
 
 
-def _cmd_compare(cfg: RunConfig, workers: int, reports: list[str]) -> int:
+def _cmd_compare(cfg: RunConfig, reports: list[str]) -> int:
     if len(reports) < 2:
         raise ConfigError("compare needs at least 2 LABEL=PATH reports")
     parsed: list[tuple[str, dict]] = []
@@ -236,7 +233,7 @@ def _cmd_compare(cfg: RunConfig, workers: int, reports: list[str]) -> int:
     with open(out / "compare.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerows(lines)
-    _write_meta(cfg, "compare", workers)
+    _write_meta(cfg, "compare")
     for row in lines:
         print(",".join(row))
     return 0
@@ -253,9 +250,9 @@ def run_cli(argv: list[str] | None = None) -> int:
         args = _build_parser().parse_args(argv)
         cfg = _resolve_config(args)
         if args.command == "compare":
-            return _cmd_compare(cfg, args.workers, args.reports)
+            return _cmd_compare(cfg, args.reports)
         return {"gen-data": _cmd_gen_data, "train": _cmd_train, "eval": _cmd_eval,
-                "enumerate": _cmd_enumerate}[args.command](cfg, args.workers)
+                "enumerate": _cmd_enumerate}[args.command](cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

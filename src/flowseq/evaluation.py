@@ -13,7 +13,6 @@ generator.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -177,39 +176,6 @@ class EvalReport:
                                  r.distinct_correct, bits])
 
 
-def _eval_problems(
-    policy: Policy,
-    problems: list[Problem],
-    vocab: Vocab,
-    k: int,
-    decode_cfg: DecodeCfg,
-    seed: int,
-    start: int,
-    prepend_greedy: bool,
-) -> list[ProblemEval]:
-    """Rows for problems start, start+1, ...: one greedy walk over the problems, then one walk of all samples.
-
-    Problem start+i draws its samples from its own generator seeded by
-    (seed, start+i), in the order a problem-at-a-time loop would, so the rows
-    do not depend on how the problems are split. Each distinct body of a
-    problem is graded once.
-    """
-    draw_rows = [(p, np.random.default_rng([seed, start + i])) for i, p in enumerate(problems)]
-    greedy = _walk_draws(policy, [(p, None) for p in problems], decode_cfg)
-    sampled = _walk_draws(policy, draw_rows, decode_cfg, k - 1 if prepend_greedy else k)
-    rows = []
-    for i, (p, head, tail) in enumerate(zip(problems, greedy, sampled)):
-        graded = {body: solution_from_body(p, body, vocab) for body in dict.fromkeys(head + tail)}
-        scored = [graded[body] for body in (head + tail if prepend_greedy else tail)]
-        rows.append(ProblemEval(
-            problem_id=start + i,
-            greedy_correct=graded[head[0]].correct,
-            sample_correctness=[s.correct for s in scored],
-            distinct_correct=distinct_correct_count(scored),
-        ))
-    return rows
-
-
 def evaluate(
     policy: Policy,
     problems: list[Problem],
@@ -218,32 +184,31 @@ def evaluate(
     decode_cfg: DecodeCfg | None = None,
     seed: int = 0,
     prepend_greedy: bool = False,
-    workers: int = 1,
 ) -> EvalReport:
-    """Greedy decode plus k stochastic samples per problem.
+    """Greedy decode plus k samples per problem: one greedy walk over the problems, then one walk of all samples.
 
-    The problems walk together through one decoder, and each draws from its
-    own generator seeded by (seed, index), so the report is identical for
-    any worker count: with workers > 1 each worker evaluates one contiguous
-    chunk of the problems.
-    With prepend_greedy the greedy solution stands in as sample 0, which
-    makes greedy accuracy a lower bound on every pass@k.
+    Problem i draws its samples from its own generator seeded by (seed, i),
+    in the order a problem-at-a-time loop would, so the rows do not depend on
+    how the problems are batched. Each distinct body of a problem is graded
+    once. With prepend_greedy the greedy solution stands in as sample 0,
+    which makes greedy accuracy a lower bound on every pass@k.
     """
     if not problems:
         raise ValueError("no problems to evaluate")
     if k < 1:
         raise KTooLarge(f"k must be at least 1, got {k}")
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
     decode_cfg = decode_cfg or DecodeCfg()
-    bounds = np.linspace(0, len(problems), min(workers, len(problems)) + 1).astype(int).tolist()
-    chunks = [(policy, problems[a:b], vocab, k, decode_cfg, seed, a, prepend_greedy)
-              for a, b in zip(bounds, bounds[1:])]
-    if len(chunks) == 1:
-        parts = [_eval_problems(*chunks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            parts = [f.result() for f in [pool.submit(_eval_problems, *c) for c in chunks]]
+    draw_rows = [(p, np.random.default_rng([seed, i])) for i, p in enumerate(problems)]
+    greedy = _walk_draws(policy, [(p, None) for p in problems], decode_cfg)
+    sampled = _walk_draws(policy, draw_rows, decode_cfg, k - 1 if prepend_greedy else k)
     report = EvalReport(k=k)
-    report.rows.extend(row for part in parts for row in part)
+    for i, (p, head, tail) in enumerate(zip(problems, greedy, sampled)):
+        graded = {body: solution_from_body(p, body, vocab) for body in dict.fromkeys(head + tail)}
+        scored = [graded[body] for body in (head + tail if prepend_greedy else tail)]
+        report.rows.append(ProblemEval(
+            problem_id=i,
+            greedy_correct=graded[head[0]].correct,
+            sample_correctness=[s.correct for s in scored],
+            distinct_correct=distinct_correct_count(scored),
+        ))
     return report

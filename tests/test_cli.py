@@ -86,6 +86,15 @@ def test_the_removed_stop_placement_key_exits_2(tmp_path, capsys):
     assert "unknown key: train.stop_placement" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["eval", "gen-data"])
+def test_the_removed_workers_flag_exits_2_naming_it(tmp_path, capsys, command):
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    out = tmp_path / "o"
+    assert run_cli([command, "--config", cfg, "--workers", "2", "--out", str(out)]) == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_section_exits_2(tmp_path):
     cfg = write_config(tmp_path, "[nope]\nkind = sumpath\n")
     assert run_cli(["gen-data", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -329,6 +338,7 @@ def test_gen_data_writes_requested_count(tmp_path):
     lines = (out / "problems.jsonl").read_text().splitlines()
     assert len(lines) == 3
     meta = json.loads((out / "run_meta.json").read_text())
+    assert sorted(meta) == ["command", "config"]
     assert meta["command"] == "gen-data"
     assert meta["config"]["task"]["kind"] == "SUMPATH"
 

@@ -207,15 +207,6 @@ def test_evaluate_invariants_hold():
     assert report.rows[0].n_correct > 0  # fitted policy finds solutions
 
 
-def test_evaluate_is_worker_count_independent():
-    vocab, problems, pol = fitted_eval_setup()
-    kw = dict(k=4, decode_cfg=DecodeCfg(temperature=1.0, top_p=1.0), seed=5)
-    one = evaluate(pol, problems, vocab, workers=1, **kw)
-    two = evaluate(pol, problems, vocab, workers=2, **kw)
-    assert [r.sample_correctness for r in one.rows] == [r.sample_correctness for r in two.rows]
-    assert [r.distinct_correct for r in one.rows] == [r.distinct_correct for r in two.rows]
-
-
 def test_evaluate_prepend_greedy_bounds_pass_rates():
     vocab, problems, pol = fitted_eval_setup()
     report = evaluate(pol, problems, vocab, k=4, prepend_greedy=True,
@@ -240,19 +231,6 @@ def test_evaluate_rejects_k_below_one_before_decoding(monkeypatch, k, prepend_gr
     with pytest.raises(KTooLarge, match="k must be at least 1"):
         evaluate(Policy.tabular(vocab, window=5), [make_problem(cfg, seed=0)], vocab, k=k,
                  prepend_greedy=prepend_greedy)
-
-
-@pytest.mark.parametrize("workers", (0, -3))
-def test_evaluate_rejects_workers_below_one_before_decoding(monkeypatch, workers):
-    cfg = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 3), max_parts=2, max_part=2)
-    vocab = build_vocab(cfg)
-
-    def no_decode(*args, **kwargs):
-        raise AssertionError("evaluate decoded before checking workers")
-
-    monkeypatch.setattr(evaluation, "_walk_draws", no_decode)
-    with pytest.raises(ValueError, match=f"workers must be at least 1, got {workers}"):
-        evaluate(Policy.tabular(vocab, window=5), [make_problem(cfg, seed=0)], vocab, workers=workers)
 
 
 def test_report_files_round_trip(tmp_path):

@@ -391,16 +391,6 @@ def test_evaluate_equals_a_problem_at_a_time_loop(kind, prepend_greedy):
     assert report.rows == reference_evaluate(pol, problems, pol.vocab, 5, cfg, 3, prepend_greedy)
 
 
-def test_evaluate_splits_uneven_chunks_across_workers():
-    pol, problems = fitted_sumpath("neural")
-    cfg = DecodeCfg(temperature=1.0, top_p=1.0)
-    one = evaluate(pol, problems, pol.vocab, k=4, decode_cfg=cfg, seed=1)
-    three = evaluate(pol, problems, pol.vocab, k=4, decode_cfg=cfg, seed=1, workers=3)
-    assert any(0 < r.n_correct < 4 for r in one.rows)
-    assert [r.problem_id for r in three.rows] == list(range(len(problems)))
-    assert three.rows == one.rows
-
-
 def per_index_evaluate(policy, problems, vocab, k, cfg, seed, prepend_greedy) -> list[ProblemEval]:
     """The earlier evaluation: one greedy walk, then one walk per draw index, each with a fresh memo."""
     draw_rows = [(p, np.random.default_rng([seed, i])) for i, p in enumerate(problems)]
@@ -417,16 +407,14 @@ def per_index_evaluate(policy, problems, vocab, k, cfg, seed, prepend_greedy) ->
     return rows
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("prepend_greedy", [False, True])
 @pytest.mark.parametrize("k", [1, 3, 8])
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
-def test_one_walk_evaluation_equals_a_walk_per_draw_index(kind, k, prepend_greedy, workers):
+def test_one_walk_evaluation_equals_a_walk_per_draw_index(kind, k, prepend_greedy):
     # k = 1 with prepend_greedy walks zero sampled draws
     pol, problems = fitted_sumpath(kind)
     cfg = DecodeCfg(temperature=1.0, top_p=0.95, max_new_tokens=5)
-    report = evaluate(pol, problems, pol.vocab, k=k, decode_cfg=cfg, seed=3, prepend_greedy=prepend_greedy,
-                      workers=workers)
+    report = evaluate(pol, problems, pol.vocab, k=k, decode_cfg=cfg, seed=3, prepend_greedy=prepend_greedy)
     assert report.rows == per_index_evaluate(pol, problems, pol.vocab, k, cfg, 3, prepend_greedy)
     if k == 8:  # the comparison can tell draws apart
         assert any(0 < r.n_correct < k for r in report.rows)
@@ -444,7 +432,7 @@ def test_eval_problems_draws_every_sample_in_one_walk(monkeypatch, kind, prepend
         return walks[-1]
 
     monkeypatch.setattr(evaluation, "_walk_draws", recording)
-    evaluation._eval_problems(pol, problems, pol.vocab, 8, cfg, 3, 0, prepend_greedy)
+    evaluation.evaluate(pol, problems, pol.vocab, k=8, decode_cfg=cfg, seed=3, prepend_greedy=prepend_greedy)
     assert len(walks) == 2  # greedy, then sampled
     draw_rows = [(p, np.random.default_rng([3, i])) for i, p in enumerate(problems)]
     per_index = [_walk_draws(pol, draw_rows, cfg) for _ in range(n)]
