@@ -86,12 +86,12 @@ def test_the_removed_stop_placement_key_exits_2(tmp_path, capsys):
     assert "unknown key: train.stop_placement" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["eval", "gen-data"])
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "enumerate", "compare"])
 def test_the_removed_workers_flag_exits_2_naming_it(tmp_path, capsys, command):
     cfg = write_config(tmp_path, PIPELINE_CONFIG)
     out = tmp_path / "o"
     assert run_cli([command, "--config", cfg, "--workers", "2", "--out", str(out)]) == 2
-    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
     assert not out.exists()
 
 

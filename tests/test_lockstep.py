@@ -407,13 +407,14 @@ def per_index_evaluate(policy, problems, vocab, k, cfg, seed, prepend_greedy) ->
     return rows
 
 
+@pytest.mark.parametrize("top_p", [0.95, 1.0])  # 1.0 keeps every token in the nucleus
 @pytest.mark.parametrize("prepend_greedy", [False, True])
 @pytest.mark.parametrize("k", [1, 3, 8])
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
-def test_one_walk_evaluation_equals_a_walk_per_draw_index(kind, k, prepend_greedy):
+def test_one_walk_evaluation_equals_a_walk_per_draw_index(kind, k, prepend_greedy, top_p):
     # k = 1 with prepend_greedy walks zero sampled draws
     pol, problems = fitted_sumpath(kind)
-    cfg = DecodeCfg(temperature=1.0, top_p=0.95, max_new_tokens=5)
+    cfg = DecodeCfg(temperature=1.0, top_p=top_p, max_new_tokens=5)
     report = evaluate(pol, problems, pol.vocab, k=k, decode_cfg=cfg, seed=3, prepend_greedy=prepend_greedy)
     assert report.rows == per_index_evaluate(pol, problems, pol.vocab, k, cfg, 3, prepend_greedy)
     if k == 8:  # the comparison can tell draws apart
