@@ -29,6 +29,7 @@ import csv
 from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +37,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamState, GradTape, Var, adam_step
 from .core import RULES, Problem, SettingError, Trajectory, Vocab, check_fields
-from .env import TaskConfig, enumerate_solutions, enumerate_terminals, left_sum, reward
+from .env import TaskConfig, enumerate_solutions, enumerate_terminals, left_sum, verdict_reward, verifier
 from .policy import (
     DecodeCfg,
     Item,
@@ -49,7 +50,8 @@ from .policy import (
     sequence_log_prob_vars,
     terminal_distribution,
 )
-# not called here (the walk draws): perfbench/layers.py wraps the name where gflownet binds it
+# not called here (the walk draws, the verifier folds): perfbench/layers.py wraps these names where gflownet binds them
+from .env import reward  # noqa: F401
 from .policy import _sample_with_rng  # noqa: F401
 
 class NonPositiveReward(ValueError):
@@ -75,10 +77,14 @@ class BufferEntry:
 
 
 def prefix_log_rewards(problem: Problem, task: TaskConfig, vocab: Vocab, body: tuple[int, ...]) -> np.ndarray:
-    """log R of every prefix 0..n of the body, each treated as terminated; rejects non-positive rewards."""
+    """log R of every prefix 0..n of the body, each treated as terminated; rejects non-positive rewards.
+
+    One fold of the problem's verifier along the body gives every prefix's verdict.
+    """
+    machine = verifier(problem, vocab)
     out = np.empty(len(body) + 1)
-    for i in range(len(body) + 1):
-        r = reward(problem, problem.prompt_tokens + body[:i], task, vocab)
+    for i, state in enumerate(accumulate(body, machine.step, initial=machine.start)):
+        r = verdict_reward(machine.verdict(state), task)
         if not r > 0.0:
             raise NonPositiveReward(f"reward {r} at prefix length {i}")
         out[i] = np.log(r)

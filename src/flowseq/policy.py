@@ -26,7 +26,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain, count, islice
+from itertools import accumulate, count, islice, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -39,9 +39,6 @@ from .env import left_sum, level_rows, terminal_levels
 MAGIC = b"FSEQPOL1"
 # contexts per forward in terminal_distribution, which bounds its temporaries
 SCORE_ROWS = 4096
-# contexts per tabular lookup from which one sorted search of their codes replaces a dict probe per context:
-# a plain lookup breaks even near 24 contexts, a registration that adds contexts and merges their codes near 100
-BULK_ROWS = 128
 # one sequence as the forward takes it: (prompt_tokens, body), the body without its stop symbol
 Item = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -104,8 +101,8 @@ class Policy:
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
         self.contexts: dict[tuple[int, ...], int] = dict(contexts or {})
-        # (the contexts dict indexed, its sorted codes, their rows): see _code_index
-        self._indexed: tuple[dict, np.ndarray, np.ndarray] | None = None
+        # (the contexts dict coded, its {code: row} dict): see _keyed
+        self._coded: tuple[dict, dict] | None = None
 
     @property
     def pad_id(self) -> int:
@@ -175,23 +172,27 @@ class Policy:
             starts += range(start, start + len(body) + 1)
         return np.array(flat, dtype=np.int64)[np.array(starts, dtype=np.int64)[:, None] + np.arange(self.window)]
 
-    def _rows(self, ctx_mat: np.ndarray, grow: bool = False) -> list[int] | np.ndarray:
+    def _rows(self, ctx_mat: np.ndarray, grow: bool = False) -> list[int]:
         """Table row of each context, -1 when unregistered; grow appends new contexts in first-appearance order.
 
-        A batch of BULK_ROWS or more contexts whose codes fit in an int64 takes
-        one sorted search (_bulk_rows); a smaller or wider one probes the
-        contexts dict once per context. Both give the same rows and keys.
+        Each context is probed once in _keyed(): by its code, or by its tuple
+        where codes overflow an int64.
         """
-        if len(ctx_mat) >= BULK_ROWS and self._code_weights is not None:
-            return self._bulk_rows(ctx_mat, grow)
-        keys = list(map(tuple, ctx_mat.tolist()))
-        if grow:
-            new = dict.fromkeys(k for k in keys if k not in self.contexts)
-            if new:
-                self.contexts.update(zip(new, count(len(self.contexts))))
-                self.params = np.concatenate([self.params, np.zeros(len(new) * self.width)])
-        get = self.contexts.get
-        return [get(k, -1) for k in keys]
+        keyed, weights = self._keyed(), self._code_weights
+        keys = (ctx_mat @ weights).tolist() if weights is not None else list(map(tuple, ctx_mat.tolist()))
+        rows = list(map(keyed.get, keys, repeat(-1)))
+        missing = [i for i, row in enumerate(rows) if row < 0] if grow and -1 in rows else ()
+        if missing:
+            first: dict = {}  # each new key at its first position
+            for i in missing:
+                first.setdefault(keys[i], i)
+            n = len(self.contexts)
+            self.contexts.update(zip(map(tuple, ctx_mat[list(first.values())].tolist()), count(n)))
+            keyed.update(zip(first, count(n)))
+            self.params = np.concatenate([self.params, np.zeros(len(first) * self.width)])
+            for i in missing:
+                rows[i] = keyed[keys[i]]
+        return rows
 
     @cached_property
     def _code_weights(self) -> np.ndarray | None:
@@ -201,47 +202,22 @@ class Policy:
             return None
         return base ** np.arange(self.window - 1, -1, -1, dtype=np.int64)
 
-    def _code_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(codes, rows): the sorted codes of the registered contexts and their rows, each after a -1 sentinel.
+    def _keyed(self) -> dict:
+        """{code: row} of the registered contexts, or contexts itself when codes overflow an int64.
 
         Derived from self.contexts: rebuilt when contexts is another dict, and
-        extended by the contexts appended since it was last brought up to date.
+        caught up with the contexts appended since the last lookup.
         """
-        if self._indexed is None or self._indexed[0] is not self.contexts:
-            self._indexed = (self.contexts, np.full(1, -1, dtype=np.int64), np.full(1, -1, dtype=np.int64))
-        _, codes, rows = self._indexed
-        if len(codes) <= len(self.contexts):
-            added = list(islice(self.contexts.items(), len(codes) - 1, None))
-            keys = np.fromiter(chain.from_iterable(k for k, _ in added), np.int64, len(added) * self.window)
-            codes, rows = self._extend_index(keys.reshape(-1, self.window) @ self._code_weights,
-                                             np.fromiter((r for _, r in added), np.int64, len(added)))
-        return codes, rows
-
-    def _extend_index(self, new_codes: np.ndarray, new_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Merge the codes and rows of the contexts last appended to self.contexts into the index."""
-        _, codes, rows = self._indexed
-        codes, rows = np.concatenate([codes, new_codes]), np.concatenate([rows, new_rows])
-        order = codes.argsort(kind="stable")  # a merge: the sorted index, then the new codes
-        self._indexed = (self.contexts, codes[order], rows[order])
-        return self._indexed[1:]
-
-    def _bulk_rows(self, ctx_mat: np.ndarray, grow: bool) -> np.ndarray:
-        """_rows by one searchsorted of the contexts' codes over _code_index."""
-        want = ctx_mat @ self._code_weights
-        codes, rows = self._code_index()
-        at = codes.searchsorted(want, side="right") - 1  # the sentinel keeps it >= 0
-        found = np.where(codes[at] == want, rows[at], -1)
-        missing = np.flatnonzero(found < 0) if grow else ()
-        if len(missing):
-            # each new context with its code, in first-appearance order
-            new = dict(zip(map(tuple, ctx_mat[missing].tolist()), want[missing].tolist()))
-            n = len(self.contexts)
-            self.contexts.update(zip(new, count(n)))
-            self.params = np.concatenate([self.params, np.zeros(len(new) * self.width)])
-            codes, rows = self._extend_index(np.fromiter(new.values(), np.int64, len(new)),
-                                             np.arange(n, len(self.contexts)))
-            found[missing] = rows[codes.searchsorted(want[missing])]
-        return found
+        if self._code_weights is None:
+            return self.contexts
+        if self._coded is None or self._coded[0] is not self.contexts:
+            self._coded = (self.contexts, {})
+        keyed = self._coded[1]
+        if len(keyed) < len(self.contexts):
+            added = list(islice(self.contexts.items(), len(keyed), None))
+            codes = np.array([ctx for ctx, _ in added], dtype=np.int64) @ self._code_weights
+            keyed.update(zip(codes.tolist(), (row for _, row in added)))
+        return keyed
 
     def register_prefixes(self, items: list[Item]) -> None:
         """Register the contexts of every (prompt_tokens, body) item in item order; a no-op when neural."""
@@ -264,7 +240,7 @@ class Policy:
             table = theta.reshape(-1, self.width)
             if -1 in rows:
                 if isinstance(theta, Var):
-                    raise KeyError(f"unregistered tabular context {tuple(ctx_mat[list(rows).index(-1)].tolist())}")
+                    raise KeyError(f"unregistered tabular context {tuple(ctx_mat[rows.index(-1)].tolist())}")
                 # row -1 is then a zero row appended to a copy of the table
                 table = np.concatenate([table, np.zeros((1, self.width))])
             return self._head(table[rows] if isinstance(theta, Var) else table.take(rows, axis=0))
@@ -415,60 +391,51 @@ def _walk_draws(policy: Policy, rows: list[tuple[Problem, np.random.Generator | 
     its own row. `memo` holds exact proposals at the current parameters, and the walk adds the ones it
     scores; a call whose rows all take the argmax scores argmax-only proposals.
 
-    Each uniform is taken from rng when first needed and kept, so a walk resumed at an earlier token
-    reads the same ones again. With a non-empty `draft` the walk guesses ahead: it guesses with draft
-    where it has no exact proposal, scores the guessed contexts and the first unknown one in one
-    forward, and resumes at the first of them, with its tokens cut back there, until it walks on exact
-    proposals alone: guesses only choose what is scored. A guessed walk can take more uniforms than its
-    draws use, so rng is then rewound to where the draws leave it, and draft takes the exact proposals
-    for the next walk on these problems.
+    With a non-empty `draft` the walk guesses ahead: it guesses with draft where it has no exact
+    proposal, scores the guessed contexts and the first unknown one in one forward, and resumes at the
+    first of them, with its tokens cut back and rng set back there, until it walks on exact proposals
+    alone: guesses only choose what is scored. draft then takes the exact proposals for the next walk
+    on these problems.
     """
     memo = {} if memo is None else memo
     scores = cfg if any(rng is not None for _, rng in rows) else None
     stop, guess = policy.vocab.stop_id, bool(draft)
-    # per row: start context, budget, rng, saved state, uniforms, tokens (its draws end to end, each ending
-    # in the stop id) and the state to resume at: draw, its tokens so far, uniforms used, context, len(tokens)
+    # per row: start context, budget, rng, tokens (its draws end to end, each ending in the stop id) and the
+    # point to resume at: draw, its tokens so far, context, len(tokens) and rng's state there when guessing
     walks = []
     for problem, rng in rows:
-        start, budget = policy.context_of(problem.prompt_tokens), _budget(problem, cfg)
-        saved = rng.bit_generator.state if guess and rng is not None else None
-        walks.append([start, budget, rng, saved, [], [], (0, 0, 0, start, 0)])
+        start = policy.context_of(problem.prompt_tokens)
+        walks.append([start, _budget(problem, cfg), rng, [], (0, 0, start, 0, None)])
     live = walks
     while live:
         guessed: dict = {}
         for w in live:
-            start, budget, rng, _, u, tokens, (i, t, j, ctx, n) = w
+            start, budget, rng, tokens, (i, t, ctx, n, state) = w
             resume = None
             del tokens[n:]
+            if state is not None:
+                rng.bit_generator.state = state
             while i < k:
                 if t == budget:  # the forced stop: a draw cut at its budget is closed without a forward
                     tok = stop
                 else:
                     prop = memo.get(ctx)
                     if prop is None:
-                        resume = resume or (i, t, j, ctx, len(tokens))
+                        resume = resume or (i, t, ctx, len(tokens),
+                                            rng.bit_generator.state if guess and rng is not None else None)
                         guessed[ctx] = prop = draft.get(ctx) if guess else None
                         if prop is None:
                             break
-                    if rng is None:
-                        tok = prop.argmax
-                    else:
-                        if j == len(u):
-                            u.append(rng.random())
-                        tok = prop.draw(u[j])
-                        j += 1
+                    tok = prop.argmax if rng is None else prop.draw(rng.random())
                 tokens.append(tok)
                 i, t, ctx = (i + 1, 0, start) if tok == stop else (i, t + 1, ctx[1:] + (tok,))
-            w[6] = resume or (i, t, j, ctx, len(tokens))
+            w[4] = resume or (i, t, ctx, len(tokens), None)
         if guessed:
             lp = policy.forward(policy.params, np.asarray(list(guessed), dtype=np.int64))
             memo.update(zip(guessed, _proposals(lp, scores)))
-        live = [w for w in live if w[6][0] < k]
+        live = [w for w in live if w[4][0] < k]
     bodies = []
-    for _, _, rng, saved, _, tokens, (_, _, j, _, _) in walks:
-        if saved is not None:  # one uniform per drawn token
-            rng.bit_generator.state = saved
-            rng.random(j)
+    for *_, tokens, _ in walks:
         ends = [n for n, tok in enumerate(tokens) if tok == stop]
         bodies.append([tuple(tokens[a + 1 : b]) for a, b in zip([-1] + ends, ends)])
     if draft is not None:

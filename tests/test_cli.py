@@ -484,7 +484,7 @@ def loop_enumeration(cfg_path: str, out: Path) -> tuple[bytes, bytes]:
 
 
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
-def test_enumeration_files_equal_the_csv_writer_loop(tmp_path, kind, bulk_rows_one, monkeypatch):
+def test_enumeration_files_equal_the_csv_writer_loop(tmp_path, kind, monkeypatch):
     text = PIPELINE_CONFIG.replace("kind = tabular", f"kind = {kind}\nembed_dim = 4\nhidden_dim = 8")
     cfg = write_config(tmp_path, text.replace("steps = 60", "steps = 20"))
     out = tmp_path / "run"

@@ -9,7 +9,8 @@ import pytest
 from flowseq import autodiff as ad
 from flowseq import gflownet, policy
 from flowseq.core import Problem, TaskKind, Trajectory, encode, make_vocab
-from flowseq.env import RewardMode, TaskConfig, build_vocab, enumerate_terminals, make_problem, reward
+from flowseq.env import (RewardMode, TaskConfig, build_vocab, enumerate_solutions, enumerate_terminals, make_problem,
+                         reward)
 from flowseq.gflownet import (
     BufferEntry,
     GfnConfig,
@@ -267,36 +268,64 @@ def test_an_unterminated_draw_enters_the_replay_stopped_at_the_horizon(monkeypat
 def test_training_scores_each_distinct_body_of_a_problem_once(monkeypatch):
     task, vocab, _ = sumpath_setup(RewardMode.SHAPED)
     problems = [make_problem(task, seed=s) for s in range(2)]
-    calls = []
-    real_reward = gflownet.reward
+    folds, steps = [], []
+    real_verifier = gflownet.verifier
 
-    def counted(*args):
-        calls.append(args)
-        return real_reward(*args)
+    def counted(problem, vocab):
+        folds.append(problem)
+        machine = real_verifier(problem, vocab)
+        real_step = machine.step
+        machine.step = lambda state, tid: steps.append(tid) or real_step(state, tid)
+        return machine
 
-    monkeypatch.setattr(gflownet, "reward", counted)
+    monkeypatch.setattr(gflownet, "verifier", counted)
     gfn = GfnConfig(steps=40, batch_size=4, samples_per_problem=6, sft_coeff=0.0,
                     decode=DecodeCfg(temperature=2.0, top_p=1.0), seed=0)
     _, draws, _, _ = recorded_training(monkeypatch, problems, task, vocab, gfn)
     distinct = {(id(p), body) for p, body in draws}
     assert len(distinct) < len(draws)  # some body is drawn twice, so a second scoring would show
-    assert len(calls) == sum(len(body) + 1 for _, body in distinct)
+    # one fold of the verifier per distinct body, one step per token
+    assert len(folds) == len(distinct)
+    assert len(steps) == sum(len(body) for _, body in distinct)
 
 
 def test_nonpositive_reward_rejected(monkeypatch):
     task, vocab, problem = sumpath_setup()
     body = (2, 2)
+
+    class Length:  # a verifier whose state and verdict are the prefix length
+        start = 0
+        step = staticmethod(lambda n, _tid: n + 1)
+        verdict = staticmethod(lambda n: n)
+
+    monkeypatch.setattr(gflownet, "verifier", lambda *_: Length)
     # positive on every shorter prefix, so the check must reach the full body
-    full = len(problem.prompt_tokens) + len(body)
-    monkeypatch.setattr(gflownet, "reward", lambda _p, prefix, *_: -1.0 if len(prefix) == full else 2.0)
+    monkeypatch.setattr(gflownet, "verdict_reward", lambda n, _task: -1.0 if n == len(body) else 2.0)
     with pytest.raises(NonPositiveReward, match="reward -1.0 at prefix length 2"):
         prefix_log_rewards(problem, task, vocab, body)
     assert prefix_log_rewards(problem, task, vocab, body[:1]).tolist() == [np.log(2.0)] * 2
 
 
+@pytest.mark.parametrize("mode", list(RewardMode))
+@pytest.mark.parametrize("kind", list(TaskKind))
+def test_prefix_log_rewards_equal_the_log_reward_of_each_prefix(kind, mode):
+    task = TaskConfig(task_kind=kind, value_range=(2, 6), max_parts=3, max_part=3, reward_mode=mode)
+    vocab = build_vocab(task)
+    rng = np.random.default_rng(0)
+    for seed in range(4):
+        problem = make_problem(task, seed=seed)
+        # random bodies up to past the horizon, and the correct ones, whose last prefix scores above the floor
+        bodies = [tuple(rng.choice(vocab.body_ids, size=n).tolist()) for n in range(problem.max_solution_len + 3)]
+        bodies += enumerate_solutions(problem, task, vocab)[:3]
+        for body in bodies:
+            want = np.log([reward(problem, problem.prompt_tokens + body[:i], task, vocab)
+                           for i in range(len(body) + 1)])
+            assert prefix_log_rewards(problem, task, vocab, body).tobytes() == want.tobytes()
+
+
 def test_training_rejects_a_non_positive_reward(monkeypatch):
     task, vocab, problem = sumpath_setup()
-    monkeypatch.setattr(gflownet, "reward", lambda *args: 0.0)
+    monkeypatch.setattr(gflownet, "verdict_reward", lambda *args: 0.0)
     with pytest.raises(NonPositiveReward, match="reward 0.0 at prefix length 0"):
         train_gflownet(Policy.tabular(vocab, window=4), TrainSet.build([problem], task, vocab), GfnConfig(steps=1))
 

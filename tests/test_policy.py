@@ -511,7 +511,7 @@ def test_critic_squared_error_gradient_matches_finite_differences():
         assert finite_diff_check(loss, critic.params) < 1e-6
 
 
-def test_register_assigns_rows_in_item_order(bulk_rows_one):
+def test_register_assigns_rows_in_item_order():
     vocab = tiny_vocab()
     pol = Policy.tabular(vocab, window=2)
     pol.register_prefixes([((0,), (1,)), ((0,), (2, 1))])
@@ -551,7 +551,7 @@ def test_windows_match_per_prefix_contexts(window):
     assert pol.windows([]).shape == (0, window)
 
 
-def test_register_keys_are_python_int_tuples_in_item_order(bulk_rows_one):
+def test_register_keys_are_python_int_tuples_in_item_order():
     vocab = tiny_vocab()
     pol = Policy.tabular(vocab, window=3)
     items = [((0, 1), (2,)), ((1,), ()), ((0, 1), (2, 0, 1))]
@@ -562,7 +562,7 @@ def test_register_keys_are_python_int_tuples_in_item_order(bulk_rows_one):
     assert all(type(ctx) is tuple and all(type(t) is int for t in ctx) for ctx in pol.contexts)
 
 
-def test_register_replaces_params_once_per_call(bulk_rows_one):
+def test_register_replaces_params_once_per_call():
     class Counted(Policy):
         @property
         def params(self):
@@ -582,7 +582,7 @@ def test_register_replaces_params_once_per_call(bulk_rows_one):
     assert pol.sets == 1
 
 
-def test_tape_rows_of_an_unregistered_context_name_it(bulk_rows_one):
+def test_tape_rows_of_an_unregistered_context_name_it():
     vocab = tiny_vocab()
     pol = Policy.tabular(vocab, window=2)
     pol.register_prefixes([((0,), (1,))])
@@ -607,14 +607,13 @@ def dict_rows(contexts: dict, ctx_mat: np.ndarray, grow: bool) -> list[int]:
 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
-def test_bulk_lookup_returns_the_dict_rows(data):
+def test_lookup_returns_the_dict_rows(data):
     vocab = make_vocab(["a", "b", "c", "d"])
     window = data.draw(st.integers(1, 5), label="window")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
     pol, want = Policy.tabular(vocab, window=window), {}
     pool = rng.integers(0, pol.pad_id + 1, size=(40, window))  # contexts that recur across batches
-    bulk = policy_module.BULK_ROWS
-    for n, grow in data.draw(st.lists(st.tuples(st.sampled_from([1, 3, bulk - 1, bulk, bulk + 5, 300]),
+    for n, grow in data.draw(st.lists(st.tuples(st.sampled_from([1, 3, 127, 128, 133, 300]),
                                                 st.booleans()), min_size=1, max_size=6), label="batches"):
         fresh = rng.integers(0, pol.pad_id + 1, size=(n, window))
         ctx = np.where(rng.random((n, 1)) < 0.5, pool[rng.integers(0, len(pool), size=n)], fresh)
@@ -628,7 +627,7 @@ def test_bulk_lookup_returns_the_dict_rows(data):
         assert (pol.params is params) == (not grow or pol.params.size == params.size)
 
 
-def test_bulk_lookup_follows_clone_load_and_a_replaced_dict(tmp_path, bulk_rows_one):
+def test_lookup_follows_clone_load_and_a_replaced_dict(tmp_path):
     vocab = make_vocab(["a", "b", "c", "d"])
     pol = Policy.tabular(vocab, window=3)
     rng = np.random.default_rng(7)
@@ -636,21 +635,21 @@ def test_bulk_lookup_follows_clone_load_and_a_replaced_dict(tmp_path, bulk_rows_
     pol._rows(seen, grow=True)
     pol.params = rng.normal(size=pol.params.size)
     probe = np.concatenate([seen, rng.integers(0, pol.pad_id + 1, size=(60, 3))])
-    assert list(pol._rows(probe)) == dict_rows(dict(pol.contexts), probe, False)  # builds the index
+    assert pol._rows(probe) == dict_rows(dict(pol.contexts), probe, False)  # builds the code dict
     copy = pol.clone()
     copy._rows(probe[60:], grow=True)
-    assert (copy._rows(probe) >= 0).all()
-    assert list(pol._rows(probe)) == dict_rows(dict(pol.contexts), probe, False)
+    assert min(copy._rows(probe)) >= 0
+    assert pol._rows(probe) == dict_rows(dict(pol.contexts), probe, False)
     path = str(tmp_path / "p.bin")
     save_policy(path, copy)
     loaded = load_policy(path, vocab)
-    assert list(loaded._rows(probe)) == list(copy._rows(probe))
-    # an equal-length dict of other rows: the index is rebuilt, not read by the dict's length
+    assert loaded._rows(probe) == copy._rows(probe)
+    # an equal-length dict of other rows: the code dict is rebuilt, not caught up by the dict's length
     pol.contexts = dict(zip(pol.contexts, reversed(range(len(pol.contexts)))))
-    assert list(pol._rows(probe)) == dict_rows(dict(pol.contexts), probe, False)
+    assert pol._rows(probe) == dict_rows(dict(pol.contexts), probe, False)
 
 
-def test_a_window_too_wide_for_int64_codes_keeps_the_dict(bulk_rows_one):
+def test_a_window_too_wide_for_int64_codes_keys_contexts_by_tuple():
     vocab = build_vocab(TaskConfig(task_kind=TaskKind.ARITH, value_range=(2, 12)))
     base = vocab.size + 1
     assert base**13 - 1 <= np.iinfo(np.int64).max < base**14 - 1
@@ -663,9 +662,11 @@ def test_a_window_too_wide_for_int64_codes_keeps_the_dict(bulk_rows_one):
     ctx = rng.integers(0, wide.pad_id + 1, size=(100, 14))
     assert wide._rows(ctx[:50], grow=True) == list(range(50))
     assert wide._rows(ctx) == dict_rows(dict(wide.contexts), ctx, False)
+    # its lookup probes contexts itself by tuple, and no code dict is built
+    assert wide._keyed() is wide.contexts and wide._coded is None
 
 
-def test_terminal_distribution_of_a_full_sumpath_problem_is_the_dict_paths(monkeypatch):
+def test_terminal_distribution_of_a_full_sumpath_problem_reads_a_rebuilt_code_dict_alike(monkeypatch):
     task = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 9), max_parts=4, max_part=3)
     vocab = build_vocab(task)
     problem = make_problem(task, seed=0)
@@ -675,7 +676,11 @@ def test_terminal_distribution_of_a_full_sumpath_problem_is_the_dict_paths(monke
     pol.register_prefixes([(problem.prompt_tokens, tuple(rng.choice(vocab.body_ids, size=4).tolist()))
                            for _ in range(400)])
     pol.params = rng.normal(size=pol.params.size)
-    bulk = terminal_distribution(pol, problem)
-    monkeypatch.setattr(policy_module, "BULK_ROWS", np.inf)
-    looked_up = terminal_distribution(pol, problem)
-    assert bulk.probs.tobytes() == looked_up.probs.tobytes() and bulk.overflow == looked_up.overflow
+    grown = terminal_distribution(pol, problem)  # on the code dict grown with the registrations
+    pol.contexts = dict(pol.contexts)  # another dict object: the code dict is rebuilt from it
+    rebuilt = terminal_distribution(pol, problem)
+    assert grown.probs.tobytes() == rebuilt.probs.tobytes() and grown.overflow == rebuilt.overflow
+    # and both are the rows of a probe of the tuple-keyed contexts
+    monkeypatch.setattr(pol, "_rows", lambda ctx_mat: dict_rows(dict(pol.contexts), ctx_mat, False))
+    probed = terminal_distribution(pol, problem)
+    assert probed.probs.tobytes() == grown.probs.tobytes() and probed.overflow == grown.overflow
