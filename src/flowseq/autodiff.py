@@ -260,7 +260,8 @@ def backward(out: Var, wrt: Var) -> np.ndarray:
         for parent, vjp in node.links:
             contribution = np.asarray(vjp(node.grad), dtype=np.float64)
             if parent.grad is None:
-                parent.grad = contribution.copy()
+                # stored uncopied: no VJP writes into an array, and later contributions add out of place
+                parent.grad = contribution
             else:
                 parent.grad = parent.grad + contribution
     if wrt.grad is None:
@@ -335,7 +336,12 @@ class AdamState:
 
 
 def adam_step(state: AdamState, theta: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, AdamState]:
-    """One bias-corrected Adam update; functional, deterministic."""
+    """One bias-corrected Adam update; functional, deterministic.
+
+    theta - lr * m_hat / (sqrt(v_hat) + eps), operation for operation, written
+    into the new m and v, one scratch array and the returned step array; the
+    old state, theta and g are left as they were.
+    """
     theta = np.asarray(theta, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
     if theta.shape != g.shape or theta.ndim != 1 or state.m.shape != theta.shape:
@@ -343,9 +349,19 @@ def adam_step(state: AdamState, theta: np.ndarray, g: np.ndarray) -> tuple[np.nd
             f"theta {theta.shape}, grad {g.shape}, state {state.m.shape} must be equal 1-d shapes"
         )
     t = state.t + 1
-    m = BETA1 * state.m + (1.0 - BETA1) * g
-    v = BETA2 * state.v + (1.0 - BETA2) * g * g
-    m_hat = m / (1.0 - BETA1 ** t)
-    v_hat = v / (1.0 - BETA2 ** t)
-    new_theta = theta - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
-    return new_theta, replace(state, m=m, v=v, t=t)
+    m = state.m * BETA1
+    scratch = g * (1.0 - BETA1)
+    m += scratch
+    v = state.v * BETA2
+    np.multiply(g, 1.0 - BETA2, out=scratch)
+    scratch *= g
+    v += scratch
+    # the denominator sqrt(v_hat) + eps
+    np.divide(v, 1.0 - BETA2 ** t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += EPS
+    step = m / (1.0 - BETA1 ** t)
+    step *= state.lr
+    step /= scratch
+    np.subtract(theta, step, out=step)
+    return step, replace(state, m=m, v=v, t=t)

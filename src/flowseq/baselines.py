@@ -26,6 +26,7 @@ from .core import Problem, SettingError, check_fields
 from .gflownet import Fitter, TrainReport, TrainSet, check_learning_rate, sft_loss_var
 from .policy import (
     DecodeCfg,
+    Lookup,
     Memo,
     Policy,
     ValueNet,
@@ -93,12 +94,14 @@ class SftConfig:
         check_fields(self, "be non-negative", "seed")
 
 
-def _fit(policy: Policy, data: list, items: Callable[[list], list], loss_var: Callable[[Policy, Var, list], Var],
+def _fit(policy: Policy, data: list, items: Callable[[list], list],
+         loss_var: Callable[[Policy, Var, list, Lookup | None], Var],
          cfg: SftConfig | RftConfig | DpoConfig, rng: np.random.Generator, report: TrainReport) -> TrainReport:
-    """Adam at cfg.lr on loss_var(policy, theta, batch) over cfg.epochs of shuffled minibatches.
+    """Adam at cfg.lr on loss_var(policy, theta, batch, lookup) over cfg.epochs of shuffled minibatches.
 
     The batches hold cfg.batch_size items, or all of data when it is None.
-    items(batch) lists the (prompt_tokens, body) items whose contexts the batch's loss reads.
+    items(batch) lists the (prompt_tokens, body) items whose contexts the batch's loss reads, and
+    lookup is what registering them returned.
     """
     fit = Fitter(policy, cfg.lr)
     step = 0
@@ -110,9 +113,9 @@ def _fit(policy: Policy, data: list, items: Callable[[list], list], loss_var: Ca
             size = cfg.batch_size
             batches = [[data[int(i)] for i in order[a : a + size]] for a in range(0, len(order), size)]
         for batch in batches:
-            theta = fit.theta(items(batch))
+            theta, lookup = fit.theta(items(batch))
             step += 1
-            report.add(step, fit.step(loss_var(policy, theta, batch), theta))
+            report.add(step, fit.step(loss_var(policy, theta, batch, lookup), theta))
     return report
 
 
@@ -260,7 +263,8 @@ def dpo_train(
     return _fit(
         policy, pairs,
         lambda batch: [(p.prompt, body) for p in batch for body in (p.chosen, p.rejected)],
-        lambda pol, theta, batch: dpo_mean_loss_var(pol, theta, batch, cfg.beta),
+        # registration interleaves each pair's bodies and the forward does not, so the forward looks up its own rows
+        lambda pol, theta, batch, lookup: dpo_mean_loss_var(pol, theta, batch, cfg.beta),
         cfg, rng, report,
     )
 
@@ -385,8 +389,8 @@ def ppo_train(
         n_gen = lengths + stopped  # generated tokens per row, the stop symbol included
         t = np.arange(row.shape[1] + 1)
         generated = t[:-1] < n_gen[:, None]
-        theta = actor_fit.theta(items)
-        forward = batched_generation_log_vars(policy, theta, items)
+        theta, lookup = actor_fit.theta(items)
+        forward = batched_generation_log_vars(policy, theta, items, lookup)
         old = np.where(generated, _generated(forward[0].value, forward[1].value, lengths, stopped), 0.0)
         ref = _generated(*batched_generation_log_vars(ref_policy, ref_policy.params, items), stopped)
         token_rewards = -cfg.kl_beta * (old - ref)
@@ -400,7 +404,7 @@ def ppo_train(
         actor_loss = actor_fit.step(ppo_surrogate_var(forward, stopped, old, adv, cfg.clip), theta)
 
         # the critic's rows and targets in draw-then-position order
-        ctheta = critic_fit.theta(items)
+        ctheta, _ = critic_fit.theta(items)
         targets = (adv + values[:, :-1])[generated]
         resid = critic.forward(ctheta, ctx[row[generated]]) - ctheta.tape.const(targets)
         critic_fit.step(ad.vsum(ad.square(resid)) / float(targets.size), ctheta)

@@ -41,6 +41,7 @@ from .env import TaskConfig, enumerate_solutions, enumerate_terminals, left_sum,
 from .policy import (
     DecodeCfg,
     Item,
+    Lookup,
     Memo,
     Policy,
     TerminalDistribution,
@@ -131,9 +132,12 @@ def sft_from_vars(lp_tok: Var, lp_stop: Var, lengths: np.ndarray) -> Var:
     return -(seq / float(lengths.sum() + lengths.size))
 
 
-def sft_loss_var(policy: Policy, theta: Var, refs: list[Item]) -> Var:
-    """Mean per-token negative log-likelihood of (prompt_tokens, body) references, stop symbol included."""
-    return sft_from_vars(*batched_generation_log_vars(policy, theta, refs))
+def sft_loss_var(policy: Policy, theta: Var, refs: list[Item], lookup: Lookup | None = None) -> Var:
+    """Mean per-token negative log-likelihood of (prompt_tokens, body) references, stop symbol included.
+
+    lookup is what registering refs returned, handed on to the forward.
+    """
+    return sft_from_vars(*batched_generation_log_vars(policy, theta, refs, lookup))
 
 
 def check_learning_rate(lr: float, name: str = "learning rate", field: str = "lr") -> None:
@@ -149,11 +153,15 @@ class Fitter:
         self.model = model
         self.adam = AdamState.init(model.params.size, lr)
 
-    def theta(self, items: list[Item]) -> Var:
-        """Register the (prompt_tokens, body) items' contexts, grow the Adam state, open a tape on the parameters."""
-        self.model.register_prefixes(items)
+    def theta(self, items: list[Item]) -> tuple[Var, Lookup | None]:
+        """Register the (prompt_tokens, body) items' contexts, grow the Adam state, open a tape on the parameters.
+
+        Returns the tape's parameter variable and the registration's lookup,
+        which a forward over the same items takes instead of its own.
+        """
+        lookup = self.model.register_prefixes(items)
         self.adam = self.adam.resized(self.model.params.size)
-        return GradTape().input(self.model.params)
+        return GradTape().input(self.model.params), lookup
 
     def step(self, loss: Var, theta: Var) -> float:
         """Back-propagate and apply Adam, moving nothing if the loss or gradient is not finite; returns the loss."""
@@ -286,14 +294,16 @@ class TrainSet:
 
 
 def replay_loss_var(
-    policy: Policy, theta: Var, batch: list[BufferEntry], refs: list[Item], cfg: GfnConfig
+    policy: Policy, theta: Var, batch: list[BufferEntry], refs: list[Item], cfg: GfnConfig,
+    lookup: Lookup | None = None,
 ) -> tuple[Var, Var, Var | None]:
     """(total, mean subtb, sft term or None) of one replayed batch, from one forward pass.
 
     total = mean subtb + horizon_coeff * mean stop NLL of the at-horizon
-    bodies + sft_coeff * reference NLL.
+    bodies + sft_coeff * reference NLL. lookup is what registering the
+    replayed items and then refs returned, handed on to the forward.
     """
-    lp_tok, lp_stop, lengths = batched_generation_log_vars(policy, theta, items_of(batch) + refs)
+    lp_tok, lp_stop, lengths = batched_generation_log_vars(policy, theta, items_of(batch) + refs, lookup)
     nb = len(batch)
     if refs:
         # the reference rows follow the replayed ones
@@ -375,8 +385,8 @@ def train_gflownet(
         batch = [buf[int(i)] for i in rng.integers(0, len(buf), size=cfg.batch_size)]
         ref_batch = [refs_all[int(i)] for i in rng.integers(0, len(refs_all), size=cfg.batch_size)] if use_sft else []
 
-        theta = fit.theta(items_of(batch) + ref_batch)
-        total, mean_subtb, sft_term = replay_loss_var(policy, theta, batch, ref_batch, cfg)
+        theta, lookup = fit.theta(items_of(batch) + ref_batch)
+        total, mean_subtb, sft_term = replay_loss_var(policy, theta, batch, ref_batch, cfg, lookup)
         fit.step(total, theta)
 
         l1 = None

@@ -41,6 +41,8 @@ MAGIC = b"FSEQPOL1"
 SCORE_ROWS = 4096
 # one sequence as the forward takes it: (prompt_tokens, body), the body without its stop symbol
 Item = tuple[tuple[int, ...], tuple[int, ...]]
+# a batch's tabular contexts and their table rows, as register_prefixes found them
+Lookup = tuple[np.ndarray, list[int]]
 
 
 class CheckpointMismatch(ValueError):
@@ -219,24 +221,32 @@ class Policy:
             keyed.update(zip(codes.tolist(), (row for _, row in added)))
         return keyed
 
-    def register_prefixes(self, items: list[Item]) -> None:
-        """Register the contexts of every (prompt_tokens, body) item in item order; a no-op when neural."""
-        if self.kind is PolicyKind.TABULAR:
-            self._rows(self.windows(items), grow=True)
+    def register_prefixes(self, items: list[Item]) -> Lookup | None:
+        """Register the contexts of every (prompt_tokens, body) item in item order; a no-op when neural.
+
+        Returns the windows matrix and the table rows it found, which a forward
+        over the same items takes as its lookup, or None for a network.
+        """
+        if self.kind is PolicyKind.NEURAL:
+            return None
+        ctx = self.windows(items)
+        return ctx, self._rows(ctx, grow=True)
 
     # the forward, on the parameter array or on a tape variable
 
-    def forward(self, theta: Var | np.ndarray, ctx_mat: np.ndarray) -> Var | np.ndarray:
+    def forward(self, theta: Var | np.ndarray, ctx_mat: np.ndarray, rows: list[int] | None = None
+                ) -> Var | np.ndarray:
         """The output head's rows, one per context, of theta: a tape variable, or an array (then an array).
 
         The head gives log-softmax rows for a Policy and one value per context
         for a ValueNet. An unregistered tabular context reads a zero row from
         a parameter array and raises KeyError on a tape: tabular contexts must
         be registered before the tape is built so the parameters do not grow
-        mid-evaluation.
+        mid-evaluation. rows, the contexts' table rows when a lookup already
+        found them, spares the tabular kind its own.
         """
         if self.kind is PolicyKind.TABULAR:
-            rows = self._rows(ctx_mat)
+            rows = self._rows(ctx_mat) if rows is None else rows
             table = theta.reshape(-1, self.width)
             if -1 in rows:
                 if isinstance(theta, Var):
@@ -266,7 +276,7 @@ def generation_log_probs(
 
 
 def batched_generation_log_vars(
-    policy: Policy, theta: Var | np.ndarray, items: list[Item]
+    policy: Policy, theta: Var | np.ndarray, items: list[Item], lookup: Lookup | None = None
 ) -> tuple[Var | np.ndarray, Var | np.ndarray, np.ndarray]:
     """The forward pass: one policy.forward over every (prompt_tokens, gen_body) item.
 
@@ -275,10 +285,19 @@ def batched_generation_log_vars(
     (B, L+1) the stop symbol after its first t tokens, lengths (B,) the body
     lengths. Entries past a body's length are exactly zero, without gradient.
     A tape variable theta gives variables, a parameter array gives arrays.
+    lookup, what register_prefixes returned for these same items, replaces
+    the forward's own windows and row lookup.
     """
     lengths, row, valid = _padded_layout(tuple(len(body) for _, body in items))
-    ctx = policy.windows(items)
-    rows = policy.forward(theta, ctx)
+    if lookup is None:
+        ctx, table_rows = policy.windows(items), None
+    else:
+        ctx, table_rows = lookup
+        n = int(lengths.sum()) + lengths.size
+        if len(ctx) != n or len(table_rows) != n:
+            raise ValueError(f"a lookup of {len(ctx)} contexts and {len(table_rows)} rows "
+                             f"for items with {n} contexts")
+    rows = policy.forward(theta, ctx, table_rows)
     # the token at position t is the last one of the context before position t + 1
     lp_tok, lp_stop = rows[row[:, :-1], ctx[row[:, 1:], -1]], rows[row, policy.vocab.stop_id]
     if valid is not None:

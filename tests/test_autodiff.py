@@ -5,6 +5,9 @@ import pytest
 
 from flowseq import autodiff as ad
 from flowseq.autodiff import (
+    BETA1,
+    BETA2,
+    EPS,
     AdamState,
     DimensionMismatch,
     GradTape,
@@ -251,3 +254,27 @@ def test_adam_resized_preserves_moments():
     assert grown.m.size == 4 and grown.v.size == 4
     assert np.allclose(grown.m[:2], state.m) and np.allclose(grown.m[2:], 0.0)
     assert grown.t == state.t
+
+
+@pytest.mark.parametrize("sizes", [(1, 1), (7, 7), (40, 1000), (3, 300)])
+def test_adam_step_equals_the_textbook_update_bitwise_and_moves_no_input(sizes):
+    # sizes: before and after a resize; the moments of the new entries start cold
+    rng = np.random.default_rng(sizes[1])
+    state = AdamState.init(sizes[0], lr=0.05)
+    theta = rng.normal(size=sizes[0])
+    for step in range(50):
+        if step == 20:
+            state = state.resized(sizes[1])
+            theta = np.concatenate([theta, np.zeros(sizes[1] - sizes[0])])
+        g = rng.normal(size=theta.size) * rng.choice([1e-9, 1.0, 1e3], size=theta.size)
+        inputs = [a.tobytes() for a in (state.m, state.v, theta, g)]
+        t = state.t + 1
+        m = BETA1 * state.m + (1.0 - BETA1) * g
+        v = BETA2 * state.v + (1.0 - BETA2) * g * g
+        want = theta - state.lr * (m / (1.0 - BETA1 ** t)) / (np.sqrt(v / (1.0 - BETA2 ** t)) + EPS)
+        new_theta, new_state = adam_step(state, theta, g)
+        assert [a.tobytes() for a in (state.m, state.v, theta, g)] == inputs
+        assert new_theta.tobytes() == want.tobytes()
+        assert new_state.m.tobytes() == m.tobytes() and new_state.v.tobytes() == v.tobytes()
+        assert new_state.t == t
+        theta, state = new_theta, new_state

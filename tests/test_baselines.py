@@ -352,13 +352,13 @@ def ppo_train_oracle(policy: Policy, critic: ValueNet, dataset: TrainSet, cfg: P
             advs.append(adv)
             value_rows.append(ctx if traj.terminated else ctx[: old_lp.size])
             value_targets.append(adv + values[:-1])
-        theta = actor_fit.theta(items)
+        theta, _ = actor_fit.theta(items)  # the oracle's forward looks up its own rows
         forward = batched_generation_log_vars(policy, theta, items)
         width = forward[1].value.shape[1]
         stopped = np.array([t.terminated for t in trajs])
         actor_fit.step(ppo_surrogate_var(forward, stopped, pad_rows(olds, width), pad_rows(advs, width), cfg.clip),
                        theta)
-        ctheta = critic_fit.theta(items)
+        ctheta, _ = critic_fit.theta(items)
         all_targets = np.concatenate(value_targets)
         resid = critic.forward(ctheta, np.concatenate(value_rows, axis=0)) - ctheta.tape.const(all_targets)
         critic_fit.step(ad.vsum(ad.square(resid)) / float(all_targets.size), ctheta)
@@ -495,10 +495,10 @@ def test_a_ppo_step_scores_its_draws_once_per_model_and_dpo_its_reference_once_p
     array_calls = []
     inner = baselines.batched_generation_log_vars
 
-    def counted(policy, theta, items):
+    def counted(policy, theta, items, *lookup):
         if isinstance(theta, np.ndarray):
             array_calls.append(len(items))
-        return inner(policy, theta, items)
+        return inner(policy, theta, items, *lookup)
     monkeypatch.setattr(baselines, "batched_generation_log_vars", counted)
     cfg, vocab, problem = tiny_setup()
     ds = TrainSet.build([problem, make_problem(cfg, seed=2), make_problem(cfg, seed=3)], cfg, vocab)
@@ -529,8 +529,8 @@ def test_ppo_old_log_probs_equal_the_surrogate_forward_bit_for_bit_on_a_neural_p
     tape_forwards, surrogate_args = [], []
     forward, surrogate = baselines.batched_generation_log_vars, baselines.ppo_surrogate_var
 
-    def recorded_forward(policy, theta, items):
-        out = forward(policy, theta, items)
+    def recorded_forward(policy, theta, items, *lookup):
+        out = forward(policy, theta, items, *lookup)
         if not isinstance(theta, np.ndarray):
             tape_forwards.append((out[0].value, out[1].value, out[2]))
         return out
@@ -582,10 +582,10 @@ def test_dpo_scores_its_frozen_reference_once_per_call_and_never_in_the_loss(mon
     ref_forwards, in_loss, sampling = [], [], []
     forward, sample, loss = Policy.forward, baselines._sample_with_rng, baselines.dpo_mean_loss_var
 
-    def counted(self, theta, ctx_mat):
+    def counted(self, theta, ctx_mat, *rows):
         if self is ref and isinstance(theta, np.ndarray) and not sampling:
             ref_forwards.append(len(ctx_mat))
-        return forward(self, theta, ctx_mat)
+        return forward(self, theta, ctx_mat, *rows)
 
     def flagged_sample(*args, **kwargs):
         sampling.append(True)

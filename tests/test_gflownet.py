@@ -444,10 +444,10 @@ def count_array_forwards(monkeypatch, seen) -> None:
     """Patch Policy.forward so that seen(ctx_mat) gets the contexts of every forward on a parameter array."""
     inner = Policy.forward
 
-    def counted(self, theta, ctx_mat):
+    def counted(self, theta, ctx_mat, *rows):
         if isinstance(theta, np.ndarray):
             seen(ctx_mat)
-        return inner(self, theta, ctx_mat)
+        return inner(self, theta, ctx_mat, *rows)
     monkeypatch.setattr(Policy, "forward", counted)
 
 

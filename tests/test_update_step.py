@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import gc
+import tracemalloc
 import weakref
+from itertools import product
 
 import numpy as np
 import pytest
@@ -25,8 +27,8 @@ from flowseq.baselines import (
 )
 from flowseq.core import SettingError, TaskKind
 from flowseq.env import RewardMode, TaskConfig, build_vocab, make_problem
-from flowseq.gflownet import Fitter, GfnConfig, NonFiniteLoss, TrainSet, sft_loss_var
-from flowseq.policy import DecodeCfg, Policy, ValueNet
+from flowseq.gflownet import Fitter, GfnConfig, NonFiniteLoss, TrainSet, sft_from_vars, sft_loss_var, train_gflownet
+from flowseq.policy import DecodeCfg, Policy, ValueNet, batched_generation_log_vars
 
 HOT = DecodeCfg(temperature=1.0, top_p=1.0)
 
@@ -60,7 +62,7 @@ def test_nan_loss_raises_and_leaves_params_untouched():
     pol.params = np.random.default_rng(0).normal(size=pol.params.size)
     before = pol.params.copy()
     fit = Fitter(pol, lr=0.1)
-    theta = fit.theta(refs)
+    theta, _ = fit.theta(refs)
     with pytest.raises(NonFiniteLoss):
         fit.step(sft_loss_var(pol, theta, refs) * float("nan"), theta)
     assert pol.params.tobytes() == before.tobytes()
@@ -72,7 +74,7 @@ def test_non_finite_gradient_raises_before_adam(monkeypatch, adam_calls):
     pol = Policy.tabular(ds.vocab, window=5)
     fit = Fitter(pol, lr=0.1)
     refs = ds.all_references()
-    theta = fit.theta(refs)
+    theta, _ = fit.theta(refs)
     before = pol.params.copy()
 
     def poisoned(loss, wrt):
@@ -120,8 +122,8 @@ def test_one_update_step_equals_the_inline_sequence_bitwise():
 
     fit = Fitter(new, 0.05)
     for batch in batches:
-        theta = fit.theta(batch)
-        fit.step(sft_loss_var(new, theta, batch), theta)
+        theta, lookup = fit.theta(batch)
+        fit.step(sft_loss_var(new, theta, batch, lookup), theta)
 
     assert new.contexts == old.contexts
     assert new.params.tobytes() == old.params.tobytes()
@@ -135,7 +137,7 @@ def test_an_update_step_frees_its_graph_without_the_cyclic_collector():
     pol = Policy.tabular(ds.vocab, window=5)
     refs = ds.all_references()
     fit = Fitter(pol, 0.05)
-    theta = fit.theta(refs)
+    theta, _ = fit.theta(refs)
     tape = weakref.ref(theta.tape)
     fit.step(sft_loss_var(pol, theta, refs), theta)
     gc.disable()
@@ -144,6 +146,131 @@ def test_an_update_step_frees_its_graph_without_the_cyclic_collector():
         assert tape() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("kind", ["tabular", "neural"])
+def test_two_backward_calls_on_one_tape_give_gradients_that_share_no_memory(kind):
+    # the first gradient reaching a node is stored uncopied; no later step may write through it
+    ds = tiny_dataset(n_problems=2)
+    refs = ds.all_references()
+    if kind == "tabular":
+        pol = Policy.tabular(ds.vocab, window=5)
+        pol.register_prefixes(refs)
+        pol.params = np.random.default_rng(0).normal(size=pol.params.size)
+    else:  # its five parameter blocks are slices of one theta, whose gradients add up there
+        pol = Policy.neural(ds.vocab, window=5, embed_dim=4, hidden_dim=8, seed=1)
+    tape = GradTape()
+    theta = tape.input(pol.params)
+    loss = sft_loss_var(pol, theta, refs)
+    values = [node.value.tobytes() for node in tape.nodes]
+    first = ad.backward(loss, theta)
+    kept = first.tobytes()
+    second = ad.backward(loss, theta)
+    assert second.tobytes() == kept
+    first += 1.0
+    assert second.tobytes() == kept
+    assert [node.value.tobytes() for node in tape.nodes] == values
+
+
+def test_an_update_step_on_the_criterion_1_table_peaks_near_five_parameter_arrays():
+    # the gradient, Adam's new m and v, its scratch array and the step array; copied gradients and
+    # Adam's textbook temporaries peaked at about 9 parameter arrays
+    task = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(2, 4), max_parts=4, max_part=2)
+    vocab = build_vocab(task)
+    problem = make_problem(task, seed=0)
+    pol = Policy.tabular(vocab, window=len(problem.prompt_tokens) + problem.max_solution_len)
+    items = [(problem.prompt_tokens, body) for body in product(vocab.body_ids, repeat=problem.max_solution_len)]
+    pol.register_prefixes(items)  # every prefix
+    assert len(pol.contexts) == 1555
+    fit = Fitter(pol, 0.08)
+    batch = items[::97][:16]
+    theta, lookup = fit.theta(batch)
+    loss = sft_loss_var(pol, theta, batch, lookup)
+    tracemalloc.start()
+    try:
+        fit.step(loss, theta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.5 * pol.params.nbytes, peak / pol.params.nbytes
+
+
+def train_each_way(ds: TrainSet, trainer: str) -> tuple[Policy, list]:
+    """A tabular policy trained by one trainer from a fresh start (DPO: from an SFT reference), and its report's rows."""
+    pol = Policy.tabular(ds.vocab, window=5)
+    if trainer == "gflownet":
+        report = train_gflownet(pol, ds, GfnConfig(steps=6, batch_size=4, decode=HOT, lr=0.05))
+    elif trainer == "sft":
+        report = sft_train(pol, ds, cfg=SftConfig(epochs=2, lr=0.05, batch_size=2))
+    elif trainer == "rft":
+        report = rft_train(pol, ds, RftConfig(k=3, epochs=2, batch_size=2, decode=HOT, lr=0.05))
+    elif trainer == "ppo":
+        report = ppo_train(pol, ValueNet.for_policy(pol), ds, PpoConfig(steps=5, trajs_per_step=3, decode=HOT))
+    else:
+        sft_train(pol, ds, cfg=SftConfig(epochs=20, lr=0.05))  # so that some draws are correct and pair up
+        ref, pol = pol, pol.clone()
+        report = dpo_train(pol, ref, ds, DpoConfig(samples_per_problem=16, epochs=2, batch_size=2, decode=HOT,
+                                                   lr=0.05))
+    return pol, report.rows
+
+
+@pytest.mark.parametrize("trainer", ["gflownet", "sft", "rft", "ppo"])
+def test_a_tabular_training_step_builds_its_windows_once(monkeypatch, trainer):
+    # registration's windows and rows are handed on to the step's forward over the same items
+    ds = tiny_dataset(n_problems=3)
+    calls = []
+    windows = Policy.windows
+
+    def counted(self, items):
+        calls.append(self)
+        return windows(self, items)
+
+    monkeypatch.setattr(Policy, "windows", counted)
+    pol, rows = train_each_way(ds, trainer)
+    assert rows and sum(1 for owner in calls if owner is pol) == len(rows)
+
+
+@pytest.mark.parametrize("trainer", ["gflownet", "sft", "rft", "ppo", "dpo"])
+def test_a_forward_with_the_registered_lookup_equals_one_without_bitwise(monkeypatch, trainer):
+    ds = tiny_dataset(n_problems=3)
+    registered = []
+    register = Policy.register_prefixes
+
+    def recorded(self, items):
+        if type(self) is Policy:  # not the critic: its head has one output per context
+            registered.append(list(items))
+        return register(self, items)
+
+    monkeypatch.setattr(Policy, "register_prefixes", recorded)
+    trained, _ = train_each_way(ds, trainer)
+    assert registered
+    for items in registered:
+        size = trained.params.size
+        lookup = register(trained, items)
+        assert trained.params.size == size  # every context was registered in training
+        for theta in (trained.params, GradTape().input(trained.params)):
+            got = batched_generation_log_vars(trained, theta, items, lookup)
+            want = batched_generation_log_vars(trained, theta, items)
+            if isinstance(theta, np.ndarray):
+                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+                continue
+            assert [v.value.tobytes() for v in got[:2]] == [v.value.tobytes() for v in want[:2]]
+            grads = [ad.backward(sft_from_vars(*out), theta).tobytes() for out in (got, want)]
+            assert grads[0] == grads[1]
+    assert Policy.neural(ds.vocab, window=5).register_prefixes(registered[0]) is None
+
+
+def test_a_lookup_for_other_items_raises():
+    ds = tiny_dataset(n_problems=2)
+    refs = ds.all_references()
+    pol = Policy.tabular(ds.vocab, window=5)
+    ctx, rows = pol.register_prefixes(refs)
+    with pytest.raises(ValueError, match="lookup"):
+        batched_generation_log_vars(pol, pol.params, refs[:-1], (ctx, rows))
+    with pytest.raises(ValueError, match="lookup"):
+        batched_generation_log_vars(pol, pol.params, refs, (ctx, rows[:-1]))
+    with pytest.raises(ValueError, match="lookup"):
+        batched_generation_log_vars(pol, GradTape().input(pol.params), refs, (ctx[1:], rows))
 
 
 def test_every_trainer_steps_through_the_one_update_step(adam_calls):
