@@ -23,10 +23,11 @@ from .autodiff import Var
 # not called here (Fitter calls gflownet's): perfbench/layers.py wraps the name where baselines binds it
 from .autodiff import adam_step  # noqa: F401
 from .core import Problem, SettingError, check_fields
-from .gflownet import Fitter, TrainReport, TrainSet, check_learning_rate, sft_loss_var
+from .gflownet import Fitter, TrainReport, TrainSet, check_learning_rate, sft_from_vars
 from .policy import (
     DecodeCfg,
-    Lookup,
+    Forward,
+    Item,
     Memo,
     Policy,
     ValueNet,
@@ -94,14 +95,12 @@ class SftConfig:
         check_fields(self, "be non-negative", "seed")
 
 
-def _fit(policy: Policy, data: list, items: Callable[[list], list],
-         loss_var: Callable[[Policy, Var, list, Lookup | None], Var],
+def _fit(policy: Policy, data: list, items: Callable[[list], list[Item]], loss_var: Callable[[Forward, list], Var],
          cfg: SftConfig | RftConfig | DpoConfig, rng: np.random.Generator, report: TrainReport) -> TrainReport:
-    """Adam at cfg.lr on loss_var(policy, theta, batch, lookup) over cfg.epochs of shuffled minibatches.
+    """Adam at cfg.lr on loss_var(forward, batch) over cfg.epochs of shuffled minibatches.
 
     The batches hold cfg.batch_size items, or all of data when it is None.
-    items(batch) lists the (prompt_tokens, body) items whose contexts the batch's loss reads, and
-    lookup is what registering them returned.
+    forward is the step's one forward over items(batch), the (prompt_tokens, body) items the batch's loss reads.
     """
     fit = Fitter(policy, cfg.lr)
     step = 0
@@ -113,9 +112,10 @@ def _fit(policy: Policy, data: list, items: Callable[[list], list],
             size = cfg.batch_size
             batches = [[data[int(i)] for i in order[a : a + size]] for a in range(0, len(order), size)]
         for batch in batches:
-            theta, lookup = fit.theta(items(batch))
+            theta, forward = fit.forward(items(batch))
             step += 1
-            report.add(step, fit.step(loss_var(policy, theta, batch, lookup), theta))
+            report.add(step, fit.step(loss_var(forward, batch), theta))
+            del forward  # its variables hold the step's graph, which would otherwise outlive the next forward
     return report
 
 
@@ -150,8 +150,8 @@ def sft_train(
     refs = dataset.all_references()
     if not refs:
         raise EmptyDataset("no reference solutions to fit")
-    return _fit(policy, refs, list, sft_loss_var, cfg, np.random.default_rng(cfg.seed),
-                TrainReport(loss_column="mean_sft_loss"))
+    return _fit(policy, refs, list, lambda forward, batch: sft_from_vars(*forward), cfg,
+                np.random.default_rng(cfg.seed), TrainReport(loss_column="mean_sft_loss"))
 
 
 @dataclass(frozen=True)
@@ -185,18 +185,22 @@ def rft_train(
         bodies, _, rewards = _draw_scored(policy, dataset, problem, cfg.decode, cfg.k, rng)
         kept.append((problem.prompt_tokens, bodies[int(np.argmax(rewards))]))
     # the fit shuffles with a fresh generator of the same seed
-    return _fit(policy, kept, list, sft_loss_var, cfg, np.random.default_rng(cfg.seed),
-                TrainReport(loss_column="mean_rft_loss"))
+    return _fit(policy, kept, list, lambda forward, batch: sft_from_vars(*forward), cfg,
+                np.random.default_rng(cfg.seed), TrainReport(loss_column="mean_rft_loss"))
 
 
-def dpo_mean_loss_var(policy: Policy, theta: Var, pairs: list[PreferencePair], beta: float = 0.01) -> Var:
-    """Mean DPO loss over pairs; one forward pass on theta scores every chosen and rejected body."""
-    items = [(p.prompt, p.chosen) for p in pairs] + [(p.prompt, p.rejected) for p in pairs]
+def _pair_items(pairs: list[PreferencePair]) -> list[Item]:
+    """The pairs' chosen bodies, then their rejected ones, as (prompt, body) items: DPO's forward order."""
+    return [(p.prompt, p.chosen) for p in pairs] + [(p.prompt, p.rejected) for p in pairs]
+
+
+def dpo_mean_loss_var(forward: Forward, pairs: list[PreferencePair], beta: float = 0.01) -> Var:
+    """Mean DPO loss over pairs, read off one forward over _pair_items(pairs)."""
     stopped = np.asarray([p.chosen_stopped for p in pairs] + [p.rejected_stopped for p in pairs])
-    seq = sequence_log_prob_vars(*batched_generation_log_vars(policy, theta, items), stopped)
+    seq = sequence_log_prob_vars(*forward, stopped)
     n = len(pairs)
     # chosen minus rejected sequence log-probability, one row per pair
-    margin = theta.tape.const(np.hstack([np.eye(n), -np.eye(n)])) @ seq - np.asarray([[p.ref_margin] for p in pairs])
+    margin = seq.tape.const(np.hstack([np.eye(n), -np.eye(n)])) @ seq - np.asarray([[p.ref_margin] for p in pairs])
     return ad.vsum(ad.softplus(-(margin * beta))) / float(n)
 
 
@@ -232,13 +236,12 @@ def build_preference_pairs(
             drawn.append((problem.prompt_tokens, bodies[hi], bodies[lo], stopped[hi], stopped[lo]))
     if not drawn:
         return []
-    n = len(drawn)
-    items = [(d[0], d[1]) for d in drawn] + [(d[0], d[2]) for d in drawn]
-    stopped = [d[3] for d in drawn] + [d[4] for d in drawn]
+    pairs = [PreferencePair(*d, 0.0) for d in drawn]
+    stopped = [p.chosen_stopped for p in pairs] + [p.rejected_stopped for p in pairs]
     # a row's tokens summed alone, then its stop where it stopped (sequence_log_prob_vars sums in another order)
-    tok, stop, lengths = batched_generation_log_vars(ref_policy, ref_policy.params, items)
+    tok, stop, lengths = batched_generation_log_vars(ref_policy, ref_policy.params, _pair_items(pairs))
     seq = [float(t[:k].sum()) + (float(s[k]) if st else 0.0) for t, s, k, st in zip(tok, stop, lengths, stopped)]
-    return [PreferencePair(*d, seq[i] - seq[n + i]) for i, d in enumerate(drawn)]
+    return [replace(p, ref_margin=seq[i] - seq[len(pairs) + i]) for i, p in enumerate(pairs)]
 
 
 def dpo_train(
@@ -260,13 +263,8 @@ def dpo_train(
     report = TrainReport(loss_column="mean_dpo_loss")
     if not pairs:
         return report
-    return _fit(
-        policy, pairs,
-        lambda batch: [(p.prompt, body) for p in batch for body in (p.chosen, p.rejected)],
-        # registration interleaves each pair's bodies and the forward does not, so the forward looks up its own rows
-        lambda pol, theta, batch, lookup: dpo_mean_loss_var(pol, theta, batch, cfg.beta),
-        cfg, rng, report,
-    )
+    return _fit(policy, pairs, _pair_items, lambda forward, batch: dpo_mean_loss_var(forward, batch, cfg.beta),
+                cfg, rng, report)
 
 
 def gae_advantages(
@@ -336,13 +334,12 @@ def _generated(lp_tok: Var | np.ndarray, lp_stop: Var | np.ndarray, lengths: np.
     return lp_tok @ np.eye(width - 1, width) + lp_stop * stops
 
 
-def ppo_surrogate_var(forward: tuple[Var, Var, np.ndarray], stopped: np.ndarray, old: np.ndarray, adv: np.ndarray,
+def ppo_surrogate_var(forward: Forward, stopped: np.ndarray, old: np.ndarray, adv: np.ndarray,
                       clip: float) -> Var:
     """Negative mean clipped surrogate over all generated tokens of the batch.
 
-    forward is the batch's tape forward, batched_generation_log_vars(policy, theta, items), and stopped (B,) marks
-    the rows that drew the stop symbol. old and adv are (B, L+1) on the forward's layout, zero past each row's
-    generated tokens.
+    forward is the batch's tape forward, as Fitter.forward returns it, and stopped (B,) marks the rows that drew
+    the stop symbol. old and adv are (B, L+1) on the forward's layout, zero past each row's generated tokens.
     """
     # padded slots have ratio exp(0) = 1 and advantage 0, so they add nothing
     ratio = ad.exp(_generated(*forward, stopped) - old)
@@ -389,24 +386,25 @@ def ppo_train(
         n_gen = lengths + stopped  # generated tokens per row, the stop symbol included
         t = np.arange(row.shape[1] + 1)
         generated = t[:-1] < n_gen[:, None]
-        theta, lookup = actor_fit.theta(items)
-        forward = batched_generation_log_vars(policy, theta, items, lookup)
+        theta, forward = actor_fit.forward(items)
         old = np.where(generated, _generated(forward[0].value, forward[1].value, lengths, stopped), 0.0)
         ref = _generated(*batched_generation_log_vars(ref_policy, ref_policy.params, items), stopped)
         token_rewards = -cfg.kl_beta * (old - ref)
         token_rewards[stopped, lengths[stopped]] += env_rewards[stopped]
-        # an unregistered critic context reads 0, the value its new row starts at; a truncated rollout
-        # bootstraps from the critic at its cut, a finished one sees zero beyond stop
-        ctx = critic.windows(items)
-        values = np.where(t <= lengths[:, None], np.pad(critic.forward(critic.params, ctx)[row], ((0, 0), (0, 1))), 0.0)
+        # the critic registers the step's contexts before its values are read, a new row reading 0; a truncated
+        # rollout bootstraps from the critic at its cut, a finished one sees zero beyond stop
+        ctheta, (ctx, crows) = critic_fit.theta(items)
+        values = np.where(t <= lengths[:, None],
+                          np.pad(critic.forward(critic.params, ctx, crows)[row], ((0, 0), (0, 1))), 0.0)
         adv = gae_advantages(token_rewards, values, cfg.gamma, cfg.gae_lambda, n_gen)
 
         actor_loss = actor_fit.step(ppo_surrogate_var(forward, stopped, old, adv, cfg.clip), theta)
 
         # the critic's rows and targets in draw-then-position order
-        ctheta, _ = critic_fit.theta(items)
+        fitted = row[generated]
+        fitted_rows = None if crows is None else [crows[i] for i in fitted.tolist()]
         targets = (adv + values[:, :-1])[generated]
-        resid = critic.forward(ctheta, ctx[row[generated]]) - ctheta.tape.const(targets)
+        resid = critic.forward(ctheta, ctx[fitted], fitted_rows) - ctheta.tape.const(targets)
         critic_fit.step(ad.vsum(ad.square(resid)) / float(targets.size), ctheta)
 
         report.add(step, actor_loss, reward_mean=float(np.mean(env_rewards)))

@@ -538,15 +538,19 @@ def problem_record(problem: Problem, problem_id: int, vocab: Vocab) -> dict:
 def problem_from_record(rec: dict, vocab: Vocab) -> Problem:
     """The problem a problem_record wrote.
 
-    Its target must be a whole number in decimal digits, and its prompt must be the one prompt_text
-    builds from its kind, target and operands, so the policy reads the problem the reward grades.
+    Its target must be a whole number in decimal digits, its operands and max_solution_len JSON integers
+    (not booleans), and its prompt the one prompt_text builds from its kind, target and operands, so the
+    policy reads the problem the reward grades.
     """
     target = rec["target"]
     if not (isinstance(target, str) and target.isdecimal()):
         raise ValueError(f"problem {rec.get('id')}: target must be a whole number in decimal digits, "
                          f"got {target!r}")
+    operands = tuple(rec["operands"])
+    for name, value in [("max_solution_len", rec["max_solution_len"]), *(("operand", v) for v in operands)]:
+        if type(value) is not int:  # a JSON integer; a float or a bool was once truncated without a word
+            raise ValueError(f"problem {rec.get('id')}: {name} must be an integer, got {value!r}")
     kind = TaskKind(rec["task_kind"])
-    operands = tuple(int(v) for v in rec["operands"])
     prompt = prompt_text(kind, int(target), operands)
     if rec["prompt"] != prompt:
         raise ValueError(f"problem {rec.get('id')}: prompt {rec['prompt']!r} does not state the problem, "
@@ -556,7 +560,7 @@ def problem_from_record(rec: dict, vocab: Vocab) -> Problem:
         prompt_tokens=tuple(encode(prompt, vocab)),
         target=int(target),
         operands=operands,
-        max_solution_len=int(rec["max_solution_len"]),
+        max_solution_len=rec["max_solution_len"],
     )
 
 

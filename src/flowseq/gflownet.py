@@ -40,6 +40,7 @@ from .core import RULES, Problem, SettingError, Trajectory, Vocab, check_fields
 from .env import TaskConfig, enumerate_solutions, enumerate_terminals, left_sum, verdict_reward, verifier
 from .policy import (
     DecodeCfg,
+    Forward,
     Item,
     Lookup,
     Memo,
@@ -132,28 +133,20 @@ def sft_from_vars(lp_tok: Var, lp_stop: Var, lengths: np.ndarray) -> Var:
     return -(seq / float(lengths.sum() + lengths.size))
 
 
-def sft_loss_var(policy: Policy, theta: Var, refs: list[Item], lookup: Lookup | None = None) -> Var:
-    """Mean per-token negative log-likelihood of (prompt_tokens, body) references, stop symbol included.
-
-    lookup is what registering refs returned, handed on to the forward.
-    """
-    return sft_from_vars(*batched_generation_log_vars(policy, theta, refs, lookup))
-
-
 def check_learning_rate(lr: float, name: str = "learning rate", field: str = "lr") -> None:
     if not RULES["be positive and finite"](lr):
         raise SettingError(field, f"{name} must be positive and finite, got {lr}")
 
 
 class Fitter:
-    """The one update step every trainer shares: register, tape, backward, Adam."""
+    """The one update step every trainer shares: register and forward (forward), then backward and Adam (step)."""
 
     def __init__(self, model: Policy, lr: float) -> None:
         check_learning_rate(lr)
         self.model = model
         self.adam = AdamState.init(model.params.size, lr)
 
-    def theta(self, items: list[Item]) -> tuple[Var, Lookup | None]:
+    def theta(self, items: list[Item]) -> tuple[Var, Lookup]:
         """Register the (prompt_tokens, body) items' contexts, grow the Adam state, open a tape on the parameters.
 
         Returns the tape's parameter variable and the registration's lookup,
@@ -162,6 +155,11 @@ class Fitter:
         lookup = self.model.register_prefixes(items)
         self.adam = self.adam.resized(self.model.params.size)
         return GradTape().input(self.model.params), lookup
+
+    def forward(self, items: list[Item]) -> tuple[Var, Forward]:
+        """theta(items), then one tape forward over the items reading their lookup; every loss is a function of it."""
+        theta, lookup = self.theta(items)
+        return theta, batched_generation_log_vars(self.model, theta, items, lookup)
 
     def step(self, loss: Var, theta: Var) -> float:
         """Back-propagate and apply Adam, moving nothing if the loss or gradient is not finite; returns the loss."""
@@ -293,20 +291,17 @@ class TrainSet:
         return [(p.prompt_tokens, b) for p, bodies in zip(self.problems, self.references) for b in bodies]
 
 
-def replay_loss_var(
-    policy: Policy, theta: Var, batch: list[BufferEntry], refs: list[Item], cfg: GfnConfig,
-    lookup: Lookup | None = None,
-) -> tuple[Var, Var, Var | None]:
-    """(total, mean subtb, sft term or None) of one replayed batch, from one forward pass.
+def replay_loss_var(forward: Forward, batch: list[BufferEntry], cfg: GfnConfig) -> tuple[Var, Var, Var | None]:
+    """(total, mean subtb, sft term or None) of one replayed batch, read off one forward pass.
 
-    total = mean subtb + horizon_coeff * mean stop NLL of the at-horizon
-    bodies + sft_coeff * reference NLL. lookup is what registering the
-    replayed items and then refs returned, handed on to the forward.
+    forward scores the batch's items, then any reference items: the rows after
+    the batch's are the references'. total = mean subtb + horizon_coeff * mean
+    stop NLL of the at-horizon bodies + sft_coeff * reference NLL.
     """
-    lp_tok, lp_stop, lengths = batched_generation_log_vars(policy, theta, items_of(batch) + refs, lookup)
+    lp_tok, lp_stop, lengths = forward
     nb = len(batch)
-    if refs:
-        # the reference rows follow the replayed ones
+    with_refs = lengths.size > nb
+    if with_refs:
         ref_rows = (lp_tok[nb:], lp_stop[nb:], lengths[nb:])
         lp_tok, lp_stop, lengths = lp_tok[:nb], lp_stop[:nb], lengths[:nb]
     subtb = subtb_sum_var(lp_tok, lp_stop, lengths, [e.log_rewards for e in batch], cfg.subtb_lambda)
@@ -319,7 +314,7 @@ def replay_loss_var(
         horizon_nll = -ad.vsum(lp_stop[at_horizon, lengths[at_horizon]])
         total = total + cfg.horizon_coeff * (horizon_nll / float(at_horizon.size))
     sft_term = None
-    if refs:
+    if with_refs:
         sft_term = sft_from_vars(*ref_rows)
         total = total + cfg.sft_coeff * sft_term
     return total, mean_subtb, sft_term
@@ -385,8 +380,8 @@ def train_gflownet(
         batch = [buf[int(i)] for i in rng.integers(0, len(buf), size=cfg.batch_size)]
         ref_batch = [refs_all[int(i)] for i in rng.integers(0, len(refs_all), size=cfg.batch_size)] if use_sft else []
 
-        theta, lookup = fit.theta(items_of(batch) + ref_batch)
-        total, mean_subtb, sft_term = replay_loss_var(policy, theta, batch, ref_batch, cfg, lookup)
+        theta, forward = fit.forward(items_of(batch) + ref_batch)
+        total, mean_subtb, sft_term = replay_loss_var(forward, batch, cfg)
         fit.step(total, theta)
 
         l1 = None

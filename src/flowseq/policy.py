@@ -41,8 +41,10 @@ MAGIC = b"FSEQPOL1"
 SCORE_ROWS = 4096
 # one sequence as the forward takes it: (prompt_tokens, body), the body without its stop symbol
 Item = tuple[tuple[int, ...], tuple[int, ...]]
-# a batch's tabular contexts and their table rows, as register_prefixes found them
-Lookup = tuple[np.ndarray, list[int]]
+# a batch's contexts and their table rows (None for a network), as register_prefixes found them
+Lookup = tuple[np.ndarray, list[int] | None]
+# a batch's tape forward, as batched_generation_log_vars returns it: (lp_tok, lp_stop, lengths)
+Forward = tuple[Var, Var, np.ndarray]
 
 
 class CheckpointMismatch(ValueError):
@@ -221,16 +223,14 @@ class Policy:
             keyed.update(zip(codes.tolist(), (row for _, row in added)))
         return keyed
 
-    def register_prefixes(self, items: list[Item]) -> Lookup | None:
-        """Register the contexts of every (prompt_tokens, body) item in item order; a no-op when neural.
+    def register_prefixes(self, items: list[Item]) -> Lookup:
+        """Register the contexts of every (prompt_tokens, body) item in item order; a network registers nothing.
 
-        Returns the windows matrix and the table rows it found, which a forward
-        over the same items takes as its lookup, or None for a network.
+        Returns the windows matrix and the table rows it found (None for a
+        network), which a forward over the same items takes as its lookup.
         """
-        if self.kind is PolicyKind.NEURAL:
-            return None
         ctx = self.windows(items)
-        return ctx, self._rows(ctx, grow=True)
+        return ctx, self._rows(ctx, grow=True) if self.kind is PolicyKind.TABULAR else None
 
     # the forward, on the parameter array or on a tape variable
 
@@ -294,9 +294,8 @@ def batched_generation_log_vars(
     else:
         ctx, table_rows = lookup
         n = int(lengths.sum()) + lengths.size
-        if len(ctx) != n or len(table_rows) != n:
-            raise ValueError(f"a lookup of {len(ctx)} contexts and {len(table_rows)} rows "
-                             f"for items with {n} contexts")
+        if len(ctx) != n or table_rows is not None and len(table_rows) != n:
+            raise ValueError(f"a lookup registered for other items than these, which have {n} contexts")
     rows = policy.forward(theta, ctx, table_rows)
     # the token at position t is the last one of the context before position t + 1
     lp_tok, lp_stop = rows[row[:, :-1], ctx[row[:, 1:], -1]], rows[row, policy.vocab.stop_id]

@@ -25,7 +25,6 @@ from flowseq.baselines import (
     PreferencePair,
     RftConfig,
     SftConfig,
-    dpo_mean_loss_var,
     dpo_train,
     ppo_surrogate_var,
     ppo_train,
@@ -41,8 +40,7 @@ from flowseq.gflownet import (
     BufferEntry,
     GfnConfig,
     TrainSet,
-    replay_loss_var,
-    sft_loss_var,
+    sft_from_vars,
     terminal_l1_gap,
     train_gflownet,
 )
@@ -58,7 +56,8 @@ from flowseq.policy import (
     terminal_distribution,
     trajectory_body,
 )
-from test_baselines import with_ref_margins
+from test_baselines import dpo_loss, with_ref_margins
+from test_gflownet import replay_loss
 from test_lockstep import trajectory_item
 
 HOT = DecodeCfg(temperature=1.0, top_p=1.0)
@@ -193,7 +192,7 @@ def test_criterion_2_balance_loss_correctness():
     reward_fn = lambda prefix: rewards[prefix[1:]]
     traj = _random_terminated(pol, problem, 0)
     cfg = GfnConfig(steps=1, subtb_lambda=1.0)
-    flow_loss = ad.loss_value(lambda th: replay_loss_var(pol, th, _replayed(reward_fn, traj), [], cfg)[1],
+    flow_loss = ad.loss_value(lambda th: replay_loss(pol, th, _replayed(reward_fn, traj), cfg)[1],
                               pol.params)
     assert flow_loss < 1e-10
 
@@ -203,7 +202,7 @@ def test_criterion_2_balance_loss_correctness():
     from flowseq.core import Trajectory
 
     traj = Trajectory(prompt_len=1, tokens=(0, 0, 1), terminated=True)
-    hand = ad.loss_value(lambda th: replay_loss_var(pol, th, _replayed(reward_fn, traj), [], cfg)[1], pol.params)
+    hand = ad.loss_value(lambda th: replay_loss(pol, th, _replayed(reward_fn, traj), cfg)[1], pol.params)
     assert hand == pytest.approx(float(np.log(3.0)) ** 2, abs=1e-9)
 
     # (c) every loss gradient against central differences, 20 instances each
@@ -219,7 +218,7 @@ def test_criterion_2_balance_loss_correctness():
         cfg = GfnConfig(steps=1, subtb_lambda=lam)
         batch = _replayed(reward_fn, ta)
         record("subtb", _max_grad_rel_err(
-            pol, lambda p, th: replay_loss_var(p, th, batch, [], cfg)[1]))
+            pol, lambda p, th: replay_loss(p, th, batch, cfg)[1]))
 
         # trajectory balance has no trainer, so its loss is built here: (log Z + log pi(ta) - log R(ta))^2
         log_z = float(rng.normal())
@@ -233,7 +232,7 @@ def test_criterion_2_balance_loss_correctness():
 
         refs = [trajectory_item(t) for t in (ta, tb)]
         record("sft", _max_grad_rel_err(
-            pol, lambda p, th: sft_loss_var(p, th, refs)))
+            pol, lambda p, th: sft_from_vars(*batched_generation_log_vars(p, th, refs))))
 
         ref_pol = pol.clone()
         ref_pol.params = rng.normal(0.0, 0.5, size=ref_pol.params.size)
@@ -241,7 +240,7 @@ def test_criterion_2_balance_loss_correctness():
             problem.prompt_tokens, trajectory_body(ta), trajectory_body(tb), ta.terminated, tb.terminated, 0.0)])
         beta = (0.01, 0.1, 0.5)[i % 3]
         record("dpo", _max_grad_rel_err(
-            pol, lambda p, th: dpo_mean_loss_var(p, th, pairs, beta)))
+            pol, lambda p, th: dpo_loss(p, th, pairs, beta)))
 
         olds = [_sampler_log_probs(pol, problem, t) for t in (ta, tb)]
         advs = [rng.normal(0.0, 1.0, size=old.size) for old in olds]
@@ -277,11 +276,11 @@ def test_criterion_3_reward_scale_invariance():
         traj = _random_terminated(pol, problem, seed)
         pol.register_prefixes([(problem.prompt_tokens, trajectory_body(traj))])
         pol.params = rng.normal(0.0, 0.5, size=pol.params.size)
-        base = ad.loss_value(lambda th: replay_loss_var(pol, th, _replayed(reward_fn, traj), [], cfg)[1],
+        base = ad.loss_value(lambda th: replay_loss(pol, th, _replayed(reward_fn, traj), cfg)[1],
                              pol.params)
         for c in (0.1, 10.0):
             batch = _replayed(lambda pre: c * reward_fn(pre), traj)
-            scaled = ad.loss_value(lambda th: replay_loss_var(pol, th, batch, [], cfg)[1], pol.params)
+            scaled = ad.loss_value(lambda th: replay_loss(pol, th, batch, cfg)[1], pol.params)
             worst = max(worst, abs(scaled - base))
             assert abs(scaled - base) < 1e-9
     print(f"criterion 3: PASS (max |delta| {worst:.2e} across 5 trajectories x 2 scales)")

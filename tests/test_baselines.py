@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from flowseq import autodiff as ad
-from flowseq import baselines
+from flowseq import baselines, gflownet
 from flowseq.autodiff import GradTape
 from flowseq.baselines import (
     DpoConfig,
@@ -16,6 +16,7 @@ from flowseq.baselines import (
     PreferencePair,
     RftConfig,
     SftConfig,
+    _pair_items,
     build_preference_pairs,
     dpo_mean_loss_var,
     dpo_train,
@@ -73,6 +74,11 @@ def minibatch_ref_margins(ref_policy: Policy, pairs: list[PreferencePair]) -> np
            for tok, stop, k, s in zip(ref_tok, ref_stop, lengths, stopped)]
     n = len(pairs)
     return np.subtract(ref[:n], ref[n:])
+
+
+def dpo_loss(pol: Policy, theta, pairs: list[PreferencePair], beta: float):
+    """dpo_mean_loss_var read off one forward of pol over the pairs' chosen, then rejected, bodies."""
+    return dpo_mean_loss_var(batched_generation_log_vars(pol, theta, _pair_items(pairs)), pairs, beta)
 
 
 def with_ref_margins(ref_policy: Policy, pairs: list[PreferencePair]) -> list[PreferencePair]:
@@ -143,7 +149,7 @@ def test_dpo_zero_margin_is_log_two():
     ref = pol.clone()
     pairs = with_ref_margins(ref, [pair])
     assert pairs[0].ref_margin != 0.0
-    loss = ad.loss_value(lambda th: dpo_mean_loss_var(pol, th, pairs, beta=0.7), pol.params)
+    loss = ad.loss_value(lambda th: dpo_loss(pol, th, pairs, beta=0.7), pol.params)
     assert loss == pytest.approx(np.log(2.0), rel=1e-12)
 
 
@@ -159,8 +165,8 @@ def test_dpo_loss_follows_margin():
     down.params = pol.params.copy()
     down.params[row * 2] -= 1.0
     pairs = with_ref_margins(ref, [pair])
-    assert ad.loss_value(lambda th: dpo_mean_loss_var(up, th, pairs, beta=0.7), up.params) < np.log(2.0)
-    assert ad.loss_value(lambda th: dpo_mean_loss_var(down, th, pairs, beta=0.7), down.params) > np.log(2.0)
+    assert ad.loss_value(lambda th: dpo_loss(up, th, pairs, beta=0.7), up.params) < np.log(2.0)
+    assert ad.loss_value(lambda th: dpo_loss(down, th, pairs, beta=0.7), down.params) > np.log(2.0)
 
 
 def test_preference_pairs_skip_reward_ties():
@@ -407,7 +413,7 @@ def dpo_pair_case(neural: bool):
 def test_dpo_reference_margins_equal_the_per_pair_oracle_bit_for_bit_on_a_tabular_policy():
     pol, ref, pairs = dpo_pair_case(neural=False)
     assert {p.chosen_stopped for p in pairs} == {p.rejected_stopped for p in pairs} == {True, False}
-    got = lambda th: dpo_mean_loss_var(pol, th, pairs, 0.3)  # noqa: E731
+    got = lambda th: dpo_loss(pol, th, pairs, 0.3)  # noqa: E731
     want = lambda th: dpo_mean_loss_oracle(pol, th, ref, pairs, 0.3)  # noqa: E731
     assert ad.loss_value(got, pol.params) == ad.loss_value(want, pol.params)
     assert ad.grad(got, pol.params).tobytes() == ad.grad(want, pol.params).tobytes()
@@ -415,7 +421,7 @@ def test_dpo_reference_margins_equal_the_per_pair_oracle_bit_for_bit_on_a_tabula
 
 def test_dpo_reference_margins_match_the_per_pair_oracle_on_a_neural_policy():
     pol, ref, pairs = dpo_pair_case(neural=True)
-    got = lambda th: dpo_mean_loss_var(pol, th, pairs, 0.3)  # noqa: E731
+    got = lambda th: dpo_loss(pol, th, pairs, 0.3)  # noqa: E731
     want = lambda th: dpo_mean_loss_oracle(pol, th, ref, pairs, 0.3)  # noqa: E731
     assert ad.loss_value(got, pol.params) == pytest.approx(ad.loss_value(want, pol.params), rel=1e-12, abs=0.0)
     g, w = ad.grad(got, pol.params), ad.grad(want, pol.params)
@@ -507,14 +513,14 @@ def test_a_ppo_step_scores_its_draws_once_per_model_and_dpo_its_reference_once_p
     critic, critic_calls = ValueNet.for_policy(pol), []
     critic_forward = critic.forward
 
-    def counted_critic(theta, ctx):
+    def counted_critic(theta, ctx, *rows):
         if isinstance(theta, np.ndarray):
             critic_calls.append(len(ctx))
-        return critic_forward(theta, ctx)
+        return critic_forward(theta, ctx, *rows)
     critic.forward = counted_critic
     ppo_train(pol.clone(), critic, ds, PpoConfig(steps=3, trajs_per_step=4))
     # per step: the reference's log-probabilities over the step's 4 draws; the policy's old ones
-    # are read off the surrogate's tape forward
+    # are read off the surrogate's tape forward, which Fitter.forward runs through gflownet's binding
     assert array_calls == [4] * 3
     assert len(critic_calls) == 3
     array_calls.clear()
@@ -527,7 +533,7 @@ def test_a_ppo_step_scores_its_draws_once_per_model_and_dpo_its_reference_once_p
 def test_ppo_old_log_probs_equal_the_surrogate_forward_bit_for_bit_on_a_neural_policy(monkeypatch):
     # every ratio is then exactly 1 at the parameters the step drew with
     tape_forwards, surrogate_args = [], []
-    forward, surrogate = baselines.batched_generation_log_vars, baselines.ppo_surrogate_var
+    forward, surrogate = gflownet.batched_generation_log_vars, baselines.ppo_surrogate_var
 
     def recorded_forward(policy, theta, items, *lookup):
         out = forward(policy, theta, items, *lookup)
@@ -539,7 +545,8 @@ def test_ppo_old_log_probs_equal_the_surrogate_forward_bit_for_bit_on_a_neural_p
         assert forward[2] is tape_forwards[-1][2]
         surrogate_args.append((stopped, old))
         return surrogate(forward, stopped, old, adv, clip)
-    monkeypatch.setattr(baselines, "batched_generation_log_vars", recorded_forward)
+    # the step's tape forward is Fitter.forward's, made through gflownet's binding
+    monkeypatch.setattr(gflownet, "batched_generation_log_vars", recorded_forward)
     monkeypatch.setattr(baselines, "ppo_surrogate_var", recorded_surrogate)
     cfg = TaskConfig(task_kind=TaskKind.ARITH, value_range=(2, 12), max_parts=2)
     vocab = build_vocab(cfg)
@@ -578,9 +585,10 @@ def test_dpo_without_preference_pairs_leaves_the_policy_untouched():
 
 
 def test_dpo_scores_its_frozen_reference_once_per_call_and_never_in_the_loss(monkeypatch):
-    # array forwards of the reference outside its own sampling, counted as count_array_forwards counts them
-    ref_forwards, in_loss, sampling = [], [], []
-    forward, sample, loss = Policy.forward, baselines._sample_with_rng, baselines.dpo_mean_loss_var
+    # array forwards of the reference outside its own sampling, counted as count_array_forwards counts them,
+    # and those made in each step's forward and in its loss
+    ref_forwards, in_step, sampling = [], [], []
+    forward, sample = Policy.forward, baselines._sample_with_rng
 
     def counted(self, theta, ctx_mat, *rows):
         if self is ref and isinstance(theta, np.ndarray) and not sampling:
@@ -594,24 +602,28 @@ def test_dpo_scores_its_frozen_reference_once_per_call_and_never_in_the_loss(mon
         finally:
             sampling.pop()
 
-    def counted_loss(*args, **kwargs):
-        before = len(ref_forwards)
-        out = loss(*args, **kwargs)
-        in_loss.append(len(ref_forwards) - before)
-        return out
+    def counted_in(inner):
+        def wrapped(*args, **kwargs):
+            before = len(ref_forwards)
+            out = inner(*args, **kwargs)
+            in_step.append(len(ref_forwards) - before)
+            return out
+        return wrapped
     monkeypatch.setattr(Policy, "forward", counted)
     monkeypatch.setattr(baselines, "_sample_with_rng", flagged_sample)
-    monkeypatch.setattr(baselines, "dpo_mean_loss_var", counted_loss)
+    monkeypatch.setattr(Fitter, "forward", counted_in(Fitter.forward))
+    monkeypatch.setattr(baselines, "dpo_mean_loss_var", counted_in(baselines.dpo_mean_loss_var))
     cfg, vocab, problem = tiny_setup()
     ds = TrainSet.build([problem, make_problem(cfg, seed=2), make_problem(cfg, seed=3)], cfg, vocab)
     ref = Policy.tabular(vocab, window=5)
     sft_train(ref, ds, cfg=SftConfig(epochs=10, lr=0.05))
+    in_step.clear()  # the warm start's steps
     dcfg = DpoConfig(samples_per_problem=8, epochs=3, batch_size=1, decode=DecodeCfg(temperature=1.0, top_p=1.0))
     for _ in range(2):
         report = dpo_train(ref.clone(), ref, ds, dcfg)
-        assert len(ref_forwards) == 1 and len(report.rows) == len(in_loss) >= 3
-        assert set(in_loss) == {0}
-        ref_forwards.clear(), in_loss.clear()
+        assert len(ref_forwards) == 1 and 2 * len(report.rows) == len(in_step) >= 6
+        assert set(in_step) == {0}
+        ref_forwards.clear(), in_step.clear()
 
 
 def margin_case(neural: bool) -> tuple[Policy, TrainSet, DpoConfig]:

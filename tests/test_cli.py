@@ -16,6 +16,7 @@ from flowseq.config import ParseError, RunConfig, load_config, read_config
 from flowseq.core import TaskKind, decode
 from flowseq.env import TaskConfig, build_vocab, enumerate_terminals, read_problems
 from flowseq.policy import load_policy, terminal_distribution
+from test_env import NOT_INTEGERS, _with_field
 
 PIPELINE_CONFIG = """\
 method = gflownet
@@ -304,6 +305,20 @@ def test_eval_of_a_target_that_is_not_whole_exits_1_naming_it(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli(["eval", "--config", cfg, "--out", str(out)]) == 1
     assert "target must be a whole number in decimal digits, got '3/2'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", NOT_INTEGERS)
+def test_train_on_a_count_that_is_not_a_json_integer_exits_1_naming_the_problem(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, PIPELINE_CONFIG)
+    out = tmp_path / "o"
+    assert run_cli(["gen-data", "--config", cfg, "--out", str(out)]) == 0
+    path = out / "problems.jsonl"
+    first, second, *rest = path.read_text().splitlines(keepends=True)
+    path.write_text("".join([first, json.dumps(_with_field(json.loads(second), field, value)) + "\n", *rest]))
+    capsys.readouterr()
+    assert run_cli(["train", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: problem 1: {field} must be an integer, got {value!r}\n"
+    assert not (out / "policy.bin").exists()
 
 
 def test_eval_of_a_prompt_that_misstates_the_problem_exits_1_naming_it(tmp_path, capsys):

@@ -320,6 +320,31 @@ def test_read_problems_rejects_a_target_that_is_not_whole(tmp_path, target):
         read_problems(path, vocab)
 
 
+def _with_field(rec: dict, field: str, value) -> dict:
+    """rec with max_solution_len set to value, or (field "operand") with value in place of its first operand."""
+    if field == "operand":
+        return dict(rec, operands=[value, *rec["operands"][1:]])
+    return dict(rec, **{field: value})
+
+
+# SUMPATH's prompt does not state its operands, so only the type check can catch a truncated one
+NOT_INTEGERS = [("max_solution_len", 3.7), ("max_solution_len", True), ("max_solution_len", "3"), ("operand", 1.9)]
+
+
+@pytest.mark.parametrize("field, value", NOT_INTEGERS)
+def test_read_problems_rejects_a_count_that_is_not_a_json_integer(tmp_path, field, value):
+    # 3.7 and true were once read as 3 and 1, and an operand of 1.9 as 1
+    cfg = sumpath_cfg(hi=6)
+    vocab = build_vocab(cfg)
+    path = tmp_path / "problems.jsonl"
+    write_problems(path, [_fixed_sumpath_problem(cfg, vocab, 5), _fixed_sumpath_problem(cfg, vocab, 2)], vocab)
+    first, second = (json.loads(line) for line in path.read_text().splitlines())
+    assert second["operands"][0] == 1 and second["max_solution_len"] == 2
+    path.write_text(json.dumps(first) + "\n" + json.dumps(_with_field(second, field, value)) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"problem 1: {field} must be an integer, got {value!r}")):
+        read_problems(path, vocab)
+
+
 def _sumpath_record_of_a_5_read_as_7(vocab) -> dict:
     # the reward would pay the bodies that sum to 7 while the policy reads 5
     rec = env.problem_record(_fixed_sumpath_problem(sumpath_cfg(hi=9), vocab, 7), 3, vocab)

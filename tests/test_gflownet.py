@@ -18,9 +18,10 @@ from flowseq.gflownet import (
     TrainReport,
     TrainSet,
     _force_stop,
+    items_of,
     prefix_log_rewards,
     replay_loss_var,
-    sft_loss_var,
+    sft_from_vars,
     terminal_l1_gap,
     train_gflownet,
 )
@@ -28,6 +29,7 @@ from flowseq.policy import (
     DecodeCfg,
     Policy,
     _sample_with_rng,
+    batched_generation_log_vars,
     generation_log_probs,
     terminal_distribution,
     trajectory_body,
@@ -51,6 +53,11 @@ def replayed(reward_fn, traj: Trajectory) -> list[BufferEntry]:
     """A one-row replay batch holding traj, with the log of reward_fn on each prefix of its body."""
     prompt, body = trajectory_item(traj)
     return [BufferEntry(prompt, body, np.log([reward_fn(prompt + body[:i]) for i in range(len(body) + 1)]))]
+
+
+def replay_loss(pol: Policy, theta, batch: list[BufferEntry], cfg: GfnConfig, refs=()):
+    """replay_loss_var read off one forward of pol over the batch's items, then the reference items refs."""
+    return replay_loss_var(batched_generation_log_vars(pol, theta, items_of(batch) + list(refs)), batch, cfg)
 
 
 def task_reward(problem, task, vocab):
@@ -112,7 +119,7 @@ def test_subtb_matches_brute_force_double_sum():
         pol.params = rng.normal(0, 0.5, size=pol.params.size)
         for lam in (0.5, 1.0, 1.7):
             cfg = GfnConfig(steps=1, subtb_lambda=lam)
-            got = ad.loss_value(lambda th: replay_loss_var(pol, th, replayed(reward_fn, traj), [], cfg)[1],
+            got = ad.loss_value(lambda th: replay_loss(pol, th, replayed(reward_fn, traj), cfg)[1],
                                 pol.params)
             lp_tok, lp_stop = generation_log_probs(pol, problem.prompt_tokens, body)
             log_r = prefix_log_rewards(problem, task, vocab, body)
@@ -129,7 +136,7 @@ def test_subtb_flow_consistent_policy_is_zero():
     reward_fn = lambda prefix: rewards[prefix[1:]]
     traj = random_terminated_trajectory(pol, problem, 0)
     cfg = GfnConfig(steps=1, subtb_lambda=1.0)
-    loss = ad.loss_value(lambda th: replay_loss_var(pol, th, replayed(reward_fn, traj), [], cfg)[1], pol.params)
+    loss = ad.loss_value(lambda th: replay_loss(pol, th, replayed(reward_fn, traj), cfg)[1], pol.params)
     assert loss < 1e-10
 
 
@@ -144,7 +151,7 @@ def test_subtb_hand_derived_single_step_case():
     reward_fn = lambda prefix: rewards[prefix[1:]]
     traj = Trajectory(prompt_len=1, tokens=(0, 0, 1), terminated=True)
     cfg = GfnConfig(steps=1, subtb_lambda=1.0)
-    loss = ad.loss_value(lambda th: replay_loss_var(pol, th, replayed(reward_fn, traj), [], cfg)[1], pol.params)
+    loss = ad.loss_value(lambda th: replay_loss(pol, th, replayed(reward_fn, traj), cfg)[1], pol.params)
     assert loss == pytest.approx(float(np.log(3.0)) ** 2, abs=1e-9)
 
 
@@ -157,10 +164,10 @@ def test_subtb_reward_scale_invariance():
     pol.register_prefixes([(problem.prompt_tokens, trajectory_body(traj))])
     pol.params = rng.normal(0, 0.5, size=pol.params.size)
     cfg = GfnConfig(steps=1, subtb_lambda=0.9)
-    base = ad.loss_value(lambda th: replay_loss_var(pol, th, replayed(reward_fn, traj), [], cfg)[1], pol.params)
+    base = ad.loss_value(lambda th: replay_loss(pol, th, replayed(reward_fn, traj), cfg)[1], pol.params)
     for c in (0.1, 10.0):
         batch = replayed(lambda pre: c * reward_fn(pre), traj)
-        scaled = ad.loss_value(lambda th: replay_loss_var(pol, th, batch, [], cfg)[1], pol.params)
+        scaled = ad.loss_value(lambda th: replay_loss(pol, th, batch, cfg)[1], pol.params)
         assert abs(scaled - base) < 1e-9
 
 
@@ -169,7 +176,7 @@ def test_sft_loss_is_mean_token_nll():
     pol = Policy.tabular(vocab, window=4)
     refs = [(problem.prompt_tokens, (2, 2)), (problem.prompt_tokens, (2,))]
     pol.register_prefixes(refs)
-    got = ad.loss_value(lambda th: sft_loss_var(pol, th, refs), pol.params)
+    got = ad.loss_value(lambda th: sft_from_vars(*batched_generation_log_vars(pol, th, refs)), pol.params)
     total, count = 0.0, 0
     for prompt, body in refs:
         lp_tok, lp_stop = generation_log_probs(pol, prompt, body)
@@ -192,9 +199,9 @@ def recorded_training(monkeypatch, problems, task, vocab, gfn):
         pushed.append(BufferEntry(*args))
         return pushed[-1]
 
-    def recorded_loss(policy, theta, batch, *args):
+    def recorded_loss(forward, batch, cfg):
         batches.append(batch)
-        return loss(policy, theta, batch, *args)
+        return loss(forward, batch, cfg)
 
     monkeypatch.setattr(gflownet, "_walk_draws", recorded_walk)
     monkeypatch.setattr(gflownet, "BufferEntry", recorded_entry)

@@ -12,12 +12,13 @@ import numpy as np
 import pytest
 
 from flowseq import autodiff as ad
-from flowseq.baselines import PreferencePair, dpo_mean_loss_var, ppo_surrogate_var
+from flowseq.baselines import PreferencePair, ppo_surrogate_var
 from flowseq.core import TaskKind
 from flowseq.env import TaskConfig, build_vocab, make_problem
-from flowseq.gflownet import BufferEntry, GfnConfig, replay_loss_var, sft_loss_var
+from flowseq.gflownet import BufferEntry, GfnConfig, sft_from_vars
 from flowseq.policy import Policy, batched_generation_log_vars, pad_rows
-from test_baselines import with_ref_margins
+from test_baselines import dpo_loss, with_ref_margins
+from test_gflownet import replay_loss
 
 MAX_LEN = 5
 LAMBDAS = (0.1, 0.9, 1.0, 1.7)
@@ -88,7 +89,7 @@ def sum_vars(terms):
 def sft_oracle(p, th, refs):
     # each B=1 loss is a per-token mean; weight it back to a token sum
     count = float(sum(len(body) + 1 for _, body in refs))
-    return sum_vars([sft_loss_var(p, th, [(prompt, body)]) * float(len(body) + 1) for prompt, body in refs]) / count
+    return sum_vars([sft_from_vars(*batched_generation_log_vars(p, th, [(prompt, body)])) * float(len(body) + 1) for prompt, body in refs]) / count
 
 
 def test_padded_forward_layout():
@@ -128,10 +129,10 @@ def test_replay_loss_equals_b1_oracle(kind, lam, redrawn, horizon):
     cfg = GfnConfig(steps=1, subtb_lambda=lam, horizon_coeff=0.7)
 
     def batched(p, th):
-        return replay_loss_var(p, th, entries, [], cfg)[0]
+        return replay_loss(p, th, entries, cfg)[0]
 
     def oracle(p, th):
-        subtb = [replay_loss_var(p, th, [e], [], cfg)[1] for e in entries]
+        subtb = [replay_loss(p, th, [e], cfg)[1] for e in entries]
         total = sum_vars(subtb) / float(len(entries))
         fins = []
         for e in entries:
@@ -155,10 +156,10 @@ def test_replay_loss_with_references_equals_b1_oracle(kind):
     cfg = GfnConfig(steps=1, subtb_lambda=0.9, sft_coeff=3.0)
 
     def batched(p, th):
-        return replay_loss_var(p, th, entries, refs, cfg)[0]
+        return replay_loss(p, th, entries, cfg, refs)[0]
 
     def oracle(p, th):
-        subtb = [replay_loss_var(p, th, [e], [], cfg)[1] for e in entries]
+        subtb = [replay_loss(p, th, [e], cfg)[1] for e in entries]
         return sum_vars(subtb) / float(len(entries)) + 3.0 * sft_oracle(p, th, refs)
 
     assert_matches(pol, batched, oracle)
@@ -171,7 +172,7 @@ def test_sft_loss_equals_b1_oracle(kind):
     refs = [(problem.prompt_tokens, b) for b in bodies]
 
     def batched(p, th):
-        return sft_loss_var(p, th, refs)
+        return sft_from_vars(*batched_generation_log_vars(p, th, refs))
 
     assert_matches(pol, batched, lambda p, th: sft_oracle(p, th, refs))
     assert_finite_diff(pol, batched)
@@ -227,10 +228,10 @@ def test_dpo_loss_equals_b1_oracle(kind):
         for i in range(len(bodies))])
 
     def batched(p, th):
-        return dpo_mean_loss_var(p, th, pairs, beta=0.5)
+        return dpo_loss(p, th, pairs, beta=0.5)
 
     def oracle(p, th):
-        return sum_vars([dpo_mean_loss_var(p, th, [pair], beta=0.5) for pair in pairs]) / float(len(pairs))
+        return sum_vars([dpo_loss(p, th, [pair], beta=0.5) for pair in pairs]) / float(len(pairs))
 
     assert_matches(pol, batched, oracle)
     assert_finite_diff(pol, batched)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from flowseq import autodiff as ad
-from flowseq import gflownet
+from flowseq import baselines, gflownet
 from flowseq.autodiff import AdamState, GradTape, adam_step
 from flowseq.baselines import (
     DpoConfig,
@@ -19,7 +19,9 @@ from flowseq.baselines import (
     PpoConfig,
     RftConfig,
     SftConfig,
+    _pair_items,
     build_preference_pairs,
+    dpo_mean_loss_var,
     dpo_train,
     ppo_train,
     rft_train,
@@ -27,7 +29,7 @@ from flowseq.baselines import (
 )
 from flowseq.core import SettingError, TaskKind
 from flowseq.env import RewardMode, TaskConfig, build_vocab, make_problem
-from flowseq.gflownet import Fitter, GfnConfig, NonFiniteLoss, TrainSet, sft_from_vars, sft_loss_var, train_gflownet
+from flowseq.gflownet import Fitter, GfnConfig, NonFiniteLoss, TrainSet, sft_from_vars, train_gflownet
 from flowseq.policy import DecodeCfg, Policy, ValueNet, batched_generation_log_vars
 
 HOT = DecodeCfg(temperature=1.0, top_p=1.0)
@@ -62,9 +64,9 @@ def test_nan_loss_raises_and_leaves_params_untouched():
     pol.params = np.random.default_rng(0).normal(size=pol.params.size)
     before = pol.params.copy()
     fit = Fitter(pol, lr=0.1)
-    theta, _ = fit.theta(refs)
+    theta, forward = fit.forward(refs)
     with pytest.raises(NonFiniteLoss):
-        fit.step(sft_loss_var(pol, theta, refs) * float("nan"), theta)
+        fit.step(sft_from_vars(*forward) * float("nan"), theta)
     assert pol.params.tobytes() == before.tobytes()
     assert fit.adam.t == 0
 
@@ -74,7 +76,7 @@ def test_non_finite_gradient_raises_before_adam(monkeypatch, adam_calls):
     pol = Policy.tabular(ds.vocab, window=5)
     fit = Fitter(pol, lr=0.1)
     refs = ds.all_references()
-    theta, _ = fit.theta(refs)
+    theta, forward = fit.forward(refs)
     before = pol.params.copy()
 
     def poisoned(loss, wrt):
@@ -84,7 +86,7 @@ def test_non_finite_gradient_raises_before_adam(monkeypatch, adam_calls):
 
     monkeypatch.setattr(ad, "backward", poisoned)
     with pytest.raises(NonFiniteLoss, match="1 non-finite gradient"):
-        fit.step(sft_loss_var(pol, theta, refs), theta)
+        fit.step(sft_from_vars(*forward), theta)
     assert pol.params.tobytes() == before.tobytes()
     assert adam_calls == []
 
@@ -116,14 +118,14 @@ def test_one_update_step_equals_the_inline_sequence_bitwise():
         adam = adam.resized(old.params.size)
         tape = GradTape()
         theta = tape.input(old.params)
-        loss = sft_loss_var(old, theta, batch)
+        loss = sft_from_vars(*batched_generation_log_vars(old, theta, batch))
         g = ad.backward(loss, theta)
         old.params, adam = adam_step(adam, old.params, g)
 
     fit = Fitter(new, 0.05)
     for batch in batches:
-        theta, lookup = fit.theta(batch)
-        fit.step(sft_loss_var(new, theta, batch, lookup), theta)
+        theta, forward = fit.forward(batch)
+        fit.step(sft_from_vars(*forward), theta)
 
     assert new.contexts == old.contexts
     assert new.params.tobytes() == old.params.tobytes()
@@ -137,9 +139,10 @@ def test_an_update_step_frees_its_graph_without_the_cyclic_collector():
     pol = Policy.tabular(ds.vocab, window=5)
     refs = ds.all_references()
     fit = Fitter(pol, 0.05)
-    theta, _ = fit.theta(refs)
+    theta, forward = fit.forward(refs)
     tape = weakref.ref(theta.tape)
-    fit.step(sft_loss_var(pol, theta, refs), theta)
+    fit.step(sft_from_vars(*forward), theta)
+    del forward
     gc.disable()
     try:
         del theta
@@ -161,7 +164,7 @@ def test_two_backward_calls_on_one_tape_give_gradients_that_share_no_memory(kind
         pol = Policy.neural(ds.vocab, window=5, embed_dim=4, hidden_dim=8, seed=1)
     tape = GradTape()
     theta = tape.input(pol.params)
-    loss = sft_loss_var(pol, theta, refs)
+    loss = sft_from_vars(*batched_generation_log_vars(pol, theta, refs))
     values = [node.value.tobytes() for node in tape.nodes]
     first = ad.backward(loss, theta)
     kept = first.tobytes()
@@ -184,8 +187,8 @@ def test_an_update_step_on_the_criterion_1_table_peaks_near_five_parameter_array
     assert len(pol.contexts) == 1555
     fit = Fitter(pol, 0.08)
     batch = items[::97][:16]
-    theta, lookup = fit.theta(batch)
-    loss = sft_loss_var(pol, theta, batch, lookup)
+    theta, forward = fit.forward(batch)
+    loss = sft_from_vars(*forward)
     tracemalloc.start()
     try:
         fit.step(loss, theta)
@@ -195,9 +198,14 @@ def test_an_update_step_on_the_criterion_1_table_peaks_near_five_parameter_array
     assert peak <= 5.5 * pol.params.nbytes, peak / pol.params.nbytes
 
 
-def train_each_way(ds: TrainSet, trainer: str) -> tuple[Policy, list]:
-    """A tabular policy trained by one trainer from a fresh start (DPO: from an SFT reference), and its report's rows."""
-    pol = Policy.tabular(ds.vocab, window=5)
+def train_each_way(ds: TrainSet, trainer: str, kind: str = "tabular") -> tuple[Policy, list, ValueNet | None]:
+    """A policy trained by one trainer from a fresh start (DPO: from an SFT reference), its report's rows, and
+    PPO's critic (None for the other trainers)."""
+    if kind == "tabular":
+        pol = Policy.tabular(ds.vocab, window=5)
+    else:
+        pol = Policy.neural(ds.vocab, window=5, embed_dim=4, hidden_dim=8, seed=1)
+    critic = None
     if trainer == "gflownet":
         report = train_gflownet(pol, ds, GfnConfig(steps=6, batch_size=4, decode=HOT, lr=0.05))
     elif trainer == "sft":
@@ -205,18 +213,21 @@ def train_each_way(ds: TrainSet, trainer: str) -> tuple[Policy, list]:
     elif trainer == "rft":
         report = rft_train(pol, ds, RftConfig(k=3, epochs=2, batch_size=2, decode=HOT, lr=0.05))
     elif trainer == "ppo":
-        report = ppo_train(pol, ValueNet.for_policy(pol), ds, PpoConfig(steps=5, trajs_per_step=3, decode=HOT))
+        critic = ValueNet.for_policy(pol)
+        report = ppo_train(pol, critic, ds, PpoConfig(steps=5, trajs_per_step=3, decode=HOT))
     else:
         sft_train(pol, ds, cfg=SftConfig(epochs=20, lr=0.05))  # so that some draws are correct and pair up
         ref, pol = pol, pol.clone()
         report = dpo_train(pol, ref, ds, DpoConfig(samples_per_problem=16, epochs=2, batch_size=2, decode=HOT,
                                                    lr=0.05))
-    return pol, report.rows
+    return pol, report.rows, critic
 
 
-@pytest.mark.parametrize("trainer", ["gflownet", "sft", "rft", "ppo"])
-def test_a_tabular_training_step_builds_its_windows_once(monkeypatch, trainer):
-    # registration's windows and rows are handed on to the step's forward over the same items
+@pytest.mark.parametrize("kind", ["tabular", "neural"])
+@pytest.mark.parametrize("trainer", ["gflownet", "sft", "rft", "ppo", "dpo"])
+def test_a_training_step_builds_its_windows_once_per_model(monkeypatch, trainer, kind):
+    # registration's windows (and a table's rows) are handed on to the step's one forward over the same items,
+    # and the PPO critic reads its values and its tape forward off its own registration
     ds = tiny_dataset(n_problems=3)
     calls = []
     windows = Policy.windows
@@ -226,38 +237,110 @@ def test_a_tabular_training_step_builds_its_windows_once(monkeypatch, trainer):
         return windows(self, items)
 
     monkeypatch.setattr(Policy, "windows", counted)
-    pol, rows = train_each_way(ds, trainer)
+    pol, rows, critic = train_each_way(ds, trainer, kind)
     assert rows and sum(1 for owner in calls if owner is pol) == len(rows)
+    if critic is not None:
+        assert sum(1 for owner in calls if owner is critic) == len(rows)
+
+
+def assert_lookup_forward_is_bitwise(model: Policy, theta, got, want) -> None:
+    """got and want, two forwards of model on theta, are the same bytes; on a tape, so are their gradients."""
+    if isinstance(theta, np.ndarray):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        return
+    assert [v.value.tobytes() for v in got if isinstance(v, ad.Var)] == \
+        [v.value.tobytes() for v in want if isinstance(v, ad.Var)]
+    loss = sft_from_vars if type(model) is Policy else lambda values: ad.vsum(ad.square(values))
+    grads = [ad.backward(loss(*out), theta).tobytes() for out in (got, want)]
+    assert grads[0] == grads[1]
 
 
 @pytest.mark.parametrize("trainer", ["gflownet", "sft", "rft", "ppo", "dpo"])
 def test_a_forward_with_the_registered_lookup_equals_one_without_bitwise(monkeypatch, trainer):
     ds = tiny_dataset(n_problems=3)
-    registered = []
+    registered = {Policy: [], ValueNet: []}
     register = Policy.register_prefixes
 
     def recorded(self, items):
-        if type(self) is Policy:  # not the critic: its head has one output per context
-            registered.append(list(items))
+        registered[type(self)].append(list(items))
         return register(self, items)
 
     monkeypatch.setattr(Policy, "register_prefixes", recorded)
-    trained, _ = train_each_way(ds, trainer)
-    assert registered
-    for items in registered:
+    trained, _, critic = train_each_way(ds, trainer)
+    assert registered[Policy] and bool(registered[ValueNet]) == (critic is not None)
+    for items in registered[Policy]:
         size = trained.params.size
         lookup = register(trained, items)
         assert trained.params.size == size  # every context was registered in training
         for theta in (trained.params, GradTape().input(trained.params)):
-            got = batched_generation_log_vars(trained, theta, items, lookup)
-            want = batched_generation_log_vars(trained, theta, items)
-            if isinstance(theta, np.ndarray):
-                assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-                continue
-            assert [v.value.tobytes() for v in got[:2]] == [v.value.tobytes() for v in want[:2]]
-            grads = [ad.backward(sft_from_vars(*out), theta).tobytes() for out in (got, want)]
-            assert grads[0] == grads[1]
-    assert Policy.neural(ds.vocab, window=5).register_prefixes(registered[0]) is None
+            assert_lookup_forward_is_bitwise(trained, theta, batched_generation_log_vars(trained, theta, items, lookup),
+                                             batched_generation_log_vars(trained, theta, items))
+    for items in registered[ValueNet]:  # the critic's values and its tape forward
+        size = critic.params.size
+        ctx, rows = register(critic, items)
+        assert critic.params.size == size
+        for theta in (critic.params, GradTape().input(critic.params)):
+            assert_lookup_forward_is_bitwise(critic, theta, [critic.forward(theta, ctx, rows)],
+                                             [critic.forward(theta, ctx)])
+    # a network registers nothing, and its lookup is the windows alone
+    net = Policy.neural(ds.vocab, window=5)
+    ctx, rows = net.register_prefixes(registered[Policy][0])
+    assert rows is None and ctx.tobytes() == net.windows(registered[Policy][0]).tobytes()
+
+
+def dpo_train_interleaved(policy: Policy, ref: Policy, ds: TrainSet, cfg: DpoConfig) -> None:
+    """dpo_train as it was when each minibatch registered its pairs' bodies interleaved, chosen then rejected
+    pair by pair, and its forward over all chosen, then all rejected, bodies looked up its own rows."""
+    rng = np.random.default_rng(cfg.seed)
+    pairs = build_preference_pairs(ref, ds, cfg, rng)
+    fit = Fitter(policy, cfg.lr)
+    for _ in range(cfg.epochs):
+        order = rng.permutation(len(pairs))
+        for a in range(0, len(order), cfg.batch_size):
+            batch = [pairs[int(i)] for i in order[a : a + cfg.batch_size]]
+            theta, _ = fit.theta([(p.prompt, body) for p in batch for body in (p.chosen, p.rejected)])
+            forward = batched_generation_log_vars(policy, theta, _pair_items(batch))
+            fit.step(dpo_mean_loss_var(forward, batch, cfg.beta), theta)
+
+
+def test_dpo_registers_chosen_bodies_first_and_ends_where_interleaved_registration_does(monkeypatch):
+    # a warm start fitted to one solution per problem leaves the other solutions' contexts unregistered,
+    # so chosen bodies bring new contexts and the two registration orders number the table's rows apart
+    task = TaskConfig(task_kind=TaskKind.SUMPATH, value_range=(3, 6), max_parts=3, max_part=2,
+                      reward_mode=RewardMode.TERMINAL)
+    vocab = build_vocab(task)
+    ds = TrainSet.build([make_problem(task, seed=s) for s in range(16)], task, vocab, max_refs=1)
+    ref = Policy.tabular(vocab, window=3)
+    sft_train(ref, ds, cfg=SftConfig(epochs=5, lr=0.1))
+    cfg = DpoConfig(samples_per_problem=64, epochs=2, batch_size=3, decode=HOT, lr=0.05)
+    registered, batches = [], []
+    register, loss = Policy.register_prefixes, baselines.dpo_mean_loss_var
+
+    def recorded_register(self, items):
+        registered.append(list(items))
+        return register(self, items)
+
+    def recorded_loss(forward, pairs, beta):
+        batches.append(pairs)
+        return loss(forward, pairs, beta)
+
+    monkeypatch.setattr(Policy, "register_prefixes", recorded_register)
+    monkeypatch.setattr(baselines, "dpo_mean_loss_var", recorded_loss)
+    got = ref.clone()
+    dpo_train(got, ref, ds, cfg)
+    monkeypatch.undo()
+    assert len(batches) >= 4 and all(len(batch) > 1 for batch in batches[:-1])
+    assert registered == [_pair_items(batch) for batch in batches]
+    pairs = {p for batch in batches for p in batch}
+    assert any(not ref.contexts.keys() >= set(map(tuple, ref.windows([(p.prompt, p.chosen)]).tolist())) for p in pairs)
+
+    want = ref.clone()
+    dpo_train_interleaved(want, ref, ds, cfg)
+    assert len(ref.contexts) < len(got.contexts) and list(got.contexts) != list(want.contexts)
+    assert got.contexts.keys() == want.contexts.keys()
+    rows_of = lambda pol: pol.params.reshape(-1, pol.width)  # noqa: E731
+    for ctx, row in got.contexts.items():
+        assert rows_of(got)[row].tobytes() == rows_of(want)[want.contexts[ctx]].tobytes(), ctx
 
 
 def test_a_lookup_for_other_items_raises():
