@@ -12,7 +12,7 @@ Adam lives here too; every trainer reaches it through one update step, gflownet.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -311,28 +311,12 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 @dataclass(frozen=True)
 class AdamState:
-    """Bias-corrected Adam moments for one flat parameter vector."""
+    """Bias-corrected Adam moments for one flat parameter vector; adam_step grows them with it."""
 
-    m: np.ndarray
-    v: np.ndarray
-    t: int
     lr: float
-
-    @classmethod
-    def init(cls, n: int, lr: float) -> "AdamState":
-        return cls(m=np.zeros(n), v=np.zeros(n), t=0, lr=lr)
-
-    def resized(self, n: int) -> "AdamState":
-        """Zero-padded copy for a grown parameter vector (new entries start cold)."""
-        if n < self.m.size:
-            raise DimensionMismatch("optimizer state cannot shrink")
-        if n == self.m.size:
-            return self
-        m = np.zeros(n)
-        v = np.zeros(n)
-        m[: self.m.size] = self.m
-        v[: self.v.size] = self.v
-        return replace(self, m=m, v=v)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    t: int = 0
 
 
 def adam_step(state: AdamState, theta: np.ndarray, g: np.ndarray) -> tuple[np.ndarray, AdamState]:
@@ -340,19 +324,22 @@ def adam_step(state: AdamState, theta: np.ndarray, g: np.ndarray) -> tuple[np.nd
 
     theta - lr * m_hat / (sqrt(v_hat) + eps), operation for operation, written
     into the new m and v, one scratch array and the returned step array; the
-    old state, theta and g are left as they were.
+    old state, theta and g are left as they were. Moments shorter than theta
+    are zero-padded to its size (new entries start cold).
     """
     theta = np.asarray(theta, dtype=np.float64)
     g = np.asarray(g, dtype=np.float64)
-    if theta.shape != g.shape or theta.ndim != 1 or state.m.shape != theta.shape:
+    if theta.shape != g.shape or theta.ndim != 1 or state.m.size > theta.size:
         raise DimensionMismatch(
-            f"theta {theta.shape}, grad {g.shape}, state {state.m.shape} must be equal 1-d shapes"
+            f"theta {theta.shape}, grad {g.shape}, state {state.m.shape}: equal 1-d shapes and no more moments"
         )
-    t = state.t + 1
-    m = state.m * BETA1
+    t, n = state.t + 1, state.m.size
+    m, v = np.empty(theta.size), np.empty(theta.size)
+    m[n:] = v[n:] = 0.0
+    np.multiply(state.m, BETA1, out=m[:n])
     scratch = g * (1.0 - BETA1)
     m += scratch
-    v = state.v * BETA2
+    np.multiply(state.v, BETA2, out=v[:n])
     np.multiply(g, 1.0 - BETA2, out=scratch)
     scratch *= g
     v += scratch

@@ -115,7 +115,6 @@ def _fit(policy: Policy, data: list, items: Callable[[list], list[Item]], loss_v
             theta, forward = fit.forward(items(batch))
             step += 1
             report.add(step, fit.step(loss_var(forward, batch), theta))
-            del forward  # its variables hold the step's graph, which would otherwise outlive the next forward
     return report
 
 

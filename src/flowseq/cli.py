@@ -19,13 +19,13 @@ import logging
 import os
 import sys
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
 from . import baselines as bl
 from .config import ConfigError, Method, RunConfig, read_config
-from .env import build_vocab, enumerate_terminals, make_problem, read_problems, write_problems
+from .env import (build_vocab, enumerate_terminals, level_rows, make_problem, read_problems, terminal_levels,
+                  write_problems)
 from .evaluation import evaluate
 from .gflownet import TrainSet, terminal_l1_gap, terminal_law, train_gflownet
 from .policy import Policy, PolicyKind, ValueNet, load_policy, save_policy, terminal_distribution
@@ -160,15 +160,12 @@ def _cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def _terminal_texts(problem, vocab) -> Iterator[str]:
-    """core.decode of each body, in env.terminal_levels order; a level extends the one before."""
-    words = [vocab.tokens[t] for t in vocab.body_ids]
-    level = [""]
-    yield from level
-    for _ in range(problem.max_solution_len):
-        # product order: the parent's bodies in order, the last token fastest
-        level = [f"{text} {w}" if text else w for text in level for w in words]
-        yield from level
+def _terminal_texts(problem, vocab) -> list[str]:
+    """core.decode of each body, in env.terminal_levels order: each level's env.level_rows as words."""
+    words, texts = np.array(vocab.tokens, dtype=object), []
+    for length, size in enumerate(terminal_levels(problem, vocab)):
+        texts += map(" ".join, words[level_rows(vocab.body_ids, length, 0, size)].tolist())
+    return texts
 
 
 def _cmd_enumerate(cfg: RunConfig) -> int:
@@ -192,7 +189,7 @@ def _cmd_enumerate(cfg: RunConfig) -> int:
             # repr each value once (none is -0.0, the one float whose repr differs from an equal one's)
             shown = {v: repr(v) for v in {*targets, *probs}}
             if problem.max_solution_len not in texts:
-                texts[problem.max_solution_len] = list(_terminal_texts(problem, vocab))
+                texts[problem.max_solution_len] = _terminal_texts(problem, vocab)
             fh.write("".join([f"{pid},{text},{shown[p]},{shown[t]}\r\n" for text, p, t in zip(
                 texts[problem.max_solution_len], probs, targets, strict=True)]))
             gaps[str(pid)] = {"l1": gap, "overflow": dist.overflow}

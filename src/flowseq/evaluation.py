@@ -20,7 +20,7 @@ import numpy as np
 
 from .core import Problem, Solution, TaskKind, Vocab
 from .env import AnswerState, verify_prefix
-from .policy import DecodeCfg, Policy, _walk_draws
+from .policy import DecodeCfg, Memo, Policy, _walk_draws
 # not called here: perfbench/layers.py wraps these names where evaluation binds them
 from .policy import _sample_with_rng, greedy_decode  # noqa: F401
 
@@ -189,9 +189,10 @@ def evaluate(
 
     Problem i draws its samples from its own generator seeded by (seed, i),
     in the order a problem-at-a-time loop would, so the rows do not depend on
-    how the problems are batched. Each distinct body of a problem is graded
-    once. With prepend_greedy the greedy solution stands in as sample 0,
-    which makes greedy accuracy a lower bound on every pass@k.
+    how the problems are batched. The walks share one memo, so each context
+    is scored once, and each distinct body of a problem is graded once. With
+    prepend_greedy the greedy solution stands in as sample 0, which makes
+    greedy accuracy a lower bound on every pass@k.
     """
     if not problems:
         raise ValueError("no problems to evaluate")
@@ -199,8 +200,9 @@ def evaluate(
         raise KTooLarge(f"k must be at least 1, got {k}")
     decode_cfg = decode_cfg or DecodeCfg()
     draw_rows = [(p, np.random.default_rng([seed, i])) for i, p in enumerate(problems)]
-    greedy = _walk_draws(policy, [(p, None) for p in problems], decode_cfg)
-    sampled = _walk_draws(policy, draw_rows, decode_cfg, k - 1 if prepend_greedy else k)
+    memo: Memo = {}
+    greedy = _walk_draws(policy, [(p, None) for p in problems], decode_cfg, memo=memo)
+    sampled = _walk_draws(policy, draw_rows, decode_cfg, k - 1 if prepend_greedy else k, memo=memo)
     report = EvalReport(k=k)
     for i, (p, head, tail) in enumerate(zip(problems, greedy, sampled)):
         graded = {body: solution_from_body(p, body, vocab) for body in dict.fromkeys(head + tail)}

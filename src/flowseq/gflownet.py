@@ -144,16 +144,15 @@ class Fitter:
     def __init__(self, model: Policy, lr: float) -> None:
         check_learning_rate(lr)
         self.model = model
-        self.adam = AdamState.init(model.params.size, lr)
+        self.adam = AdamState(lr)
 
     def theta(self, items: list[Item]) -> tuple[Var, Lookup]:
-        """Register the (prompt_tokens, body) items' contexts, grow the Adam state, open a tape on the parameters.
+        """Register the (prompt_tokens, body) items' contexts and open a tape on the parameters.
 
         Returns the tape's parameter variable and the registration's lookup,
         which a forward over the same items takes instead of its own.
         """
         lookup = self.model.register_prefixes(items)
-        self.adam = self.adam.resized(self.model.params.size)
         return GradTape().input(self.model.params), lookup
 
     def forward(self, items: list[Item]) -> tuple[Var, Forward]:
@@ -164,14 +163,18 @@ class Fitter:
     def step(self, loss: Var, theta: Var) -> float:
         """Back-propagate and apply Adam, moving nothing if the loss or gradient is not finite; returns the loss."""
         g = ad.backward(loss, theta)
-        # tape and nodes refer to each other: emptying the tape frees the step's graph without the cyclic collector
-        loss.tape.nodes.clear()
-        value = float(loss.value)
-        if not (np.isfinite(value) and np.isfinite(g).all()):
-            bad = int(np.count_nonzero(~np.isfinite(g)))
-            raise NonFiniteLoss(f"loss {value} with {bad} non-finite gradient entries; no parameter moved")
-        self.model.params, self.adam = adam_step(self.adam, self.model.params, g)
-        return value
+        try:
+            value = float(loss.value)
+            if not (np.isfinite(value) and np.isfinite(g).all()):
+                bad = int(np.count_nonzero(~np.isfinite(g)))
+                raise NonFiniteLoss(f"loss {value} with {bad} non-finite gradient entries; no parameter moved")
+            self.model.params, self.adam = adam_step(self.adam, self.model.params, g)
+            return value
+        finally:
+            # links cut last node first, after Adam: the graph is freed whatever the caller holds, and its heap reused
+            for node in reversed(loss.tape.nodes):
+                node.links = ()
+            loss.tape.nodes.clear()
 
 
 @dataclass(frozen=True)

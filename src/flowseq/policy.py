@@ -26,7 +26,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import accumulate, count, islice, repeat
+from itertools import accumulate, count, repeat
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -84,6 +85,7 @@ class Policy:
         vocab: token inventory the policy emits over.
         window: context length w.
         params: flat float64 parameter vector theta.
+        contexts: the tabular table, a read-only view of {context: row}; _rows alone grows it.
     """
 
     def __init__(
@@ -104,9 +106,15 @@ class Policy:
         self.params = np.asarray(params, dtype=np.float64)
         self.embed_dim = embed_dim
         self.hidden_dim = hidden_dim
-        self.contexts: dict[tuple[int, ...], int] = dict(contexts or {})
-        # (the contexts dict coded, its {code: row} dict): see _keyed
-        self._coded: tuple[dict, dict] | None = None
+        self._contexts: dict[tuple[int, ...], int] = dict(contexts or {})
+        self._code_weights = _code_weights(self.pad_id + 1, window)
+        # the lookup's dict, grown with _contexts: {code: row}, or _contexts itself where codes overflow an int64
+        self._keyed = self._contexts if self._code_weights is None else {}
+        if self._contexts and self._code_weights is not None:
+            codes = np.array(list(self._contexts), dtype=np.int64) @ self._code_weights
+            self._keyed.update(zip(codes.tolist(), self._contexts.values()))
+
+    contexts = property(lambda self: MappingProxyType(self._contexts))
 
     @property
     def pad_id(self) -> int:
@@ -179,10 +187,10 @@ class Policy:
     def _rows(self, ctx_mat: np.ndarray, grow: bool = False) -> list[int]:
         """Table row of each context, -1 when unregistered; grow appends new contexts in first-appearance order.
 
-        Each context is probed once in _keyed(): by its code, or by its tuple
-        where codes overflow an int64.
+        Each context is probed once in _keyed: by its code, or by its tuple
+        where codes overflow an int64. The only writer of the table.
         """
-        keyed, weights = self._keyed(), self._code_weights
+        keyed, weights = self._keyed, self._code_weights
         keys = (ctx_mat @ weights).tolist() if weights is not None else list(map(tuple, ctx_mat.tolist()))
         rows = list(map(keyed.get, keys, repeat(-1)))
         missing = [i for i, row in enumerate(rows) if row < 0] if grow and -1 in rows else ()
@@ -190,38 +198,13 @@ class Policy:
             first: dict = {}  # each new key at its first position
             for i in missing:
                 first.setdefault(keys[i], i)
-            n = len(self.contexts)
-            self.contexts.update(zip(map(tuple, ctx_mat[list(first.values())].tolist()), count(n)))
+            n = len(self._contexts)
+            self._contexts.update(zip(map(tuple, ctx_mat[list(first.values())].tolist()), count(n)))
             keyed.update(zip(first, count(n)))
             self.params = np.concatenate([self.params, np.zeros(len(first) * self.width)])
             for i in missing:
                 rows[i] = keyed[keys[i]]
         return rows
-
-    @cached_property
-    def _code_weights(self) -> np.ndarray | None:
-        """Place values that read a context as one base-(pad_id + 1) integer; None when its largest overflows an int64."""
-        base = self.pad_id + 1
-        if base**self.window - 1 > np.iinfo(np.int64).max:
-            return None
-        return base ** np.arange(self.window - 1, -1, -1, dtype=np.int64)
-
-    def _keyed(self) -> dict:
-        """{code: row} of the registered contexts, or contexts itself when codes overflow an int64.
-
-        Derived from self.contexts: rebuilt when contexts is another dict, and
-        caught up with the contexts appended since the last lookup.
-        """
-        if self._code_weights is None:
-            return self.contexts
-        if self._coded is None or self._coded[0] is not self.contexts:
-            self._coded = (self.contexts, {})
-        keyed = self._coded[1]
-        if len(keyed) < len(self.contexts):
-            added = list(islice(self.contexts.items(), len(keyed), None))
-            codes = np.array([ctx for ctx, _ in added], dtype=np.int64) @ self._code_weights
-            keyed.update(zip(codes.tolist(), (row for _, row in added)))
-        return keyed
 
     def register_prefixes(self, items: list[Item]) -> Lookup:
         """Register the contexts of every (prompt_tokens, body) item in item order; a network registers nothing.
@@ -263,6 +246,16 @@ class Policy:
     _head = staticmethod(ad.log_softmax)
 
 
+@lru_cache(maxsize=64)
+def _code_weights(base: int, window: int) -> np.ndarray | None:
+    """Place values that read a context as one base-`base` integer; None when its largest code overflows an int64."""
+    if base**window - 1 > np.iinfo(np.int64).max:
+        return None
+    weights = base ** np.arange(window - 1, -1, -1, dtype=np.int64)
+    weights.flags.writeable = False  # every policy of this base and window shares it
+    return weights
+
+
 def generation_log_probs(
     policy: Policy, prompt_tokens: tuple[int, ...], gen_body: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -288,6 +281,8 @@ def batched_generation_log_vars(
     lookup, what register_prefixes returned for these same items, replaces
     the forward's own windows and row lookup.
     """
+    if not items:
+        raise ValueError("no items were given to score")
     lengths, row, valid = _padded_layout(tuple(len(body) for _, body in items))
     if lookup is None:
         ctx, table_rows = policy.windows(items), None
@@ -351,14 +346,14 @@ class Proposal(NamedTuple):
 
     kept holds the nucleus token ids, most probable first, as an array('i'),
     and cum their renormalised cumulative probabilities as an array('d') of
-    the float64s the truncation computed; both are None for an argmax-only
-    decode. Typed arrays keep a 22-token nucleus in under half the bytes of
-    two lists, so a memo of every draw of an evaluation stays small.
+    the float64s the truncation computed. Typed arrays keep a 22-token
+    nucleus in under half the bytes of two lists, so a memo of every draw of
+    an evaluation stays small.
     """
 
     argmax: int
-    kept: array | None
-    cum: array | None
+    kept: array
+    cum: array
 
     def draw(self, u: float) -> int:
         """The nucleus token whose cumulative-probability interval holds the uniform u."""
@@ -406,8 +401,8 @@ def _walk_draws(policy: Policy, rows: list[tuple[Problem, np.random.Generator | 
     of k one-draw calls. Every round walks each unfinished row until it needs a context it has no exact
     proposal for, and then scores the contexts all rows need in one forward: a row's
     tokens equal those of walking it alone, because every operation on a context's scores runs along
-    its own row. `memo` holds exact proposals at the current parameters, and the walk adds the ones it
-    scores; a call whose rows all take the argmax scores argmax-only proposals.
+    its own row. `memo` holds exact proposals at the current parameters and cfg, and the walk adds the
+    ones it scores.
 
     With a non-empty `draft` the walk guesses ahead: it guesses with draft where it has no exact
     proposal, scores the guessed contexts and the first unknown one in one forward, and resumes at the
@@ -416,7 +411,6 @@ def _walk_draws(policy: Policy, rows: list[tuple[Problem, np.random.Generator | 
     on these problems.
     """
     memo = {} if memo is None else memo
-    scores = cfg if any(rng is not None for _, rng in rows) else None
     stop, guess = policy.vocab.stop_id, bool(draft)
     # per row: start context, budget, rng, tokens (its draws end to end, each ending in the stop id) and the
     # point to resume at: draw, its tokens so far, context, len(tokens) and rng's state there when guessing
@@ -450,7 +444,7 @@ def _walk_draws(policy: Policy, rows: list[tuple[Problem, np.random.Generator | 
             w[4] = resume or (i, t, ctx, len(tokens), None)
         if guessed:
             lp = policy.forward(policy.params, np.asarray(list(guessed), dtype=np.int64))
-            memo.update(zip(guessed, _proposals(lp, scores)))
+            memo.update(zip(guessed, _proposals(lp, cfg)))
         live = [w for w in live if w[4][0] < k]
     bodies = []
     for *_, tokens, _ in walks:
@@ -461,8 +455,8 @@ def _walk_draws(policy: Policy, rows: list[tuple[Problem, np.random.Generator | 
     return bodies
 
 
-def _proposals(lp: np.ndarray, cfg: DecodeCfg | None) -> list[Proposal]:
-    """The Proposal of each row of lp: argmax, and with cfg the temperature-scaled top-p nucleus.
+def _proposals(lp: np.ndarray, cfg: DecodeCfg) -> list[Proposal]:
+    """The Proposal of each row of lp: its argmax and its temperature-scaled top-p nucleus.
 
     The arithmetic is that of truncating one row at a time: every reduction
     runs along a row, and each nucleus is renormalised by the sum of its own
@@ -470,8 +464,6 @@ def _proposals(lp: np.ndarray, cfg: DecodeCfg | None) -> list[Proposal]:
     would not do: from 8 entries on, numpy sums pairwise, in another order.)
     """
     argmax = lp.argmax(axis=1).tolist()
-    if cfg is None:
-        return [Proposal(a, None, None) for a in argmax]
     m, v = lp.shape
     add = np.add  # add.reduce / add.accumulate: ndarray.sum / cumsum without their Python wrappers
     # dividing keeps order and every entry is <= 0, so the least entry, or the least row maximum, decides
@@ -606,8 +598,8 @@ def load_policy(path: str, vocab: Vocab) -> Policy:
     if blob[head : head + 32] != bytes.fromhex(vocab.content_hash()):
         raise CheckpointMismatch("checkpoint was built for a different vocabulary")
     kind = PolicyKind.TABULAR if kind_code == 0 else PolicyKind.NEURAL
-    policy = Policy(kind, vocab, window, np.zeros(0), embed_dim, hidden_dim)
-    if n_params != policy._param_count(n_rows):
+    layout = Policy(kind, vocab, window, np.zeros(0), embed_dim, hidden_dim)  # the header's, with no table
+    if n_params != layout._param_count(n_rows):
         raise CheckpointMismatch(f"{n_params} parameters do not fit the header's architecture")
     off = head + 32
     table_bytes = 4 * n_rows * window if kind is PolicyKind.TABULAR else 0
@@ -615,13 +607,13 @@ def load_policy(path: str, vocab: Vocab) -> Policy:
     if len(blob) != size:
         raise CheckpointMismatch(f"checkpoint has {len(blob)} bytes where its header implies {size}")
     table = np.frombuffer(blob, dtype="<i4", count=table_bytes // 4, offset=off).reshape(-1, window)
-    bad = table[(table < 0) | (table > policy.pad_id)]
+    bad = table[(table < 0) | (table > layout.pad_id)]
     if bad.size:
-        raise CheckpointMismatch(f"context token id {bad[0]} is outside 0..{policy.pad_id}")
-    policy.contexts = {tuple(int(t) for t in ctx): row for row, ctx in enumerate(table)}
-    if len(policy.contexts) != n_rows:
-        raise CheckpointMismatch(f"{len(policy.contexts)} distinct contexts where the header says {n_rows} rows")
-    policy.params = np.frombuffer(blob, dtype="<f8", count=n_params, offset=off + table_bytes).copy()
-    if not np.isfinite(policy.params).all():
-        raise CheckpointMismatch(f"{np.count_nonzero(~np.isfinite(policy.params))} parameters are not finite")
-    return policy
+        raise CheckpointMismatch(f"context token id {bad[0]} is outside 0..{layout.pad_id}")
+    contexts = {tuple(ctx): row for row, ctx in enumerate(table.tolist())}
+    if len(contexts) != n_rows:
+        raise CheckpointMismatch(f"{len(contexts)} distinct contexts where the header says {n_rows} rows")
+    params = np.frombuffer(blob, dtype="<f8", count=n_params, offset=off + table_bytes).copy()
+    if not np.isfinite(params).all():
+        raise CheckpointMismatch(f"{np.count_nonzero(~np.isfinite(params))} parameters are not finite")
+    return Policy(kind, vocab, window, params, embed_dim, hidden_dim, contexts)

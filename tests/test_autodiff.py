@@ -221,18 +221,18 @@ def test_unused_leaf_gets_zero_gradient():
 
 def test_adam_first_step_magnitude():
     # with bias correction the first step moves by lr in the gradient's sign
-    state = AdamState.init(3, lr=0.1)
+    state = AdamState(lr=0.1)
     theta = np.zeros(3)
     g = np.array([1.0, -2.0, 0.5])
     new_theta, new_state = adam_step(state, theta, g)
     assert np.allclose(new_theta, -0.1 * np.sign(g), atol=1e-6)
-    assert new_state.t == 1
+    assert new_state.t == 1 and new_state.m.size == 3
     # functional update leaves the old state untouched
-    assert state.t == 0 and np.all(state.m == 0)
+    assert state.t == 0 and state.m.size == state.v.size == 0
 
 
 def test_adam_converges_on_quadratic():
-    state = AdamState.init(2, lr=0.05)
+    state = AdamState(lr=0.05)
     theta = np.array([4.0, -3.0])
     for _ in range(600):
         g = 2 * theta
@@ -241,36 +241,37 @@ def test_adam_converges_on_quadratic():
 
 
 def test_adam_dimension_mismatch():
-    state = AdamState.init(3, lr=0.1)
+    _, state = adam_step(AdamState(lr=0.1), np.zeros(3), np.ones(3))
     with pytest.raises(DimensionMismatch):
-        adam_step(state, np.zeros(4), np.zeros(4))
+        adam_step(state, np.zeros(4), np.zeros(3))
+    # moments may grow with theta, never shrink
+    with pytest.raises(DimensionMismatch):
+        adam_step(state, np.zeros(2), np.zeros(2))
 
 
-def test_adam_resized_preserves_moments():
-    state = AdamState.init(2, lr=0.1)
-    theta = np.array([1.0, 1.0])
-    theta, state = adam_step(state, theta, np.array([0.5, -0.5]))
-    grown = state.resized(4)
+def test_adam_step_grows_the_moments_of_new_entries_cold():
+    theta, state = adam_step(AdamState(lr=0.1), np.array([1.0, 1.0]), np.array([0.5, -0.5]))
+    _, grown = adam_step(state, np.concatenate([theta, [0.0, 0.0]]), np.zeros(4))
     assert grown.m.size == 4 and grown.v.size == 4
-    assert np.allclose(grown.m[:2], state.m) and np.allclose(grown.m[2:], 0.0)
-    assert grown.t == state.t
+    assert np.array_equal(grown.m[:2], state.m * BETA1) and np.array_equal(grown.m[2:], [0.0, 0.0])
+    assert np.array_equal(grown.v[:2], state.v * BETA2) and np.array_equal(grown.v[2:], [0.0, 0.0])
+    assert grown.t == state.t + 1
 
 
 @pytest.mark.parametrize("sizes", [(1, 1), (7, 7), (40, 1000), (3, 300)])
 def test_adam_step_equals_the_textbook_update_bitwise_and_moves_no_input(sizes):
-    # sizes: before and after a resize; the moments of the new entries start cold
+    # sizes: theta's before and after it grows at step 20; the textbook update reads zero-padded moments
     rng = np.random.default_rng(sizes[1])
-    state = AdamState.init(sizes[0], lr=0.05)
+    state = AdamState(lr=0.05)
     theta = rng.normal(size=sizes[0])
     for step in range(50):
         if step == 20:
-            state = state.resized(sizes[1])
             theta = np.concatenate([theta, np.zeros(sizes[1] - sizes[0])])
         g = rng.normal(size=theta.size) * rng.choice([1e-9, 1.0, 1e3], size=theta.size)
         inputs = [a.tobytes() for a in (state.m, state.v, theta, g)]
         t = state.t + 1
-        m = BETA1 * state.m + (1.0 - BETA1) * g
-        v = BETA2 * state.v + (1.0 - BETA2) * g * g
+        m = BETA1 * np.pad(state.m, (0, theta.size - state.m.size)) + (1.0 - BETA1) * g
+        v = BETA2 * np.pad(state.v, (0, theta.size - state.v.size)) + (1.0 - BETA2) * g * g
         want = theta - state.lr * (m / (1.0 - BETA1 ** t)) / (np.sqrt(v / (1.0 - BETA2 ** t)) + EPS)
         new_theta, new_state = adam_step(state, theta, g)
         assert [a.tobytes() for a in (state.m, state.v, theta, g)] == inputs

@@ -260,6 +260,11 @@ def test_walk_rejects_a_temperature_with_no_finite_scaled_logit():
     rows = [(p, np.random.default_rng(i)) for i, p in enumerate(problems[:3])]
     with pytest.raises(ValueError, match="temperature 1e-310"):
         _walk_draws(pol, rows, DecodeCfg(temperature=1e-310, top_p=1.0))
+    # a walk of argmax rows scores the same proposals, so it fails alike, as does an evaluation that samples none
+    with pytest.raises(ValueError, match="temperature 1e-310"):
+        _walk_draws(pol, [(p, None) for p, _ in rows], DecodeCfg(temperature=1e-310, top_p=1.0))
+    with pytest.raises(ValueError, match="temperature 1e-310"):
+        evaluate(pol, problems[:3], pol.vocab, k=1, decode_cfg=DecodeCfg(temperature=1e-310), prepend_greedy=True)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -419,6 +424,18 @@ def test_one_walk_evaluation_equals_a_walk_per_draw_index(kind, k, prepend_greed
     assert report.rows == per_index_evaluate(pol, problems, pol.vocab, k, cfg, 3, prepend_greedy)
     if k == 8:  # the comparison can tell draws apart
         assert any(0 < r.n_correct < k for r in report.rows)
+
+
+@pytest.mark.parametrize("prepend_greedy", [False, True])
+@pytest.mark.parametrize("kind", ["tabular", "neural"])
+def test_evaluate_scores_each_context_once(kind, prepend_greedy):
+    # the greedy walk and the sampled walk share one memo at one parameter state
+    pol, problems = arith_policy(kind)
+    calls = recording_forwards(pol)
+    report = evaluate(pol, problems, pol.vocab, k=4, decode_cfg=WIDE_NUCLEUS, seed=3, prepend_greedy=prepend_greedy)
+    scored = [ctx for call in calls for ctx in call]
+    assert len(scored) == len(set(scored)) > len(problems)
+    assert report.rows == reference_evaluate(pol, problems, pol.vocab, 4, WIDE_NUCLEUS, 3, prepend_greedy)
 
 
 @pytest.mark.parametrize("prepend_greedy", [False, True])

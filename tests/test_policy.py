@@ -627,7 +627,7 @@ def test_lookup_returns_the_dict_rows(data):
         assert (pol.params is params) == (not grow or pol.params.size == params.size)
 
 
-def test_lookup_follows_clone_load_and_a_replaced_dict(tmp_path):
+def test_lookup_follows_clone_load_and_a_table_given_to_the_constructor(tmp_path):
     vocab = make_vocab(["a", "b", "c", "d"])
     pol = Policy.tabular(vocab, window=3)
     rng = np.random.default_rng(7)
@@ -635,7 +635,7 @@ def test_lookup_follows_clone_load_and_a_replaced_dict(tmp_path):
     pol._rows(seen, grow=True)
     pol.params = rng.normal(size=pol.params.size)
     probe = np.concatenate([seen, rng.integers(0, pol.pad_id + 1, size=(60, 3))])
-    assert pol._rows(probe) == dict_rows(dict(pol.contexts), probe, False)  # builds the code dict
+    assert pol._rows(probe) == dict_rows(dict(pol.contexts), probe, False)
     copy = pol.clone()
     copy._rows(probe[60:], grow=True)
     assert min(copy._rows(probe)) >= 0
@@ -644,9 +644,26 @@ def test_lookup_follows_clone_load_and_a_replaced_dict(tmp_path):
     save_policy(path, copy)
     loaded = load_policy(path, vocab)
     assert loaded._rows(probe) == copy._rows(probe)
-    # an equal-length dict of other rows: the code dict is rebuilt, not caught up by the dict's length
-    pol.contexts = dict(zip(pol.contexts, reversed(range(len(pol.contexts)))))
-    assert pol._rows(probe) == dict_rows(dict(pol.contexts), probe, False)
+    # a table of other rows, given to the constructor: its lookup reads them, and grows after them
+    table = dict(zip(pol.contexts, reversed(range(len(pol.contexts)))))
+    built = Policy(PolicyKind.TABULAR, vocab, 3, pol.params, contexts=table)
+    assert built._rows(probe) == dict_rows(dict(table), probe, False)
+    assert built._rows(probe, grow=True) == dict_rows(table, probe, True)
+    assert list(built.contexts.items()) == list(table.items())
+
+
+def test_the_context_table_cannot_be_written_past_its_lookup():
+    pol = Policy.tabular(make_vocab(["a", "b"]), window=2)
+    ctx = np.array([[0, 1], [1, 2]])
+    assert pol._rows(ctx, grow=True) == [0, 1]
+    # swapping the two rows in place would leave the code dict answering the old rows
+    with pytest.raises(TypeError):
+        pol.contexts[(0, 1)] = 1
+    with pytest.raises(TypeError):
+        del pol.contexts[(0, 1)]
+    with pytest.raises(AttributeError):
+        pol.contexts = {(0, 1): 1, (1, 2): 0}
+    assert pol._rows(ctx) == [0, 1] and dict(pol.contexts) == {(0, 1): 0, (1, 2): 1}
 
 
 def test_a_window_too_wide_for_int64_codes_keys_contexts_by_tuple():
@@ -662,8 +679,10 @@ def test_a_window_too_wide_for_int64_codes_keys_contexts_by_tuple():
     ctx = rng.integers(0, wide.pad_id + 1, size=(100, 14))
     assert wide._rows(ctx[:50], grow=True) == list(range(50))
     assert wide._rows(ctx) == dict_rows(dict(wide.contexts), ctx, False)
-    # its lookup probes contexts itself by tuple, and no code dict is built
-    assert wide._keyed() is wide.contexts and wide._coded is None
+    # its lookup probes the table itself by tuple, also when the table is given to the constructor
+    assert wide._keyed is wide._contexts
+    built = Policy(PolicyKind.TABULAR, vocab, 14, wide.params, contexts=dict(wide.contexts))
+    assert built._keyed is built._contexts and built._rows(ctx) == wide._rows(ctx)
 
 
 def test_terminal_distribution_of_a_full_sumpath_problem_reads_a_rebuilt_code_dict_alike(monkeypatch):
@@ -677,8 +696,9 @@ def test_terminal_distribution_of_a_full_sumpath_problem_reads_a_rebuilt_code_di
                            for _ in range(400)])
     pol.params = rng.normal(size=pol.params.size)
     grown = terminal_distribution(pol, problem)  # on the code dict grown with the registrations
-    pol.contexts = dict(pol.contexts)  # another dict object: the code dict is rebuilt from it
-    rebuilt = terminal_distribution(pol, problem)
+    # a policy constructed from the same table builds its code dict from it
+    rebuilt = terminal_distribution(Policy(PolicyKind.TABULAR, vocab, 8, pol.params, contexts=dict(pol.contexts)),
+                                    problem)
     assert grown.probs.tobytes() == rebuilt.probs.tobytes() and grown.overflow == rebuilt.overflow
     # and both are the rows of a probe of the tuple-keyed contexts
     monkeypatch.setattr(pol, "_rows", lambda ctx_mat: dict_rows(dict(pol.contexts), ctx_mat, False))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import tracemalloc
 import weakref
+from dataclasses import replace
 from itertools import product
 
 import numpy as np
@@ -112,10 +113,11 @@ def test_one_update_step_equals_the_inline_sequence_bitwise():
     new = old.clone()
 
     # the sequence every trainer used to repeat inline
-    adam = AdamState.init(old.params.size, 0.05)
+    adam = AdamState(0.05)
     for batch in batches:
         old.register_prefixes(batch)
-        adam = adam.resized(old.params.size)
+        grown = old.params.size - adam.m.size  # new rows start with cold moments
+        adam = replace(adam, m=np.pad(adam.m, (0, grown)), v=np.pad(adam.v, (0, grown)))
         tape = GradTape()
         theta = tape.input(old.params)
         loss = sft_from_vars(*batched_generation_log_vars(old, theta, batch))
@@ -149,6 +151,35 @@ def test_an_update_step_frees_its_graph_without_the_cyclic_collector():
         assert tape() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("trainer", ["gflownet", "ppo"])
+def test_a_training_loop_holds_no_graph_through_its_next_step(monkeypatch, trainer):
+    # the loop keeps each step's forward (and subTB its loss terms) until the next step rebinds them:
+    # a stepped variable must hold no links, or its graph would outlive the next step's draws and forward
+    ds = tiny_dataset(n_problems=2)
+    forwards, forward = [], Fitter.forward
+
+    def recorded(self, items):
+        forwards.append(forward(self, items))
+        return forwards[-1]
+
+    monkeypatch.setattr(Fitter, "forward", recorded)
+    train_each_way(ds, trainer)
+    assert len(forwards) > 1
+    for theta, (lp_tok, lp_stop, _) in forwards:
+        assert lp_tok.links == lp_stop.links == () and not theta.tape.nodes
+
+
+@pytest.mark.parametrize("kind", ["tabular", "neural"])
+def test_a_forward_of_no_items_names_the_cause(kind):
+    ds = tiny_dataset()
+    pol = (Policy.tabular(ds.vocab, window=5) if kind == "tabular"
+           else Policy.neural(ds.vocab, window=5, embed_dim=4, hidden_dim=8, seed=1))
+    with pytest.raises(ValueError, match="no items"):
+        batched_generation_log_vars(pol, pol.params, [])
+    with pytest.raises(ValueError, match="no items"):
+        Fitter(pol, 0.1).forward([])
 
 
 @pytest.mark.parametrize("kind", ["tabular", "neural"])
