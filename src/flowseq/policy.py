@@ -160,7 +160,7 @@ class Policy:
             self.params.copy(),
             self.embed_dim,
             self.hidden_dim,
-            dict(self.contexts),
+            self._contexts,
         )
 
     # context handling
@@ -249,7 +249,7 @@ class Policy:
 @lru_cache(maxsize=64)
 def _code_weights(base: int, window: int) -> np.ndarray | None:
     """Place values that read a context as one base-`base` integer; None when its largest code overflows an int64."""
-    if base**window - 1 > np.iinfo(np.int64).max:
+    if window >= 64 or base**window - 1 > np.iinfo(np.int64).max:  # base >= 2: a corrupt window builds no huge power
         return None
     weights = base ** np.arange(window - 1, -1, -1, dtype=np.int64)
     weights.flags.writeable = False  # every policy of this base and window shares it

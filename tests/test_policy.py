@@ -390,6 +390,20 @@ def test_checkpoint_rejects_hidden_dim_that_disagrees_with_param_count(tmp_path)
         load_policy(_corrupt_checkpoint(tmp_path, hidden_nine), tiny_vocab())
 
 
+@pytest.mark.parametrize("neural", [False, True])
+def test_checkpoint_with_a_huge_window_fails_on_its_size(tmp_path, neural):
+    # the largest uint32 window: loading must not build the window's code weights before the size checks
+    vocab = tiny_vocab()
+    pol = Policy.neural(vocab, window=2, embed_dim=4, hidden_dim=8, seed=5) if neural else seeded_tabular(vocab)
+    path = tmp_path / "pol.bin"
+    save_policy(str(path), pol)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, len(MAGIC) + 1, 2**32 - 1)  # after the kind byte
+    path.write_bytes(bytes(blob))
+    with pytest.raises(CheckpointMismatch, match="parameters do not fit|bytes where its header implies"):
+        load_policy(str(path), vocab)
+
+
 def test_checkpoint_rejects_truncated_file(tmp_path):
     path = _corrupt_checkpoint(tmp_path, lambda b: b.__delitem__(slice(-8, None)))
     with pytest.raises(CheckpointMismatch):
